@@ -16,7 +16,7 @@ Exit codes
 1  one or more checks failed
 2  command-line usage error
 3  malformed input file
-4  invalid or off-shell kinematics
+4  invalid or off-shell kinematics, or a singular parameter (F at p = 0)
 5  invalid operator matrix
 """
 
@@ -35,11 +35,13 @@ from .duals import (
     InvalidOperatorError,
     KinematicPoint,
     KinematicsError,
+    SingularParameterError,
     block_decompose,
     closed_form,
     delta_to_omega,
     dual_of,
     named_operator,
+    omega_residual,
     random_delta,
     random_kinematics,
     validate_delta,
@@ -197,10 +199,6 @@ def _suite_verify_theorems(k: KinematicPoint, seed: int, trials: int) -> SuiteRe
 
     g0 = GAMMA0
     x_mat = xi(k)
-
-    def omega_residual(om):
-        return float(abs(om.conj().T - x_mat @ g0 @ om @ g0 @ x_mat).max())
-
     worst_commuting = 0.0
     weakest_noncomm = math.inf
     worst_inverse = 0.0
@@ -211,13 +209,13 @@ def _suite_verify_theorems(k: KinematicPoint, seed: int, trials: int) -> SuiteRe
         om1 = c0 * np.eye(4) + c1 * base + c2 * base @ base
         om2_coeffs = rng.uniform(-1, 1, 2)
         om2 = om2_coeffs[0] * np.eye(4) + om2_coeffs[1] * base
-        worst_commuting = max(worst_commuting, omega_residual(om1 @ om2))
+        worst_commuting = max(worst_commuting, omega_residual(om1 @ om2, x_mat))
 
         other = delta_to_omega(random_delta(rng), k)
-        weakest_noncomm = min(weakest_noncomm, omega_residual(base @ other))
+        weakest_noncomm = min(weakest_noncomm, omega_residual(base @ other, x_mat))
 
         inv = np.linalg.inv(base)
-        worst_inverse = max(worst_inverse, omega_residual(inv))
+        worst_inverse = max(worst_inverse, omega_residual(inv, x_mat))
 
         delta_back = g0 @ base @ g0 @ x_mat
         worst_det = max(
@@ -493,9 +491,16 @@ def _add_kinematics(parser: argparse.ArgumentParser):
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--trials", type=int, default=100, help="trial count")
+    parser.add_argument("--trials", type=_positive_int, default=100, help="trial count")
     parser.add_argument(
         "--tolerance", type=float, default=None,
         help="comparison tolerance for table/orbit/validation commands",
@@ -610,7 +615,7 @@ def main(argv=None) -> int:
             )
         else:  # pragma: no cover - argparse enforces choices
             return EXIT_USAGE
-    except KinematicsError as exc:
+    except (KinematicsError, SingularParameterError) as exc:
         print(f"kinematics error: {exc}", file=sys.stderr)
         return EXIT_BAD_KINEMATICS
     except MalformedInputError as exc:

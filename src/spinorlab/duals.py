@@ -14,7 +14,6 @@ with E = sqrt(p^2 + m^2) always recomputed, never trusted from input.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,68 +249,36 @@ def validate_delta(m: np.ndarray, tol: float = VALIDATION_TOL) -> OperatorValida
     )
 
 
+def omega_residual(m: np.ndarray, x: np.ndarray) -> float:
+    """Max entry of Omega^dag - Xi g0 Omega g0 Xi, given the matrix Xi."""
+    return float(abs(m.conj().T - x @ GAMMA0 @ m @ GAMMA0 @ x).max())
+
+
 def validate_omega(
     m: np.ndarray, k: KinematicPoint, tol: float = VALIDATION_TOL
 ) -> OperatorValidation:
     """Check Omega^dag = Xi g0 Omega g0 Xi and det != 0."""
     m = np.asarray(m, dtype=complex)
-    x = xi(k)
-    residual = float(abs(m.conj().T - x @ GAMMA0 @ m @ GAMMA0 @ x).max())
+    residual = omega_residual(m, xi(k))
     det = complex(np.linalg.det(m))
     return OperatorValidation(
         "omega", residual <= tol and abs(det) > DET_TOL, residual, det, tol
     )
 
 
-def validate(
-    kind: str, m: np.ndarray, k: KinematicPoint | None = None,
-    tol: float = VALIDATION_TOL,
-) -> OperatorValidation:
-    if kind == "delta":
-        return validate_delta(m, tol)
-    if kind == "omega":
-        if k is None:
-            raise ValueError("omega validation needs a kinematic point")
-        return validate_omega(m, k, tol)
-    raise ValueError(f"unknown validation kind {kind!r}")
-
-
 # -- Delta <-> Omega -----------------------------------------------------------
+#
+# det g0 = det Xi = 1 by construction, so both conversions keep det.
 
 
 def omega_to_delta(m: np.ndarray, k: KinematicPoint) -> np.ndarray:
     """Delta = g0 Omega g0 Xi."""
-    out = GAMMA0 @ np.asarray(m, dtype=complex) @ GAMMA0 @ xi(k)
-    _check_det_transport(m, out)
-    return out
+    return GAMMA0 @ np.asarray(m, dtype=complex) @ GAMMA0 @ xi(k)
 
 
 def delta_to_omega(m: np.ndarray, k: KinematicPoint) -> np.ndarray:
     """Omega = g0 Delta Xi g0; inverse of :func:`omega_to_delta`."""
-    out = GAMMA0 @ np.asarray(m, dtype=complex) @ xi(k) @ GAMMA0
-    _check_det_transport(m, out)
-    return out
-
-
-def omega_delta_convert(direction: str, m: np.ndarray, k: KinematicPoint) -> np.ndarray:
-    if direction == "to_delta":
-        return omega_to_delta(m, k)
-    if direction == "to_omega":
-        return delta_to_omega(m, k)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def _check_det_transport(m_in: np.ndarray, m_out: np.ndarray):
-    # The conversion should preserve the determinant (det g0 = det Xi = 1);
-    # a violation signals numerical trouble and is surfaced, not swallowed.
-    d_in = np.linalg.det(m_in)
-    d_out = np.linalg.det(m_out)
-    if abs(d_in - d_out) > 1e-9 * max(1.0, abs(d_in)):
-        warnings.warn(
-            f"determinant not transported: {d_in} -> {d_out}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    return GAMMA0 @ np.asarray(m, dtype=complex) @ xi(k) @ GAMMA0
 
 
 # -- random Delta and block structure -------------------------------------------

@@ -7,12 +7,12 @@ membership tests for the Lipschitz / Pin / Spin chain.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .duals import DualSpinor, KinematicPoint, validate_omega
 from .multivector import Multivector, gamma
@@ -405,9 +405,18 @@ def minkowski_metric() -> np.ndarray:
 def exp_bivector(b: Multivector) -> Multivector:
     """Exponential of a pure bivector, the generator of rotors.
 
-    Computed as the matrix exponential in the Weyl representation and
-    mapped back; real bivectors land in Spin+(1,3).
+    The Weyl image of a bivector is block diagonal with traceless 2x2
+    chiral blocks A, and A @ A = -det(A) I, so each block has the closed
+    form exp(A) = cosh(s) I + sinh(s)/s A with s^2 = -det(A) (one block
+    per commuting simple part).  Real bivectors land in Spin+(1,3).
     """
     if any(m.bit_count() != 2 for m, _ in b.items()):
         raise ValueError("exp_bivector requires a pure grade-2 argument")
-    return from_matrix(scipy.linalg.expm(to_matrix(b)))
+    m = to_matrix(b)
+    out = np.zeros((4, 4), dtype=complex)
+    for blk in (slice(0, 2), slice(2, 4)):
+        a = m[blk, blk]
+        s = cmath.sqrt(a[0, 1] * a[1, 0] - a[0, 0] * a[1, 1])
+        sinhc = cmath.sinh(s) / s if s else 1
+        out[blk, blk] = cmath.cosh(s) * np.eye(2) + sinhc * a
+    return from_matrix(out)

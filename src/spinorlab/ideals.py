@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .multivector import (
     BLADE_COUNT,
@@ -29,24 +28,9 @@ from .weyl import multivector_inverse, to_matrix
 
 RANK_TOL = 1e-9
 
-BETA_INVOLUTION_KINDS = (
-    "grade",
-    "reversion",
-    "clifford_conj",
-    "complex_conj",
-    "dirac_dagger",
-)
-
 
 class InvolutionConditionError(ValueError):
     """The (alpha, h, f) triple fails an adjoint-involution condition."""
-
-
-def apply_involution(kind: str, a: Multivector) -> Multivector:
-    """The four canonical involutions plus the gamma0-adjoint composite."""
-    if kind == "dirac_dagger":
-        return a.hermitian_conjugate()
-    return involution(kind, a)
 
 
 @dataclass(frozen=True)
@@ -229,8 +213,8 @@ def verify_involution_conditions(
 ) -> bool:
     """Check alpha(f) = h^-1 f h and alpha(h) = h; h must be invertible."""
     hinv = multivector_inverse(h)  # raises ZeroDivisionError if singular
-    cond1 = coefficient_distance(apply_involution(kind, f.value), hinv * f.value * h)
-    cond2 = coefficient_distance(apply_involution(kind, h), h)
+    cond1 = coefficient_distance(involution(kind, f.value), hinv * f.value * h)
+    cond2 = coefficient_distance(involution(kind, h), h)
     return cond1 <= tol and cond2 <= tol
 
 
@@ -251,15 +235,15 @@ def beta_inner_product(
         hinv = multivector_inverse(h)
     except ZeroDivisionError as exc:
         raise InvolutionConditionError("h is not invertible") from exc
-    r1 = coefficient_distance(apply_involution(kind, f.value), hinv * f.value * h)
+    r1 = coefficient_distance(involution(kind, f.value), hinv * f.value * h)
     if r1 > tol:
         raise InvolutionConditionError(
             f"alpha(f) != h^-1 f h (residual {r1:.3e})"
         )
-    r2 = coefficient_distance(apply_involution(kind, h), h)
+    r2 = coefficient_distance(involution(kind, h), h)
     if r2 > tol:
         raise InvolutionConditionError(f"alpha(h) != h (residual {r2:.3e})")
-    return h * apply_involution(kind, psi) * phi * f.value
+    return h * involution(kind, psi) * phi * f.value
 
 
 def ring_membership_residual(b: Multivector, f: Idempotent) -> float:
@@ -278,16 +262,17 @@ def find_adjoint_element(
     invertible combination is returned, or None when the search fails.
     The returned h is one solution among many, not a canonical choice.
     """
-    alpha_f = apply_involution(kind, f.value)
+    alpha_f = involution(kind, f.value)
     rows = []
     for mask in range(BLADE_COUNT):
         e = basis_blade(mask)
         cond1 = alpha_f * e - e * f.value
-        cond2 = apply_involution(kind, e) - e
+        cond2 = involution(kind, e) - e
         rows.append(np.concatenate([_real_vec(_mv_to_vec(cond1)),
                                     _real_vec(_mv_to_vec(cond2))]))
     system = np.array(rows).T  # columns indexed by blade, rows by condition
-    null = scipy.linalg.null_space(system, rcond=1e-10)
+    _, sv, vh = np.linalg.svd(system)
+    null = vh[int((sv > 1e-10 * sv[0]).sum()):].T
     if null.shape[1] == 0:
         return None
     rng = np.random.default_rng(seed)

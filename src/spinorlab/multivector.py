@@ -12,7 +12,6 @@ unchanged, which is what the exact oracles in the test suite rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 DIMENSION = 4
@@ -22,23 +21,19 @@ METRIC = (1, -1, -1, -1)
 #: grade of each blade mask (number of generators in the product)
 GRADE = tuple(mask.bit_count() for mask in range(BLADE_COUNT))
 
-INVOLUTION_KINDS = ("grade", "reversion", "clifford_conj", "complex_conj")
+#: involution kind -> the Multivector method that implements it
+_INVOLUTION_METHODS = {
+    "grade": "grade_involution",
+    "reversion": "reversion",
+    "clifford_conj": "clifford_conjugation",
+    "complex_conj": "complex_conjugate",
+    "dirac_dagger": "hermitian_conjugate",
+}
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Signature of the underlying quadratic space, fixed to (1,3)."""
-
-    p: int = 1
-    q: int = 3
-    metric: tuple[int, int, int, int] = METRIC
-
-
-SIGNATURE = Signature()
-
-
-def _blade_mul(a: int, b: int) -> tuple[int, int]:
-    # Sign from counting transpositions, metric factors for repeated indices.
+def _blade_sign(a: int, b: int) -> int:
+    # Sign from counting transpositions, metric factors for repeated indices;
+    # the product blade itself is always a ^ b.
     sign = 1
     acc = a
     for j in range(DIMENSION):
@@ -52,14 +47,10 @@ def _blade_mul(a: int, b: int) -> tuple[int, int]:
             acc &= ~bit
         else:
             acc |= bit
-    return sign, acc
+    return sign
 
 
-_MUL_SIGN = [[0] * BLADE_COUNT for _ in range(BLADE_COUNT)]
-_MUL_MASK = [[0] * BLADE_COUNT for _ in range(BLADE_COUNT)]
-for _a in range(BLADE_COUNT):
-    for _b in range(BLADE_COUNT):
-        _MUL_SIGN[_a][_b], _MUL_MASK[_a][_b] = _blade_mul(_a, _b)
+_MUL_SIGN = [[_blade_sign(a, b) for b in range(BLADE_COUNT)] for a in range(BLADE_COUNT)]
 
 
 def blade_key(mask: int) -> str:
@@ -142,9 +133,8 @@ class Multivector:
             out: dict[int, object] = {}
             for ma, ca in self._coeffs.items():
                 sign_row = _MUL_SIGN[ma]
-                mask_row = _MUL_MASK[ma]
                 for mb, cb in other._coeffs.items():
-                    m = mask_row[mb]
+                    m = ma ^ mb
                     out[m] = out.get(m, 0) + sign_row[mb] * ca * cb
             return Multivector(out)
         return Multivector({m: v * other for m, v in self._coeffs.items()})
@@ -246,10 +236,6 @@ def gamma5_chiral() -> Multivector:
 # -- operations --------------------------------------------------------------
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
 def grade_projection(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= DIMENSION:
         raise ValueError(f"grade {k} out of range 0..{DIMENSION}")
@@ -257,16 +243,13 @@ def grade_projection(a: Multivector, k: int) -> Multivector:
 
 
 def involution(kind: str, a: Multivector) -> Multivector:
-    """One of the canonical (anti)automorphisms of the algebra."""
-    if kind == "grade":
-        return a.grade_involution()
-    if kind == "reversion":
-        return a.reversion()
-    if kind == "clifford_conj":
-        return a.clifford_conjugation()
-    if kind == "complex_conj":
-        return a.complex_conjugate()
-    raise ValueError(f"unknown involution kind {kind!r}")
+    """One of the canonical (anti)automorphisms of the algebra, or the
+    gamma0-adjoint composite "dirac_dagger" (reversion then conjugation)."""
+    try:
+        method = _INVOLUTION_METHODS[kind]
+    except KeyError:
+        raise ValueError(f"unknown involution kind {kind!r}") from None
+    return getattr(a, method)()
 
 
 def coefficient_distance(a: Multivector, b: Multivector) -> float:
@@ -300,14 +283,6 @@ def hermitian_coefficients(a: Multivector) -> list[complex]:
         if GRADE[mask] in (2, 3):
             c = complex(c) / 1j
         out.append(complex(c))
-    return out
-
-
-def from_hermitian_coefficients(coeffs) -> Multivector:
-    out = ZERO
-    for mask, c in enumerate(coeffs):
-        if c != 0:
-            out = out + c * hermitian_blade(mask)
     return out
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .multivector import BLADE_COUNT, DIMENSION, GRADE, Multivector
 from .weyl import to_matrix, weyl_gamma
@@ -267,18 +266,15 @@ def intertwiner() -> np.ndarray:
     """
     blocks = []
     for mu in range(DIMENSION):
-        a = gl2h_embed(mv_to_m2h_generator(mu))
+        a = gl2h_embed(quaternionic_gamma(mu))
         b = weyl_gamma(mu)
         # S a = b S  <=>  (a^T ⊗ I - I ⊗ b) vec(S) = 0 (column-major vec)
         blocks.append(np.kron(a.T, np.eye(4)) - np.kron(np.eye(4), b))
-    null = scipy.linalg.null_space(np.vstack(blocks))
-    if null.shape[1] == 0:
+    system = np.vstack(blocks)
+    _, sv, vh = np.linalg.svd(system)
+    if sv[-1] > np.finfo(float).eps * max(system.shape) * sv[0]:
         raise RuntimeError("no intertwiner found; representations inequivalent")
-    s = null[:, 0].reshape((4, 4), order="F")
+    s = vh[-1].conj().reshape((4, 4), order="F")
     if abs(np.linalg.det(s)) < 1e-10:
         raise RuntimeError("intertwiner candidate is singular")
     return s
-
-
-def mv_to_m2h_generator(mu: int) -> QuatMatrix2:
-    return _GENERATOR_IMAGES[mu]

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from spinorlab.cli import (
     EXIT_BAD_INPUT,
@@ -11,6 +15,7 @@ from spinorlab.cli import (
     EXIT_BAD_OPERATOR,
     EXIT_CHECK_FAILED,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 from spinorlab.duals import KinematicPoint, xi
@@ -184,3 +189,32 @@ def test_failing_check_gives_exit_one(tmp_path, capsys):
     # An absurdly tight tolerance forces table1 residuals to fail.
     code = main(["table1", "--trials", "5", "--tolerance", "1e-30"])
     assert code == EXIT_CHECK_FAILED
+
+
+def test_singular_momentum_is_a_kinematics_error(tmp_path, capsys):
+    duals_file = tmp_path / "duals.json"
+    duals_file.write_text(dump_json([spinor_to_obj(np.ones(4))]))
+    at_rest = ["--momentum", "0"]
+    for argv in (
+        ["table1", *at_rest],
+        ["cayley", "--group", "GF", *at_rest],
+        ["classify", "--group", "GF", "--duals", str(duals_file), *at_rest],
+    ):
+        assert main(argv) == EXIT_BAD_KINEMATICS
+        assert "kinematics error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify-theorems", "--trials", "0"], ["embed", "--trials", "-3"]]
+)
+def test_nonpositive_trials_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    code = "import spinorlab, spinorlab.cli, sys; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

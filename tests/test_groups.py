@@ -34,7 +34,7 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.weyl import GAMMA0
+from spinorlab.weyl import GAMMA0, to_matrix
 
 K = KinematicPoint(1.0, 1.0, 0.7, 0.3)
 
@@ -407,3 +407,35 @@ def test_exp_bivector_lands_in_spin_plus():
     for _ in range(25):
         b = random_multivector(rng, real=True, grades=(2,))
         assert membership(exp_bivector(b), tol=1e-8).in_spin_plus
+
+
+def taylor_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
+    # Reference exponential: Taylor series on a halved until its norm is
+    # at most 1/2, then squared back up.
+    norm = np.abs(a).sum(axis=1).max()
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0 else 0
+    a = a / 2**squarings
+    out = term = np.eye(4, dtype=complex)
+    for n in range(1, terms):
+        term = term @ a / n
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-4, 0.5, 1.0, 3.0])
+def test_exp_bivector_matches_taylor_reference(scale):
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        b = scale * random_multivector(rng, real=True, grades=(2,))
+        ref = taylor_expm(to_matrix(b))
+        err = abs(to_matrix(exp_bivector(b)) - ref).max()
+        assert err <= 1e-13 * abs(ref).max()
+
+
+def test_exp_null_bivector_is_exact():
+    # e01 + e13 squares to 0, so the series stops after its linear term.
+    b = blade((0, 1)) + blade((1, 3))
+    assert b * b == Multivector()
+    assert exp_bivector(b) == scalar(1) + b

@@ -6,7 +6,6 @@ import pytest
 from spinorlab.ideals import (
     Idempotent,
     InvolutionConditionError,
-    apply_involution,
     beta_inner_product,
     canonical_idempotent,
     division_ring_identify,
@@ -21,6 +20,7 @@ from spinorlab.multivector import (
     blade,
     coefficient_distance,
     gamma,
+    involution,
     random_multivector,
     scalar,
 )
@@ -144,10 +144,10 @@ def test_find_adjoint_element_reports_failure_as_none():
     assert find_adjoint_element("reversion", FC) is None
 
 
-def test_apply_involution_dagger_is_reversion_plus_conjugation():
+def test_involution_dirac_dagger_is_reversion_plus_conjugation():
     rng = np.random.default_rng(1)
     x = random_multivector(rng)
-    assert apply_involution("dirac_dagger", x) == x.reversion().complex_conjugate()
+    assert involution("dirac_dagger", x) == x.reversion().complex_conjugate()
 
 
 # -- beta ----------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from spinorlab.multivector import (
     BLADE_COUNT,
     GRADE,
     METRIC,
-    SIGNATURE,
     Multivector,
     basis_blade,
     blade,
@@ -17,7 +16,6 @@ from spinorlab.multivector import (
     coefficient_distance,
     gamma,
     gamma5_chiral,
-    geometric_product,
     grade_projection,
     hermitian_basis,
     hermitian_blade,
@@ -42,8 +40,8 @@ def rational_multivectors():
 
 
 def test_signature_is_spacetime():
-    assert (SIGNATURE.p, SIGNATURE.q) == (1, 3)
-    assert SIGNATURE.metric == (1, -1, -1, -1)
+    assert (METRIC.count(1), METRIC.count(-1)) == (1, 3)
+    assert METRIC == (1, -1, -1, -1)
 
 
 def test_generator_squares():
@@ -165,12 +163,12 @@ def pseudoscalar_square_sign(p, q):
 
 def test_pseudoscalar_square_matches_sign_oracle():
     want = pseudoscalar_square_sign(1, 3)
-    assert geometric_product(pseudoscalar(), pseudoscalar()) == scalar(want)
+    assert pseudoscalar() * pseudoscalar() == scalar(want)
     assert want == -1
 
 
 def test_chiral_element_squares_to_plus_one():
-    assert geometric_product(gamma5_chiral(), gamma5_chiral()) == ONE
+    assert gamma5_chiral() * gamma5_chiral() == ONE
     assert grade_projection(gamma5_chiral(), 4) == gamma5_chiral()
 
 
