@@ -384,18 +384,12 @@ def _suite_spinor_spaces(seed: int, trials: int) -> SuiteReport:
         1e-12,
     )
 
-    report.add(
-        "ideal-dimension-complex-left",
-        abs(ideal_basis(fc, "left", "complex").dimension - 4), 0.0,
-    )
-    report.add(
-        "ideal-dimension-complex-right",
-        abs(ideal_basis(fc, "right", "complex").dimension - 4), 0.0,
-    )
-    report.add(
-        "ideal-dimension-real-left",
-        abs(ideal_basis(fr, "left", "real").dimension - 8), 0.0,
-    )
+    complex_left = ideal_basis(fc, "left", "complex")
+    complex_right = ideal_basis(fc, "right", "complex")
+    basis = ideal_basis(fr, "left", "real")
+    report.add("ideal-dimension-complex-left", abs(complex_left.dimension - 4), 0.0)
+    report.add("ideal-dimension-complex-right", abs(complex_right.dimension - 4), 0.0)
+    report.add("ideal-dimension-real-left", abs(basis.dimension - 8), 0.0)
 
     ring_c = division_ring_identify(fc, "complex")
     report.add(
@@ -410,7 +404,6 @@ def _suite_spinor_spaces(seed: int, trials: int) -> SuiteReport:
         0.0,
     )
 
-    basis = ideal_basis(fr, "left", "real")
     one = scalar(1)
     worst = 0.0
     for _ in range(trials):
@@ -452,8 +445,8 @@ def _suite_spinor_spaces(seed: int, trials: int) -> SuiteReport:
             "real": multivector_to_obj(fr.value),
         },
         "ideal_dimensions": {
-            "complex_left": ideal_basis(fc, "left", "complex").dimension,
-            "complex_right": ideal_basis(fc, "right", "complex").dimension,
+            "complex_left": complex_left.dimension,
+            "complex_right": complex_right.dimension,
             "real_left": basis.dimension,
         },
         "ideal_basis_real_left": [

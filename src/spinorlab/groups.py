@@ -133,19 +133,22 @@ class FiniteMatrixGroup:
         }
 
 
-def _find_element(elements, m, tol: float) -> int:
-    for i, e in enumerate(elements):
-        if abs(e - m).max() <= tol:
-            return i
-    return -1
+def _find(stored: np.ndarray, x: np.ndarray, tol: float):
+    """Index of the first row of ``stored`` within max-entry distance ``tol``
+    of the row ``x``, or -1; a stack of rows ``x`` gives one index per row."""
+    hits = (abs(stored - x[..., None, :]) <= tol).all(axis=-1)
+    return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
 
 
 def _build_table(elements, tol: float) -> np.ndarray:
     n = len(elements)
+    stack = np.array(elements)
+    flat = stack.reshape(n, 16)
     table = np.zeros((n, n), dtype=int)
     for i in range(n):
+        row = (stack[i] @ stack).reshape(n, 16)
         for j in range(n):
-            idx = _find_element(elements, elements[i] @ elements[j], tol)
+            idx = _find(flat, row[j], tol)
             if idx < 0:
                 raise ValueError("element set is not closed under products")
             table[i, j] = idx
@@ -172,9 +175,12 @@ def generate_group(
 ) -> FiniteMatrixGroup:
     """Close a generator set under products and inverses.
 
-    Deduplication matches entries rounded at ``tol`` resolution.  Raises
-    :class:`CapExceeded` once more than ``cap`` distinct elements appear,
-    which is the cheap certificate that the generated group is not small.
+    Breadth-first from the identity: each new element is multiplied on the
+    right by every generator and every generator inverse, and a product
+    within max-entry distance ``10 * tol`` of a stored element is a
+    duplicate.  Raises :class:`CapExceeded` once more than ``cap`` distinct
+    elements appear, which is the cheap certificate that the generated
+    group is not small.
     """
     gens = [np.asarray(m, dtype=complex) for m in generators]
     for i, g in enumerate(gens):
@@ -182,47 +188,27 @@ def generate_group(
             raise ValueError(f"generator {i} is not invertible")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
+    steps = []
+    for g, name in zip(gens, labels):
+        steps += [(g, name), (np.linalg.inv(g), f"{name}^-1")]
 
     elements = [np.eye(4, dtype=complex)]
     names = ["I"]
-    keys = {_round_key(elements[0], tol)}
-
-    def add(m, name) -> bool:
-        key = _round_key(m, tol)
-        if key in keys or _find_element(elements, m, 10 * tol) >= 0:
-            return False
-        elements.append(m)
-        names.append(name)
-        keys.add(key)
-        if len(elements) > cap:
-            raise CapExceeded(cap, len(elements))
-        return True
-
-    for g, name in zip(gens, labels):
-        add(g, name)
-        add(np.linalg.inv(g), f"{name}^-1")
-
-    changed = True
-    while changed:
-        changed = False
-        n = len(elements)
-        for i in range(n):
-            for j in range(n):
-                prod = elements[i] @ elements[j]
-                if add(prod, _compose_label(names[i], names[j])):
-                    changed = True
-        for i in range(len(elements)):
-            if add(np.linalg.inv(elements[i]), f"({names[i]})^-1"):
-                changed = True
+    flat = elements[0].reshape(1, 16)
+    # Iterating the lists while they grow visits elements in discovery
+    # order, which is what makes the walk breadth-first.
+    for m, name in zip(elements, names):
+        for g, step in steps:
+            prod = m @ g
+            if _find(flat, prod.ravel(), 10 * tol) >= 0:
+                continue
+            flat = np.concatenate([flat, prod.reshape(1, 16)])
+            elements.append(prod)
+            names.append(_compose_label(name, step))
+            if len(elements) > cap:
+                raise CapExceeded(cap, len(elements))
 
     return FiniteMatrixGroup(elements, names, _build_table(elements, 10 * tol))
-
-
-def _round_key(m: np.ndarray, tol: float) -> bytes:
-    scaled = np.round(np.concatenate([m.real.ravel(), m.imag.ravel()]) / tol)
-    # normalize -0.0 so equal values share a key
-    scaled = scaled + 0.0
-    return scaled.tobytes()
 
 
 def _compose_label(a: str, b: str) -> str:
@@ -290,32 +276,26 @@ def orbit_partition(
     """
     if action not in ("right", "transpose"):
         raise ValueError(f"unknown action {action!r}")
-    rows = [
+    rows = np.array([
         d.components if isinstance(d, DualSpinor) else np.asarray(d, complex).reshape(4)
         for d in duals
-    ]
-    apply = (lambda r, g: r @ g) if action == "right" else (lambda r, g: r @ g.T)
+    ], dtype=complex).reshape(-1, 4)
+    mats = np.array(group.elements)
+    if action == "transpose":
+        mats = mats.transpose(0, 2, 1)
 
     classes: list[list[int]] = []
     sizes: list[int] = []
-    assigned = [False] * len(rows)
+    unassigned = np.ones(len(rows), dtype=bool)
     for i in range(len(rows)):
-        if assigned[i]:
+        if not unassigned[i]:
             continue
-        images = [apply(rows[i], g) for g in group.elements]
-        members = []
-        for j in range(i, len(rows)):
-            if assigned[j]:
-                continue
-            if any(abs(img - rows[j]).max() <= tol for img in images):
-                members.append(j)
-                assigned[j] = True
-        distinct = []
-        for img in images:
-            if not any(abs(img - d).max() <= tol for d in distinct):
-                distinct.append(img)
-        classes.append(members)
-        sizes.append(len(distinct))
+        images = rows[i] @ mats
+        open_rows = i + np.flatnonzero(unassigned[i:])
+        members = open_rows[_find(images, rows[open_rows], tol) >= 0]
+        unassigned[members] = False
+        classes.append([int(j) for j in members])
+        sizes.append(int((_find(images, images, tol) == np.arange(len(images))).sum()))
     return OrbitPartition(classes, [cls[0] for cls in classes], sizes)
 
 
@@ -351,12 +331,11 @@ def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     norm_mv = x * x.reversion()
     norm = complex(norm_mv.scalar_part())
 
-    m = to_matrix(x)
-    invertible = abs(np.linalg.det(m)) > 1e-12
-    if not invertible:
+    try:
+        xinv = multivector_inverse(x)
+    except ZeroDivisionError:
         return MembershipRecord(even, False, False, False, False, False, norm)
 
-    xinv = from_matrix(np.linalg.inv(m))
     in_gamma = True
     for mu in range(4):
         y = x * gamma(mu) * xinv

@@ -208,13 +208,21 @@ def _pure_units(f: Multivector, basis: list) -> tuple[list, bool]:
 # -- adjoint involutions and beta ---------------------------------------------------
 
 
+def _involution_residuals(kind: str, h: Multivector, f: Idempotent) -> tuple:
+    """Residuals |alpha(f) - h^-1 f h| and |alpha(h) - h|; raises
+    ZeroDivisionError when h is singular."""
+    hinv = multivector_inverse(h)
+    return (
+        coefficient_distance(involution(kind, f.value), hinv * f.value * h),
+        coefficient_distance(involution(kind, h), h),
+    )
+
+
 def verify_involution_conditions(
     kind: str, h: Multivector, f: Idempotent, tol: float = 1e-10
 ) -> bool:
     """Check alpha(f) = h^-1 f h and alpha(h) = h; h must be invertible."""
-    hinv = multivector_inverse(h)  # raises ZeroDivisionError if singular
-    cond1 = coefficient_distance(involution(kind, f.value), hinv * f.value * h)
-    cond2 = coefficient_distance(involution(kind, h), h)
+    cond1, cond2 = _involution_residuals(kind, h, f)
     return cond1 <= tol and cond2 <= tol
 
 
@@ -232,15 +240,13 @@ def beta_inner_product(
     fails its compatibility conditions, naming the violated one.
     """
     try:
-        hinv = multivector_inverse(h)
+        r1, r2 = _involution_residuals(kind, h, f)
     except ZeroDivisionError as exc:
         raise InvolutionConditionError("h is not invertible") from exc
-    r1 = coefficient_distance(involution(kind, f.value), hinv * f.value * h)
     if r1 > tol:
         raise InvolutionConditionError(
             f"alpha(f) != h^-1 f h (residual {r1:.3e})"
         )
-    r2 = coefficient_distance(involution(kind, h), h)
     if r2 > tol:
         raise InvolutionConditionError(f"alpha(h) != h (residual {r2:.3e})")
     return h * involution(kind, psi) * phi * f.value

@@ -34,7 +34,7 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.weyl import GAMMA0, to_matrix
+from spinorlab.weyl import GAMMA0, to_matrix, weyl_gamma
 
 K = KinematicPoint(1.0, 1.0, 0.7, 0.3)
 
@@ -126,6 +126,35 @@ def test_generate_h_exceeds_cap():
     with pytest.raises(CapExceeded) as err:
         generate_group([h], cap=64)
     assert err.value.count > 64
+
+
+def test_generate_h_at_readme_point_reaches_cap_1024():
+    h = named_operator("H", K)
+    with pytest.raises(CapExceeded) as err:
+        generate_group([h], cap=1024)
+    assert (err.value.cap, err.value.count) == (1024, 1025)
+
+
+def test_dedup_boundary_is_ten_times_tol():
+    # (1 + d) R and its powers differ from R^n by about 2d per step, so the
+    # default tol = 1e-8 merges them below d = 5e-8 and keeps them apart
+    # above it.
+    r = np.diag([-1.0, 1.0, 1.0, 1.0])
+    assert generate_group([(1 + 4.9e-8) * r], cap=16).order == 2
+    with pytest.raises(CapExceeded):
+        generate_group([(1 + 6e-8) * r], cap=16)
+
+
+@pytest.mark.parametrize("extra, order", [([], 32), ([1j * np.eye(4)], 64)])
+def test_dirac_group_orders_and_table(extra, order):
+    group = generate_group([weyl_gamma(mu) for mu in range(4)] + extra)
+    assert group.order == order
+    everyone = list(range(order))
+    assert all(sorted(row) == everyone for row in group.table)
+    assert all(sorted(col) == everyone for col in group.table.T)
+    for i, a in enumerate(group.elements):
+        for j, b in enumerate(group.elements):
+            assert abs(a @ b - group.elements[group.table[i, j]]).max() <= 1e-9
 
 
 def test_generate_trivial_group():
@@ -230,6 +259,34 @@ def test_random_duals_match_brute_force_oracle():
     rows.extend(rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3))
     partition = orbit_partition(group, rows, tol=1e-9)
     assert len(partition.classes) == brute_force_class_count(group, rows, 1e-9)
+
+
+@pytest.mark.parametrize("action", ["right", "transpose"])
+def test_400_shuffled_rows_match_brute_force_oracle(action):
+    group = group_from_elements(gf_elements(K), ["I", "G", "F", "FG"])
+    rng = np.random.default_rng(14)
+    rows = []
+    for _ in range(100):
+        base = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rows += [base @ (g if action == "right" else g.T) for g in group.elements]
+    order = rng.permutation(len(rows))
+    rows = [rows[i] for i in order]
+    partition = orbit_partition(group, rows, action=action)
+    owners = [[j for j in range(400) if order[j] // 4 == b] for b in range(100)]
+    assert partition.classes == sorted(owners)
+    transposed = group_from_elements([g.T for g in group.elements])
+    oracle_group = group if action == "right" else transposed
+    assert len(partition.classes) == brute_force_class_count(oracle_group, rows, 1e-9)
+    assert partition.representatives == [cls[0] for cls in partition.classes]
+    assert all(type(j) is int for cls in partition.classes for j in cls)
+
+
+def test_empty_duals_give_empty_partition():
+    group = group_from_elements(gf_elements(K), ["I", "G", "F", "FG"])
+    partition = orbit_partition(group, [])
+    assert (partition.classes, partition.representatives, partition.orbit_sizes) == (
+        [], [], []
+    )
 
 
 def test_orbit_sizes_divide_group_order():
