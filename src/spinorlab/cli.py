@@ -29,62 +29,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .duals import (
-    ELEMENT_NAMES,
-    InvalidOperatorError,
-    KinematicPoint,
-    KinematicsError,
-    SingularParameterError,
-    block_decompose,
-    closed_form,
-    delta_to_omega,
-    dual_of,
-    named_operator,
-    omega_residual,
-    random_delta,
-    random_kinematics,
-    validate_delta,
-    validate_omega,
-    xi,
+    ELEMENT_NAMES, InvalidOperatorError, KinematicPoint, KinematicsError,
+    SingularParameterError, dual_of, named_operator, random_kinematics, validate_omega,
 )
 from .groups import group_from_elements, identify_group, orbit_partition
 from .ideals import (
-    beta_inner_product,
-    canonical_idempotent,
-    division_ring_identify,
-    ideal_basis,
-    ring_membership_residual,
-    verify_involution_conditions,
+    canonical_idempotent, division_ring_identify, ideal_basis, verify_involution_conditions,
 )
-from .multivector import (
-    coefficient_distance,
-    gamma,
-    random_multivector,
-    scalar,
-)
-from .quaternions import (
-    Quaternion,
-    QuatMatrix2,
-    gl2h_embed,
-    intertwiner,
-    is_quaternionic_pattern,
-    mv_to_m2h,
-    even_to_m2c,
-    quaternionic_gamma,
-    pattern_dof,
-)
+from .multivector import gamma, scalar
+from .quaternions import pattern_dof
 from .serialize import (
-    MalformedInputError,
-    dump_json,
-    load_json,
-    matrix_from_obj,
-    matrix_to_obj,
-    multivector_to_obj,
-    spinor_from_obj,
-    spinor_to_obj,
+    MalformedInputError, dump_json, load_json, matrix_from_obj, matrix_to_obj,
+    multivector_to_obj, spinor_from_obj, spinor_to_obj,
 )
-from .weyl import GAMMA0, dirac_dagger_dual, to_matrix
+from .weyl import to_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,6 +80,7 @@ class SuiteReport:
     trials: int
     checks: list = field(default_factory=list)
     payload: dict = field(default_factory=dict)
+    csv: str = ""  # the --format csv text, for suites that have one
 
     def add(self, name, residual, tolerance, passed=None) -> "Check":
         if passed is None:
@@ -127,6 +88,10 @@ class SuiteReport:
         check = Check(name, bool(passed), float(residual), float(tolerance))
         self.checks.append(check)
         return check
+
+    def require(self, name, ok, tolerance=0.0) -> "Check":
+        """A yes/no check: residual 0.0 when ``ok``, else 1.0."""
+        return self.add(name, 0.0 if ok else 1.0, tolerance)
 
     @property
     def passed(self) -> bool:
@@ -157,92 +122,50 @@ class SuiteReport:
 
 
 # -- suites -----------------------------------------------------------------
+# Each reads its inputs in a fixed order, so two bad inputs give one error.
 
 
-def _suite_verify_theorems(k: KinematicPoint, seed: int, trials: int) -> SuiteReport:
-    report = SuiteReport("verify-theorems", k.as_dict(), seed, trials)
-    rng = np.random.default_rng(seed)
-
-    worst_constraint = worst_blocks = 0.0
-    for _ in range(trials):
-        delta = random_delta(rng)
-        check = validate_delta(delta)
-        worst_constraint = max(worst_constraint, check.residual)
-        if not check:
-            worst_constraint = max(worst_constraint, 1.0)
-        worst_blocks = max(
-            worst_blocks, block_decompose(delta).hermiticity_residual()
-        )
-    report.add("block-structure-validation", worst_constraint, 1e-10)
-    report.add("block-hermiticity", worst_blocks, 1e-12)
-
-    accepted = sum(
-        bool(validate_delta(rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))))
-        for _ in range(trials)
+def _kinematics(args) -> KinematicPoint:
+    return KinematicPoint(
+        m=args.mass, p=args.momentum, theta=args.theta, phi=args.phi, E=args.energy
     )
+
+
+def _report(args, k: KinematicPoint = None) -> SuiteReport:
+    # commands without --seed and --trials report seed 0 and 0 trials
+    seed, trials = getattr(args, "seed", 0), getattr(args, "trials", 0)
+    return SuiteReport(args.command, k.as_dict() if k else {}, seed, trials)
+
+
+def _suite_verify_theorems(args) -> SuiteReport:
+    """Block-structure and fixed-point theorems, closure, inverses."""
+    k = _kinematics(args)
+    report = _report(args, k)
+    rng, trials = np.random.default_rng(args.seed), args.trials
+    constraint, hermiticity = checks.block_pattern(rng, trials)
+    report.add("block-structure-validation", constraint, 1e-10)
+    report.add("block-hermiticity", hermiticity, 1e-12)
+    accepted = checks.generic_acceptance(rng, trials)
     report.add("generic-matrix-rejection", accepted / trials, 0.0)
-
-    worst_fix = 0.0
-    weakest_detect = math.inf
-    for _ in range(trials):
-        x = random_multivector(rng, hermitian=True)
-        worst_fix = max(worst_fix, coefficient_distance(dirac_dagger_dual(x), x))
-        y = x + complex(0, 1e-6) * random_multivector(rng, hermitian=True)
-        weakest_detect = min(
-            weakest_detect, coefficient_distance(dirac_dagger_dual(y), y)
-        )
-    report.add("adjoint-fixed-points", worst_fix, 1e-12)
-    report.add(
-        "adjoint-imaginary-detection", weakest_detect, 1e-7,
-        passed=weakest_detect > 1e-7,
-    )
-
-    g0 = GAMMA0
-    x_mat = xi(k)
-    worst_commuting = 0.0
-    weakest_noncomm = math.inf
-    worst_inverse = 0.0
-    worst_det = 0.0
-    for _ in range(trials):
-        base = delta_to_omega(random_delta(rng), k)
-        c0, c1, c2 = rng.uniform(-1, 1, 3)
-        om1 = c0 * np.eye(4) + c1 * base + c2 * base @ base
-        om2_coeffs = rng.uniform(-1, 1, 2)
-        om2 = om2_coeffs[0] * np.eye(4) + om2_coeffs[1] * base
-        worst_commuting = max(worst_commuting, omega_residual(om1 @ om2, x_mat))
-
-        other = delta_to_omega(random_delta(rng), k)
-        weakest_noncomm = min(weakest_noncomm, omega_residual(base @ other, x_mat))
-
-        inv = np.linalg.inv(base)
-        worst_inverse = max(worst_inverse, omega_residual(inv, x_mat))
-
-        delta_back = g0 @ base @ g0 @ x_mat
-        worst_det = max(
-            worst_det, abs(np.linalg.det(base) - np.linalg.det(delta_back))
-        )
-    report.add("closure-commuting-products", worst_commuting, 1e-9)
-    report.add(
-        "closure-noncommuting-detection", weakest_noncomm, 1e-6,
-        passed=weakest_noncomm > 1e-6,
-    )
-    report.add("inverse-closure-lemma", worst_inverse, 1e-9)
-    report.add("determinant-transport", worst_det, 1e-9)
+    fixed, detected = checks.adjoint_fixed_points(rng, trials)
+    report.add("adjoint-fixed-points", fixed, 1e-12)
+    report.add("adjoint-imaginary-detection", detected, 1e-7, passed=detected > 1e-7)
+    commuting, noncomm, inverse, det = checks.closure(rng, trials, k)
+    report.add("closure-commuting-products", commuting, 1e-9)
+    report.add("closure-noncommuting-detection", noncomm, 1e-6, passed=noncomm > 1e-6)
+    report.add("inverse-closure-lemma", inverse, 1e-9)
+    report.add("determinant-transport", det, 1e-9)
     return report
 
 
-def _suite_table1(k: KinematicPoint, seed: int, trials: int, tol: float) -> SuiteReport:
-    report = SuiteReport("table1", k.as_dict(), seed, trials)
-    rng = np.random.default_rng(seed)
-    points = [k] + [random_kinematics(rng) for _ in range(trials)]
+def _suite_table1(args) -> SuiteReport:
+    """Defining expressions of the named operators vs closed forms."""
+    k = _kinematics(args)
+    report = _report(args, k)
+    rng = np.random.default_rng(args.seed)
+    points = [k] + [random_kinematics(rng) for _ in range(args.trials)]
     for name in ELEMENT_NAMES:
-        worst = 0.0
-        for point in points:
-            worst = max(
-                worst,
-                float(abs(named_operator(name, point) - closed_form(name, point)).max()),
-            )
-        report.add(f"row-{name}", worst, tol)
+        report.add(f"row-{name}", checks.operator_residual(name, points), args.tolerance)
     report.payload = {
         "operators": {
             name: matrix_to_obj(named_operator(name, k)) for name in ELEMENT_NAMES
@@ -264,35 +187,39 @@ def _named_group(name: str, k: KinematicPoint, tol: float):
     return group_from_elements(elements, labels, tol)
 
 
-def _suite_cayley(k: KinematicPoint, group_name: str, tol: float) -> SuiteReport:
-    report = SuiteReport("cayley", k.as_dict(), 0, 0)
-    group = _named_group(group_name, k, tol)
+def _suite_cayley(args) -> SuiteReport:
+    """Cayley table of a named operator group, with identification."""
+    k = _kinematics(args)
+    report = _report(args, k)
+    group = _named_group(args.group, k, args.tolerance)
     ident = identify_group(group)
-    report.add("closure", 0.0, tol)
-    report.add("identified-K4", 0.0 if ident.name == "K4" else 1.0, 0.0)
+    # group_from_elements raises unless the elements are closed under products
+    report.require("closure", True, args.tolerance)
+    report.require("identified-K4", ident.name == "K4")
     report.payload = {
-        "group": group_name,
+        "group": args.group,
         "name": ident.name,
         "labels": list(group.labels),
         "table": group.to_json_obj()["table"],
-        "csv": group.to_csv(),
     }
+    report.csv = group.to_csv()
     return report
 
 
-def _suite_classify(
-    k: KinematicPoint, group_name: str, duals_obj, tol: float
-) -> SuiteReport:
-    report = SuiteReport("classify", k.as_dict(), 0, 0)
+def _suite_classify(args) -> SuiteReport:
+    """Orbit partition of supplied dual spinors under a group."""
+    k = _kinematics(args)
+    duals_obj = load_json(args.duals)
+    report = _report(args, k)
     if not isinstance(duals_obj, list):
         raise MalformedInputError("duals JSON must be a list of spinor rows")
     rows = [spinor_from_obj(obj) for obj in duals_obj]
-    group = _named_group(group_name, k, tol)
-    partition = orbit_partition(group, rows, tol=tol)
+    group = _named_group(args.group, k, args.tolerance)
+    partition = orbit_partition(group, rows, tol=args.tolerance)
     divides = all(group.order % s == 0 for s in partition.orbit_sizes)
-    report.add("orbit-sizes-divide-order", 0.0 if divides else 1.0, 0.0)
+    report.require("orbit-sizes-divide-order", divides)
     report.payload = {
-        "group": group_name,
+        "group": args.group,
         "classes": partition.to_json_obj(),
         "representatives": partition.representatives,
         "orbit_sizes": partition.orbit_sizes,
@@ -300,89 +227,33 @@ def _suite_classify(
     return report
 
 
-def _suite_embed(seed: int, trials: int) -> SuiteReport:
-    report = SuiteReport("embed", {}, seed, trials)
-    rng = np.random.default_rng(seed)
-
-    eta = (1.0, -1.0, -1.0, -1.0)
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            gm, gn = quaternionic_gamma(mu), quaternionic_gamma(nu)
-            anti = gm * gn + gn * gm
-            want = QuatMatrix2.identity() * (2.0 * eta[mu] if mu == nu else 0.0)
-            for qa, qb in zip(anti.entries(), want.entries()):
-                worst = max(worst, max(abs(x - y) for x, y in
-                                       zip(qa.as_list(), qb.as_list())))
-    report.add("quaternion-clifford-relations", worst, 0.0)
-
-    def rand_quat():
-        return Quaternion(*rng.uniform(-1, 1, 4))
-
-    def rand_qmat():
-        return QuatMatrix2(rand_quat(), rand_quat(), rand_quat(), rand_quat())
-
-    worst = 0.0
-    for _ in range(trials):
-        a, b = rand_qmat(), rand_qmat()
-        worst = max(worst, float(abs(gl2h_embed(a * b) - gl2h_embed(a) @ gl2h_embed(b)).max()))
-    report.add("gl2h-homomorphism", worst, 1e-10)
-
+def _suite_embed(args) -> SuiteReport:
+    """Quaternionic embedding suite."""
+    report = _report(args)
+    rng, n = np.random.default_rng(args.seed), args.trials
+    report.add("quaternion-clifford-relations", checks.quaternion_clifford_relations(), 0.0)
+    report.add("gl2h-homomorphism", checks.gl2h_homomorphism(rng, n), 1e-10)
     report.add("pattern-dof", abs(pattern_dof() - 16), 0.0)
-
-    mistakes = 0
-    for _ in range(trials):
-        if not is_quaternionic_pattern(gl2h_embed(rand_qmat())):
-            mistakes += 1
-        if is_quaternionic_pattern(rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))):
-            mistakes += 1
-    report.add("pattern-detection", float(mistakes), 0.0)
-
-    transported = True
-    samples = [random_multivector(rng, real=True) for _ in range(trials)]
-    samples.append(scalar(1) + gamma(0))  # zero divisor, singular on both sides
-    for x in samples:
-        d1 = abs(np.linalg.det(to_matrix(x))) > 1e-12
-        d2 = abs(np.linalg.det(gl2h_embed(mv_to_m2h(x)))) > 1e-12
-        transported = transported and (d1 == d2)
-    report.add("invertibility-transport", 0.0 if transported else 1.0, 0.0)
-
-    worst = 0.0
-    for _ in range(trials):
-        x = random_multivector(rng, real=True, grades=(0, 2, 4))
-        y = random_multivector(rng, real=True, grades=(0, 2, 4))
-        worst = max(worst, float(abs(even_to_m2c(x * y) - even_to_m2c(x) @ even_to_m2c(y)).max()))
-    report.add("even-block-multiplicativity", worst, 1e-10)
-
-    s = intertwiner()
-    s_inv = np.linalg.inv(s)
-    worst = 0.0
-    for _ in range(trials):
-        x = random_multivector(rng, real=True)
-        lhs = s @ gl2h_embed(mv_to_m2h(x)) @ s_inv
-        worst = max(worst, float(abs(lhs - to_matrix(x)).max()))
-    report.add("intertwined-representations", worst, 1e-9)
+    report.add("pattern-detection", checks.pattern_mistakes(rng, n), 0.0)
+    report.require("invertibility-transport", checks.invertibility_transported(rng, n))
+    report.add("even-block-multiplicativity",
+               checks.even_block_multiplicativity(rng, n), 1e-10)
+    report.add("intertwined-representations",
+               checks.intertwined_representations(rng, n), 1e-9)
     return report
 
 
-def _suite_spinor_spaces(seed: int, trials: int) -> SuiteReport:
-    report = SuiteReport("spinor-spaces", {}, seed, trials)
-    rng = np.random.default_rng(seed)
+def _suite_spinor_spaces(args) -> SuiteReport:
+    """Idempotent, ideal, division-ring and beta suite."""
+    report = _report(args)
+    rng, trials = np.random.default_rng(args.seed), args.trials
 
     fc = canonical_idempotent("complex")
     fr = canonical_idempotent("real")
-    report.add(
-        "complex-idempotency",
-        coefficient_distance(fc.value * fc.value, fc.value),
-        1e-12,
-    )
+    report.add("complex-idempotency", checks.idempotency(fc), 1e-12)
     rank = np.linalg.matrix_rank(to_matrix(fc.value), tol=1e-9)
     report.add("complex-projector-rank-1", abs(rank - 1), 0.0)
-    report.add(
-        "real-idempotency",
-        coefficient_distance(fr.value * fr.value, fr.value),
-        1e-12,
-    )
+    report.add("real-idempotency", checks.idempotency(fr), 1e-12)
 
     complex_left = ideal_basis(fc, "left", "complex")
     complex_right = ideal_basis(fc, "right", "complex")
@@ -392,52 +263,29 @@ def _suite_spinor_spaces(seed: int, trials: int) -> SuiteReport:
     report.add("ideal-dimension-real-left", abs(basis.dimension - 8), 0.0)
 
     ring_c = division_ring_identify(fc, "complex")
-    report.add(
-        "division-ring-complex-is-C",
-        0.0 if (ring_c.name, ring_c.dimension) == ("C", 1) else 1.0, 0.0,
+    report.require(
+        "division-ring-complex-is-C", (ring_c.name, ring_c.dimension) == ("C", 1)
     )
     ring_r = division_ring_identify(fr, "real")
-    report.add(
+    report.require(
         "division-ring-real-is-H",
-        0.0 if (ring_r.name, ring_r.dimension, ring_r.profile_ok) == ("H", 4, True)
-        else 1.0,
-        0.0,
+        (ring_r.name, ring_r.dimension, ring_r.profile_ok) == ("H", 4, True),
     )
+
+    report.add("beta-in-ring", checks.beta_in_ring(rng, trials, fr, real=True), 1e-10)
 
     one = scalar(1)
-    worst = 0.0
-    for _ in range(trials):
-        psi = random_multivector(rng, real=True) * fr.value
-        phi = random_multivector(rng, real=True) * fr.value
-        b = beta_inner_product(psi, phi, "reversion", one, fr)
-        worst = max(worst, ring_membership_residual(b, fr))
-    report.add("beta-in-ring", worst, 1e-10)
-
-    expected = {
-        ("reversion", "one"): True,
-        ("grade", "one"): False,
-        ("reversion", "gamma0"): True,
-    }
-    actual = {
-        ("reversion", "one"): verify_involution_conditions("reversion", one, fr),
-        ("grade", "one"): verify_involution_conditions("grade", one, fr),
-        ("reversion", "gamma0"): verify_involution_conditions("reversion", gamma(0), fr),
-    }
-    report.add(
-        "involution-conditions", 0.0 if actual == expected else 1.0, 0.0
+    report.require(
+        "involution-conditions",
+        verify_involution_conditions("reversion", one, fr)
+        and not verify_involution_conditions("grade", one, fr)
+        and verify_involution_conditions("reversion", gamma(0), fr),
     )
 
-    g0 = gamma(0)
-    worst = 0.0
-    for _ in range(trials):
-        psi = random_multivector(rng) * fr.value
-        phi = random_multivector(rng) * fr.value
-        b = beta_inner_product(psi, phi, "dirac_dagger", g0, fr)
-        matrix_side = (
-            to_matrix(psi).conj().T @ to_matrix(g0) @ to_matrix(phi) @ to_matrix(fr.value)
-        )
-        worst = max(worst, float(abs(to_matrix(b) - matrix_side).max()))
-    report.add("beta-matches-matrix-adjoint", worst, 1e-10)
+    report.add(
+        "beta-matches-matrix-adjoint",
+        checks.beta_matches_matrix_adjoint(rng, trials, fr), 1e-10,
+    )
 
     report.payload = {
         "idempotents": {
@@ -460,28 +308,23 @@ def _suite_spinor_spaces(seed: int, trials: int) -> SuiteReport:
     return report
 
 
-def _suite_dual(k: KinematicPoint, psi_obj, omega_obj, tol: float) -> SuiteReport:
-    report = SuiteReport("dual", k.as_dict(), 0, 0)
-    psi = spinor_from_obj(psi_obj)
+def _suite_dual(args) -> SuiteReport:
+    """Dual spinor psi^dag g0 Xi Omega of a spinor file."""
+    omega_obj = None if args.omega == "identity" else load_json(args.omega)
+    k = _kinematics(args)
+    psi = spinor_from_obj(load_json(args.psi))
     omega = np.eye(4, dtype=complex) if omega_obj is None else matrix_from_obj(omega_obj)
-    dual = dual_of(psi, omega, k, tol)
-    report.add("omega-validity", validate_omega(omega, k, tol).residual, tol)
+    dual = dual_of(psi, omega, k, args.tolerance)
+    report = _report(args, k)
+    report.add(
+        "omega-validity", validate_omega(omega, k, args.tolerance).residual,
+        args.tolerance,
+    )
     report.payload = {"dual": spinor_to_obj(dual.components)}
     return report
 
 
-# -- argument plumbing ----------------------------------------------------------
-
-
-def _add_kinematics(parser: argparse.ArgumentParser):
-    parser.add_argument("--mass", type=float, default=1.0, help="mass m > 0")
-    parser.add_argument("--momentum", type=float, default=1.0, help="momentum |p| >= 0")
-    parser.add_argument("--theta", type=float, default=0.7, help="polar angle")
-    parser.add_argument("--phi", type=float, default=0.3, help="azimuthal angle")
-    parser.add_argument(
-        "--energy", type=float, default=None,
-        help="optional cross-check; must equal sqrt(p^2 + m^2)",
-    )
+# -- the command table and argument plumbing ------------------------------------
 
 
 def _positive_int(text: str) -> int:
@@ -491,18 +334,44 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--trials", type=_positive_int, default=100, help="trial count")
-    parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help="comparison tolerance for table/orbit/validation commands",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json",
-        dest="fmt", help="report format (csv only for cayley)",
-    )
-    parser.add_argument("--output", default=None, help="write the report to a file")
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+FLAGS = {
+    "--mass": dict(type=float, default=1.0, help="mass m > 0"),
+    "--momentum": dict(type=float, default=1.0, help="momentum |p| >= 0"),
+    "--theta": dict(type=float, default=0.7, help="polar angle"),
+    "--phi": dict(type=float, default=0.3, help="azimuthal angle"),
+    "--energy": dict(type=float, help="optional cross-check; must equal sqrt(p^2 + m^2)"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--trials": dict(type=_positive_int, default=100, help="trial count"),
+    "--tolerance": dict(type=_tolerance, help="comparison tolerance (default %(default)g)"),
+    "--group": dict(choices=GROUP_CHOICES, default="GF"),
+    "--duals": dict(required=True, help="JSON file with a list of duals"),
+    "--psi": dict(required=True, help="spinor JSON file"),
+    "--omega": dict(default="identity", help='operator matrix JSON file, or "identity"'),
+    "--format": dict(choices=("json", "csv", "text"), default="json", dest="fmt",
+                     help="report format (csv only for cayley)"),
+    "--output": dict(help="write the report to a file"),
+}
+KINEMATICS = ("--mass", "--momentum", "--theta", "--phi", "--energy")
+SEEDED = ("--seed", "--trials")
+
+#: name: (suite, the flags it reads besides --format and --output, and its
+#: default --tolerance, or None for a command without that flag)
+COMMANDS = {
+    "verify-theorems": (_suite_verify_theorems, KINEMATICS + SEEDED, None),
+    "table1": (_suite_table1, KINEMATICS + SEEDED, 1e-9),
+    "cayley": (_suite_cayley, KINEMATICS + ("--group",), 1e-9),
+    "classify": (_suite_classify, KINEMATICS + ("--group", "--duals"), 1e-9),
+    "embed": (_suite_embed, SEEDED, None),
+    "spinor-spaces": (_suite_spinor_spaces, SEEDED, None),
+    "dual": (_suite_dual, KINEMATICS + ("--psi", "--omega"), 1e-10),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,62 +381,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-theorems", help="theorem and closure suites")
-    _add_kinematics(p)
-    _add_common(p)
-
-    p = sub.add_parser("table1", help="named operators vs closed forms")
-    _add_kinematics(p)
-    _add_common(p)
-
-    p = sub.add_parser("cayley", help="Cayley table of a named operator group")
-    _add_kinematics(p)
-    _add_common(p)
-    p.add_argument("--group", choices=GROUP_CHOICES, default="GF")
-
-    p = sub.add_parser("classify", help="orbit partition of dual spinors")
-    _add_kinematics(p)
-    _add_common(p)
-    p.add_argument("--group", choices=GROUP_CHOICES, default="GF")
-    p.add_argument("--duals", required=True, help="JSON file with a list of duals")
-
-    p = sub.add_parser("embed", help="quaternionic embedding suite")
-    _add_common(p)
-
-    p = sub.add_parser("spinor-spaces", help="idempotent and ideal suite")
-    _add_common(p)
-
-    p = sub.add_parser("dual", help="compute psi^dag g0 Xi Omega")
-    _add_kinematics(p)
-    _add_common(p)
-    p.add_argument("--psi", required=True, help="spinor JSON file")
-    p.add_argument(
-        "--omega", default="identity",
-        help='operator matrix JSON file, or "identity"',
-    )
+    for name, (suite, flags, tolerance) in COMMANDS.items():
+        p = sub.add_parser(name, help=suite.__doc__)
+        p.set_defaults(suite=suite, tolerance=tolerance)
+        if tolerance is not None:
+            flags += ("--tolerance",)
+        for flag in flags + ("--format", "--output"):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-def _kinematics_from_args(args) -> KinematicPoint:
-    return KinematicPoint(
-        m=args.mass, p=args.momentum, theta=args.theta, phi=args.phi, E=args.energy
-    )
 
 
 def _emit(report: SuiteReport, args) -> int:
     if args.fmt == "csv":
-        if report.suite != "cayley":
+        if not report.csv:
             print("csv format is only available for cayley", file=sys.stderr)
             return EXIT_USAGE
-        text = report.payload["csv"]
+        text = report.csv
     elif args.fmt == "text":
         text = report.as_text()
     else:
-        obj = report.as_obj()
-        if report.suite == "cayley":
-            obj["payload"] = {k: v for k, v in report.payload.items() if k != "csv"}
-        text = dump_json(obj)
+        text = dump_json(report.as_obj())
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -579,35 +412,7 @@ def _emit(report: SuiteReport, args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify-theorems":
-            report = _suite_verify_theorems(
-                _kinematics_from_args(args), args.seed, args.trials
-            )
-        elif args.command == "table1":
-            tol = args.tolerance if args.tolerance is not None else 1e-9
-            report = _suite_table1(
-                _kinematics_from_args(args), args.seed, args.trials, tol
-            )
-        elif args.command == "cayley":
-            tol = args.tolerance if args.tolerance is not None else 1e-9
-            report = _suite_cayley(_kinematics_from_args(args), args.group, tol)
-        elif args.command == "classify":
-            tol = args.tolerance if args.tolerance is not None else 1e-9
-            report = _suite_classify(
-                _kinematics_from_args(args), args.group, load_json(args.duals), tol
-            )
-        elif args.command == "embed":
-            report = _suite_embed(args.seed, args.trials)
-        elif args.command == "spinor-spaces":
-            report = _suite_spinor_spaces(args.seed, args.trials)
-        elif args.command == "dual":
-            tol = args.tolerance if args.tolerance is not None else 1e-10
-            omega_obj = None if args.omega == "identity" else load_json(args.omega)
-            report = _suite_dual(
-                _kinematics_from_args(args), load_json(args.psi), omega_obj, tol
-            )
-        else:  # pragma: no cover - argparse enforces choices
-            return EXIT_USAGE
+        report = args.suite(args)
     except (KinematicsError, SingularParameterError) as exc:
         print(f"kinematics error: {exc}", file=sys.stderr)
         return EXIT_BAD_KINEMATICS

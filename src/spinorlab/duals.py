@@ -44,7 +44,8 @@ class KinematicPoint:
     """On-shell kinematics (m, p, theta, phi) with derived energy E.
 
     E is computed from m and p at construction; supplying an explicit E is
-    only a cross-check and must agree with sqrt(p^2 + m^2) to 1e-12.
+    only a cross-check and must agree with sqrt(p^2 + m^2) to 1e-12.  All
+    parameters and the energy must be finite.
     """
 
     m: float
@@ -54,17 +55,21 @@ class KinematicPoint:
     E: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.m, self.p, self.theta, self.phi))):
+            raise KinematicsError(f"kinematics must be finite, got {self}")
         if not self.m > 0:
             raise KinematicsError(f"mass must be positive, got {self.m}")
         if self.p < 0:
             raise KinematicsError(f"momentum must be nonnegative, got {self.p}")
         energy = math.sqrt(self.p * self.p + self.m * self.m)
-        if self.E is None:
-            object.__setattr__(self, "E", energy)
-        elif abs(self.E - energy) > ONSHELL_TOL * max(1.0, energy):
+        if not math.isfinite(energy):
+            raise KinematicsError(f"energy sqrt(p^2+m^2) overflows at p={self.p}")
+        tol = ONSHELL_TOL * max(1.0, energy)
+        if self.E is not None and not abs(self.E - energy) <= tol:  # NaN E fails
             raise KinematicsError(
                 f"off-shell kinematics: E={self.E} but sqrt(p^2+m^2)={energy}"
             )
+        object.__setattr__(self, "E", energy)
 
     def as_dict(self) -> dict:
         return {

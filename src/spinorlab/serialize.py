@@ -1,9 +1,9 @@
 """JSON formats for multivectors, 4x4 matrices, and spinors.
 
 Multivector: object mapping blade keys ("" scalar, "01", "0123", ...) to
-[re, im] pairs.  Each part is a plain number, or an exact [num, den]
-integer pair when the coefficient is rational (ints and Fractions
-round-trip exactly).
+[re, im] pairs.  Each part is a finite number, or an exact [num, den]
+integer pair with den != 0 when the coefficient is rational (ints and
+Fractions round-trip exactly).
 
 Matrix: 4x4 nested array of [re, im].  Spinor / dual spinor: flat array of
 four [re, im] pairs.
@@ -12,6 +12,7 @@ four [re, im] pairs.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,10 +35,10 @@ def _part_to_obj(x):
 
 def _part_from_obj(obj):
     if isinstance(obj, list):
-        if len(obj) != 2 or not all(isinstance(v, int) for v in obj):
+        if len(obj) != 2 or not all(isinstance(v, int) for v in obj) or obj[1] == 0:
             raise MalformedInputError(f"bad exact value {obj!r}")
         return Fraction(obj[0], obj[1])
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, int) or isinstance(obj, float) and math.isfinite(obj):
         return obj
     raise MalformedInputError(f"bad numeric value {obj!r}")
 

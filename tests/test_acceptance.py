@@ -11,15 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from spinorlab import checks
 from spinorlab.duals import (
-    KinematicPoint,
-    closed_form,
     delta_to_omega,
     named_operator,
+    omega_residual,
     random_delta,
     random_kinematics,
-    validate_delta,
-    block_decompose,
     xi,
 )
 from spinorlab.groups import (
@@ -31,12 +29,7 @@ from spinorlab.groups import (
     minkowski_metric,
     twisted_adjoint,
 )
-from spinorlab.ideals import (
-    beta_inner_product,
-    canonical_idempotent,
-    division_ring_identify,
-    ring_membership_residual,
-)
+from spinorlab.ideals import canonical_idempotent, division_ring_identify
 from spinorlab.multivector import (
     METRIC,
     Multivector,
@@ -46,16 +39,8 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.quaternions import (
-    QuatMatrix2,
-    Quaternion,
-    gl2h_embed,
-    even_to_m2c,
-    mv_to_m2h,
-    pattern_dof,
-    quaternionic_gamma,
-)
-from spinorlab.weyl import GAMMA0, dirac_dagger_dual, to_matrix
+from spinorlab.quaternions import even_to_m2c, pattern_dof
+from spinorlab.weyl import dirac_dagger_dual, to_matrix
 
 ELEMENT_NAMES = ("G", "F", "FG", "XiDagger", "GXiDagger", "H", "Hinv")
 KLEIN_TABLE = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
@@ -129,14 +114,9 @@ def test_criterion_02_cayley_tables_reproduce_reference():
 def test_criterion_03_named_operators_match_closed_forms():
     start = time.perf_counter()
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(100):
-        k = random_kinematics(rng)
-        for name in ELEMENT_NAMES:
-            worst = max(
-                worst,
-                float(abs(named_operator(name, k) - closed_form(name, k)).max()),
-            )
+    points = [random_kinematics(rng) for _ in range(100)]
+    residuals = [checks.operator_residual(name, points) for name in ELEMENT_NAMES]
+    worst = float(np.max(residuals))  # NaN if any residual is NaN
     elapsed = time.perf_counter() - start
     report(
         3, worst <= 1e-9 and elapsed < 10.0,
@@ -147,19 +127,9 @@ def test_criterion_03_named_operators_match_closed_forms():
 
 def test_criterion_04_block_pattern_theorem():
     rng = np.random.default_rng(4)
-    worst_hermiticity = 0.0
-    all_valid = True
-    for _ in range(1000):
-        delta = random_delta(rng)
-        all_valid = all_valid and bool(validate_delta(delta))
-        worst_hermiticity = max(
-            worst_hermiticity, block_decompose(delta).hermiticity_residual()
-        )
-    rejected = all(
-        not validate_delta(rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4)))
-        for _ in range(1000)
-    )
-    ok = all_valid and worst_hermiticity <= 1e-12 and rejected
+    worst_constraint, worst_hermiticity = checks.block_pattern(rng, 1000)
+    accepted = checks.generic_acceptance(rng, 1000)
+    ok = worst_constraint <= 1e-10 and worst_hermiticity <= 1e-12 and accepted == 0
     report(
         4, ok,
         f"1000 block-pattern matrices validate (hermiticity residual "
@@ -193,16 +163,13 @@ def test_criterion_06_closure_theorem():
     k = random_kinematics(rng)
     x = xi(k)
 
-    def fomega_residual(om):
-        return float(abs(om.conj().T - x @ GAMMA0 @ om @ GAMMA0 @ x).max())
-
     worst_commuting = 0.0
     for _ in range(200):
         base = delta_to_omega(random_delta(rng), k)
         c = rng.uniform(-1, 1, 5)
         om1 = c[0] * np.eye(4) + c[1] * base + c[2] * base @ base
         om2 = c[3] * np.eye(4) + c[4] * base
-        worst_commuting = max(worst_commuting, fomega_residual(om1 @ om2))
+        worst_commuting = max(worst_commuting, omega_residual(om1 @ om2, x))
 
     weakest_violation = math.inf
     for _ in range(200):
@@ -210,7 +177,7 @@ def test_criterion_06_closure_theorem():
         om2 = delta_to_omega(random_delta(rng), k)
         if abs(om1 @ om2 - om2 @ om1).max() < 1e-3:
             continue  # genuinely commuting pairs are excluded by construction
-        weakest_violation = min(weakest_violation, fomega_residual(om1 @ om2))
+        weakest_violation = min(weakest_violation, omega_residual(om1 @ om2, x))
 
     cap_exceeded = 0
     for _ in range(10):
@@ -233,37 +200,10 @@ def test_criterion_06_closure_theorem():
 
 
 def test_criterion_07_quaternionic_suite():
-    eta = (1.0, -1.0, -1.0, -1.0)
-    exact = True
-    for mu in range(4):
-        for nu in range(4):
-            gm, gn = quaternionic_gamma(mu), quaternionic_gamma(nu)
-            anti = gm * gn + gn * gm
-            want = QuatMatrix2.identity() * (2.0 * eta[mu] if mu == nu else 0.0)
-            for qa, qb in zip(anti.entries(), want.entries()):
-                exact = exact and qa.as_list() == qb.as_list()
-
+    exact = checks.quaternion_clifford_relations() == 0.0
     rng = np.random.default_rng(7)
-
-    def rand_qmat():
-        q = lambda: Quaternion(*rng.uniform(-1, 1, 4))
-        return QuatMatrix2(q(), q(), q(), q())
-
-    worst_hom = 0.0
-    for _ in range(1000):
-        a, b = rand_qmat(), rand_qmat()
-        worst_hom = max(
-            worst_hom, float(abs(gl2h_embed(a * b) - gl2h_embed(a) @ gl2h_embed(b)).max())
-        )
-
-    transport_ok = True
-    samples = [random_multivector(rng, real=True) for _ in range(499)]
-    samples.append(scalar(1) + gamma(0))
-    for x_mv in samples:
-        d1 = abs(np.linalg.det(to_matrix(x_mv))) > 1e-12
-        d2 = abs(np.linalg.det(gl2h_embed(mv_to_m2h(x_mv)))) > 1e-12
-        transport_ok = transport_ok and d1 == d2
-
+    worst_hom = checks.gl2h_homomorphism(rng, 1000)
+    transport_ok = checks.invertibility_transported(rng, 499)
     ok = exact and worst_hom <= 1e-10 and pattern_dof() == 16 and transport_ok
     report(
         7, ok,
@@ -274,14 +214,7 @@ def test_criterion_07_quaternionic_suite():
 
 
 def test_criterion_08_even_subalgebra_map():
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    for _ in range(1000):
-        x = random_multivector(rng, real=True, grades=(0, 2, 4))
-        y = random_multivector(rng, real=True, grades=(0, 2, 4))
-        worst = max(
-            worst, float(abs(even_to_m2c(x * y) - even_to_m2c(x) @ even_to_m2c(y)).max())
-        )
+    worst = checks.even_block_multiplicativity(np.random.default_rng(8), 1000)
     from spinorlab.multivector import GRADE, basis_blade
 
     cols = []
@@ -325,19 +258,12 @@ def test_criterion_09_spin_hierarchy():
 def test_criterion_10_spinor_spaces():
     fc = canonical_idempotent("complex")
     fr = canonical_idempotent("real")
-    idem = coefficient_distance(fc.value * fc.value, fc.value)
+    idem = checks.idempotency(fc)
     rank = int(np.linalg.matrix_rank(to_matrix(fc.value), tol=1e-9))
     ring_c = division_ring_identify(fc, "complex")
     ring_r = division_ring_identify(fr, "real")
 
-    rng = np.random.default_rng(10)
-    one = scalar(1)
-    worst_beta = 0.0
-    for _ in range(100):
-        psi = random_multivector(rng) * fr.value
-        phi = random_multivector(rng) * fr.value
-        b = beta_inner_product(psi, phi, "reversion", one, fr)
-        worst_beta = max(worst_beta, ring_membership_residual(b, fr))
+    worst_beta = checks.beta_in_ring(np.random.default_rng(10), 100, fr, real=False)
 
     ok = (
         idem <= 1e-12

@@ -18,7 +18,7 @@ from spinorlab.cli import (
     EXIT_USAGE,
     main,
 )
-from spinorlab.duals import KinematicPoint, xi
+from spinorlab.duals import KinematicPoint, named_operator, xi
 from spinorlab.serialize import dump_json, matrix_to_obj, spinor_to_obj
 from spinorlab.weyl import GAMMA0
 
@@ -158,8 +158,6 @@ def test_offshell_energy_rejected(tmp_path, capsys):
 
 
 def test_classify_command(tmp_path, capsys):
-    from spinorlab.duals import named_operator
-
     k = KinematicPoint(1.0, 1.0, 0.7, 0.3)
     rng = np.random.default_rng(0)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -218,3 +216,126 @@ def test_import_does_not_load_scipy():
     code = "import spinorlab, spinorlab.cli, sys; assert 'scipy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    k = KinematicPoint(1.0, 1.0, 0.7, 0.3)
+    psi = np.array([0.3, 1j, -0.5, 0.2])
+    duals = [psi, psi @ named_operator("F", k), np.array([1.0, 2.0, 0.5j, 0])]
+    files = {"psi": tmp_path / "psi.json", "duals": tmp_path / "duals.json"}
+    files["psi"].write_text(dump_json(spinor_to_obj(psi)))
+    files["duals"].write_text(dump_json([spinor_to_obj(v) for v in duals]))
+    return {name: str(path) for name, path in files.items()}
+
+
+SUITE_ARGV = {
+    "verify-theorems": ["--seed", "3", "--trials", "12"],
+    "table1": ["--seed", "3", "--trials", "12", *KFLAGS],
+    "cayley": ["--group", "GXiDagger", *KFLAGS],
+    "classify": ["--group", "GF", "--duals", "{duals}", *KFLAGS],
+    "embed": ["--seed", "3", "--trials", "12"],
+    "spinor-spaces": ["--seed", "3", "--trials", "12"],
+    "dual": ["--psi", "{psi}", *KFLAGS],
+}
+
+CHECK_NAMES = {
+    "verify-theorems": [
+        "block-structure-validation", "block-hermiticity", "generic-matrix-rejection",
+        "adjoint-fixed-points", "adjoint-imaginary-detection",
+        "closure-commuting-products", "closure-noncommuting-detection",
+        "inverse-closure-lemma", "determinant-transport",
+    ],
+    "table1": [
+        "row-G", "row-F", "row-FG", "row-XiDagger", "row-GXiDagger", "row-H", "row-Hinv",
+    ],
+    "cayley": ["closure", "identified-K4"],
+    "classify": ["orbit-sizes-divide-order"],
+    "embed": [
+        "quaternion-clifford-relations", "gl2h-homomorphism", "pattern-dof",
+        "pattern-detection", "invertibility-transport", "even-block-multiplicativity",
+        "intertwined-representations",
+    ],
+    "spinor-spaces": [
+        "complex-idempotency", "complex-projector-rank-1", "real-idempotency",
+        "ideal-dimension-complex-left", "ideal-dimension-complex-right",
+        "ideal-dimension-real-left", "division-ring-complex-is-C",
+        "division-ring-real-is-H", "beta-in-ring", "involution-conditions",
+        "beta-matches-matrix-adjoint",
+    ],
+    "dual": ["omega-validity"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUITE_ARGV))
+def test_every_command_reruns_byte_identically_with_pinned_checks(
+    command, input_files, capsys
+):
+    argv = [command] + [a.format(**input_files) for a in SUITE_ARGV[command]]
+    code, out = run(capsys, argv)
+    assert run(capsys, argv) == (code, out)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["suite"] == command
+    assert [c["name"] for c in report["checks"]] == CHECK_NAMES[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cayley", "--seed", "3"],
+        ["dual", "--psi", "psi.json", "--trials", "5"],
+        ["embed", "--tolerance", "1e-3"],
+        ["verify-theorems", "--tolerance", "1e-3"],
+        ["classify", "--duals", "duals.json", "--seed", "1"],
+        ["table1", "--tolerance", "nan"],
+        ["table1", "--tolerance", "inf"],
+        ["cayley", "--tolerance=-1e-9"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--momentum", "nan"],
+        ["--theta", "inf"],
+        ["--phi=-inf"],
+        ["--mass", "inf"],
+        ["--momentum", "1e200"],
+        ["--energy", "nan"],
+    ],
+)
+def test_non_finite_kinematics_exit_4(flags, capsys):
+    assert main(["table1", "--trials", "2", *flags]) == EXIT_BAD_KINEMATICS
+    assert "kinematics error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "psi_text",
+    [
+        "[[NaN, 0], [0, 0], [0, 0], [1, 0]]",
+        "[[1e400, 0], [0, 0], [0, 0], [1, 0]]",
+        "[[1, 0], [0, -Infinity], [0, 0], [1, 0]]",
+        "[[[1, 0], 0], [0, 0], [0, 0], [1, 0]]",
+    ],
+)
+def test_non_finite_or_zero_denominator_spinor_exits_3(psi_text, tmp_path, capsys):
+    psi_file = tmp_path / "psi.json"
+    psi_file.write_text(psi_text)
+    assert main(["dual", "--psi", str(psi_file)]) == EXIT_BAD_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residual_fails_its_check(capsys):
+    # At |p| = 1e80 every commuting product overflows to a NaN residual.
+    code, out = run(capsys, ["verify-theorems", "--trials", "5", "--momentum", "1e80"])
+    assert code == EXIT_CHECK_FAILED
+    check = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert check["closure-commuting-products"]["status"] == "fail"
+    assert math.isnan(check["closure-commuting-products"]["residual"])

@@ -49,6 +49,13 @@ def test_offshell_energy_rejected():
     KinematicPoint(3.0, 4.0, 0.1, 0.2, E=5.0)  # exact value accepted
 
 
+def test_supplied_energy_is_only_a_cross_check():
+    assert KinematicPoint(3.0, 4.0, 0.1, 0.2, E=5.0 + 1e-12).E == 5.0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(KinematicsError):
+            KinematicPoint(3.0, 4.0, 0.1, 0.2, E=bad)
+
+
 def test_bad_mass_momentum_rejected():
     with pytest.raises(KinematicsError):
         KinematicPoint(0.0, 1.0, 0.0, 0.0)

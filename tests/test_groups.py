@@ -213,7 +213,11 @@ def test_csv_layout():
 
 def brute_force_class_count(group, rows, tol):
     # Independent oracle: all-pairs equivalence plus union-find closure.
+    rows = np.asarray(rows, dtype=complex).reshape(-1, 4)
     n = len(rows)
+    related = np.zeros((n, n), dtype=bool)
+    for g in group.elements:  # related[i, j]: rows[i] @ g is within tol of rows[j]
+        related |= abs((rows @ g)[:, None, :] - rows[None, :, :]).max(axis=2) <= tol
     parent = list(range(n))
 
     def find(i):
@@ -222,12 +226,10 @@ def brute_force_class_count(group, rows, tol):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(n):
-            if any(abs(rows[i] @ g - rows[j]).max() <= tol for g in group.elements):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
+    for i, j in zip(*np.nonzero(related)):
+        pi, pj = find(i), find(j)
+        if pi != pj:
+            parent[pi] = pj
     return len({find(i) for i in range(n)})
 
 
