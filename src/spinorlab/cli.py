@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -314,12 +315,10 @@ def _suite_dual(args) -> SuiteReport:
     k = _kinematics(args)
     psi = spinor_from_obj(load_json(args.psi))
     omega = np.eye(4, dtype=complex) if omega_obj is None else matrix_from_obj(omega_obj)
-    dual = dual_of(psi, omega, k, args.tolerance)
+    check = validate_omega(omega, k, args.tolerance)
+    dual = dual_of(psi, omega, k, args.tolerance, check=check)
     report = _report(args, k)
-    report.add(
-        "omega-validity", validate_omega(omega, k, args.tolerance).residual,
-        args.tolerance,
-    )
+    report.add("omega-validity", check.residual, args.tolerance)
     report.payload = {"dual": spinor_to_obj(dual.components)}
     return report
 
@@ -358,6 +357,12 @@ FLAGS = {
                      help="report format (csv only for cayley)"),
     "--output": dict(help="write the report to a file"),
 }
+# argparse reads a token starting with "-" as an option unless it matches
+# the parser's negative-number pattern, and the default pattern has no
+# exponent form such as -1e-3.  No command has an option that looks like a
+# number, so every token this pattern matches is a value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 KINEMATICS = ("--mass", "--momentum", "--theta", "--phi", "--energy")
 SEEDED = ("--seed", "--trials")
 
@@ -383,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (suite, flags, tolerance) in COMMANDS.items():
         p = sub.add_parser(name, help=suite.__doc__)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(suite=suite, tolerance=tolerance)
         if tolerance is not None:
             flags += ("--tolerance",)

@@ -367,10 +367,15 @@ class DualSpinor:
 
 def dual_of(
     psi: np.ndarray, omega: np.ndarray, k: KinematicPoint,
-    tol: float = VALIDATION_TOL,
+    tol: float = VALIDATION_TOL, *, check: OperatorValidation | None = None,
 ) -> DualSpinor:
-    """Dual spinor psi^dag g0 Xi Omega for a valid Omega."""
-    check = validate_omega(omega, k, tol)
+    """Dual spinor psi^dag g0 Xi Omega for a valid Omega.
+
+    ``check`` is the ``validate_omega(omega, k, tol)`` result when the
+    caller already has it; it is computed otherwise.
+    """
+    if check is None:
+        check = validate_omega(omega, k, tol)
     if not check:
         raise InvalidOperatorError(
             f"not a valid Omega: constraint residual {check.residual:.3e}"

@@ -140,6 +140,11 @@ def _find(stored: np.ndarray, x: np.ndarray, tol: float):
     return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
 
 
+#: products looked up per _find call while building a Cayley table; a
+#: call's temporaries hold _TABLE_BLOCK * n * 16 entries
+_TABLE_BLOCK = 64
+
+
 def _build_table(elements, tol: float) -> np.ndarray:
     n = len(elements)
     stack = np.array(elements)
@@ -147,11 +152,10 @@ def _build_table(elements, tol: float) -> np.ndarray:
     table = np.zeros((n, n), dtype=int)
     for i in range(n):
         row = (stack[i] @ stack).reshape(n, 16)
-        for j in range(n):
-            idx = _find(flat, row[j], tol)
-            if idx < 0:
-                raise ValueError("element set is not closed under products")
-            table[i, j] = idx
+        for j in range(0, n, _TABLE_BLOCK):
+            table[i, j:j + _TABLE_BLOCK] = _find(flat, row[j:j + _TABLE_BLOCK], tol)
+        if (table[i] < 0).any():
+            raise ValueError("element set is not closed under products")
     return table
 
 

@@ -65,7 +65,7 @@ def canonical_idempotent(mode: str = "complex") -> Idempotent:
 
 
 def _mv_to_vec(a: Multivector) -> np.ndarray:
-    return np.array([complex(a.coefficient(m)) for m in range(BLADE_COUNT)])
+    return a._c.astype(complex)
 
 
 def _real_vec(v: np.ndarray) -> np.ndarray:

@@ -5,14 +5,26 @@ indexed by 4-bit masks: bit ``mu`` set means the generator ``e_mu`` is a
 factor, factors ordered ascending (mask 0b0011 is e0*e1, written ``e01``;
 any sign from reordering is absorbed into the coefficient).
 
-Coefficients are plain Python scalars.  Complex floats are the normal
-case; ints and ``fractions.Fraction`` flow through every operation
-unchanged, which is what the exact oracles in the test suite rely on.
+A multivector is one length-16 numpy array of coefficients, slot ``mask``
+holding the coefficient of that blade.  The array is ``complex128``, the
+normal case, or ``object`` when every nonzero coefficient is an ``int`` or
+a ``fractions.Fraction``: exact values then flow through sums, products
+and involutions unchanged, which is what the exact oracles in the test
+suite rely on.  Mixing an exact operand with a complex one gives complex.
+
+The product blade of blades ``a`` and ``b`` is ``a ^ b``, so the geometric
+product is a signed XOR convolution.  In floating point it is one array
+expression over precomputed index and sign tables; exact operands take a
+short loop over their nonzero pairs instead.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from numbers import Number
 from typing import Iterable, Mapping
+
+import numpy as np
 
 DIMENSION = 4
 BLADE_COUNT = 1 << DIMENSION
@@ -29,6 +41,9 @@ _INVOLUTION_METHODS = {
     "complex_conj": "complex_conjugate",
     "dirac_dagger": "hermitian_conjugate",
 }
+
+#: coefficient types kept exactly, in an object array
+_EXACT = (int, Fraction)
 
 
 def _blade_sign(a: int, b: int) -> int:
@@ -52,6 +67,18 @@ def _blade_sign(a: int, b: int) -> int:
 
 _MUL_SIGN = [[_blade_sign(a, b) for b in range(BLADE_COUNT)] for a in range(BLADE_COUNT)]
 
+# out[c] = sum_a x[a] * sign(a, a ^ c) * y[a ^ c], i.e. out = x @ (_SP * y[_XOR])
+_MASKS = np.arange(BLADE_COUNT)
+_XOR = _MASKS[:, None] ^ _MASKS[None, :]
+_SP = np.array(_MUL_SIGN, dtype=float)[_MASKS[:, None], _XOR]
+
+_GRADES = np.array(GRADE)
+#: slots each involution negates
+_ODD = _GRADES % 2 == 1
+_REVERSED = (_GRADES * (_GRADES - 1) // 2) % 2 == 1
+#: grade-2 and grade-3 slots, where the self-adjoint basis carries a factor i
+_TURNED = np.isin(_GRADES, (2, 3))
+
 
 def blade_key(mask: int) -> str:
     """Text key of a blade mask: "" for the scalar, "01", "0123", ..."""
@@ -70,82 +97,113 @@ def mask_from_key(key: str) -> int:
     return mask
 
 
-class Multivector:
-    """Immutable element of C ⊗ Cl(1,3), stored as {blade mask: coefficient}."""
+def _common(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Two coefficient arrays in one dtype: object only if both are exact."""
+    if a.dtype == b.dtype:
+        return a, b
+    return a.astype(complex), b.astype(complex)
 
-    __slots__ = ("_coeffs",)
+
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = [0] * BLADE_COUNT
+    right = [(mb, cb) for mb, cb in enumerate(b.tolist()) if cb]
+    for ma, ca in enumerate(a.tolist()):
+        if not ca:
+            continue
+        sign_row = _MUL_SIGN[ma]
+        for mb, cb in right:
+            # adding or subtracting spares a Fraction product per term
+            if sign_row[mb] > 0:
+                out[ma ^ mb] += ca * cb
+            else:
+                out[ma ^ mb] -= ca * cb
+    return np.array(out, dtype=object)
+
+
+class Multivector:
+    """Immutable element of C ⊗ Cl(1,3): 16 coefficients, one per blade mask."""
+
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
-        clean: dict[int, object] = {}
+        values = [0] * BLADE_COUNT
         if coeffs:
             for mask, value in coeffs.items():
                 mask = int(mask)
                 if not 0 <= mask < BLADE_COUNT:
                     raise ValueError(f"blade mask {mask} out of range")
                 if value != 0:
-                    clean[mask] = value
-        self._coeffs = clean
+                    values[mask] = value
+        exact = all(isinstance(v, _EXACT) for v in values)
+        self._c = np.array(values, dtype=object if exact else complex)
+
+    @classmethod
+    def _of(cls, c: np.ndarray) -> "Multivector":
+        """Wrap a coefficient array this module built; it is not copied."""
+        out = object.__new__(cls)
+        out._c = c
+        return out
 
     # -- access -----------------------------------------------------------
 
     def coefficient(self, mask: int):
-        return self._coeffs.get(mask, 0)
+        return self._c.tolist()[mask] if 0 <= mask < BLADE_COUNT else 0
 
     def items(self) -> list[tuple[int, object]]:
-        """Coefficients as (mask, value) pairs in deterministic order."""
-        return sorted(self._coeffs.items())
+        """Nonzero coefficients as (mask, value) pairs in ascending mask order."""
+        return [(m, v) for m, v in enumerate(self._c.tolist()) if v]
 
     def grades(self) -> list[int]:
-        return sorted({GRADE[m] for m in self._coeffs})
+        return sorted({GRADE[m] for m, _ in self.items()})
 
     def scalar_part(self):
-        return self._coeffs.get(0, 0)
+        return self.coefficient(0)
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self._coeffs.values()), default=0.0)
+        return max((abs(v) for _, v in self.items()), default=0.0)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self._coeffs.values())
+        return all(abs(v) <= tol for _, v in self.items())
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        out = dict(self._coeffs)
-        for mask, value in other._coeffs.items():
-            out[mask] = out.get(mask, 0) + value
-        return Multivector(out)
+        a, b = _common(self._c, other._c)
+        return Multivector._of(a + b)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        out = dict(self._coeffs)
-        for mask, value in other._coeffs.items():
-            out[mask] = out.get(mask, 0) - value
-        return Multivector(out)
+        a, b = _common(self._c, other._c)
+        return Multivector._of(a - b)
 
     def __neg__(self):
-        return Multivector({m: -v for m, v in self._coeffs.items()})
+        return Multivector._of(-self._c)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            out: dict[int, object] = {}
-            for ma, ca in self._coeffs.items():
-                sign_row = _MUL_SIGN[ma]
-                for mb, cb in other._coeffs.items():
-                    m = ma ^ mb
-                    out[m] = out.get(m, 0) + sign_row[mb] * ca * cb
-            return Multivector(out)
-        return Multivector({m: v * other for m, v in self._coeffs.items()})
+            a, b = _common(self._c, other._c)
+            if a.dtype == object:
+                return Multivector._of(_exact_product(a, b))
+            return Multivector._of(a @ (_SP * b[_XOR]))
+        return self._scaled(other)
 
     def __rmul__(self, other):
-        return Multivector({m: other * v for m, v in self._coeffs.items()})
+        return self._scaled(other)
+
+    def _scaled(self, k):
+        if not isinstance(k, Number):
+            return NotImplemented
+        if self._c.dtype == object and isinstance(k, _EXACT):
+            return Multivector._of(self._c * k)
+        return Multivector._of(self._c.astype(complex) * complex(k))
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return bool((self._c == other._c).all())
 
     def __hash__(self):
         return hash(tuple(self.items()))
@@ -153,23 +211,16 @@ class Multivector:
     # -- involutions --------------------------------------------------------
 
     def grade_involution(self) -> "Multivector":
-        return Multivector(
-            {m: -v if GRADE[m] & 1 else v for m, v in self._coeffs.items()}
-        )
+        return Multivector._of(np.where(_ODD, -self._c, self._c))
 
     def reversion(self) -> "Multivector":
-        return Multivector(
-            {
-                m: -v if (GRADE[m] * (GRADE[m] - 1) // 2) & 1 else v
-                for m, v in self._coeffs.items()
-            }
-        )
+        return Multivector._of(np.where(_REVERSED, -self._c, self._c))
 
     def clifford_conjugation(self) -> "Multivector":
         return self.grade_involution().reversion()
 
     def complex_conjugate(self) -> "Multivector":
-        return Multivector({m: v.conjugate() for m, v in self._coeffs.items()})
+        return Multivector._of(self._c.conj())
 
     def hermitian_conjugate(self) -> "Multivector":
         """Reversion composed with complex conjugation.
@@ -181,19 +232,20 @@ class Multivector:
         return self.reversion().complex_conjugate()
 
     def __repr__(self):
-        if not self._coeffs:
-            return "Multivector(0)"
         terms = []
         for mask, value in self.items():
+            if isinstance(value, complex) and value.imag == 0:
+                value = value.real
             name = "1" if mask == 0 else "e" + blade_key(mask)
             terms.append(f"{value!r}*{name}" if mask else f"{value!r}")
-        return "Multivector(" + " + ".join(terms) + ")"
+        return "Multivector(" + (" + ".join(terms) or "0") + ")"
 
 
 # -- constructors -----------------------------------------------------------
 
 ZERO = Multivector()
 ONE = Multivector({0: 1})
+_GENERATORS = tuple(Multivector({1 << mu: 1}) for mu in range(DIMENSION))
 
 
 def scalar(value) -> Multivector:
@@ -208,7 +260,7 @@ def gamma(mu: int) -> Multivector:
     """Generator e_mu (mu in 0..3)."""
     if mu not in range(DIMENSION):
         raise ValueError(f"gamma index {mu} out of range")
-    return Multivector({1 << mu: 1})
+    return _GENERATORS[mu]
 
 
 def blade(indices: Iterable[int], coeff=1) -> Multivector:
@@ -239,7 +291,7 @@ def gamma5_chiral() -> Multivector:
 def grade_projection(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= DIMENSION:
         raise ValueError(f"grade {k} out of range 0..{DIMENSION}")
-    return Multivector({m: v for m, v in a._coeffs.items() if GRADE[m] == k})
+    return Multivector._of(np.where(_GRADES == k, a._c, 0))
 
 
 def involution(kind: str, a: Multivector) -> Multivector:
@@ -252,10 +304,12 @@ def involution(kind: str, a: Multivector) -> Multivector:
     return getattr(a, method)()
 
 
-def coefficient_distance(a: Multivector, b: Multivector) -> float:
-    """Max absolute difference between coefficients of two multivectors."""
-    masks = set(a._coeffs) | set(b._coeffs)
-    return max((abs(a.coefficient(m) - b.coefficient(m)) for m in masks), default=0.0)
+def coefficient_distance(a: Multivector, b: Multivector):
+    """Max absolute difference between coefficients of two multivectors;
+    exact when both are exact."""
+    x, y = _common(a._c, b._c)
+    worst = np.abs(x - y).max()
+    return worst if x.dtype == object else float(worst)
 
 
 # -- the self-adjoint (gamma0-Hermitian) basis -------------------------------
@@ -277,13 +331,8 @@ def hermitian_basis() -> list[Multivector]:
 
 def hermitian_coefficients(a: Multivector) -> list[complex]:
     """Coefficients of ``a`` in the self-adjoint basis (complex in general)."""
-    out = []
-    for mask in range(BLADE_COUNT):
-        c = a.coefficient(mask)
-        if GRADE[mask] in (2, 3):
-            c = complex(c) / 1j
-        out.append(complex(c))
-    return out
+    c = a._c.astype(complex)
+    return np.where(_TURNED, c * -1j, c).tolist()
 
 
 def random_multivector(rng, *, real: bool = False, hermitian: bool = False,
@@ -292,19 +341,15 @@ def random_multivector(rng, *, real: bool = False, hermitian: bool = False,
 
     ``hermitian=True`` draws real coefficients in the self-adjoint basis,
     ``real=True`` draws real coefficients on plain blades.  ``grades``
-    restricts which grades are populated.
+    restricts which grades are populated.  Slots are drawn in ascending
+    mask order, real part before imaginary part.
     """
     wanted = set(range(DIMENSION + 1)) if grades is None else set(grades)
-    coeffs = {}
-    out = ZERO
-    for mask in range(BLADE_COUNT):
-        if GRADE[mask] not in wanted:
-            continue
-        re = rng.uniform(-1.0, 1.0)
-        if hermitian:
-            out = out + re * hermitian_blade(mask)
-            continue
-        coeffs[mask] = re if real else complex(re, rng.uniform(-1.0, 1.0))
-    if hermitian:
-        return out
-    return Multivector(coeffs)
+    slots = [m for m in range(BLADE_COUNT) if GRADE[m] in wanted]
+    parts = np.zeros((BLADE_COUNT, 2))  # real and imaginary part of each slot
+    if hermitian or real:
+        column = _TURNED[slots].astype(int) if hermitian else 0
+        parts[slots, column] = rng.uniform(-1.0, 1.0, len(slots))
+    else:
+        parts[slots] = rng.uniform(-1.0, 1.0, (len(slots), 2))
+    return Multivector._of(parts.view(complex).ravel())

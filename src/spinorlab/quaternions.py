@@ -225,18 +225,24 @@ def _blade_images() -> tuple:
     return tuple(images)
 
 
+@lru_cache(maxsize=1)
+def _image_components() -> np.ndarray:
+    """Row per blade: the 16 real components (q11 a..d, q12, q21, q22) of its image."""
+    return np.array([[v for q in image.entries() for v in q.as_list()]
+                     for image in _blade_images()])
+
+
 def mv_to_m2h(x: Multivector, tol: float = 1e-10) -> QuatMatrix2:
     """Quaternionic 2x2 image of a real multivector; rejects complex input."""
-    out = QuatMatrix2(Q_ZERO, Q_ZERO, Q_ZERO, Q_ZERO)
-    images = _blade_images()
-    for mask, value in x.items():
-        c = complex(value)
-        if abs(c.imag) > tol:
-            raise ValueError(
-                f"mv_to_m2h needs real coefficients; blade {mask} has {value}"
-            )
-        out = out + c.real * images[mask]
-    return out
+    c = x._c.astype(complex, copy=False)
+    imaginary = np.flatnonzero(abs(c.imag) > tol)
+    if imaginary.size:
+        mask = int(imaginary[0])
+        raise ValueError(
+            f"mv_to_m2h needs real coefficients; blade {mask} has {x.coefficient(mask)}"
+        )
+    parts = (c.real @ _image_components()).reshape(4, 4).tolist()
+    return QuatMatrix2(*(Quaternion(*q) for q in parts))
 
 
 def even_to_m2c(x: Multivector, tol: float = 1e-10) -> np.ndarray:

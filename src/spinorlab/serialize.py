@@ -43,6 +43,13 @@ def _part_from_obj(obj):
     raise MalformedInputError(f"bad numeric value {obj!r}")
 
 
+def _as_float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise MalformedInputError("exact value too large for a float") from None
+
+
 def _scalar_to_pair(c):
     if isinstance(c, (int, Fraction)):
         return [_part_to_obj(c), [0, 1]]
@@ -57,7 +64,12 @@ def _scalar_from_pair(pair):
     im = _part_from_obj(pair[1])
     if im == 0:
         return re
-    return complex(float(re), float(im))
+    return complex(_as_float(re), _as_float(im))
+
+
+def _complex_from_pair(pair) -> complex:
+    value = _scalar_from_pair(pair)
+    return value if isinstance(value, complex) else complex(_as_float(value))
 
 
 def multivector_to_obj(a: Multivector) -> dict:
@@ -90,8 +102,7 @@ def matrix_from_obj(obj) -> np.ndarray:
         if not isinstance(row, list) or len(row) != 4:
             raise MalformedInputError(f"matrix row {i} must have 4 entries")
         for j, pair in enumerate(row):
-            value = _scalar_from_pair(pair)
-            out[i, j] = complex(value)
+            out[i, j] = _complex_from_pair(pair)
     return out
 
 
@@ -103,7 +114,7 @@ def spinor_to_obj(components) -> list:
 def spinor_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != 4:
         raise MalformedInputError("spinor JSON must be an array of 4 [re, im] pairs")
-    return np.array([complex(_scalar_from_pair(p)) for p in obj])
+    return np.array([_complex_from_pair(p) for p in obj])
 
 
 def load_json(path) -> object:

@@ -64,6 +64,11 @@ for _mask in range(BLADE_COUNT):
 
 GAMMA0 = _GAMMAS[0]
 
+# Row-vector forms: to_matrix is c @ _BLADE_ROWS, and since the coefficient
+# of blade G_I is trace(M @ G_I^{-1}) / 4, from_matrix is _TRACE_DUAL @ vec(M).
+_BLADE_ROWS = _BLADE_MATS.reshape(BLADE_COUNT, 16)
+_TRACE_DUAL = _BLADE_INV.transpose(0, 2, 1).reshape(BLADE_COUNT, 16) / 4
+
 
 def blade_matrix(mask: int) -> np.ndarray:
     return _BLADE_MATS[mask].copy()
@@ -71,10 +76,7 @@ def blade_matrix(mask: int) -> np.ndarray:
 
 def to_matrix(a: Multivector) -> np.ndarray:
     """Matrix image of a multivector; an algebra homomorphism."""
-    m = np.zeros((4, 4), dtype=complex)
-    for mask, c in a.items():
-        m += complex(c) * _BLADE_MATS[mask]
-    return m
+    return (a._c.astype(complex, copy=False) @ _BLADE_ROWS).reshape(4, 4)
 
 
 def from_matrix(m: np.ndarray) -> Multivector:
@@ -86,12 +88,7 @@ def from_matrix(m: np.ndarray) -> Multivector:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    coeffs = {}
-    for mask in range(BLADE_COUNT):
-        c = np.trace(m @ _BLADE_INV[mask]) / 4.0
-        if c != 0:
-            coeffs[mask] = complex(c)
-    return Multivector(coeffs)
+    return Multivector._of(_TRACE_DUAL @ m.ravel())
 
 
 def dirac_dagger_dual(a: Multivector) -> Multivector:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from spinorlab import cli, duals
 from spinorlab.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_KINEMATICS,
@@ -339,3 +340,71 @@ def test_nan_residual_fails_its_check(capsys):
     check = {c["name"]: c for c in json.loads(out)["checks"]}
     assert check["closure-commuting-products"]["status"] == "fail"
     assert math.isnan(check["closure-commuting-products"]["residual"])
+
+
+@pytest.mark.parametrize("flag", ["--psi", "--omega"])
+def test_integer_too_large_for_a_float_exits_3(flag, tmp_path, capsys):
+    big = [10**400, 0]
+    psi = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    omega = [[[int(i == j), 0] for j in range(4)] for i in range(4)]
+    if flag == "--psi":
+        psi[0] = big
+    else:
+        omega[0][0] = big
+    psi_file, omega_file = tmp_path / "psi.json", tmp_path / "omega.json"
+    psi_file.write_text(json.dumps(psi))
+    omega_file.write_text(json.dumps(omega))
+    code = main(["dual", "--psi", str(psi_file), "--omega", str(omega_file)])
+    assert code == EXIT_BAD_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_dual_validates_omega_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_validate = duals.validate_omega
+
+    def counting_validate(*args, **kwargs):
+        calls.append(args)
+        return real_validate(*args, **kwargs)
+
+    monkeypatch.setattr(duals, "validate_omega", counting_validate)
+    monkeypatch.setattr(cli, "validate_omega", counting_validate)
+    psi_file = tmp_path / "psi.json"
+    psi_file.write_text(dump_json(spinor_to_obj(np.ones(4))))
+    code, out = run(capsys, ["dual", "--psi", str(psi_file)])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    check = json.loads(out)["checks"][0]
+    k = KinematicPoint(1.0, 1.0, 0.7, 0.3)
+    assert check["name"] == "omega-validity"
+    assert check["residual"] == real_validate(np.eye(4), k, 1e-10).residual
+
+    calls.clear()
+    omega_file = tmp_path / "omega.json"
+    omega_file.write_text(dump_json(matrix_to_obj(1j * np.eye(4))))
+    code = main(["dual", "--psi", str(psi_file), "--omega", str(omega_file)])
+    assert code == EXIT_BAD_OPERATOR
+    assert len(calls) == 1
+    assert "not a valid Omega: constraint residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text, value", [
+    ("--phi", "-1e-3", -1e-3),
+    ("--theta", "-2.5e-1", -0.25),
+    ("--phi", "-2E+0", -2.0),
+    ("--theta", "-.5e1", -5.0),
+])
+def test_exponent_form_negative_numbers_are_values(flag, text, value, capsys):
+    code, out = run(capsys, ["table1", "--trials", "2", flag, text])
+    assert code == EXIT_OK
+    assert json.loads(out)["kinematics"][flag[2:]] == value
+
+
+def test_every_kinematic_flag_takes_an_exponent_form_negative(capsys):
+    # Negative mass and momentum are kinematics errors, not usage errors.
+    for flag in ("--mass", "--momentum"):
+        assert main(["table1", flag, "-1e-3"]) == EXIT_BAD_KINEMATICS
+    assert main(["table1", "--energy", "-1e0"]) == EXIT_BAD_KINEMATICS
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--phi", "-x"])
+    assert exc.value.code == EXIT_USAGE

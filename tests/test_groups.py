@@ -14,6 +14,7 @@ from spinorlab.duals import (
     validate_omega,
     xi,
 )
+from spinorlab import groups
 from spinorlab.groups import (
     CapExceeded,
     check_abelian_closure,
@@ -155,6 +156,41 @@ def test_dirac_group_orders_and_table(extra, order):
     for i, a in enumerate(group.elements):
         for j, b in enumerate(group.elements):
             assert abs(a @ b - group.elements[group.table[i, j]]).max() <= 1e-9
+
+
+def per_element_table(elements, tol):
+    flat = np.array(elements).reshape(len(elements), 16)
+    return np.array([[groups._find(flat, (a @ b).ravel(), tol) for b in elements]
+                     for a in elements])
+
+
+@pytest.mark.parametrize("order", [4, 32, 64])
+def test_table_equals_per_element_lookup(order):
+    if order == 4:
+        group, tol = group_from_elements(gf_elements(K)), 1e-9
+    else:
+        extra = [1j * np.eye(4)] if order == 64 else []
+        group, tol = generate_group([weyl_gamma(mu) for mu in range(4)] + extra), 1e-7
+    assert group.order == order
+    assert np.array_equal(group.table, per_element_table(group.elements, tol))
+
+
+def test_table_lookups_stay_in_blocks(monkeypatch):
+    # A cyclic group of order 100 needs two lookup blocks per row; no
+    # lookup may stack more than 64 products.
+    shapes = []
+    real_find = groups._find
+
+    def recording_find(stored, x, tol):
+        shapes.append(x.shape)
+        return real_find(stored, x, tol)
+
+    monkeypatch.setattr(groups, "_find", recording_find)
+    step = np.diag([np.exp(2j * np.pi / 100), 1, 1, 1])
+    elements = [np.linalg.matrix_power(step, i) for i in range(100)]
+    group = group_from_elements(elements)
+    assert np.array_equal(group.table, (np.add.outer(range(100), range(100)) % 100))
+    assert max(shape[0] for shape in shapes if len(shape) == 2) == 64
 
 
 def test_generate_trivial_group():

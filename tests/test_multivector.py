@@ -1,5 +1,7 @@
 """Core multivector arithmetic: products, grades, involutions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
+from spinorlab.weyl import from_matrix, to_matrix
 
 ONE = scalar(1)
 
@@ -215,3 +218,129 @@ def test_random_real_multivector_has_real_coefficients():
     assert all(complex(v).imag == 0 for _, v in x.items())
     h = random_multivector(rng, hermitian=True)
     assert all(abs(c.imag) < 1e-15 for c in hermitian_coefficients(h))
+
+
+# -- the dense 16-slot kernel ------------------------------------------------
+
+
+def reference_blade_product(a, b):
+    """Sign and mask of blade a times blade b, by sorting the generator
+    list and cancelling repeated generators against the metric."""
+    idx = [j for j in range(4) if a >> j & 1] + [j for j in range(4) if b >> j & 1]
+    sign = 1
+    for i in range(len(idx)):
+        for j in range(len(idx) - 1 - i):
+            if idx[j] > idx[j + 1]:
+                idx[j], idx[j + 1] = idx[j + 1], idx[j]
+                sign = -sign
+    kept = []
+    for j in idx:
+        if kept and kept[-1] == j:
+            kept.pop()
+            sign *= METRIC[j]
+        else:
+            kept.append(j)
+    return sign, sum(1 << j for j in kept)
+
+
+def test_dense_product_matches_blade_table_reference():
+    # The reference sums exact rationals of the float parts, so the only
+    # rounding left is the kernel's own.
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(200):
+        a, b = random_multivector(rng), random_multivector(rng)
+        re, im = [Fraction(0)] * BLADE_COUNT, [Fraction(0)] * BLADE_COUNT
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                sign, m = reference_blade_product(ma, mb)
+                ar, ai = Fraction(ca.real), Fraction(ca.imag)
+                br, bi = Fraction(cb.real), Fraction(cb.imag)
+                re[m] += sign * (ar * br - ai * bi)
+                im[m] += sign * (ar * bi + ai * br)
+        want = np.array([complex(float(r), float(i)) for r, i in zip(re, im)])
+        got = np.array([(a * b).coefficient(m) for m in range(BLADE_COUNT)])
+        worst = max(worst, abs(got - want).max() / abs(want).max())
+    assert worst <= 1e-15
+
+
+def test_exact_operands_keep_exact_types():
+    a = Multivector({0: 2, 3: Fraction(1, 3), 9: -1, 15: Fraction(-5, 7)})
+    b = Multivector({1: Fraction(3, 4), 6: 2, 3: 1})
+    results = [a * b, b * a, a + b, a - b, -a, 3 * a, a * Fraction(1, 2),
+               a.grade_involution(), a.reversion(), a.clifford_conjugation(),
+               a.complex_conjugate(), a.hermitian_conjugate(), grade_projection(a, 2)]
+    for x in results:
+        assert all(type(v) in (int, Fraction) for _, v in x.items())
+    assert (a - a).items() == []
+    assert (gamma(1) * gamma(1)).items() == [(0, -1)]
+    assert type((gamma(1) * gamma(1)).coefficient(0)) is int
+    shifted = a + Multivector({3: Fraction(1, 6)})
+    assert coefficient_distance(a, shifted) == Fraction(1, 6)
+    assert type(coefficient_distance(a, shifted)) is Fraction
+    assert a.items() == [(0, 2), (3, Fraction(1, 3)), (9, -1), (15, Fraction(-5, 7))]
+
+
+def test_items_lists_only_nonzero_slots_in_mask_order():
+    x = Multivector({9: 1.5, 2: 0, 4: 0.0, 1: -2j})
+    assert x.items() == [(1, -2j), (9, 1.5)]
+    assert Multivector().items() == []
+    assert (gamma(0) + gamma(0).grade_involution()).items() == []
+
+
+def test_mixed_exact_and_complex_give_complex():
+    exact = Multivector({0: 1, 5: Fraction(1, 2)})
+    inexact = Multivector({5: 0.25 + 1j})
+    for x in (exact * inexact, inexact * exact, exact + inexact, inexact - exact,
+              0.5 * exact, exact * 1j):
+        assert x.items()
+        assert all(type(v) is complex for _, v in x.items())
+    assert (exact * inexact).items() == [(0, 0.125 + 0.5j), (5, 0.25 + 1j)]
+    assert (exact + inexact).coefficient(5) == 0.75 + 1j
+    assert exact == Multivector({0: 1.0, 5: 0.5})
+    assert hash(exact) == hash(Multivector({0: 1.0, 5: 0.5}))
+
+
+def test_matrix_round_trip():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        x = random_multivector(rng)
+        assert coefficient_distance(from_matrix(to_matrix(x)), x) < 1e-15
+    exact = Multivector({0: 2, 6: Fraction(1, 4), 15: -3})
+    assert coefficient_distance(from_matrix(to_matrix(exact)), exact) == 0
+
+
+def test_repr_prints_real_coefficients_as_floats():
+    assert repr(Multivector({0: 0.5, 3: 2j, 5: 1 + 1j})) == (
+        "Multivector(0.5 + 2j*e01 + (1+1j)*e02)"
+    )
+    assert repr(Multivector({6: Fraction(1, 2)})) == "Multivector(Fraction(1, 2)*e12)"
+    assert repr(Multivector()) == "Multivector(0)"
+
+
+# The first 16 draws of rng.uniform(-1, 1) from default_rng(0).  Seeded
+# suites sample their operands through random_multivector, so a change in
+# the number or order of its draws must show here.
+PINNED_DRAWS = [
+    0.2739233746429086, -0.4604265724722594, -0.9180529521276106, -0.9669447289429418,
+    0.6265404784005448, 0.8255111545554434, 0.21327155153435973, 0.4589931219679968,
+    0.08724998293084574, 0.8701448475755365, 0.6317071082430643, -0.9945229996597038,
+    0.7148085531751387, -0.9328288493890713, 0.45931089285988813, -0.648688758794882,
+]
+
+
+def test_random_multivector_draws_are_pinned():
+    real = random_multivector(np.random.default_rng(0), real=True)
+    assert real.items() == list(enumerate(PINNED_DRAWS))
+    herm = random_multivector(np.random.default_rng(0), hermitian=True)
+    assert herm.items() == [
+        (m, v * 1j if GRADE[m] in (2, 3) else v) for m, v in enumerate(PINNED_DRAWS)
+    ]
+    assert repr(herm).startswith(
+        "Multivector(0.2739233746429086 + -0.4604265724722594*e0 + "
+        "-0.9180529521276106*e1 + -0.9669447289429418j*e01 + "
+    )
+    vector = random_multivector(np.random.default_rng(0), grades=(1,))
+    assert vector.items() == [
+        (1 << j, complex(PINNED_DRAWS[2 * j], PINNED_DRAWS[2 * j + 1])) for j in range(4)
+    ]
