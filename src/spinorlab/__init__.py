@@ -21,9 +21,7 @@ from .multivector import (
     gamma,
     gamma5_chiral,
     grade_projection,
-    hermitian_basis,
     hermitian_blade,
-    hermitian_coefficients,
     involution,
     mask_from_key,
     pseudoscalar,
@@ -32,7 +30,6 @@ from .multivector import (
 )
 from .weyl import (
     GAMMA0,
-    blade_matrix,
     dirac_dagger_dual,
     from_matrix,
     multivector_inverse,
@@ -74,7 +71,6 @@ from .groups import (
     group_from_elements,
     identify_group,
     membership,
-    minkowski_metric,
     orbit_partition,
     twisted_adjoint,
 )

@@ -20,7 +20,7 @@ from .quaternions import (
     QuatMatrix2, Quaternion, even_to_m2c, gl2h_embed, intertwiner,
     is_quaternionic_pattern, mv_to_m2h, quaternionic_gamma,
 )
-from .weyl import GAMMA0, dirac_dagger_dual, to_matrix
+from .weyl import DET_TOL, GAMMA0, dirac_dagger_dual, to_matrix
 
 
 # numpy's max and min return NaN if any value is NaN; Python's may drop it.
@@ -137,8 +137,8 @@ def invertibility_transported(rng, trials) -> bool:
     samples = [random_multivector(rng, real=True) for _ in range(trials)]
     samples.append(scalar(1) + gamma(0))  # zero divisor, singular on both sides
     return all(
-        (abs(np.linalg.det(to_matrix(x))) > 1e-12)
-        == (abs(np.linalg.det(gl2h_embed(mv_to_m2h(x)))) > 1e-12)
+        (abs(np.linalg.det(to_matrix(x))) > DET_TOL)
+        == (abs(np.linalg.det(gl2h_embed(mv_to_m2h(x)))) > DET_TOL)
         for x in samples
     )
 

@@ -408,8 +408,12 @@ def _emit(report: SuiteReport, args) -> int:
     else:
         text = dump_json(report.as_obj())
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            print(f"usage error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text.rstrip("\n"))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import GAMMA0
+from .weyl import DET_TOL, GAMMA0
 
 ONSHELL_TOL = 1e-12
 VALIDATION_TOL = 1e-10
-DET_TOL = 1e-12
 
 ELEMENT_NAMES = ("G", "F", "FG", "XiDagger", "GXiDagger", "H", "Hinv")
 
@@ -243,15 +242,27 @@ class OperatorValidation:
     def __bool__(self) -> bool:
         return self.ok
 
+    def require(self) -> None:
+        """Raise :class:`InvalidOperatorError` unless the check passed."""
+        if not self.ok:
+            raise InvalidOperatorError(
+                f"not a valid {self.kind.capitalize()}: constraint residual"
+                f" {self.residual:.3e} (tolerance {self.tolerance:.1e}),"
+                f" |det| = {abs(self.det):.3e}"
+            )
 
-def validate_delta(m: np.ndarray, tol: float = VALIDATION_TOL) -> OperatorValidation:
+
+def _validation(kind: str, m: np.ndarray, residual: float, tol: float) -> OperatorValidation:
+    """Pass when the constraint residual is within ``tol`` and m is invertible."""
+    det = complex(np.linalg.det(m))
+    return OperatorValidation(kind, residual <= tol and abs(det) > DET_TOL, residual, det, tol)
+
+
+def validate_delta(m: np.ndarray) -> OperatorValidation:
     """Check Delta^dag g0 = g0 Delta and det != 0."""
     m = np.asarray(m, dtype=complex)
     residual = float(abs(m.conj().T @ GAMMA0 - GAMMA0 @ m).max())
-    det = complex(np.linalg.det(m))
-    return OperatorValidation(
-        "delta", residual <= tol and abs(det) > DET_TOL, residual, det, tol
-    )
+    return _validation("delta", m, residual, VALIDATION_TOL)
 
 
 def omega_residual(m: np.ndarray, x: np.ndarray) -> float:
@@ -264,11 +275,7 @@ def validate_omega(
 ) -> OperatorValidation:
     """Check Omega^dag = Xi g0 Omega g0 Xi and det != 0."""
     m = np.asarray(m, dtype=complex)
-    residual = omega_residual(m, xi(k))
-    det = complex(np.linalg.det(m))
-    return OperatorValidation(
-        "omega", residual <= tol and abs(det) > DET_TOL, residual, det, tol
-    )
+    return _validation("omega", m, omega_residual(m, xi(k)), tol)
 
 
 # -- Delta <-> Omega -----------------------------------------------------------
@@ -294,24 +301,22 @@ def random_delta(seed) -> np.ndarray:
 
     A is an arbitrary complex 2x2 block (8 real parameters), B and C are
     Hermitian (4 each), all entries uniform in [-1, 1]; 16 real degrees of
-    freedom total.  Resamples until the determinant is nonzero.
+    freedom total.  Each attempt draws its 16 numbers at once, in the order
+    Re A, Im A, then for B and for C the off-diagonal real part, the
+    off-diagonal imaginary part and the two diagonal entries.  Resamples
+    until the determinant is nonzero.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     while True:
-        a = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
-        b = _random_hermitian2(rng)
-        c = _random_hermitian2(rng)
-        delta = np.block([[a, b], [c, a.conj().T]])
+        u = rng.uniform(-1, 1, 16)
+        delta = np.empty((4, 4), dtype=complex)
+        delta[:2, :2] = (u[:4] + 1j * u[4:8]).reshape(2, 2)
+        delta[2:, 2:] = delta[:2, :2].conj().T
+        for rows, cols, (re, im, d0, d1) in ((0, 2, u[8:12]), (2, 0, u[12:])):
+            off = complex(re, im)
+            delta[rows:rows + 2, cols:cols + 2] = [[d0, off], [off.conjugate(), d1]]
         if abs(np.linalg.det(delta)) > DET_TOL:
             return delta
-
-
-def _random_hermitian2(rng) -> np.ndarray:
-    off = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return np.array(
-        [[rng.uniform(-1, 1), off], [off.conjugate(), rng.uniform(-1, 1)]],
-        dtype=complex,
-    )
 
 
 @dataclass(frozen=True)
@@ -334,14 +339,9 @@ class DeltaBlocks:
         return {"A": 8, "B": 4, "C": 4, "total": 16}
 
 
-def block_decompose(delta: np.ndarray, tol: float = VALIDATION_TOL) -> DeltaBlocks:
+def block_decompose(delta: np.ndarray) -> DeltaBlocks:
     """Extract (A, B, C) from a valid Delta; rejects invalid input."""
-    check = validate_delta(delta, tol)
-    if not check:
-        raise InvalidOperatorError(
-            f"not a valid Delta: constraint residual {check.residual:.3e}"
-            f" (tolerance {tol:.1e}), |det| = {abs(check.det):.3e}"
-        )
+    validate_delta(delta).require()
     delta = np.asarray(delta, dtype=complex)
     return DeltaBlocks(
         A=delta[:2, :2].copy(), B=delta[:2, 2:].copy(), C=delta[2:, :2].copy()
@@ -376,10 +376,6 @@ def dual_of(
     """
     if check is None:
         check = validate_omega(omega, k, tol)
-    if not check:
-        raise InvalidOperatorError(
-            f"not a valid Omega: constraint residual {check.residual:.3e}"
-            f" (tolerance {tol:.1e}), |det| = {abs(check.det):.3e}"
-        )
+    check.require()
     row = np.asarray(psi, dtype=complex).reshape(4).conj() @ GAMMA0 @ xi(k) @ omega
     return DualSpinor(row)

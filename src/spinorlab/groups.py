@@ -16,12 +16,12 @@ import numpy as np
 
 from .duals import DualSpinor, KinematicPoint, validate_omega
 from .multivector import Multivector, gamma
-from .weyl import from_matrix, multivector_inverse, to_matrix
+from .weyl import DET_TOL, from_matrix, multivector_inverse, to_matrix
 
 GENERATION_CAP = 1024
 DEDUP_TOL = 1e-8
-
-_MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
+#: largest commutator entry for which two Omegas count as commuting
+COMMUTATOR_TOL = 1e-9
 
 
 class CapExceeded(RuntimeError):
@@ -49,9 +49,7 @@ class ClosureReport:
         return self.commutes
 
 
-def check_abelian_closure(
-    candidates, k: KinematicPoint, tol: float = 1e-9
-) -> ClosureReport:
+def check_abelian_closure(candidates, k: KinematicPoint) -> ClosureReport:
     """Decide whether a set of valid Omega operators can close into a group.
 
     Closure holds iff every pair commutes; equivalently every product again
@@ -73,7 +71,7 @@ def check_abelian_closure(
             norm = float(abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max())
             if norm > worst:
                 worst, worst_pair = norm, (i, j)
-    return ClosureReport(worst <= tol, worst, worst_pair, tol)
+    return ClosureReport(worst <= COMMUTATOR_TOL, worst, worst_pair, COMMUTATOR_TOL)
 
 
 # -- finite matrix groups --------------------------------------------------------
@@ -114,9 +112,6 @@ class FiniteMatrixGroup:
             if n > self.order:
                 raise ValueError("element order exceeds group order; table is broken")
         return n
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -171,24 +166,19 @@ def group_from_elements(elements, labels=None, tol: float = 1e-9) -> FiniteMatri
     return group
 
 
-def generate_group(
-    generators,
-    cap: int = GENERATION_CAP,
-    labels=None,
-    tol: float = DEDUP_TOL,
-) -> FiniteMatrixGroup:
+def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> FiniteMatrixGroup:
     """Close a generator set under products and inverses.
 
     Breadth-first from the identity: each new element is multiplied on the
     right by every generator and every generator inverse, and a product
-    within max-entry distance ``10 * tol`` of a stored element is a
+    within max-entry distance ``10 * DEDUP_TOL`` of a stored element is a
     duplicate.  Raises :class:`CapExceeded` once more than ``cap`` distinct
     elements appear, which is the cheap certificate that the generated
     group is not small.
     """
     gens = [np.asarray(m, dtype=complex) for m in generators]
     for i, g in enumerate(gens):
-        if abs(np.linalg.det(g)) <= 1e-12:
+        if abs(np.linalg.det(g)) <= DET_TOL:
             raise ValueError(f"generator {i} is not invertible")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
@@ -204,7 +194,7 @@ def generate_group(
     for m, name in zip(elements, names):
         for g, step in steps:
             prod = m @ g
-            if _find(flat, prod.ravel(), 10 * tol) >= 0:
+            if _find(flat, prod.ravel(), 10 * DEDUP_TOL) >= 0:
                 continue
             flat = np.concatenate([flat, prod.reshape(1, 16)])
             elements.append(prod)
@@ -212,7 +202,7 @@ def generate_group(
             if len(elements) > cap:
                 raise CapExceeded(cap, len(elements))
 
-    return FiniteMatrixGroup(elements, names, _build_table(elements, 10 * tol))
+    return FiniteMatrixGroup(elements, names, _build_table(elements, 10 * DEDUP_TOL))
 
 
 def _compose_label(a: str, b: str) -> str:
@@ -358,7 +348,7 @@ def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     return MembershipRecord(even, True, in_gamma, in_pin, in_spin, in_spin_plus, norm)
 
 
-def twisted_adjoint(x: Multivector, tol: float = 1e-8) -> np.ndarray:
+def twisted_adjoint(x: Multivector) -> np.ndarray:
     """Lorentz matrix of a Pin element via grade-twisted conjugation.
 
     Returns Lambda with hat(x) e_nu x^-1 = Lambda[mu, nu] e_mu, where hat is
@@ -376,13 +366,9 @@ def twisted_adjoint(x: Multivector, tol: float = 1e-8) -> np.ndarray:
         for mu in range(4):
             lam[mu, nu] = complex(y.coefficient(1 << mu)).real
         residual = sum(abs(v) for mk, v in y.items() if mk.bit_count() != 1)
-        if residual > tol:
+        if residual > 1e-8:
             raise ValueError(f"conjugation left grade 1 by {residual:.3e}")
     return lam
-
-
-def minkowski_metric() -> np.ndarray:
-    return _MINKOWSKI.copy()
 
 
 def exp_bivector(b: Multivector) -> Multivector:

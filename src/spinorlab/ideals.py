@@ -27,6 +27,8 @@ from .multivector import (
 from .weyl import multivector_inverse, to_matrix
 
 RANK_TOL = 1e-9
+#: largest residual of an adjoint-involution condition that still holds
+INVOLUTION_TOL = 1e-10
 
 
 class InvolutionConditionError(ValueError):
@@ -218,21 +220,14 @@ def _involution_residuals(kind: str, h: Multivector, f: Idempotent) -> tuple:
     )
 
 
-def verify_involution_conditions(
-    kind: str, h: Multivector, f: Idempotent, tol: float = 1e-10
-) -> bool:
+def verify_involution_conditions(kind: str, h: Multivector, f: Idempotent) -> bool:
     """Check alpha(f) = h^-1 f h and alpha(h) = h; h must be invertible."""
     cond1, cond2 = _involution_residuals(kind, h, f)
-    return cond1 <= tol and cond2 <= tol
+    return cond1 <= INVOLUTION_TOL and cond2 <= INVOLUTION_TOL
 
 
 def beta_inner_product(
-    psi: Multivector,
-    phi: Multivector,
-    kind: str,
-    h: Multivector,
-    f: Idempotent,
-    tol: float = 1e-10,
+    psi: Multivector, phi: Multivector, kind: str, h: Multivector, f: Idempotent
 ) -> Multivector:
     """beta(psi, phi) = h alpha(psi) phi f, valued in the ring f·Cl·f.
 
@@ -243,11 +238,11 @@ def beta_inner_product(
         r1, r2 = _involution_residuals(kind, h, f)
     except ZeroDivisionError as exc:
         raise InvolutionConditionError("h is not invertible") from exc
-    if r1 > tol:
+    if r1 > INVOLUTION_TOL:
         raise InvolutionConditionError(
             f"alpha(f) != h^-1 f h (residual {r1:.3e})"
         )
-    if r2 > tol:
+    if r2 > INVOLUTION_TOL:
         raise InvolutionConditionError(f"alpha(h) != h (residual {r2:.3e})")
     return h * involution(kind, psi) * phi * f.value
 
@@ -257,15 +252,14 @@ def ring_membership_residual(b: Multivector, f: Idempotent) -> float:
     return coefficient_distance(b, f.value * b * f.value)
 
 
-def find_adjoint_element(
-    kind: str, f: Idempotent, tries: int = 32, seed: int = 0
-) -> Multivector | None:
+def find_adjoint_element(kind: str, f: Idempotent) -> Multivector | None:
     """Search the real 16-dimensional span for h with alpha(f) = h^-1 f h,
     alpha(h) = h, and h invertible.
 
     Both conditions are linear in h (the first in the equivalent form
-    alpha(f) h = h f), so candidates come from a null space; the first
-    invertible combination is returned, or None when the search fails.
+    alpha(f) h = h f), so candidates come from a null space: its basis
+    vectors, then 32 random combinations (seed 0).  The first invertible
+    candidate is returned, or None when the search fails.
     The returned h is one solution among many, not a canonical choice.
     """
     alpha_f = involution(kind, f.value)
@@ -281,9 +275,9 @@ def find_adjoint_element(
     null = vh[int((sv > 1e-10 * sv[0]).sum()):].T
     if null.shape[1] == 0:
         return None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     candidates = [null[:, i] for i in range(null.shape[1])]
-    candidates += [null @ rng.uniform(-1, 1, null.shape[1]) for _ in range(tries)]
+    candidates += [null @ rng.uniform(-1, 1, null.shape[1]) for _ in range(32)]
     for coeffs in candidates:
         h = Multivector({m: c for m, c in enumerate(coeffs) if abs(c) > 1e-12})
         if h.is_zero(1e-9):

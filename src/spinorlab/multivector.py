@@ -252,8 +252,8 @@ def scalar(value) -> Multivector:
     return Multivector({0: value})
 
 
-def basis_blade(mask: int, coeff=1) -> Multivector:
-    return Multivector({mask: coeff})
+def basis_blade(mask: int) -> Multivector:
+    return Multivector({mask: 1})
 
 
 def gamma(mu: int) -> Multivector:
@@ -263,13 +263,13 @@ def gamma(mu: int) -> Multivector:
     return _GENERATORS[mu]
 
 
-def blade(indices: Iterable[int], coeff=1) -> Multivector:
-    """Product of generators in the given order, scaled by ``coeff``.
+def blade(indices: Iterable[int]) -> Multivector:
+    """Product of generators in the given order.
 
     Indices may repeat or appear out of order; signs and metric factors
     are absorbed into the coefficient.
     """
-    out = scalar(coeff)
+    out = scalar(1)
     for mu in indices:
         out = out * gamma(mu)
     return out
@@ -323,16 +323,6 @@ def coefficient_distance(a: Multivector, b: Multivector):
 def hermitian_blade(mask: int) -> Multivector:
     factor = 1j if GRADE[mask] in (2, 3) else 1
     return Multivector({mask: factor})
-
-
-def hermitian_basis() -> list[Multivector]:
-    return [hermitian_blade(mask) for mask in range(BLADE_COUNT)]
-
-
-def hermitian_coefficients(a: Multivector) -> list[complex]:
-    """Coefficients of ``a`` in the self-adjoint basis (complex in general)."""
-    c = a._c.astype(complex)
-    return np.where(_TURNED, c * -1j, c).tolist()
 
 
 def random_multivector(rng, *, real: bool = False, hermitian: bool = False,

@@ -15,6 +15,10 @@ import numpy as np
 from .multivector import BLADE_COUNT, DIMENSION, GRADE, Multivector
 from .weyl import to_matrix, weyl_gamma
 
+#: largest pattern residual, imaginary part or odd-grade content that
+#: still counts as zero
+ZERO_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -160,7 +164,7 @@ class PatternReport:
         return self.matches
 
 
-def is_quaternionic_pattern(m: np.ndarray, tol: float = 1e-10) -> PatternReport:
+def is_quaternionic_pattern(m: np.ndarray) -> PatternReport:
     """Check the eight conjugate-pair constraints of the GL(2,H) image.
 
     ``dof`` is the real dimension of the constraint solution space,
@@ -171,7 +175,7 @@ def is_quaternionic_pattern(m: np.ndarray, tol: float = 1e-10) -> PatternReport:
     residual = 0.0
     for (r1, c1), (r2, c2), sign in _PATTERN_PAIRS:
         residual = max(residual, float(abs(m[r1, c1] - sign * m[r2, c2].conjugate())))
-    return PatternReport(residual <= tol, residual, pattern_dof())
+    return PatternReport(residual <= ZERO_TOL, residual, pattern_dof())
 
 
 @lru_cache(maxsize=1)
@@ -232,10 +236,10 @@ def _image_components() -> np.ndarray:
                      for image in _blade_images()])
 
 
-def mv_to_m2h(x: Multivector, tol: float = 1e-10) -> QuatMatrix2:
+def mv_to_m2h(x: Multivector) -> QuatMatrix2:
     """Quaternionic 2x2 image of a real multivector; rejects complex input."""
     c = x._c.astype(complex, copy=False)
-    imaginary = np.flatnonzero(abs(c.imag) > tol)
+    imaginary = np.flatnonzero(abs(c.imag) > ZERO_TOL)
     if imaginary.size:
         mask = int(imaginary[0])
         raise ValueError(
@@ -245,17 +249,17 @@ def mv_to_m2h(x: Multivector, tol: float = 1e-10) -> QuatMatrix2:
     return QuatMatrix2(*(Quaternion(*q) for q in parts))
 
 
-def even_to_m2c(x: Multivector, tol: float = 1e-10) -> np.ndarray:
+def even_to_m2c(x: Multivector) -> np.ndarray:
     """Upper-left 2x2 block of the Weyl image of an even real multivector.
 
     Even elements are block diagonal in the Weyl representation, and the
     upper block alone is a faithful image of the even subalgebra.
     """
     for mask, value in x.items():
-        if GRADE[mask] & 1 and abs(value) > tol:
+        if GRADE[mask] & 1 and abs(value) > ZERO_TOL:
             raise ValueError(f"even_to_m2c needs an even multivector; got grade "
                              f"{GRADE[mask]} content {value}")
-        if abs(complex(value).imag) > tol:
+        if abs(complex(value).imag) > ZERO_TOL:
             raise ValueError(
                 f"even_to_m2c needs real coefficients; blade {mask} has {value}"
             )

@@ -34,11 +34,12 @@ def _part_to_obj(x):
 
 
 def _part_from_obj(obj):
+    # exact type tests: JSON true and false load as bool, a subclass of int
     if isinstance(obj, list):
-        if len(obj) != 2 or not all(isinstance(v, int) for v in obj) or obj[1] == 0:
+        if len(obj) != 2 or not all(type(v) is int for v in obj) or obj[1] == 0:
             raise MalformedInputError(f"bad exact value {obj!r}")
         return Fraction(obj[0], obj[1])
-    if isinstance(obj, int) or isinstance(obj, float) and math.isfinite(obj):
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
         return obj
     raise MalformedInputError(f"bad numeric value {obj!r}")
 
@@ -119,15 +120,14 @@ def spinor_from_obj(obj) -> np.ndarray:
 
 def load_json(path) -> object:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise MalformedInputError(f"JSON in {path} is nested too deeply") from None
 
 
-def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2)

@@ -64,14 +64,14 @@ for _mask in range(BLADE_COUNT):
 
 GAMMA0 = _GAMMAS[0]
 
+#: the one invertibility threshold: a 4x4 operator with |det| at or below
+#: this is singular
+DET_TOL = 1e-12
+
 # Row-vector forms: to_matrix is c @ _BLADE_ROWS, and since the coefficient
 # of blade G_I is trace(M @ G_I^{-1}) / 4, from_matrix is _TRACE_DUAL @ vec(M).
 _BLADE_ROWS = _BLADE_MATS.reshape(BLADE_COUNT, 16)
 _TRACE_DUAL = _BLADE_INV.transpose(0, 2, 1).reshape(BLADE_COUNT, 16) / 4
-
-
-def blade_matrix(mask: int) -> np.ndarray:
-    return _BLADE_MATS[mask].copy()
 
 
 def to_matrix(a: Multivector) -> np.ndarray:
@@ -101,9 +101,9 @@ def dirac_dagger_dual(a: Multivector) -> Multivector:
     return from_matrix(GAMMA0 @ m.conj().T @ GAMMA0)
 
 
-def multivector_inverse(a: Multivector, det_tol: float = 1e-12) -> Multivector:
+def multivector_inverse(a: Multivector) -> Multivector:
     """Inverse under the geometric product, via the matrix representation."""
     m = to_matrix(a)
-    if abs(np.linalg.det(m)) <= det_tol:
+    if abs(np.linalg.det(m)) <= DET_TOL:
         raise ZeroDivisionError("multivector is not invertible")
     return from_matrix(np.linalg.inv(m))

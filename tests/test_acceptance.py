@@ -26,7 +26,6 @@ from spinorlab.groups import (
     generate_group,
     identify_group,
     membership,
-    minkowski_metric,
     twisted_adjoint,
 )
 from spinorlab.ideals import canonical_idempotent, division_ring_identify
@@ -234,7 +233,7 @@ def test_criterion_08_even_subalgebra_map():
 
 def test_criterion_09_spin_hierarchy():
     rng = np.random.default_rng(9)
-    eta = minkowski_metric()
+    eta = np.diag(METRIC)
     all_spin_plus = True
     worst_metric = 0.0
     worst_cover = 0.0

@@ -408,3 +408,51 @@ def test_every_kinematic_flag_takes_an_exponent_form_negative(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table1", "--phi", "-x"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag", ["--psi", "--omega", "--duals"])
+def test_non_utf8_input_file_exits_3(flag, tmp_path, capsys):
+    good_psi = tmp_path / "psi.json"
+    good_psi.write_text(dump_json(spinor_to_obj(np.ones(4))))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[[1,0]]")
+    if flag == "--duals":
+        argv = ["classify", "--duals", str(bad)]
+    else:
+        argv = ["dual", "--psi", str(good_psi), flag, str(bad)]
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert captured.out == ""
+
+
+def test_too_deeply_nested_input_file_exits_3(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["dual", "--psi", str(deep)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("psi_text", [
+    "[[true, 0], [0, 0], [0, 0], [0, 0]]",
+    "[[0, false], [0, 0], [0, 0], [1, 0]]",
+    "[[[true, 1], 0], [0, 0], [0, 0], [1, 0]]",
+    "[[[1, true], 0], [0, 0], [0, 0], [1, 0]]",
+])
+def test_boolean_spinor_entry_exits_3(psi_text, tmp_path, capsys):
+    psi_file = tmp_path / "psi.json"
+    psi_file.write_text(psi_text)
+    assert main(["dual", "--psi", str(psi_file)]) == EXIT_BAD_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    psi_file = tmp_path / "psi.json"
+    psi_file.write_text(dump_json(spinor_to_obj(np.ones(4))))
+    target = tmp_path / "missing-dir" / "out.json"
+    code = main(["dual", "--psi", str(psi_file), "--output", str(target)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {target}: ")
+    assert not target.exists()

@@ -230,6 +230,33 @@ def test_random_delta_deterministic():
     assert np.array_equal(random_delta(123), random_delta(123))
 
 
+def _per_scalar_random_delta(rng):
+    """random_delta as first written: one draw per scalar, blocks joined by np.block."""
+
+    def hermitian2():
+        off = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return np.array(
+            [[rng.uniform(-1, 1), off], [off.conjugate(), rng.uniform(-1, 1)]],
+            dtype=complex,
+        )
+
+    while True:
+        a = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+        b = hermitian2()
+        c = hermitian2()
+        delta = np.block([[a, b], [c, a.conj().T]])
+        if abs(np.linalg.det(delta)) > 1e-12:
+            return delta
+
+
+def test_random_delta_draws_match_per_scalar_draws():
+    for seed in (0, 1, 7, 42, 123):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # successive calls continue the same stream
+            assert np.array_equal(random_delta(rng_new), _per_scalar_random_delta(rng_old))
+        assert rng_new.uniform() == rng_old.uniform()
+
+
 def test_block_decompose_identity():
     blocks = block_decompose(np.eye(4))
     assert np.array_equal(blocks.A, np.eye(2))
@@ -257,7 +284,8 @@ def test_block_decompose_random_delta_structure():
 
 
 def test_block_decompose_rejects_invalid():
-    with pytest.raises(InvalidOperatorError):
+    with pytest.raises(InvalidOperatorError, match=r"^not a valid Delta: constraint residual "
+                       r"2\.000e\+00 \(tolerance 1\.0e-10\), \|det\| = 1\.000e\+00$"):
         block_decompose(1j * np.eye(4))
 
 
@@ -292,6 +320,17 @@ def test_dual_pairing_associativity():
 def test_dual_of_rejects_invalid_omega():
     with pytest.raises(InvalidOperatorError):
         dual_of(np.ones(4), 1j * np.eye(4), K_REF)
+
+
+def test_dual_of_honours_a_passed_check():
+    # A failing check is raised even for a valid Omega, and a passing one is
+    # trusted: the check is not recomputed.
+    failing = validate_omega(1j * np.eye(4), K_REF)
+    with pytest.raises(InvalidOperatorError, match="^not a valid Omega: constraint residual"):
+        dual_of(np.ones(4), np.eye(4), K_REF, check=failing)
+    passing = validate_omega(np.eye(4), K_REF)
+    dual = dual_of(np.ones(4), 1j * np.eye(4), K_REF, check=passing)
+    assert np.array_equal(dual.components, np.ones(4) @ GAMMA0 @ xi(K_REF) @ (1j * np.eye(4)))
 
 
 # -- inverse-closure lemma -----------------------------------------------------------------

@@ -23,11 +23,11 @@ from spinorlab.groups import (
     group_from_elements,
     identify_group,
     membership,
-    minkowski_metric,
     orbit_partition,
     twisted_adjoint,
 )
 from spinorlab.multivector import (
+    METRIC,
     Multivector,
     blade,
     coefficient_distance,
@@ -437,7 +437,7 @@ def test_twisted_adjoint_boost_doubles_rapidity():
 
 def test_twisted_adjoint_preserves_metric_and_double_cover():
     rng = np.random.default_rng(10)
-    eta = minkowski_metric()
+    eta = np.diag(METRIC)
     for _ in range(50):
         b = random_multivector(rng, real=True, grades=(2,))
         x = exp_bivector(0.5 * b)

@@ -10,13 +10,12 @@ from spinorlab.multivector import (
     coefficient_distance,
     gamma,
     gamma5_chiral,
-    hermitian_coefficients,
+    hermitian_blade,
     random_multivector,
     scalar,
 )
 from spinorlab.weyl import (
     GAMMA0,
-    blade_matrix,
     dirac_dagger_dual,
     from_matrix,
     multivector_inverse,
@@ -26,6 +25,11 @@ from spinorlab.weyl import (
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 SIGMA3 = np.diag([1.0, -1.0])
+
+
+def hermitian_coefficients(x):
+    """Coefficients of x in the self-adjoint basis of the hermitian blades."""
+    return [x.coefficient(m) / hermitian_blade(m).coefficient(m) for m in range(BLADE_COUNT)]
 
 
 def test_weyl_gamma0_entries():
@@ -86,7 +90,7 @@ def test_blade_matrices_linearly_independent():
     gram = np.zeros((BLADE_COUNT, BLADE_COUNT), dtype=complex)
     for i in range(BLADE_COUNT):
         for j in range(BLADE_COUNT):
-            gram[i, j] = np.trace(blade_matrix(i).conj().T @ blade_matrix(j))
+            gram[i, j] = np.trace(to_matrix(basis_blade(i)).conj().T @ to_matrix(basis_blade(j)))
     assert abs(np.linalg.det(gram)) > 1.0
 
 
