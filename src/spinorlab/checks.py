@@ -1,71 +1,102 @@
 """The verification checks behind the CLI suites and the acceptance gate.
 
-Each check draws from the generator it is given, in a fixed order, and
-returns what it measured: a worst residual, a count or a flag.  Check names
-and tolerances stay with the callers.  Worst and weakest values propagate
-NaN, so a trial that produced NaN fails its check.
+Each check draws from the generator it is given and returns what it
+measured: a worst residual, a count or a flag.  Check names and tolerances
+stay with the callers.  Worst and weakest values propagate NaN, so a trial
+that produced NaN fails its check.
+
+Trials run in blocks of at most ``_BLOCK``, so memory stays bounded.  A
+block draws its numbers in one call, in the order a trial-by-trial loop
+draws them, and computes on stacks with the same per-matrix operations:
+its results and the generator's final state are bit for bit that loop's.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .duals import (
-    block_decompose, closed_form, delta_to_omega, named_operator, omega_residual,
-    random_delta, validate_delta, xi,
+    _delta_from, _max_entry, _stacked_terms, block_decompose, closed_form, delta_to_omega,
+    named_operator, omega_residual, random_delta, validate_delta, xi,
 )
-from .ideals import beta_inner_product, ring_membership_residual
-from .multivector import coefficient_distance, gamma, random_multivector, scalar
+from .ideals import _beta, _require_adjoint, _ring_residual
+from .multivector import METRIC, _product, _random_coefficients, coefficient_distance, gamma, scalar
 from .quaternions import (
-    QuatMatrix2, Quaternion, even_to_m2c, gl2h_embed, intertwiner,
-    is_quaternionic_pattern, mv_to_m2h, quaternionic_gamma,
+    QuatMatrix2, _even_block, _m2h, gl2h_embed, intertwiner, is_quaternionic_pattern,
+    quaternionic_gamma,
 )
-from .weyl import DET_TOL, GAMMA0, dirac_dagger_dual, to_matrix
+from .weyl import DET_TOL, GAMMA0, _dagger, _dirac_dagger, _matrices, _modulus
+
+_BLOCK = 256
+
+
+def _blocks(trials) -> list:
+    """Sizes of the blocks that ``trials`` trials run in."""
+    return [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
 
 
 # numpy's max and min return NaN if any value is NaN; Python's may drop it.
-def _worst(values) -> float:
-    return float(np.max(values))
+def _worst(blocks) -> float:
+    return float(np.max([np.max(b) for b in blocks]))
 
 
-def _weakest(values) -> float:
-    return float(np.min(values))
+def _weakest(blocks) -> float:
+    return float(np.min([np.min(b) for b in blocks]))
 
 
-def _random_generic(rng) -> np.ndarray:
-    return rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+def _draw(rng, n, layout) -> list:
+    """``n`` trials, each drawing in turn a random Delta for every None in
+    ``layout`` and that many uniforms in [-1, 1] for every number; one
+    stack per entry.
 
-
-def _random_quat_matrix(rng) -> QuatMatrix2:
-    return QuatMatrix2(*(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(4)))
+    A Delta that :func:`random_delta` would resample takes more draws than
+    one call made, so a block with one rewinds the generator and draws
+    trial by trial.
+    """
+    state = rng.bit_generator.state
+    widths = [16 if w is None else w for w in layout]
+    u = np.split(rng.uniform(-1, 1, (n, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    stacks = [v if w else _delta_from(v) for w, v in zip(layout, u)]
+    if all((_modulus(np.linalg.det(s)) > DET_TOL).all()
+           for w, s in zip(layout, stacks) if w is None):
+        return stacks
+    rng.bit_generator.state = state
+    trials = [[rng.uniform(-1, 1, w) if w else random_delta(rng) for w in layout] for _ in range(n)]
+    return [np.array(part) for part in zip(*trials)]
 
 
 def block_pattern(rng, trials) -> tuple:
-    """Worst Delta-constraint residual (at least 1.0 for a rejected Delta) and
-    worst B/C hermiticity residual over random block-pattern Deltas."""
+    """Worst Delta-constraint residual and worst B/C hermiticity residual
+    over random block-pattern Deltas; a Delta that fails validation raises
+    :class:`InvalidOperatorError`."""
     constraint, hermiticity = [], []
-    for _ in range(trials):
-        delta = random_delta(rng)
-        check = validate_delta(delta)
-        constraint.append(check.residual if check else max(check.residual, 1.0))
+    for n in _blocks(trials):
+        (delta,) = _draw(rng, n, (None,))
+        constraint.append(validate_delta(delta).residual)
         hermiticity.append(block_decompose(delta).hermiticity_residual())
     return _worst(constraint), _worst(hermiticity)
 
 
 def generic_acceptance(rng, trials) -> int:
     """How many generic complex 4x4 matrices pass as a Delta."""
-    return sum(bool(validate_delta(_random_generic(rng))) for _ in range(trials))
+    accepted = 0
+    for n in _blocks(trials):
+        re, im = np.moveaxis(rng.uniform(-1, 1, (n, 2, 4, 4)), 1, 0)
+        accepted += int(np.count_nonzero(validate_delta(re + 1j * im).ok))
+    return accepted
 
 
 def adjoint_fixed_points(rng, trials) -> tuple:
     """Worst distance of a self-adjoint multivector from its gamma0-adjoint,
     and weakest distance once 1e-6 i times another one is added."""
     fixed, detected = [], []
-    for _ in range(trials):
-        x = random_multivector(rng, hermitian=True)
-        fixed.append(coefficient_distance(dirac_dagger_dual(x), x))
-        y = x + complex(0, 1e-6) * random_multivector(rng, hermitian=True)
-        detected.append(coefficient_distance(dirac_dagger_dual(y), y))
+    for n in _blocks(trials):
+        x, other = np.moveaxis(_random_coefficients(rng, (n, 2), hermitian=True), 1, 0)
+        fixed.append(abs(_dirac_dagger(x) - x).max(axis=-1))
+        y = x + other * complex(0, 1e-6)
+        detected.append(abs(_dirac_dagger(y) - y).max(axis=-1))
     return _worst(fixed), _weakest(detected)
 
 
@@ -74,50 +105,43 @@ def closure(rng, trials, k) -> tuple:
     non-commuting ones, worst for inverses; worst det change Omega -> Delta."""
     x = xi(k)
     commuting, noncommuting, inverse, det = [], [], [], []
-    for _ in range(trials):
-        base = delta_to_omega(random_delta(rng), k)
-        c = rng.uniform(-1, 1, 5)
-        om1 = c[0] * np.eye(4) + c[1] * base + c[2] * base @ base
-        om2 = c[3] * np.eye(4) + c[4] * base
+    for n in _blocks(trials):
+        base, c, other = _draw(rng, n, (None, 5, None))
+        base, other = delta_to_omega(base, k), delta_to_omega(other, k)
+        c = c[:, :, None, None]
+        om1 = c[:, 0] * np.eye(4) + c[:, 1] * base + c[:, 2] * base @ base
+        om2 = c[:, 3] * np.eye(4) + c[:, 4] * base
         commuting.append(omega_residual(om1 @ om2, x))
-        other = delta_to_omega(random_delta(rng), k)
         noncommuting.append(omega_residual(base @ other, x))
         inverse.append(omega_residual(np.linalg.inv(base), x))
         delta_back = GAMMA0 @ base @ GAMMA0 @ x
-        det.append(abs(np.linalg.det(base) - np.linalg.det(delta_back)))
+        det.append(_modulus(np.linalg.det(base) - np.linalg.det(delta_back)))
     return _worst(commuting), _weakest(noncommuting), _worst(inverse), _worst(det)
 
 
 def operator_residual(name, points) -> float:
     """Worst entry of the defining expression of ``name`` minus its closed
     form, over the kinematic ``points``."""
-    return _worst([
-        float(abs(named_operator(name, k) - closed_form(name, k)).max())
-        for k in points
-    ])
+    blocks = (_stacked_terms(points[i:i + _BLOCK]) for i in range(0, len(points), _BLOCK))
+    return _worst([_max_entry(named_operator(name, t) - closed_form(name, t)) for t in blocks])
 
 
 def quaternion_clifford_relations() -> float:
     """Worst component of {g_mu, g_nu} - 2 eta_mu_nu I over the quaternionic
     gammas in M2(H)."""
-    eta = (1.0, -1.0, -1.0, -1.0)
-    diffs = []
-    for mu in range(4):
-        for nu in range(4):
-            gm, gn = quaternionic_gamma(mu), quaternionic_gamma(nu)
-            anti = gm * gn + gn * gm
-            want = QuatMatrix2.identity() * (2.0 * eta[mu] if mu == nu else 0.0)
-            for qa, qb in zip(anti.entries(), want.entries()):
-                diffs += [abs(a - b) for a, b in zip(qa.as_list(), qb.as_list())]
-    return _worst(diffs)
+    gammas = np.array([quaternionic_gamma(mu).q for mu in range(4)])
+    gm, gn = QuatMatrix2._of(gammas[:, None]), QuatMatrix2._of(gammas[None, :])
+    anti = gm * gn + gn * gm  # entry [mu, nu] for every pair
+    want = QuatMatrix2.identity().q * (2.0 * np.diag(METRIC))[..., None, None, None]
+    return _worst([abs(anti.q - want)])
 
 
 def gl2h_homomorphism(rng, trials) -> float:
     """Worst entry of embed(a b) - embed(a) embed(b) over random M2(H) pairs."""
     worst = []
-    for _ in range(trials):
-        a, b = _random_quat_matrix(rng), _random_quat_matrix(rng)
-        worst.append(float(abs(gl2h_embed(a * b) - gl2h_embed(a) @ gl2h_embed(b)).max()))
+    for n in _blocks(trials):
+        a, b = map(QuatMatrix2._of, np.moveaxis(rng.uniform(-1, 1, (n, 2, 2, 2, 4)), 1, 0))
+        worst.append(_max_entry(gl2h_embed(a * b) - gl2h_embed(a) @ gl2h_embed(b)))
     return _worst(worst)
 
 
@@ -125,31 +149,34 @@ def pattern_mistakes(rng, trials) -> int:
     """Embedded M2(H) matrices missed plus generic matrices accepted by the
     quaternionic pattern test."""
     mistakes = 0
-    for _ in range(trials):
-        mistakes += not is_quaternionic_pattern(gl2h_embed(_random_quat_matrix(rng)))
-        mistakes += bool(is_quaternionic_pattern(_random_generic(rng)))
+    for n in _blocks(trials):
+        u = rng.uniform(-1, 1, (n, 48))
+        embedded = gl2h_embed(QuatMatrix2._of(u[:, :16].reshape(n, 2, 2, 4)))
+        generic = u[:, 16:32].reshape(n, 4, 4) + 1j * u[:, 32:].reshape(n, 4, 4)
+        mistakes += int(np.count_nonzero(~is_quaternionic_pattern(embedded).matches))
+        mistakes += int(np.count_nonzero(is_quaternionic_pattern(generic).matches))
     return mistakes
 
 
 def invertibility_transported(rng, trials) -> bool:
     """Whether det != 0 agrees between the Weyl image and the M2(H) image, on
     random real multivectors and one zero divisor."""
-    samples = [random_multivector(rng, real=True) for _ in range(trials)]
-    samples.append(scalar(1) + gamma(0))  # zero divisor, singular on both sides
-    return all(
-        (abs(np.linalg.det(to_matrix(x))) > DET_TOL)
-        == (abs(np.linalg.det(gl2h_embed(mv_to_m2h(x)))) > DET_TOL)
-        for x in samples
-    )
+    zero_divisor = (scalar(1) + gamma(0))._c.astype(complex)  # singular on both sides
+    samples = chain((_random_coefficients(rng, (n,), real=True) for n in _blocks(trials)),
+                    [zero_divisor[None]])
+    # a list, not a generator: every block is drawn even after a disagreement
+    return all([np.array_equal(_modulus(np.linalg.det(_matrices(x))) > DET_TOL,
+                               _modulus(np.linalg.det(gl2h_embed(_m2h(x.real)))) > DET_TOL)
+                for x in samples])
 
 
 def even_block_multiplicativity(rng, trials) -> float:
-    """Worst entry of m(x y) - m(x) m(y) for the even-subalgebra block map m."""
+    """Worst entry of m(x y) - m(x) m(y) for the even-subalgebra block map
+    m of :func:`even_to_m2c`."""
     worst = []
-    for _ in range(trials):
-        x = random_multivector(rng, real=True, grades=(0, 2, 4))
-        y = random_multivector(rng, real=True, grades=(0, 2, 4))
-        worst.append(float(abs(even_to_m2c(x * y) - even_to_m2c(x) @ even_to_m2c(y)).max()))
+    for n in _blocks(trials):
+        x, y = np.moveaxis(_random_coefficients(rng, (n, 2), real=True, grades=(0, 2, 4)), 1, 0)
+        worst.append(_max_entry(_even_block(_product(x, y)) - _even_block(x) @ _even_block(y)))
     return _worst(worst)
 
 
@@ -158,10 +185,10 @@ def intertwined_representations(rng, trials) -> float:
     s = intertwiner()
     s_inv = np.linalg.inv(s)
     worst = []
-    for _ in range(trials):
-        x = random_multivector(rng, real=True)
-        lhs = s @ gl2h_embed(mv_to_m2h(x)) @ s_inv
-        worst.append(float(abs(lhs - to_matrix(x)).max()))
+    for n in _blocks(trials):
+        x = _random_coefficients(rng, (n,), real=True)
+        lhs = s @ gl2h_embed(_m2h(x.real)) @ s_inv
+        worst.append(_max_entry(lhs - _matrices(x)))
     return _worst(worst)
 
 
@@ -170,16 +197,20 @@ def idempotency(f) -> float:
     return coefficient_distance(f.value * f.value, f.value)
 
 
+def _ideal_pairs(rng, n, f, real=False) -> np.ndarray:
+    """psi, phi = (random multivector) f for ``n`` trials."""
+    return np.moveaxis(_product(_random_coefficients(rng, (n, 2), real=real), f), 1, 0)
+
+
 def beta_in_ring(rng, trials, f, real) -> float:
     """Worst distance of beta(psi, phi) (reversion, h = 1) from the scalar
     ring f Cl f, for psi, phi in the left ideal of ``f``."""
-    one = scalar(1)
+    one, fc = scalar(1), f.value._c
+    _require_adjoint("reversion", one, f)
     worst = []
-    for _ in range(trials):
-        psi = random_multivector(rng, real=real) * f.value
-        phi = random_multivector(rng, real=real) * f.value
-        b = beta_inner_product(psi, phi, "reversion", one, f)
-        worst.append(ring_membership_residual(b, f))
+    for n in _blocks(trials):
+        psi, phi = _ideal_pairs(rng, n, fc, real)
+        worst.append(_ring_residual(_beta(psi, phi, "reversion", one._c, fc), fc))
     return _worst(worst)
 
 
@@ -187,13 +218,12 @@ def beta_matches_matrix_adjoint(rng, trials, f) -> float:
     """Worst entry of beta(psi, phi) (gamma0-adjoint, h = g0) minus
     psi^dag g0 phi f computed on matrices."""
     g0 = gamma(0)
+    _require_adjoint("dirac_dagger", g0, f)
+    h, fc = g0._c.astype(complex), f.value._c.astype(complex)
     worst = []
-    for _ in range(trials):
-        psi = random_multivector(rng) * f.value
-        phi = random_multivector(rng) * f.value
-        b = beta_inner_product(psi, phi, "dirac_dagger", g0, f)
-        matrix_side = (
-            to_matrix(psi).conj().T @ to_matrix(g0) @ to_matrix(phi) @ to_matrix(f.value)
-        )
-        worst.append(float(abs(to_matrix(b) - matrix_side).max()))
+    for n in _blocks(trials):
+        psi, phi = _ideal_pairs(rng, n, fc)
+        b = _beta(psi, phi, "dirac_dagger", h, fc)
+        matrix_side = _dagger(_matrices(psi)) @ _matrices(h) @ _matrices(phi) @ _matrices(fc)
+        worst.append(_max_entry(_matrices(b) - matrix_side))
     return _worst(worst)

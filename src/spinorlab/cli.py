@@ -27,6 +27,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -379,7 +380,9 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="spinorlab",
         description="verification suites for the spinor-dual laboratory",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import DET_TOL, GAMMA0
+from .weyl import DET_TOL, GAMMA0, _dagger, _modulus
 
 ONSHELL_TOL = 1e-12
 VALIDATION_TOL = 1e-10
@@ -93,22 +93,43 @@ def random_kinematics(rng) -> KinematicPoint:
 # -- Xi ----------------------------------------------------------------------
 
 
+def _terms(k) -> tuple:
+    """What the operator formulas read off a point: m, p, E, s, c = sin,
+    cos theta, ep = e^{-i phi} and m^4.  Terms already taken pass through."""
+    if not isinstance(k, KinematicPoint):
+        return k
+    return (k.m, k.p, k.E, math.sin(k.theta), math.cos(k.theta),
+            complex(math.cos(k.phi), -math.sin(k.phi)), k.m ** 4)
+
+
+def _stacked_terms(points) -> tuple:
+    """The terms of a sequence of points, each an (n, 1, 1) array that
+    broadcasts over a stack of matrices.  They are taken point by point
+    with math, so each row has the bits of its single point."""
+    return tuple(np.array(v).reshape(-1, 1, 1) for v in zip(*map(_terms, points)))
+
+
+def _matrix(rows, m) -> np.ndarray:
+    """Complex 4x4 matrix from its rows, or a stack of them when the mass
+    ``m`` is an (n, 1, 1) array of stacked terms."""
+    if not isinstance(m, np.ndarray):
+        return np.array(rows, dtype=complex)
+    out = np.empty(m.shape + (16,), dtype=complex)
+    for i, e in enumerate(e for row in rows for e in row):
+        out[..., i] = e
+    return out.reshape(-1, 4, 4)
+
+
 def xi_dagger(k: KinematicPoint) -> np.ndarray:
     """Closed form of Xi^dagger; block diagonal, entries linear in E, p."""
-    s, c = math.sin(k.theta), math.cos(k.theta)
-    ep, em = complex(math.cos(k.phi), -math.sin(k.phi)), complex(
-        math.cos(k.phi), math.sin(k.phi)
-    )
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = k.p * s
-    m[0, 1] = ep * (k.E - k.p * c)
-    m[1, 0] = -em * (k.E + k.p * c)
-    m[1, 1] = -k.p * s
-    m[2, 2] = -k.p * s
-    m[2, 3] = ep * (k.E + k.p * c)
-    m[3, 2] = -em * (k.E - k.p * c)
-    m[3, 3] = k.p * s
-    return (-1j / k.m) * m
+    m, p, E, s, c, ep, _ = _terms(k)
+    em = ep.conjugate()
+    return (-1j / m) * _matrix([
+        [p * s, ep * (E - p * c), 0, 0],
+        [-em * (E + p * c), -p * s, 0, 0],
+        [0, 0, -p * s, ep * (E + p * c)],
+        [0, 0, -em * (E - p * c), p * s],
+    ], m)
 
 
 def xi(k: KinematicPoint) -> np.ndarray:
@@ -116,7 +137,7 @@ def xi(k: KinematicPoint) -> np.ndarray:
 
     On shell it is an involution: Xi @ Xi = I.
     """
-    return xi_dagger(k).conj().T
+    return _dagger(xi_dagger(k))
 
 
 # -- the named operator family ------------------------------------------------
@@ -133,25 +154,27 @@ def named_operator(name: str, k: KinematicPoint) -> np.ndarray:
     H    : m^2 Xi Xi^dag
     Hinv : m^-2 Xi^dag Xi             inverse of H
     """
-    x = xi(k)
-    xd = x.conj().T
+    t = _terms(k)
+    m, p, E = t[:3]
+    x = xi(t)
+    xd = _dagger(x)
     g0 = GAMMA0
     if name == "G":
-        return (k.m / (2 * k.E)) * (g0 @ x + x @ g0)
+        return (m / (2 * E)) * (g0 @ x + x @ g0)
     if name == "F":
-        _require_momentum(k)
-        return (k.m / (2 * k.p)) * (g0 @ x - x @ g0)
+        _require_momentum(p)
+        return (m / (2 * p)) * (g0 @ x - x @ g0)
     if name == "FG":
-        _require_momentum(k)
-        return (k.m * k.m / (4 * k.E * k.p)) * (xd @ x - x @ xd)
+        _require_momentum(p)
+        return (m * m / (4 * E * p)) * (xd @ x - x @ xd)
     if name == "XiDagger":
         return g0 @ x @ g0
     if name == "GXiDagger":
-        return (k.m / (2 * k.E)) * (xd @ x + np.eye(4)) @ g0
+        return (m / (2 * E)) * (xd @ x + np.eye(4)) @ g0
     if name == "H":
-        return k.m * k.m * (x @ xd)
+        return m * m * (x @ xd)
     if name == "Hinv":
-        return (xd @ x) / (k.m * k.m)
+        return (xd @ x) / (m * m)
     raise ValueError(f"unknown operator name {name!r}; choose from {ELEMENT_NAMES}")
 
 
@@ -165,64 +188,51 @@ def closed_form(name: str, k: KinematicPoint) -> np.ndarray:
     multiplication tables and for Omega validity), and Hinv carries m^-4 so
     that H @ Hinv = I.
     """
-    s, c = math.sin(k.theta), math.cos(k.theta)
-    ep = complex(math.cos(k.phi), -math.sin(k.phi))
+    m, p, E, s, c, ep, m4 = t = _terms(k)
     em = ep.conjugate()
     if name == "G":
-        return np.array(
-            [
-                [0, 0, 0, -1j * ep],
-                [0, 0, 1j * em, 0],
-                [0, -1j * ep, 0, 0],
-                [1j * em, 0, 0, 0],
-            ],
-            dtype=complex,
-        )
+        return _matrix([
+            [0, 0, 0, -1j * ep],
+            [0, 0, 1j * em, 0],
+            [0, -1j * ep, 0, 0],
+            [1j * em, 0, 0, 0],
+        ], m)
     if name == "F":
-        _require_momentum(k)
-        return 1j * np.array(
-            [
-                [0, 0, -s, ep * c],
-                [0, 0, em * c, s],
-                [s, -ep * c, 0, 0],
-                [-em * c, -s, 0, 0],
-            ],
-            dtype=complex,
-        )
+        _require_momentum(p)
+        return 1j * _matrix([
+            [0, 0, -s, ep * c],
+            [0, 0, em * c, s],
+            [s, -ep * c, 0, 0],
+            [-em * c, -s, 0, 0],
+        ], m)
     if name == "FG":
-        return closed_form("F", k) @ closed_form("G", k)
+        return closed_form("F", t) @ closed_form("G", t)
     if name == "XiDagger":
-        return xi_dagger(k)
+        return xi_dagger(t)
     if name == "GXiDagger":
-        return closed_form("G", k) @ closed_form("XiDagger", k)
+        return closed_form("G", t) @ closed_form("XiDagger", t)
     if name in ("H", "Hinv"):
-        a = k.E * k.E + 2 * k.p * c * k.E + k.p * k.p
-        b = k.E * k.E - 2 * k.p * c * k.E + k.p * k.p
-        f = 2 * k.E * k.p * s
+        a = E * E + 2 * p * c * E + p * p
+        b = E * E - 2 * p * c * E + p * p
+        f = 2 * E * p * s
         if name == "H":
-            return np.array(
-                [
-                    [a, ep * f, 0, 0],
-                    [em * f, b, 0, 0],
-                    [0, 0, b, -ep * f],
-                    [0, 0, -em * f, a],
-                ],
-                dtype=complex,
-            )
-        return np.array(
-            [
-                [b, -ep * f, 0, 0],
-                [-em * f, a, 0, 0],
-                [0, 0, a, ep * f],
-                [0, 0, em * f, b],
-            ],
-            dtype=complex,
-        ) / k.m**4
+            return _matrix([
+                [a, ep * f, 0, 0],
+                [em * f, b, 0, 0],
+                [0, 0, b, -ep * f],
+                [0, 0, -em * f, a],
+            ], m)
+        return _matrix([
+            [b, -ep * f, 0, 0],
+            [-em * f, a, 0, 0],
+            [0, 0, a, ep * f],
+            [0, 0, em * f, b],
+        ], m) / m4
     raise ValueError(f"unknown operator name {name!r}; choose from {ELEMENT_NAMES}")
 
 
-def _require_momentum(k: KinematicPoint):
-    if k.p == 0:
+def _require_momentum(p):
+    if np.any(p == 0):
         raise SingularParameterError("F and FG are singular at p = 0")
 
 
@@ -231,7 +241,8 @@ def _require_momentum(k: KinematicPoint):
 
 @dataclass(frozen=True)
 class OperatorValidation:
-    """Outcome of a Delta/Omega validity check; truthy when it passed."""
+    """Outcome of a Delta/Omega validity check; truthy when it passed.  Of a
+    stack, ``ok``, ``residual`` and ``det`` hold one entry per matrix."""
 
     kind: str
     ok: bool
@@ -243,31 +254,44 @@ class OperatorValidation:
         return self.ok
 
     def require(self) -> None:
-        """Raise :class:`InvalidOperatorError` unless the check passed."""
-        if not self.ok:
-            raise InvalidOperatorError(
-                f"not a valid {self.kind.capitalize()}: constraint residual"
-                f" {self.residual:.3e} (tolerance {self.tolerance:.1e}),"
-                f" |det| = {abs(self.det):.3e}"
-            )
+        """Raise :class:`InvalidOperatorError` unless the check passed; for a
+        stack, name the first matrix that failed."""
+        if np.all(self.ok):
+            return
+        i = int(np.argmin(np.ravel(self.ok)))
+        raise InvalidOperatorError(
+            f"not a valid {self.kind.capitalize()}: constraint residual"
+            f" {np.ravel(self.residual)[i]:.3e} (tolerance {self.tolerance:.1e}),"
+            f" |det| = {abs(np.ravel(self.det)[i]):.3e}"
+        )
 
 
-def _validation(kind: str, m: np.ndarray, residual: float, tol: float) -> OperatorValidation:
+def _max_entry(m: np.ndarray):
+    """Largest entry modulus of a matrix, or an array of them for a stack."""
+    worst = abs(m).max(axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def _validation(kind: str, m: np.ndarray, residual, tol: float) -> OperatorValidation:
     """Pass when the constraint residual is within ``tol`` and m is invertible."""
-    det = complex(np.linalg.det(m))
-    return OperatorValidation(kind, residual <= tol and abs(det) > DET_TOL, residual, det, tol)
+    det = np.linalg.det(m)
+    ok = (residual <= tol) & (_modulus(det) > DET_TOL)
+    if det.ndim == 0:
+        det, ok = complex(det), bool(ok)
+    return OperatorValidation(kind, ok, residual, det, tol)
 
 
 def validate_delta(m: np.ndarray) -> OperatorValidation:
-    """Check Delta^dag g0 = g0 Delta and det != 0."""
+    """Check Delta^dag g0 = g0 Delta and det != 0, of a matrix or a stack."""
     m = np.asarray(m, dtype=complex)
-    residual = float(abs(m.conj().T @ GAMMA0 - GAMMA0 @ m).max())
+    residual = _max_entry(_dagger(m) @ GAMMA0 - GAMMA0 @ m)
     return _validation("delta", m, residual, VALIDATION_TOL)
 
 
-def omega_residual(m: np.ndarray, x: np.ndarray) -> float:
-    """Max entry of Omega^dag - Xi g0 Omega g0 Xi, given the matrix Xi."""
-    return float(abs(m.conj().T - x @ GAMMA0 @ m @ GAMMA0 @ x).max())
+def omega_residual(m: np.ndarray, x: np.ndarray):
+    """Max entry of Omega^dag - Xi g0 Omega g0 Xi, given the matrix Xi; an
+    array of them for a stack of Omegas."""
+    return _max_entry(_dagger(m) - x @ GAMMA0 @ m @ GAMMA0 @ x)
 
 
 def validate_omega(
@@ -296,6 +320,23 @@ def delta_to_omega(m: np.ndarray, k: KinematicPoint) -> np.ndarray:
 # -- random Delta and block structure -------------------------------------------
 
 
+#: where each real and imaginary part of a random Delta comes from: an index
+#: into the 16 draws u, into -u (16-31) or the zero at 32
+_DELTA_SLOTS = np.array([
+    [(0, 4), (1, 5), (10, 32), (8, 9)],
+    [(2, 6), (3, 7), (8, 25), (11, 32)],
+    [(14, 32), (12, 13), (0, 20), (2, 22)],
+    [(12, 29), (15, 32), (1, 21), (3, 23)],
+])
+
+
+def _delta_from(u: np.ndarray) -> np.ndarray:
+    """The Delta that :func:`random_delta` builds from 16 draws, for each
+    row of draws (..., 16)."""
+    values = np.concatenate([u, -u, np.zeros(u.shape[:-1] + (1,))], axis=-1)
+    return np.take(values, _DELTA_SLOTS, axis=-1).view(complex)[..., 0]
+
+
 def random_delta(seed) -> np.ndarray:
     """Random invertible Delta from the block pattern [[A, B], [C, A^dag]].
 
@@ -308,13 +349,7 @@ def random_delta(seed) -> np.ndarray:
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     while True:
-        u = rng.uniform(-1, 1, 16)
-        delta = np.empty((4, 4), dtype=complex)
-        delta[:2, :2] = (u[:4] + 1j * u[4:8]).reshape(2, 2)
-        delta[2:, 2:] = delta[:2, :2].conj().T
-        for rows, cols, (re, im, d0, d1) in ((0, 2, u[8:12]), (2, 0, u[12:])):
-            off = complex(re, im)
-            delta[rows:rows + 2, cols:cols + 2] = [[d0, off], [off.conjugate(), d1]]
+        delta = _delta_from(rng.uniform(-1, 1, 16))
         if abs(np.linalg.det(delta)) > DET_TOL:
             return delta
 
@@ -330,21 +365,22 @@ class DeltaBlocks:
     def reassemble(self) -> np.ndarray:
         return np.block([[self.A, self.B], [self.C, self.A.conj().T]])
 
-    def hermiticity_residual(self) -> float:
-        rb = abs(self.B - self.B.conj().T).max()
-        rc = abs(self.C - self.C.conj().T).max()
-        return float(max(rb, rc))
+    def hermiticity_residual(self):
+        """Largest entry of B - B^dag and C - C^dag; per Delta for stacked blocks."""
+        return _max_entry(np.concatenate(
+            [self.B - _dagger(self.B), self.C - _dagger(self.C)], axis=-1))
 
     def degrees_of_freedom(self) -> dict:
         return {"A": 8, "B": 4, "C": 4, "total": 16}
 
 
 def block_decompose(delta: np.ndarray) -> DeltaBlocks:
-    """Extract (A, B, C) from a valid Delta; rejects invalid input."""
+    """Extract (A, B, C) from a valid Delta, or stacked blocks from a stack;
+    rejects invalid input."""
     validate_delta(delta).require()
     delta = np.asarray(delta, dtype=complex)
     return DeltaBlocks(
-        A=delta[:2, :2].copy(), B=delta[:2, 2:].copy(), C=delta[2:, :2].copy()
+        A=delta[..., :2, :2].copy(), B=delta[..., :2, 2:].copy(), C=delta[..., 2:, :2].copy()
     )
 
 

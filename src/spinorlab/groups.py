@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualSpinor, KinematicPoint, validate_omega
+from .duals import DualSpinor, InvalidOperatorError, KinematicPoint, validate_omega
 from .multivector import Multivector, gamma
 from .weyl import DET_TOL, from_matrix, multivector_inverse, to_matrix
 
@@ -54,16 +54,14 @@ def check_abelian_closure(candidates, k: KinematicPoint) -> ClosureReport:
 
     Closure holds iff every pair commutes; equivalently every product again
     satisfies the Omega validity condition.  Invalid candidates are rejected
-    before the scan.
+    before the scan with :class:`InvalidOperatorError` naming the candidate.
     """
     mats = [np.asarray(m, dtype=complex) for m in candidates]
     for i, m in enumerate(mats):
-        check = validate_omega(m, k)
-        if not check:
-            raise ValueError(
-                f"candidate {i} is not a valid Omega "
-                f"(residual {check.residual:.3e}, |det| {abs(check.det):.3e})"
-            )
+        try:
+            validate_omega(m, k).require()
+        except InvalidOperatorError as exc:
+            raise InvalidOperatorError(f"candidate {i}: {exc}") from exc
     worst = 0.0
     worst_pair = None
     for i in range(len(mats)):

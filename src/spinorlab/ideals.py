@@ -17,6 +17,8 @@ import numpy as np
 from .multivector import (
     BLADE_COUNT,
     Multivector,
+    _involute,
+    _product,
     basis_blade,
     blade,
     coefficient_distance,
@@ -226,14 +228,9 @@ def verify_involution_conditions(kind: str, h: Multivector, f: Idempotent) -> bo
     return cond1 <= INVOLUTION_TOL and cond2 <= INVOLUTION_TOL
 
 
-def beta_inner_product(
-    psi: Multivector, phi: Multivector, kind: str, h: Multivector, f: Idempotent
-) -> Multivector:
-    """beta(psi, phi) = h alpha(psi) phi f, valued in the ring f·Cl·f.
-
-    Raises :class:`InvolutionConditionError` when the (alpha, h, f) triple
-    fails its compatibility conditions, naming the violated one.
-    """
+def _require_adjoint(kind: str, h: Multivector, f: Idempotent) -> None:
+    """Raise :class:`InvolutionConditionError` unless alpha(f) = h^-1 f h
+    and alpha(h) = h hold for an invertible h, naming the violated one."""
     try:
         r1, r2 = _involution_residuals(kind, h, f)
     except ZeroDivisionError as exc:
@@ -244,12 +241,34 @@ def beta_inner_product(
         )
     if r2 > INVOLUTION_TOL:
         raise InvolutionConditionError(f"alpha(h) != h (residual {r2:.3e})")
-    return h * involution(kind, psi) * phi * f.value
+
+
+def beta_inner_product(
+    psi: Multivector, phi: Multivector, kind: str, h: Multivector, f: Idempotent
+) -> Multivector:
+    """beta(psi, phi) = h alpha(psi) phi f, valued in the ring f·Cl·f.
+
+    Raises :class:`InvolutionConditionError` when the (alpha, h, f) triple
+    fails its compatibility conditions (see :func:`_require_adjoint`).
+    """
+    _require_adjoint(kind, h, f)
+    return Multivector._of(_beta(psi._c, phi._c, kind, h._c, f.value._c))
+
+
+def _beta(psi, phi, kind: str, h, f) -> np.ndarray:
+    """h alpha(psi) phi f of coefficient arrays, or row by row of stacks
+    (..., 16); the (alpha, h, f) conditions are the caller's to check."""
+    return _product(_product(_product(h, _involute(kind, psi)), phi), f)
 
 
 def ring_membership_residual(b: Multivector, f: Idempotent) -> float:
     """Distance of b from f·Cl·f, measured as |b - f b f|."""
-    return coefficient_distance(b, f.value * b * f.value)
+    return float(_ring_residual(b._c, f.value._c))
+
+
+def _ring_residual(b, f):
+    """|b - f b f| of coefficient arrays; one per row of a stack (..., 16)."""
+    return abs(b - _product(_product(f, b), f)).max(axis=-1)
 
 
 def find_adjoint_element(kind: str, f: Idempotent) -> Multivector | None:

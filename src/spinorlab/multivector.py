@@ -33,15 +33,6 @@ METRIC = (1, -1, -1, -1)
 #: grade of each blade mask (number of generators in the product)
 GRADE = tuple(mask.bit_count() for mask in range(BLADE_COUNT))
 
-#: involution kind -> the Multivector method that implements it
-_INVOLUTION_METHODS = {
-    "grade": "grade_involution",
-    "reversion": "reversion",
-    "clifford_conj": "clifford_conjugation",
-    "complex_conj": "complex_conjugate",
-    "dirac_dagger": "hermitian_conjugate",
-}
-
 #: coefficient types kept exactly, in an object array
 _EXACT = (int, Fraction)
 
@@ -78,6 +69,23 @@ _ODD = _GRADES % 2 == 1
 _REVERSED = (_GRADES * (_GRADES - 1) // 2) % 2 == 1
 #: grade-2 and grade-3 slots, where the self-adjoint basis carries a factor i
 _TURNED = np.isin(_GRADES, (2, 3))
+
+#: involution kind -> (the slots it negates, if any; whether it conjugates)
+_INVOLUTIONS = {
+    "grade": (_ODD, False),
+    "reversion": (_REVERSED, False),
+    "clifford_conj": (_ODD ^ _REVERSED, False),
+    "complex_conj": (None, True),
+    "dirac_dagger": (_REVERSED, True),
+}
+
+
+def _involute(kind: str, c: np.ndarray) -> np.ndarray:
+    """Involution ``kind`` of a coefficient array, or of each row of a stack."""
+    negated, conjugates = _INVOLUTIONS[kind]
+    if negated is not None:
+        c = np.where(negated, -c, c)
+    return c.conj() if conjugates else c
 
 
 def blade_key(mask: int) -> str:
@@ -118,6 +126,19 @@ def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             else:
                 out[ma ^ mb] -= ca * cb
     return np.array(out, dtype=object)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geometric product of coefficient arrays, or row by row of stacks
+    (..., 16), bit for bit as ``__mul__``: each row's table is laid out as
+    its one table is, so every row takes the same BLAS vector-matrix call.
+    Two exact arrays multiply exactly."""
+    a, b = _common(a, b)
+    if a.dtype == object:
+        return _exact_product(a, b)
+    table = np.take(b, _XOR, axis=-1)
+    table *= _SP
+    return (a[..., None, :] @ table)[..., 0, :]
 
 
 class Multivector:
@@ -211,16 +232,16 @@ class Multivector:
     # -- involutions --------------------------------------------------------
 
     def grade_involution(self) -> "Multivector":
-        return Multivector._of(np.where(_ODD, -self._c, self._c))
+        return Multivector._of(_involute("grade", self._c))
 
     def reversion(self) -> "Multivector":
-        return Multivector._of(np.where(_REVERSED, -self._c, self._c))
+        return Multivector._of(_involute("reversion", self._c))
 
     def clifford_conjugation(self) -> "Multivector":
-        return self.grade_involution().reversion()
+        return Multivector._of(_involute("clifford_conj", self._c))
 
     def complex_conjugate(self) -> "Multivector":
-        return Multivector._of(self._c.conj())
+        return Multivector._of(_involute("complex_conj", self._c))
 
     def hermitian_conjugate(self) -> "Multivector":
         """Reversion composed with complex conjugation.
@@ -229,7 +250,7 @@ class Multivector:
         in any representation with g0 Hermitian and the spatial generators
         anti-Hermitian.
         """
-        return self.reversion().complex_conjugate()
+        return Multivector._of(_involute("dirac_dagger", self._c))
 
     def __repr__(self):
         terms = []
@@ -297,11 +318,9 @@ def grade_projection(a: Multivector, k: int) -> Multivector:
 def involution(kind: str, a: Multivector) -> Multivector:
     """One of the canonical (anti)automorphisms of the algebra, or the
     gamma0-adjoint composite "dirac_dagger" (reversion then conjugation)."""
-    try:
-        method = _INVOLUTION_METHODS[kind]
-    except KeyError:
-        raise ValueError(f"unknown involution kind {kind!r}") from None
-    return getattr(a, method)()
+    if kind not in _INVOLUTIONS:
+        raise ValueError(f"unknown involution kind {kind!r}")
+    return Multivector._of(_involute(kind, a._c))
 
 
 def coefficient_distance(a: Multivector, b: Multivector):
@@ -334,12 +353,18 @@ def random_multivector(rng, *, real: bool = False, hermitian: bool = False,
     restricts which grades are populated.  Slots are drawn in ascending
     mask order, real part before imaginary part.
     """
+    return Multivector._of(_random_coefficients(rng, (), real, hermitian, grades))
+
+
+def _random_coefficients(rng, shape, real=False, hermitian=False, grades=None) -> np.ndarray:
+    """Coefficients (*shape, 16) of random multivectors, drawn in one call
+    and bit for bit as that many :func:`random_multivector` calls draw them."""
     wanted = set(range(DIMENSION + 1)) if grades is None else set(grades)
     slots = [m for m in range(BLADE_COUNT) if GRADE[m] in wanted]
-    parts = np.zeros((BLADE_COUNT, 2))  # real and imaginary part of each slot
+    parts = np.zeros((*shape, BLADE_COUNT, 2))  # real and imaginary parts
     if hermitian or real:
         column = _TURNED[slots].astype(int) if hermitian else 0
-        parts[slots, column] = rng.uniform(-1.0, 1.0, len(slots))
+        parts[..., slots, column] = rng.uniform(-1.0, 1.0, (*shape, len(slots)))
     else:
-        parts[slots] = rng.uniform(-1.0, 1.0, (len(slots), 2))
-    return Multivector._of(parts.view(complex).ravel())
+        parts[..., slots, :] = rng.uniform(-1.0, 1.0, (*shape, len(slots), 2))
+    return parts.view(complex)[..., 0]

@@ -9,15 +9,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
 from .multivector import BLADE_COUNT, DIMENSION, GRADE, Multivector
-from .weyl import to_matrix, weyl_gamma
+from .weyl import _matrices, _modulus, weyl_gamma
 
 #: largest pattern residual, imaginary part or odd-grade content that
 #: still counts as zero
 ZERO_TOL = 1e-10
+
+
+def _hamilton(a1, b1, c1, d1, a2, b2, c2, d2) -> tuple:
+    """Components of the Hamilton product; numbers or equal-shape arrays."""
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
 
 
 @dataclass(frozen=True)
@@ -42,14 +53,7 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-            return Quaternion(
-                a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-            )
+            return Quaternion(*_hamilton(*self.as_list(), *other.as_list()))
         return Quaternion(self.a * other, self.b * other,
                           self.c * other, self.d * other)
 
@@ -79,25 +83,40 @@ Q_I = Quaternion(0.0, 1.0)
 Q_J = Quaternion(0.0, 0.0, 1.0)
 Q_K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
+#: q = (a, b, c, d) -> [[a+ib, c+id], [-c+id, a-ib]]: the (real, imaginary)
+#: part of each entry as an index into (a, b, c, d, -a, -b, -c, -d)
+_M2C_SLOTS = np.array([[(0, 1), (2, 3)], [(6, 3), (0, 5)]])
+
+
+def _m2c(q: np.ndarray) -> np.ndarray:
+    """Complex 2x2 images (..., 2, 2) of quaternion components (..., 4)."""
+    values = np.concatenate([q, -q], axis=-1)
+    return np.take(values, _M2C_SLOTS, axis=-1).view(complex)[..., 0]
+
 
 def quat_to_m2c(q: Quaternion) -> np.ndarray:
     """Standard embedding q -> [[a+ib, c+id], [-c+id, a-ib]]."""
-    return np.array(
-        [
-            [complex(q.a, q.b), complex(q.c, q.d)],
-            [complex(-q.c, q.d), complex(q.a, -q.b)],
-        ]
-    )
+    return _m2c(np.array(q.as_list(), dtype=float))
 
 
-@dataclass(frozen=True)
 class QuatMatrix2:
-    """2x2 quaternionic matrix."""
+    """2x2 quaternionic matrix, or a stack of them: one real array ``q`` of
+    shape (..., 2, 2, 4), entry (i, j) holding its components a, b, c, d."""
 
-    q11: Quaternion
-    q12: Quaternion
-    q21: Quaternion
-    q22: Quaternion
+    __slots__ = ("q",)
+
+    def __init__(self, q11: Quaternion, q12: Quaternion, q21: Quaternion, q22: Quaternion):
+        self.q = np.array([[q11.as_list(), q12.as_list()],
+                           [q21.as_list(), q22.as_list()]], dtype=float)
+        self.q.flags.writeable = False
+
+    @classmethod
+    def _of(cls, q: np.ndarray) -> "QuatMatrix2":
+        """Wrap a component array, made read-only: a matrix is a value."""
+        out = object.__new__(cls)
+        out.q = q.view()
+        out.q.flags.writeable = False
+        return out
 
     @classmethod
     def identity(cls) -> "QuatMatrix2":
@@ -107,55 +126,59 @@ class QuatMatrix2:
     def diagonal(cls, q1: Quaternion, q2: Quaternion) -> "QuatMatrix2":
         return cls(q1, Q_ZERO, Q_ZERO, q2)
 
+    def _entry(self, i: int, j: int) -> Quaternion:
+        return Quaternion(*self.q[i, j].tolist())
+
+    q11 = property(lambda self: self._entry(0, 0))
+    q12 = property(lambda self: self._entry(0, 1))
+    q21 = property(lambda self: self._entry(1, 0))
+    q22 = property(lambda self: self._entry(1, 1))
+
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        return QuatMatrix2(self.q11 + other.q11, self.q12 + other.q12,
-                           self.q21 + other.q21, self.q22 + other.q22)
+        return QuatMatrix2._of(self.q + other.q)
 
     def __mul__(self, other):
         if isinstance(other, QuatMatrix2):
-            return QuatMatrix2(
-                self.q11 * other.q11 + self.q12 * other.q21,
-                self.q11 * other.q12 + self.q12 * other.q22,
-                self.q21 * other.q11 + self.q22 * other.q21,
-                self.q21 * other.q12 + self.q22 * other.q22,
-            )
-        return QuatMatrix2(self.q11 * other, self.q12 * other,
-                           self.q21 * other, self.q22 * other)
+            # t[..., i, k, j] = q_ik q'_kj; entry (i, j) sums it over k
+            t = np.stack(_hamilton(*np.moveaxis(self.q[..., :, :, None, :], -1, 0),
+                                   *np.moveaxis(other.q[..., None, :, :, :], -1, 0)), axis=-1)
+            return QuatMatrix2._of(t[..., 0, :, :] + t[..., 1, :, :])
+        if isinstance(other, Quaternion):  # each entry times other, on the right
+            return QuatMatrix2._of(np.stack(
+                _hamilton(*np.moveaxis(self.q, -1, 0), *other.as_list()), axis=-1))
+        if isinstance(other, Real):
+            return QuatMatrix2._of(self.q * other)
+        return NotImplemented
 
-    def __rmul__(self, other) -> "QuatMatrix2":
-        return QuatMatrix2(other * self.q11, other * self.q12,
-                           other * self.q21, other * self.q22)
+    __rmul__ = __mul__  # a real scalar times the matrix; Quaternion.__mul__ takes q * M
 
     def entries(self) -> tuple:
         return (self.q11, self.q12, self.q21, self.q22)
 
+    def __repr__(self) -> str:
+        return (f"QuatMatrix2(q11={self.q11!r}, q12={self.q12!r}, "
+                f"q21={self.q21!r}, q22={self.q22!r})")
+
 
 def gl2h_embed(a: QuatMatrix2) -> np.ndarray:
-    """Blockwise complex image of a quaternionic matrix; multiplicative."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0:2, 0:2] = quat_to_m2c(a.q11)
-    m[0:2, 2:4] = quat_to_m2c(a.q12)
-    m[2:4, 0:2] = quat_to_m2c(a.q21)
-    m[2:4, 2:4] = quat_to_m2c(a.q22)
-    return m
+    """Blockwise complex image of a quaternionic matrix, or of each matrix
+    of a stack; multiplicative."""
+    blocks = _m2c(a.q)  # (..., i, j, r, c) -> rows 2i + r, columns 2j + c
+    return np.swapaxes(blocks, -3, -2).reshape(a.q.shape[:-3] + (4, 4))
 
 
 # The conjugate-pair constraints of the embedded pattern: each odd row is
-# determined by the row above it.
-_PATTERN_PAIRS = (
-    ((1, 0), (0, 1), -1),
-    ((1, 1), (0, 0), +1),
-    ((1, 2), (0, 3), -1),
-    ((1, 3), (0, 2), +1),
-    ((3, 0), (2, 1), -1),
-    ((3, 1), (2, 0), +1),
-    ((3, 2), (2, 3), -1),
-    ((3, 3), (2, 2), +1),
-)
+# determined by the row above it, m[r, c] = sign * conj(m[r - 1, c ^ 1]) with
+# sign -1 in even columns and +1 in odd ones.
+_ROWS, _COLS = np.repeat([1, 3], 4), np.tile(np.arange(4), 2)
+_SIGNS = np.where(_COLS % 2, 1, -1)
 
 
 @dataclass(frozen=True)
 class PatternReport:
+    """Pattern verdict; for a stack of matrices ``matches`` and ``residual``
+    are arrays with one entry per matrix."""
+
     matches: bool
     residual: float
     dof: int
@@ -172,29 +195,23 @@ def is_quaternionic_pattern(m: np.ndarray) -> PatternReport:
     matching the real dimension of M2(H)).
     """
     m = np.asarray(m, dtype=complex)
-    residual = 0.0
-    for (r1, c1), (r2, c2), sign in _PATTERN_PAIRS:
-        residual = max(residual, float(abs(m[r1, c1] - sign * m[r2, c2].conjugate())))
+    first, second = m[..., _ROWS, _COLS], m[..., _ROWS - 1, _COLS ^ 1]
+    residual = _modulus(first - _SIGNS * second.conj()).max(axis=-1)
+    if residual.ndim == 0:
+        residual = float(residual)
     return PatternReport(residual <= ZERO_TOL, residual, pattern_dof())
 
 
 @lru_cache(maxsize=1)
 def pattern_dof() -> int:
     """Real dimension of the pattern's solution space: 32 minus constraint rank."""
-    rows = []
-    for (r1, c1), (r2, c2), sign in _PATTERN_PAIRS:
-        # entry (r, c) has real part at 2*(4r+c), imaginary at 2*(4r+c)+1
-        re1, im1 = 2 * (4 * r1 + c1), 2 * (4 * r1 + c1) + 1
-        re2, im2 = 2 * (4 * r2 + c2), 2 * (4 * r2 + c2) + 1
-        row_re = np.zeros(32)
-        row_re[re1] = 1.0
-        row_re[re2] = -sign
-        row_im = np.zeros(32)
-        row_im[im1] = 1.0
-        row_im[im2] = sign
-        rows.extend([row_re, row_im])
-    rank = np.linalg.matrix_rank(np.array(rows))
-    return 32 - int(rank)
+    # entry (r, c) has real part at 2*(4r+c), imaginary part one after it;
+    # row i asks re1 = sign re2, row 8 + i asks im1 = -sign im2
+    first, second = 2 * (4 * _ROWS + _COLS), 2 * (4 * (_ROWS - 1) + (_COLS ^ 1))
+    rows, i = np.zeros((16, 32)), np.arange(8)
+    rows[i, first], rows[i, second] = 1.0, -_SIGNS
+    rows[8 + i, first + 1], rows[8 + i, second + 1] = 1.0, _SIGNS
+    return 32 - int(np.linalg.matrix_rank(rows))
 
 
 # -- the quaternionic picture of real Cl(1,3) ------------------------------------
@@ -232,8 +249,7 @@ def _blade_images() -> tuple:
 @lru_cache(maxsize=1)
 def _image_components() -> np.ndarray:
     """Row per blade: the 16 real components (q11 a..d, q12, q21, q22) of its image."""
-    return np.array([[v for q in image.entries() for v in q.as_list()]
-                     for image in _blade_images()])
+    return np.array([image.q.ravel() for image in _blade_images()])
 
 
 def mv_to_m2h(x: Multivector) -> QuatMatrix2:
@@ -245,8 +261,12 @@ def mv_to_m2h(x: Multivector) -> QuatMatrix2:
         raise ValueError(
             f"mv_to_m2h needs real coefficients; blade {mask} has {x.coefficient(mask)}"
         )
-    parts = (c.real @ _image_components()).reshape(4, 4).tolist()
-    return QuatMatrix2(*(Quaternion(*q) for q in parts))
+    return _m2h(c.real)
+
+
+def _m2h(c: np.ndarray) -> QuatMatrix2:
+    """Quaternionic images of real coefficient arrays (..., 16), as one stack."""
+    return QuatMatrix2._of((c @ _image_components()).reshape(c.shape[:-1] + (2, 2, 4)))
 
 
 def even_to_m2c(x: Multivector) -> np.ndarray:
@@ -263,7 +283,12 @@ def even_to_m2c(x: Multivector) -> np.ndarray:
             raise ValueError(
                 f"even_to_m2c needs real coefficients; blade {mask} has {value}"
             )
-    return to_matrix(x)[0:2, 0:2].copy()
+    return _even_block(x._c.astype(complex, copy=False)).copy()
+
+
+def _even_block(c: np.ndarray) -> np.ndarray:
+    """Upper-left 2x2 blocks of the Weyl images of coefficient arrays (..., 16)."""
+    return _matrices(c)[..., :2, :2]
 
 
 @lru_cache(maxsize=1)

@@ -68,15 +68,48 @@ GAMMA0 = _GAMMAS[0]
 #: this is singular
 DET_TOL = 1e-12
 
+
+def _modulus(z):
+    """|z| of complex numbers, each as abs takes it of one number; numpy's
+    abs of a complex array can differ from that in the last bit."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 # Row-vector forms: to_matrix is c @ _BLADE_ROWS, and since the coefficient
 # of blade G_I is trace(M @ G_I^{-1}) / 4, from_matrix is _TRACE_DUAL @ vec(M).
+# The stacked forms keep one vector-matrix product per row, so a stack gets
+# the bits of the single multivector.
 _BLADE_ROWS = _BLADE_MATS.reshape(BLADE_COUNT, 16)
 _TRACE_DUAL = _BLADE_INV.transpose(0, 2, 1).reshape(BLADE_COUNT, 16) / 4
 
 
+def _matrices(c: np.ndarray) -> np.ndarray:
+    """Matrix images (..., 4, 4) of complex coefficient arrays (..., 16)."""
+    if c.ndim == 1:
+        return (c @ _BLADE_ROWS).reshape(4, 4)
+    return (c[..., None, :] @ _BLADE_ROWS).reshape(c.shape[:-1] + (4, 4))
+
+
+def _coefficients(m: np.ndarray) -> np.ndarray:
+    """Coefficient arrays (..., 16) of matrices (..., 4, 4); inverse of _matrices."""
+    if m.ndim == 2:
+        return _TRACE_DUAL @ m.ravel()
+    return (_TRACE_DUAL @ m.reshape(m.shape[:-2] + (16, 1)))[..., 0]
+
+
+def _dirac_dagger(c: np.ndarray) -> np.ndarray:
+    """The gamma0-adjoint of complex coefficient arrays (..., 16), through matrices."""
+    return _coefficients(GAMMA0 @ _dagger(_matrices(c)) @ GAMMA0)
+
+
 def to_matrix(a: Multivector) -> np.ndarray:
     """Matrix image of a multivector; an algebra homomorphism."""
-    return (a._c.astype(complex, copy=False) @ _BLADE_ROWS).reshape(4, 4)
+    return _matrices(a._c.astype(complex, copy=False))
 
 
 def from_matrix(m: np.ndarray) -> Multivector:
@@ -88,7 +121,7 @@ def from_matrix(m: np.ndarray) -> Multivector:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    return Multivector._of(_TRACE_DUAL @ m.ravel())
+    return Multivector._of(_coefficients(m))
 
 
 def dirac_dagger_dual(a: Multivector) -> Multivector:
@@ -97,8 +130,7 @@ def dirac_dagger_dual(a: Multivector) -> Multivector:
     Coincides with ``a.hermitian_conjugate()``; its fixed points are the
     real combinations of the self-adjoint basis blades.
     """
-    m = to_matrix(a)
-    return from_matrix(GAMMA0 @ m.conj().T @ GAMMA0)
+    return Multivector._of(_dirac_dagger(a._c.astype(complex, copy=False)))
 
 
 def multivector_inverse(a: Multivector) -> Multivector:

@@ -1,0 +1,278 @@
+"""The batched checks draw and measure exactly what trial-by-trial loops do.
+
+Each reference below is a trial-by-trial loop written with the
+single-operator functions.  A batched check must return the same values,
+bit for bit, and leave its generator in the same state, at trial counts on
+both sides of the block size.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from spinorlab import checks, duals
+from spinorlab.duals import (
+    ELEMENT_NAMES, KinematicPoint, block_decompose, closed_form, delta_to_omega,
+    named_operator, omega_residual, random_delta, random_kinematics, validate_delta, xi,
+)
+from spinorlab.ideals import beta_inner_product, canonical_idempotent, ring_membership_residual
+from spinorlab.multivector import (
+    Multivector, coefficient_distance, gamma, involution, random_multivector, scalar,
+)
+from spinorlab.quaternions import (
+    QuatMatrix2, Quaternion, even_to_m2c, gl2h_embed, intertwiner, is_quaternionic_pattern,
+    mv_to_m2h, quat_to_m2c,
+)
+from spinorlab.weyl import DET_TOL, GAMMA0, dirac_dagger_dual, to_matrix
+
+SEEDS = (0, 1, 7, 42, 123)
+BLOCK = checks._BLOCK
+COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 1000)
+K = KinematicPoint(1.3, 0.8, 0.7, 0.3)
+FR = canonical_idempotent("real")
+
+
+def worst(values):
+    return float(np.max(values))
+
+
+def weakest(values):
+    return float(np.min(values))
+
+
+def random_generic(rng):
+    return rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+
+
+def random_quat_matrix(rng):
+    return QuatMatrix2(*(Quaternion(*rng.uniform(-1, 1, 4)) for _ in range(4)))
+
+
+def quat_product(a, b):
+    """a b entry by entry with the scalar Quaternion arithmetic."""
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = a.entries(), b.entries()
+    return QuatMatrix2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                       a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
+def even_block(x):
+    """even_to_m2c without its input checks."""
+    return to_matrix(x)[:2, :2]
+
+
+def beta(psi, phi, kind, h, f):
+    """beta_inner_product without its (alpha, h, f) checks."""
+    return h * involution(kind, psi) * phi * f.value
+
+
+def block_embed(a):
+    """gl2h_embed as blocks of quat_to_m2c."""
+    return np.block([[quat_to_m2c(a.q11), quat_to_m2c(a.q12)],
+                     [quat_to_m2c(a.q21), quat_to_m2c(a.q22)]])
+
+
+def ref_block_pattern(rng, trials):
+    constraint, hermiticity = [], []
+    for _ in range(trials):
+        delta = random_delta(rng)
+        check = validate_delta(delta)
+        constraint.append(check.residual if check else max(check.residual, 1.0))
+        hermiticity.append(block_decompose(delta).hermiticity_residual())
+    return worst(constraint), worst(hermiticity)
+
+
+def ref_generic_acceptance(rng, trials):
+    return sum(bool(validate_delta(random_generic(rng))) for _ in range(trials))
+
+
+def ref_adjoint_fixed_points(rng, trials):
+    fixed, detected = [], []
+    for _ in range(trials):
+        x = random_multivector(rng, hermitian=True)
+        fixed.append(coefficient_distance(dirac_dagger_dual(x), x))
+        y = x + complex(0, 1e-6) * random_multivector(rng, hermitian=True)
+        detected.append(coefficient_distance(dirac_dagger_dual(y), y))
+    return worst(fixed), weakest(detected)
+
+
+def ref_closure(rng, trials, k=K):
+    x = xi(k)
+    commuting, noncommuting, inverse, det = [], [], [], []
+    for _ in range(trials):
+        base = delta_to_omega(random_delta(rng), k)
+        c = rng.uniform(-1, 1, 5)
+        om1 = c[0] * np.eye(4) + c[1] * base + c[2] * base @ base
+        om2 = c[3] * np.eye(4) + c[4] * base
+        commuting.append(omega_residual(om1 @ om2, x))
+        other = delta_to_omega(random_delta(rng), k)
+        noncommuting.append(omega_residual(base @ other, x))
+        inverse.append(omega_residual(np.linalg.inv(base), x))
+        delta_back = GAMMA0 @ base @ GAMMA0 @ x
+        det.append(abs(np.linalg.det(base) - np.linalg.det(delta_back)))
+    return worst(commuting), weakest(noncommuting), worst(inverse), worst(det)
+
+
+def ref_gl2h_homomorphism(rng, trials):
+    out = []
+    for _ in range(trials):
+        a, b = random_quat_matrix(rng), random_quat_matrix(rng)
+        out.append(float(abs(block_embed(quat_product(a, b))
+                             - block_embed(a) @ block_embed(b)).max()))
+    return worst(out)
+
+
+def ref_pattern_mistakes(rng, trials):
+    mistakes = 0
+    for _ in range(trials):
+        mistakes += not is_quaternionic_pattern(block_embed(random_quat_matrix(rng)))
+        mistakes += bool(is_quaternionic_pattern(random_generic(rng)))
+    return mistakes
+
+
+def ref_invertibility_transported(rng, trials):
+    samples = [random_multivector(rng, real=True) for _ in range(trials)]
+    samples.append(scalar(1) + gamma(0))
+    return all(
+        (abs(np.linalg.det(to_matrix(x))) > DET_TOL)
+        == (abs(np.linalg.det(gl2h_embed(mv_to_m2h(x)))) > DET_TOL)
+        for x in samples
+    )
+
+
+def ref_even_block_multiplicativity(rng, trials):
+    out = []
+    for _ in range(trials):
+        x = random_multivector(rng, real=True, grades=(0, 2, 4))
+        y = random_multivector(rng, real=True, grades=(0, 2, 4))
+        out.append(float(abs(even_block(x * y) - even_block(x) @ even_block(y)).max()))
+    return worst(out)
+
+
+def ref_intertwined_representations(rng, trials):
+    s = intertwiner()
+    s_inv = np.linalg.inv(s)
+    out = []
+    for _ in range(trials):
+        x = random_multivector(rng, real=True)
+        lhs = s @ gl2h_embed(mv_to_m2h(x)) @ s_inv
+        out.append(float(abs(lhs - to_matrix(x)).max()))
+    return worst(out)
+
+
+def ref_beta_in_ring(rng, trials, f=FR, real=True):
+    out = []
+    for _ in range(trials):
+        psi = random_multivector(rng, real=real) * f.value
+        phi = random_multivector(rng, real=real) * f.value
+        b = beta(psi, phi, "reversion", scalar(1), f)
+        out.append(coefficient_distance(b, f.value * b * f.value))
+    return worst(out)
+
+
+def ref_beta_matches_matrix_adjoint(rng, trials, f=FR):
+    g0 = gamma(0)
+    out = []
+    for _ in range(trials):
+        psi = random_multivector(rng) * f.value
+        phi = random_multivector(rng) * f.value
+        b = beta(psi, phi, "dirac_dagger", g0, f)
+        matrix_side = (
+            to_matrix(psi).conj().T @ to_matrix(g0) @ to_matrix(phi) @ to_matrix(f.value)
+        )
+        out.append(float(abs(to_matrix(b) - matrix_side).max()))
+    return worst(out)
+
+
+#: name -> (batched check, its trial-by-trial reference), both (rng, trials)
+PAIRS = {
+    "block_pattern": (checks.block_pattern, ref_block_pattern),
+    "generic_acceptance": (checks.generic_acceptance, ref_generic_acceptance),
+    "adjoint_fixed_points": (checks.adjoint_fixed_points, ref_adjoint_fixed_points),
+    "closure": (lambda rng, n: checks.closure(rng, n, K), ref_closure),
+    "gl2h_homomorphism": (checks.gl2h_homomorphism, ref_gl2h_homomorphism),
+    "pattern_mistakes": (checks.pattern_mistakes, ref_pattern_mistakes),
+    "invertibility_transported": (
+        checks.invertibility_transported, ref_invertibility_transported),
+    "even_block_multiplicativity": (
+        checks.even_block_multiplicativity, ref_even_block_multiplicativity),
+    "intertwined_representations": (
+        checks.intertwined_representations, ref_intertwined_representations),
+    "beta_in_ring_real": (
+        lambda rng, n: checks.beta_in_ring(rng, n, FR, real=True), ref_beta_in_ring),
+    "beta_in_ring_complex": (
+        lambda rng, n: checks.beta_in_ring(rng, n, FR, real=False),
+        lambda rng, n: ref_beta_in_ring(rng, n, real=False)),
+    "beta_matches_matrix_adjoint": (
+        lambda rng, n: checks.beta_matches_matrix_adjoint(rng, n, FR),
+        ref_beta_matches_matrix_adjoint),
+}
+
+
+def assert_same_stream(batched, reference, seed, counts=COUNTS):
+    for trials in counts:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert batched(rng, trials) == reference(ref_rng, trials), trials
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, trials
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", PAIRS)
+def test_batched_check_keeps_the_stream(name, seed):
+    assert_same_stream(*PAIRS[name], seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_operator_residual_matches_point_by_point(seed):
+    rng = np.random.default_rng(seed)
+    points = [random_kinematics(rng) for _ in range(max(COUNTS))]
+    for name in ELEMENT_NAMES:
+        each = [float(abs(named_operator(name, k) - closed_form(name, k)).max())
+                for k in points]
+        for n in COUNTS:
+            assert checks.operator_residual(name, points[:n]) == worst(each[:n]), (name, n)
+
+
+def test_operator_residual_rejects_zero_momentum_like_one_point():
+    points = [K, KinematicPoint(1.0, 0.0, 0.7, 0.3)]
+    assert checks.operator_residual("G", points) >= 0.0
+    with pytest.raises(duals.SingularParameterError):
+        checks.operator_residual("F", points)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["block_pattern", "closure"])
+def test_resampled_deltas_keep_the_stream(monkeypatch, name, seed):
+    # No natural seed draws a Delta with |det| <= 1e-12; at 0.05 about 3 in
+    # 100 do, and random_delta resamples them.
+    monkeypatch.setattr(duals, "DET_TOL", 0.05)
+    monkeypatch.setattr(checks, "DET_TOL", 0.05)
+    per_trial = []  # trials the batched check handed to random_delta
+    monkeypatch.setattr(checks, "random_delta", lambda rng: per_trial.append(1) or random_delta(rng))
+    assert_same_stream(*PAIRS[name], seed, counts=(1, BLOCK - 1, BLOCK + 1, 600))
+    assert per_trial
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_single_operator_functions_share_the_stacked_formulas(seed):
+    # beta_inner_product, ring_membership_residual and even_to_m2c run the
+    # helpers the batched checks run; on one operand they give the bits of
+    # the plain Multivector expressions.
+    rng = np.random.default_rng(seed)
+    psi, phi = (random_multivector(rng) * FR.value for _ in range(2))
+    for kind, h in (("reversion", scalar(1)), ("dirac_dagger", gamma(0))):
+        b = beta_inner_product(psi, phi, kind, h, FR)
+        assert np.array_equal(b._c, beta(psi, phi, kind, h, FR)._c)
+        assert ring_membership_residual(b, FR) == coefficient_distance(
+            b, FR.value * b * FR.value)
+    x = random_multivector(rng, real=True, grades=(0, 2, 4))
+    assert np.array_equal(even_to_m2c(x), even_block(x))
+
+
+def test_beta_of_exact_operands_stays_exact():
+    f = canonical_idempotent("real")
+    exact_f = type(f)(Multivector({0: Fraction(1, 2), 1: Fraction(1, 2)}))
+    psi = Multivector({0: 1, 3: Fraction(1, 3)}) * exact_f.value
+    b = beta_inner_product(psi, psi, "reversion", scalar(1), exact_f)
+    assert b._c.dtype == object
+    assert b == beta(psi, psi, "reversion", scalar(1), exact_f)

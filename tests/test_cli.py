@@ -52,6 +52,18 @@ def test_reports_are_deterministic(capsys):
     assert out1 == out2
 
 
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    _, plain = run(capsys, ["table1", "--trials", "5"])
+    _, loose = run(capsys, ["table1", "--trials", "5", "--tolerance", "1e-3"])
+    assert {c["tolerance"] for c in json.loads(loose)["checks"]} == {1e-3}
+    _, again = run(capsys, ["table1", "--trials", "5"])
+    assert {c["tolerance"] for c in json.loads(again)["checks"]} == {1e-9}
+    assert again == plain
+    assert run(capsys, ["dual", "--psi", "missing.json"])[0] == EXIT_BAD_INPUT
+    assert run(capsys, ["table1", "--trials", "5"])[1] == plain
+
+
 def test_table1_suite(capsys):
     code, out = run(capsys, ["table1", "--trials", "25", *KFLAGS])
     assert code == EXIT_OK

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinorlab.duals import (
+    InvalidOperatorError,
     KinematicPoint,
     delta_to_omega,
     named_operator,
@@ -80,6 +81,20 @@ def test_random_valid_pair_does_not_commute():
 def test_invalid_candidate_rejected_before_scan():
     with pytest.raises(ValueError):
         check_abelian_closure([np.eye(4), 1j * np.eye(4)], K)
+
+
+def test_invalid_candidate_error_is_the_omega_verdict():
+    # The verdict is worded once, by OperatorValidation.require, and keeps
+    # the candidate index.
+    bad = 1j * np.eye(4)
+    with pytest.raises(InvalidOperatorError) as info:
+        check_abelian_closure([np.eye(4), bad], K)
+    check = validate_omega(bad, K)
+    assert str(info.value) == (
+        f"candidate 1: not a valid Omega: constraint residual {check.residual:.3e}"
+        f" (tolerance 1.0e-10), |det| = {abs(check.det):.3e}"
+    )
+    assert isinstance(info.value.__cause__, InvalidOperatorError)
 
 
 def omega_condition_residual(om, k):
