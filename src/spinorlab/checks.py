@@ -18,8 +18,8 @@ from itertools import chain
 import numpy as np
 
 from .duals import (
-    _delta_from, _max_entry, _stacked_terms, block_decompose, closed_form, delta_to_omega,
-    named_operator, omega_residual, random_delta, validate_delta, xi,
+    ELEMENT_NAMES, _delta_from, _max_entry, _stacked_terms, block_decompose, closed_form,
+    delta_to_omega, named_operator, omega_residual, random_delta, validate_delta, xi,
 )
 from .ideals import _beta, _require_adjoint, _ring_residual
 from .multivector import METRIC, _product, _random_coefficients, coefficient_distance, gamma, scalar
@@ -119,11 +119,12 @@ def closure(rng, trials, k) -> tuple:
     return _worst(commuting), _weakest(noncommuting), _worst(inverse), _worst(det)
 
 
-def operator_residual(name, points) -> float:
-    """Worst entry of the defining expression of ``name`` minus its closed
-    form, over the kinematic ``points``."""
-    blocks = (_stacked_terms(points[i:i + _BLOCK]) for i in range(0, len(points), _BLOCK))
-    return _worst([_max_entry(named_operator(name, t) - closed_form(name, t)) for t in blocks])
+def operator_residuals(points) -> list:
+    """Worst entry of each named operator's defining expression minus its
+    closed form over the kinematic ``points``, in ``ELEMENT_NAMES`` order."""
+    blocks = [_stacked_terms(points[i:i + _BLOCK]) for i in range(0, len(points), _BLOCK)]
+    return [_worst([_max_entry(named_operator(name, t) - closed_form(name, t)) for t in blocks])
+            for name in ELEMENT_NAMES]
 
 
 def quaternion_clifford_relations() -> float:

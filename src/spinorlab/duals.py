@@ -80,14 +80,12 @@ class KinematicPoint:
         }
 
 
-def random_kinematics(rng) -> KinematicPoint:
-    """Generic on-shell point with O(1) parameters."""
-    return KinematicPoint(
-        m=rng.uniform(0.5, 2.0),
-        p=rng.uniform(0.5, 2.0),
-        theta=rng.uniform(0.05, math.pi - 0.05),
-        phi=rng.uniform(0.0, 2.0 * math.pi),
-    )
+def random_kinematics(rng, n) -> list:
+    """``n`` generic on-shell points with O(1) parameters, drawn in one call
+    and bit for bit as ``n`` draws of m, p, theta and phi in turn."""
+    low, high = (0.5, 0.5, 0.05, 0.0), (2.0, 2.0, math.pi - 0.05, 2.0 * math.pi)
+    # Python floats, not numpy's: m ** 4 differs between them in the last bit
+    return [KinematicPoint(*row) for row in rng.uniform(low, high, (n, 4)).tolist()]
 
 
 # -- Xi ----------------------------------------------------------------------
@@ -403,15 +401,15 @@ class DualSpinor:
 
 def dual_of(
     psi: np.ndarray, omega: np.ndarray, k: KinematicPoint,
-    tol: float = VALIDATION_TOL, *, check: OperatorValidation | None = None,
+    *, check: OperatorValidation | None = None,
 ) -> DualSpinor:
     """Dual spinor psi^dag g0 Xi Omega for a valid Omega.
 
-    ``check`` is the ``validate_omega(omega, k, tol)`` result when the
-    caller already has it; it is computed otherwise.
+    ``check`` is the caller's validation of ``omega`` when it already has
+    one; ``validate_omega(omega, k)`` is computed otherwise.
     """
     if check is None:
-        check = validate_omega(omega, k, tol)
+        check = validate_omega(omega, k)
     check.require()
     row = np.asarray(psi, dtype=complex).reshape(4).conj() @ GAMMA0 @ xi(k) @ omega
     return DualSpinor(row)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import DualSpinor, InvalidOperatorError, KinematicPoint, validate_omega
-from .multivector import Multivector, gamma
+from .multivector import _BLADES, _GRADES, _ODD, Multivector, _involute, _product
 from .weyl import DET_TOL, from_matrix, multivector_inverse, to_matrix
 
 GENERATION_CAP = 1024
@@ -256,25 +256,18 @@ class OrbitPartition:
         return {str(i): cls for i, cls in enumerate(self.classes)}
 
 
-def orbit_partition(
-    group: FiniteMatrixGroup, duals, tol: float = 1e-9, action: str = "right"
-) -> OrbitPartition:
+def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = 1e-9) -> OrbitPartition:
     """Group the supplied dual spinors into orbit classes.
 
-    Duals are row covectors, so the default action composes on the right,
-    ``psi -> psi @ g``; ``action="transpose"`` applies the transposed
-    convention ``psi -> psi @ g.T`` instead.  ``orbit_sizes`` counts the
-    distinct images of each representative, which divides the group order.
+    Duals are row covectors, so the group acts on the right, ``psi -> psi @ g``.
+    ``orbit_sizes`` counts the distinct images of each representative, which
+    divides the group order.
     """
-    if action not in ("right", "transpose"):
-        raise ValueError(f"unknown action {action!r}")
     rows = np.array([
         d.components if isinstance(d, DualSpinor) else np.asarray(d, complex).reshape(4)
         for d in duals
     ], dtype=complex).reshape(-1, 4)
     mats = np.array(group.elements)
-    if action == "transpose":
-        mats = mats.transpose(0, 2, 1)
 
     classes: list[list[int]] = []
     sizes: list[int] = []
@@ -307,6 +300,18 @@ class MembershipRecord:
     norm: complex
 
 
+#: coefficient slots of the generators e_0 .. e_3
+_VECTOR_SLOTS = [1 << mu for mu in range(4)]
+
+
+def _conjugates(x: np.ndarray, x_inv: np.ndarray) -> tuple:
+    """The rows x e_mu x_inv for mu = 0..3 as a (4, 16) stack, each with the
+    bits of (x * e_mu) * x_inv, and each row's sum of |coefficient| off
+    grade 1."""
+    images = _product(_product(x, _BLADES[_VECTOR_SLOTS]), x_inv)
+    return images, abs(np.where(_GRADES == 1, 0, images)).sum(axis=-1)
+
+
 def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     """Classify x within the Clifford group hierarchy.
 
@@ -315,10 +320,7 @@ def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     reversion norm x * rev(x) to a +-1 scalar; in_spin adds evenness and
     in_spin_plus picks the +1 norm sheet.
     """
-    odd = sum(
-        abs(v) for m, v in x.items() if m.bit_count() & 1
-    )
-    even = odd <= tol
+    even = bool(abs(x._c[_ODD]).sum() <= tol)
 
     norm_mv = x * x.reversion()
     norm = complex(norm_mv.scalar_part())
@@ -328,18 +330,11 @@ def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     except ZeroDivisionError:
         return MembershipRecord(even, False, False, False, False, False, norm)
 
-    in_gamma = True
-    for mu in range(4):
-        y = x * gamma(mu) * xinv
-        stray = sum(abs(v) for mk, v in y.items() if mk.bit_count() != 1)
-        imag = max((abs(complex(v).imag) for mk, v in y.items() if mk.bit_count() == 1),
-                   default=0.0)
-        if stray > tol or imag > tol:
-            in_gamma = False
-            break
+    images, stray = _conjugates(x._c, xinv._c)
+    in_gamma = bool(stray.max() <= tol and abs(images[:, _VECTOR_SLOTS].imag).max() <= tol)
 
-    off_scalar = sum(abs(v) for mk, v in norm_mv.items() if mk != 0)
-    unit = off_scalar <= tol and (abs(norm - 1) <= tol or abs(norm + 1) <= tol)
+    off_scalar = abs(norm_mv._c[1:]).sum()
+    unit = bool(off_scalar <= tol) and (abs(norm - 1) <= tol or abs(norm + 1) <= tol)
     in_pin = in_gamma and unit
     in_spin = in_pin and even
     in_spin_plus = in_spin and abs(norm - 1) <= tol
@@ -353,20 +348,12 @@ def twisted_adjoint(x: Multivector) -> np.ndarray:
     the grade involution (so odd elements act with the extra sign).  x and -x
     produce the same Lambda, and Lambda^T g Lambda = g.
     """
-    record = membership(x)
-    if not record.in_pin:
+    if not membership(x).in_pin:
         raise ValueError("twisted_adjoint requires a Pin element")
-    xh = x.grade_involution()
-    xinv = multivector_inverse(x)
-    lam = np.zeros((4, 4))
-    for nu in range(4):
-        y = xh * gamma(nu) * xinv
-        for mu in range(4):
-            lam[mu, nu] = complex(y.coefficient(1 << mu)).real
-        residual = sum(abs(v) for mk, v in y.items() if mk.bit_count() != 1)
-        if residual > 1e-8:
-            raise ValueError(f"conjugation left grade 1 by {residual:.3e}")
-    return lam
+    images, stray = _conjugates(_involute("grade", x._c), multivector_inverse(x)._c)
+    if stray.max() > 1e-8:
+        raise ValueError(f"conjugation left grade 1 by {stray[stray > 1e-8][0]:.3e}")
+    return images[:, _VECTOR_SLOTS].real.T
 
 
 def exp_bivector(b: Multivector) -> Multivector:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multivector import (
-    BLADE_COUNT,
+    _BLADES,
     Multivector,
     _involute,
     _product,
-    basis_blade,
     blade,
     coefficient_distance,
     gamma,
@@ -68,25 +67,20 @@ def canonical_idempotent(mode: str = "complex") -> Idempotent:
 # -- coefficient-space linear algebra ------------------------------------------
 
 
-def _mv_to_vec(a: Multivector) -> np.ndarray:
-    return a._c.astype(complex)
-
-
 def _real_vec(v: np.ndarray) -> np.ndarray:
-    return np.concatenate([v.real, v.imag])
+    """Real and imaginary parts of complex vectors, one real row each."""
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
-def _independent_subset(vectors, scalars: str):
-    """Greedy basis of a vector list over C or over R, by rank growth."""
-    basis_rows: list[np.ndarray] = []
-    chosen: list[int] = []
-    for i, v in enumerate(vectors):
-        row = v if scalars == "complex" else _real_vec(v)
-        trial = np.array(basis_rows + [row])
-        if np.linalg.matrix_rank(trial, tol=RANK_TOL) > len(basis_rows):
-            basis_rows.append(row)
-            chosen.append(i)
-    return chosen
+def _independent_rows(vectors: np.ndarray, scalars: str) -> list:
+    """Greedy basis among the rows of a coefficient stack over C or over R:
+    row i is chosen where the rank of the first i + 1 rows rises."""
+    rows = vectors.astype(complex)
+    if scalars == "real":
+        rows = _real_vec(rows)
+    prefixes = np.tril(np.ones((len(rows), len(rows))))[..., None] * rows
+    ranks = np.linalg.matrix_rank(prefixes, tol=RANK_TOL)
+    return [Multivector._of(vectors[i]) for i in np.flatnonzero(np.diff(ranks, prepend=0))]
 
 
 @dataclass(frozen=True)
@@ -108,22 +102,17 @@ def ideal_basis(f: Idempotent, side: str = "left", scalars: str = "complex") -> 
         raise ValueError(f"unknown side {side!r}")
     if scalars not in ("complex", "real"):
         raise ValueError(f"unknown scalar field {scalars!r}")
-    products = []
-    for mask in range(BLADE_COUNT):
-        b = basis_blade(mask)
-        products.append(b * f.value if side == "left" else f.value * b)
-    chosen = _independent_subset([_mv_to_vec(p) for p in products], scalars)
-    return IdealBasis([products[i] for i in chosen], side, scalars)
+    fc = f.value._c
+    products = _product(_BLADES, fc) if side == "left" else _product(fc, _BLADES)
+    return IdealBasis(_independent_rows(products, scalars), side, scalars)
 
 
 def project_onto_ideal(a: Multivector, basis: IdealBasis) -> float:
     """Residual of a outside the span of the ideal basis (least squares)."""
-    cols = [_mv_to_vec(g) for g in basis.generators]
-    target = _mv_to_vec(a)
+    vectors = np.array([g._c for g in basis.generators] + [a._c], dtype=complex)
     if basis.scalars == "real":
-        cols = [_real_vec(c) for c in cols]
-        target = _real_vec(target)
-    mat = np.column_stack(cols)
+        vectors = _real_vec(vectors)
+    mat, target = vectors[:-1].T, vectors[-1]
     coeffs, *_ = np.linalg.lstsq(mat, target, rcond=None)
     return float(abs(mat @ coeffs - target).max())
 
@@ -152,9 +141,8 @@ def division_ring_identify(f: Idempotent, scalars: str = "real") -> RingReport:
     """
     if scalars not in ("complex", "real"):
         raise ValueError(f"unknown scalar field {scalars!r}")
-    products = [f.value * basis_blade(mask) * f.value for mask in range(BLADE_COUNT)]
-    chosen = _independent_subset([_mv_to_vec(p) for p in products], scalars)
-    basis = [products[i] for i in chosen]
+    fc = f.value._c
+    basis = _independent_rows(_product(_product(fc, _BLADES), fc), scalars)
     dim = len(basis)
 
     if scalars == "complex":
@@ -281,15 +269,11 @@ def find_adjoint_element(kind: str, f: Idempotent) -> Multivector | None:
     candidate is returned, or None when the search fails.
     The returned h is one solution among many, not a canonical choice.
     """
-    alpha_f = involution(kind, f.value)
-    rows = []
-    for mask in range(BLADE_COUNT):
-        e = basis_blade(mask)
-        cond1 = alpha_f * e - e * f.value
-        cond2 = involution(kind, e) - e
-        rows.append(np.concatenate([_real_vec(_mv_to_vec(cond1)),
-                                    _real_vec(_mv_to_vec(cond2))]))
-    system = np.array(rows).T  # columns indexed by blade, rows by condition
+    fc = f.value._c
+    cond1 = _product(_involute(kind, fc), _BLADES) - _product(_BLADES, fc)
+    cond2 = _involute(kind, _BLADES) - _BLADES
+    rows = [_real_vec(c.astype(complex)) for c in (cond1, cond2)]
+    system = np.concatenate(rows, axis=-1).T  # columns indexed by blade, rows by condition
     _, sv, vh = np.linalg.svd(system)
     null = vh[int((sv > 1e-10 * sv[0]).sum()):].T
     if null.shape[1] == 0:

@@ -132,10 +132,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric product of coefficient arrays, or row by row of stacks
     (..., 16), bit for bit as ``__mul__``: each row's table is laid out as
     its one table is, so every row takes the same BLAS vector-matrix call.
-    Two exact arrays multiply exactly."""
+    Two exact arrays or stacks multiply exactly."""
     a, b = _common(a, b)
     if a.dtype == object:
-        return _exact_product(a, b)
+        a, b = np.broadcast_arrays(a, b)
+        pairs = zip(a.reshape(-1, BLADE_COUNT), b.reshape(-1, BLADE_COUNT))
+        return np.array([_exact_product(x, y) for x, y in pairs], dtype=object).reshape(a.shape)
     table = np.take(b, _XOR, axis=-1)
     table *= _SP
     return (a[..., None, :] @ table)[..., 0, :]
@@ -267,6 +269,8 @@ class Multivector:
 ZERO = Multivector()
 ONE = Multivector({0: 1})
 _GENERATORS = tuple(Multivector({1 << mu: 1}) for mu in range(DIMENSION))
+#: every basis blade as an exact coefficient row, row ``mask`` for blade ``mask``
+_BLADES = np.eye(BLADE_COUNT, dtype=object)
 
 
 def scalar(value) -> Multivector:

@@ -14,7 +14,7 @@ from numbers import Real
 import numpy as np
 
 from .multivector import BLADE_COUNT, DIMENSION, GRADE, Multivector
-from .weyl import _matrices, _modulus, weyl_gamma
+from .weyl import DET_TOL, _matrices, _modulus, weyl_gamma
 
 #: largest pattern residual, imaginary part or odd-grade content that
 #: still counts as zero
@@ -310,6 +310,6 @@ def intertwiner() -> np.ndarray:
     if sv[-1] > np.finfo(float).eps * max(system.shape) * sv[0]:
         raise RuntimeError("no intertwiner found; representations inequivalent")
     s = vh[-1].conj().reshape((4, 4), order="F")
-    if abs(np.linalg.det(s)) < 1e-10:
+    if abs(np.linalg.det(s)) <= DET_TOL:
         raise RuntimeError("intertwiner candidate is singular")
     return s

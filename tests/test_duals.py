@@ -32,7 +32,7 @@ ROOT2 = math.sqrt(2.0)
 
 def sample_points(seed, n):
     rng = np.random.default_rng(seed)
-    return [random_kinematics(rng) for _ in range(n)]
+    return random_kinematics(rng, n)
 
 
 # -- kinematics ---------------------------------------------------------------

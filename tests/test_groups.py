@@ -1,6 +1,7 @@
 """Group machinery: closure, generation, Cayley tables, orbits, hierarchy."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from spinorlab.duals import (
     delta_to_omega,
     named_operator,
     random_delta,
-    random_kinematics,
     validate_omega,
     xi,
 )
@@ -22,6 +22,7 @@ from spinorlab.groups import (
     exp_bivector,
     generate_group,
     group_from_elements,
+    MembershipRecord,
     identify_group,
     membership,
     orbit_partition,
@@ -36,7 +37,7 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.weyl import GAMMA0, to_matrix, weyl_gamma
+from spinorlab.weyl import GAMMA0, multivector_inverse, to_matrix, weyl_gamma
 
 K = KinematicPoint(1.0, 1.0, 0.7, 0.3)
 
@@ -314,22 +315,19 @@ def test_random_duals_match_brute_force_oracle():
     assert len(partition.classes) == brute_force_class_count(group, rows, 1e-9)
 
 
-@pytest.mark.parametrize("action", ["right", "transpose"])
-def test_400_shuffled_rows_match_brute_force_oracle(action):
+def test_400_shuffled_rows_match_brute_force_oracle():
     group = group_from_elements(gf_elements(K), ["I", "G", "F", "FG"])
     rng = np.random.default_rng(14)
     rows = []
     for _ in range(100):
         base = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rows += [base @ (g if action == "right" else g.T) for g in group.elements]
+        rows += [base @ g for g in group.elements]
     order = rng.permutation(len(rows))
     rows = [rows[i] for i in order]
-    partition = orbit_partition(group, rows, action=action)
+    partition = orbit_partition(group, rows)
     owners = [[j for j in range(400) if order[j] // 4 == b] for b in range(100)]
     assert partition.classes == sorted(owners)
-    transposed = group_from_elements([g.T for g in group.elements])
-    oracle_group = group if action == "right" else transposed
-    assert len(partition.classes) == brute_force_class_count(oracle_group, rows, 1e-9)
+    assert len(partition.classes) == brute_force_class_count(group, rows, 1e-9)
     assert partition.representatives == [cls[0] for cls in partition.classes]
     assert all(type(j) is int for cls in partition.classes for j in cls)
 
@@ -360,16 +358,6 @@ def test_partition_invariant_under_input_permutation():
     sizes1 = sorted(len(c) for c in p1.classes)
     sizes2 = sorted(len(c) for c in p2.classes)
     assert sizes1 == sizes2
-
-
-def test_transpose_action_switch():
-    group = group_from_elements(gf_elements(K), ["I", "G", "F", "FG"])
-    rng = np.random.default_rng(7)
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    rows = [psi, psi @ group.elements[2].T]
-    assert orbit_partition(group, rows, action="transpose").classes == [[0, 1]]
-    with pytest.raises(ValueError):
-        orbit_partition(group, rows, action="left")
 
 
 # -- hierarchy membership --------------------------------------------------------------------
@@ -484,6 +472,79 @@ def test_twisted_adjoint_homomorphism_on_pin_pairs():
 def test_twisted_adjoint_rejects_non_pin():
     with pytest.raises(ValueError):
         twisted_adjoint(scalar(2))
+
+
+# -- the stacked conjugates against element-by-element references -------------------------
+
+
+def ref_membership(x, tol=1e-10):
+    """membership with one Multivector product per generator and scans of
+    the nonzero coefficients."""
+    even = sum(abs(v) for m, v in x.items() if m.bit_count() & 1) <= tol
+    norm_mv = x * x.reversion()
+    norm = complex(norm_mv.scalar_part())
+    try:
+        xinv = multivector_inverse(x)
+    except ZeroDivisionError:
+        return MembershipRecord(even, False, False, False, False, False, norm)
+    in_gamma = True
+    for mu in range(4):
+        y = x * gamma(mu) * xinv
+        stray = sum(abs(v) for m, v in y.items() if m.bit_count() != 1)
+        imag = max((abs(complex(v).imag) for m, v in y.items() if m.bit_count() == 1),
+                   default=0.0)
+        in_gamma = in_gamma and stray <= tol and imag <= tol
+    off_scalar = sum(abs(v) for m, v in norm_mv.items() if m != 0)
+    unit = off_scalar <= tol and (abs(norm - 1) <= tol or abs(norm + 1) <= tol)
+    in_pin = in_gamma and unit
+    in_spin = in_pin and even
+    return MembershipRecord(even, True, in_gamma, in_pin, in_spin,
+                            in_spin and abs(norm - 1) <= tol, norm)
+
+
+def ref_twisted_adjoint(x):
+    """twisted_adjoint with one Multivector product per generator."""
+    if not ref_membership(x).in_pin:
+        raise ValueError("twisted_adjoint requires a Pin element")
+    xh, xinv = x.grade_involution(), multivector_inverse(x)
+    lam = np.zeros((4, 4))
+    for nu in range(4):
+        y = xh * gamma(nu) * xinv
+        for mu in range(4):
+            lam[mu, nu] = complex(y.coefficient(1 << mu)).real
+        residual = sum(abs(v) for m, v in y.items() if m.bit_count() != 1)
+        if residual > 1e-8:
+            raise ValueError(f"conjugation left grade 1 by {residual:.3e}")
+    return lam
+
+
+def outcome(f, x):
+    """What f(x) returns, or the text of the ValueError it raises."""
+    try:
+        return f(x)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_conjugates_match_element_by_element_references():
+    rng = np.random.default_rng(15)
+    rotors = [exp_bivector(random_multivector(rng, real=True, grades=(2,))) for _ in range(1000)]
+    samples = rotors + [r * gamma(mu) for mu, r in enumerate(rotors[:4])] + [
+        gamma(0), blade((1, 2, 3)), scalar(1) + gamma(0), scalar(2), 1j * gamma(1),
+        random_multivector(rng),
+    ]
+    rejected = 0
+    for x in samples:
+        record = membership(x)
+        assert record == ref_membership(x)
+        assert all(type(flag) is bool for flag in astuple(record)[:-1])
+        lam, ref = outcome(twisted_adjoint, x), outcome(ref_twisted_adjoint, x)
+        if isinstance(ref, str):
+            assert lam == ref
+            rejected += 1
+        else:
+            assert np.array_equal(lam, ref)
+    assert rejected == 3  # 1 + e0, scalar(2) and the generic element are not in Pin
 
 
 # -- rotor exponential --------------------------------------------------------------------------

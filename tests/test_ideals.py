@@ -1,9 +1,12 @@
 """Algebraic spinor spaces: idempotents, ideals, division rings, beta."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from spinorlab.ideals import (
+    RANK_TOL,
     Idempotent,
     InvolutionConditionError,
     beta_inner_product,
@@ -16,7 +19,9 @@ from spinorlab.ideals import (
     verify_involution_conditions,
 )
 from spinorlab.multivector import (
+    BLADE_COUNT,
     Multivector,
+    basis_blade,
     blade,
     coefficient_distance,
     gamma,
@@ -28,7 +33,9 @@ from spinorlab.weyl import to_matrix
 
 FC = canonical_idempotent("complex")
 FR = canonical_idempotent("real")
+EXACT_FR = Idempotent(Multivector({0: Fraction(1, 2), 1: Fraction(1, 2)}))
 ONE = scalar(1)
+BLADES = [basis_blade(mask) for mask in range(BLADE_COUNT)]
 
 
 def test_canonical_idempotents_are_idempotent():
@@ -239,3 +246,82 @@ def test_beta_rejects_asymmetric_h():
     with pytest.raises(InvolutionConditionError) as err:
         beta_inner_product(FR.value, FR.value, "reversion", h, FR)
     assert "alpha(h)" in str(err.value) or "alpha(f)" in str(err.value)
+
+
+# -- the stacked spans against blade-by-blade references ----------------------------
+
+
+def ref_independent(vectors, scalars):
+    """Greedy basis by one rank test per candidate against the kept rows."""
+    kept, chosen = [], []
+    for v in vectors:
+        row = v._c.astype(complex)
+        if scalars == "real":
+            row = np.concatenate([row.real, row.imag])
+        if np.linalg.matrix_rank(np.array(kept + [row]), tol=RANK_TOL) > len(kept):
+            kept.append(row)
+            chosen.append(v)
+    return chosen
+
+
+def ref_find_adjoint_element(kind, f):
+    """find_adjoint_element with the linear system built blade by blade."""
+    alpha_f = involution(kind, f.value)
+    rows = []
+    for e in BLADES:
+        cond1 = (alpha_f * e - e * f.value)._c.astype(complex)
+        cond2 = (involution(kind, e) - e)._c.astype(complex)
+        rows.append(np.concatenate([cond1.real, cond1.imag, cond2.real, cond2.imag]))
+    _, sv, vh = np.linalg.svd(np.array(rows).T)
+    null = vh[int((sv > 1e-10 * sv[0]).sum()):].T
+    if null.shape[1] == 0:
+        return None
+    rng = np.random.default_rng(0)
+    candidates = [null[:, i] for i in range(null.shape[1])]
+    candidates += [null @ rng.uniform(-1, 1, null.shape[1]) for _ in range(32)]
+    for coeffs in candidates:
+        h = Multivector({m: c for m, c in enumerate(coeffs) if abs(c) > 1e-12})
+        if h.is_zero(1e-9):
+            continue
+        try:
+            if verify_involution_conditions(kind, h, f):
+                return h
+        except ZeroDivisionError:
+            continue
+    return None
+
+
+def assert_same_multivectors(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a._c.dtype == b._c.dtype and np.array_equal(a._c, b._c)
+
+
+@pytest.mark.parametrize("scalars", ["complex", "real"])
+@pytest.mark.parametrize("f", [FC, FR, EXACT_FR, Idempotent(ONE)],
+                         ids=["complex", "real", "exact", "unit"])
+def test_spans_match_blade_by_blade_references(f, scalars):
+    for side in ("left", "right"):
+        products = [b * f.value if side == "left" else f.value * b for b in BLADES]
+        assert_same_multivectors(ideal_basis(f, side, scalars).generators,
+                                 ref_independent(products, scalars))
+    ring = division_ring_identify(f, scalars)
+    assert_same_multivectors(ring.basis, ref_independent([f.value * b * f.value for b in BLADES],
+                                                         scalars))
+
+
+def test_exact_idempotent_keeps_exact_spans():
+    generators = ideal_basis(EXACT_FR, "left", "real").generators
+    ring = division_ring_identify(EXACT_FR, "real")
+    assert (len(generators), ring.name, ring.dimension) == (8, "H", 4)
+    assert all(g._c.dtype == object for g in generators + ring.basis)
+
+
+@pytest.mark.parametrize("kind", ["grade", "reversion", "clifford_conj", "complex_conj",
+                                  "dirac_dagger"])
+@pytest.mark.parametrize("f", [FC, FR, EXACT_FR], ids=["complex", "real", "exact"])
+def test_find_adjoint_element_matches_blade_by_blade_reference(f, kind):
+    h, ref = find_adjoint_element(kind, f), ref_find_adjoint_element(kind, f)
+    assert (h is None) == (ref is None)
+    if h is not None:
+        assert_same_multivectors([h], [ref])

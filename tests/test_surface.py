@@ -21,8 +21,10 @@ FIXED = [
     (weyl, "multivector_inverse", "det_tol"),
     (duals, "validate_delta", "tol"),
     (duals, "block_decompose", "tol"),
+    (duals, "dual_of", "tol"),
     (groups, "check_abelian_closure", "tol"),
     (groups, "generate_group", "tol"),
+    (groups, "orbit_partition", "action"),
     (groups, "twisted_adjoint", "tol"),
     (ideals, "verify_involution_conditions", "tol"),
     (ideals, "beta_inner_product", "tol"),
@@ -44,7 +46,7 @@ def test_fixed_values_are_not_parameters(module, name, param):
 
 def test_det_tol_is_defined_once():
     assert duals.DET_TOL is DET_TOL and groups.DET_TOL is DET_TOL
-    assert checks.DET_TOL is DET_TOL
+    assert checks.DET_TOL is DET_TOL and quaternions.DET_TOL is DET_TOL
 
 
 @pytest.mark.parametrize("side, invertible", [(0.5, False), (2.0, True)])
