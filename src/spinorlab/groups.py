@@ -133,20 +133,46 @@ def _find(stored: np.ndarray, x: np.ndarray, tol: float):
     return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
 
 
-#: products looked up per _find call while building a Cayley table; a
-#: call's temporaries hold _TABLE_BLOCK * n * 16 entries
+#: products looked up per keyed call while building a Cayley table or
+#: closing a group; a call's temporaries hold _TABLE_BLOCK * n key gaps
 _TABLE_BLOCK = 64
+#: unit-modulus weights of the lookup key Re(w . row)
+_KEY_WEIGHTS = np.exp(1j * np.arange(1, 17))
 
 
-def _build_table(elements, tol: float) -> np.ndarray:
-    n = len(elements)
-    stack = np.array(elements)
+def _key(rows: np.ndarray) -> np.ndarray:
+    """Key of each row of a (n, 16) stack; NaN, which matches any key, on overflow."""
+    key = (rows @ _KEY_WEIGHTS).real
+    return np.where(np.isfinite(key), key, np.nan)
+
+
+def _matches(stored: np.ndarray, keys: np.ndarray, x: np.ndarray, tol: float):
+    """Boolean matrix, [i, j] set where x[i] is within max-entry distance
+    ``tol`` of stored[j], whose keys are ``keys``.  Only pairs with keys within
+    16 ``tol`` (|w| = 1) plus 1e-13 of the 1-norm (ten times a key's
+    rounding), or NaN, get the full entry test."""
+    reach = 16 * tol + 1e-13 * (abs(x).sum(axis=-1) + 16 * tol)
+    hits = ~(abs(keys - _key(x)[:, None]) > reach[:, None])
+    i, j = np.divmod(np.flatnonzero(hits), len(keys))
+    hits[i, j] = (abs(stored[j] - x[i]) <= tol).all(axis=-1)
+    return hits
+
+
+def _lookup(stored: np.ndarray, keys: np.ndarray, x: np.ndarray, tol: float):
+    """``_find(stored, x, tol)`` for a stack of rows x, through the keys."""
+    hits = _matches(stored, keys, x, tol)
+    return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
+
+
+def _build_table(stack: np.ndarray, tol: float) -> np.ndarray:
+    n = len(stack)
     flat = stack.reshape(n, 16)
+    keys = _key(flat)
     table = np.zeros((n, n), dtype=int)
     for i in range(n):
         row = (stack[i] @ stack).reshape(n, 16)
         for j in range(0, n, _TABLE_BLOCK):
-            table[i, j:j + _TABLE_BLOCK] = _find(flat, row[j:j + _TABLE_BLOCK], tol)
+            table[i, j:j + _TABLE_BLOCK] = _lookup(flat, keys, row[j:j + _TABLE_BLOCK], tol)
         if (table[i] < 0).any():
             raise ValueError("element set is not closed under products")
     return table
@@ -157,7 +183,7 @@ def group_from_elements(elements, labels=None, tol: float = 1e-9) -> FiniteMatri
     mats = [np.asarray(m, dtype=complex) for m in elements]
     if labels is None:
         labels = [f"g{i}" for i in range(len(mats))]
-    group = FiniteMatrixGroup(mats, list(labels), _build_table(mats, tol))
+    group = FiniteMatrixGroup(mats, list(labels), _build_table(np.array(mats), tol))
     group.identity_index  # raises if missing
     for i in range(group.order):
         group.inverse_index(i)
@@ -167,12 +193,18 @@ def group_from_elements(elements, labels=None, tol: float = 1e-9) -> FiniteMatri
 def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> FiniteMatrixGroup:
     """Close a generator set under products and inverses.
 
-    Breadth-first from the identity: each new element is multiplied on the
+    Breadth-first from the identity: each element is multiplied on the
     right by every generator and every generator inverse, and a product
-    within max-entry distance ``10 * DEDUP_TOL`` of a stored element is a
-    duplicate.  Raises :class:`CapExceeded` once more than ``cap`` distinct
-    elements appear, which is the cheap certificate that the generated
-    group is not small.
+    within max-entry distance ``10 * DEDUP_TOL`` of an element found before
+    it is a duplicate.  Raises :class:`CapExceeded` once more than ``cap``
+    distinct elements appear, which is the cheap certificate that the
+    generated group is not small.
+
+    The walk takes its queue in blocks of ``_TABLE_BLOCK // len(steps)``
+    parents: one stacked product, a lookup among the stored elements and one
+    among the block's earlier products, then a greedy pass in discovery
+    order.  A lookup fully tests only rows with keys ``Re(w . row)`` within 16
+    tolerances plus rounding, as every match has, so the result is exact.
     """
     gens = [np.asarray(m, dtype=complex) for m in generators]
     for i, g in enumerate(gens):
@@ -180,27 +212,29 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
             raise ValueError(f"generator {i} is not invertible")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
-    steps = []
-    for g, name in zip(gens, labels):
-        steps += [(g, name), (np.linalg.inv(g), f"{name}^-1")]
+    mats = np.array([m for g in gens for m in (g, np.linalg.inv(g))])
+    steps = [step for name in labels for step in (name, f"{name}^-1")]
 
-    elements = [np.eye(4, dtype=complex)]
-    names = ["I"]
-    flat = elements[0].reshape(1, 16)
-    # Iterating the lists while they grow visits elements in discovery
-    # order, which is what makes the walk breadth-first.
-    for m, name in zip(elements, names):
-        for g, step in steps:
-            prod = m @ g
-            if _find(flat, prod.ravel(), 10 * DEDUP_TOL) >= 0:
-                continue
-            flat = np.concatenate([flat, prod.reshape(1, 16)])
-            elements.append(prod)
-            names.append(_compose_label(name, step))
-            if len(elements) > cap:
-                raise CapExceeded(cap, len(elements))
-
-    return FiniteMatrixGroup(elements, names, _build_table(elements, 10 * DEDUP_TOL))
+    flat = np.eye(4, dtype=complex).reshape(1, 16)
+    keys, names, done = _key(flat), ["I"], 0
+    while done < len(flat):
+        parents = flat[done:done + max(1, _TABLE_BLOCK // len(steps))].reshape(-1, 4, 4)
+        prods = (parents[:, None] @ mats).reshape(-1, 16)
+        dup = _lookup(flat, keys, prods, 10 * DEDUP_TOL) >= 0
+        inner = _matches(prods, _key(prods), prods, 10 * DEDUP_TOL)
+        for later, earlier in zip(*np.nonzero(np.tril(inner, -1))):
+            if not dup[earlier]:
+                dup[later] = True
+        new = np.flatnonzero(~dup)
+        names += [_compose_label(names[done + j // len(steps)], steps[j % len(steps)])
+                  for j in new]
+        if len(names) > cap:
+            raise CapExceeded(cap, cap + 1)
+        flat = np.concatenate([flat, prods[new]])
+        keys = np.concatenate([keys, _key(prods[new])])
+        done += len(parents)
+    stack = flat.reshape(-1, 4, 4)
+    return FiniteMatrixGroup(list(stack), names, _build_table(stack, 10 * DEDUP_TOL))
 
 
 def _compose_label(a: str, b: str) -> str:
@@ -320,6 +354,11 @@ def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     reversion norm x * rev(x) to a +-1 scalar; in_spin adds evenness and
     in_spin_plus picks the +1 norm sheet.
     """
+    return _membership(x, tol)[0]
+
+
+def _membership(x: Multivector, tol: float = 1e-10) -> tuple:
+    """``membership(x, tol)`` and the inverse of x, or None if x has none."""
     even = bool(abs(x._c[_ODD]).sum() <= tol)
 
     norm_mv = x * x.reversion()
@@ -328,7 +367,7 @@ def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     try:
         xinv = multivector_inverse(x)
     except ZeroDivisionError:
-        return MembershipRecord(even, False, False, False, False, False, norm)
+        return MembershipRecord(even, False, False, False, False, False, norm), None
 
     images, stray = _conjugates(x._c, xinv._c)
     in_gamma = bool(stray.max() <= tol and abs(images[:, _VECTOR_SLOTS].imag).max() <= tol)
@@ -338,7 +377,7 @@ def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     in_pin = in_gamma and unit
     in_spin = in_pin and even
     in_spin_plus = in_spin and abs(norm - 1) <= tol
-    return MembershipRecord(even, True, in_gamma, in_pin, in_spin, in_spin_plus, norm)
+    return MembershipRecord(even, True, in_gamma, in_pin, in_spin, in_spin_plus, norm), xinv
 
 
 def twisted_adjoint(x: Multivector) -> np.ndarray:
@@ -348,9 +387,10 @@ def twisted_adjoint(x: Multivector) -> np.ndarray:
     the grade involution (so odd elements act with the extra sign).  x and -x
     produce the same Lambda, and Lambda^T g Lambda = g.
     """
-    if not membership(x).in_pin:
+    record, x_inv = _membership(x)
+    if not record.in_pin:
         raise ValueError("twisted_adjoint requires a Pin element")
-    images, stray = _conjugates(_involute("grade", x._c), multivector_inverse(x)._c)
+    images, stray = _conjugates(_involute("grade", x._c), x_inv._c)
     if stray.max() > 1e-8:
         raise ValueError(f"conjugation left grade 1 by {stray[stray > 1e-8][0]:.3e}")
     return images[:, _VECTOR_SLOTS].real.T

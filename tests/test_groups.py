@@ -5,6 +5,9 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinorlab.duals import (
     InvalidOperatorError,
@@ -12,6 +15,7 @@ from spinorlab.duals import (
     delta_to_omega,
     named_operator,
     random_delta,
+    random_kinematics,
     validate_omega,
     xi,
 )
@@ -192,21 +196,166 @@ def test_table_equals_per_element_lookup(order):
 
 
 def test_table_lookups_stay_in_blocks(monkeypatch):
-    # A cyclic group of order 100 needs two lookup blocks per row; no
-    # lookup may stack more than 64 products.
+    # A cyclic group of order 100 needs two lookup blocks per table row, and
+    # its closure walks blocks of 32 parents times 2 steps; no keyed lookup
+    # may stack more than 64 products.
     shapes = []
-    real_find = groups._find
+    real_matches = groups._matches
 
-    def recording_find(stored, x, tol):
+    def recording_matches(stored, keys, x, tol):
         shapes.append(x.shape)
-        return real_find(stored, x, tol)
+        return real_matches(stored, keys, x, tol)
 
-    monkeypatch.setattr(groups, "_find", recording_find)
+    monkeypatch.setattr(groups, "_matches", recording_matches)
     step = np.diag([np.exp(2j * np.pi / 100), 1, 1, 1])
     elements = [np.linalg.matrix_power(step, i) for i in range(100)]
     group = group_from_elements(elements)
     assert np.array_equal(group.table, (np.add.outer(range(100), range(100)) % 100))
-    assert max(shape[0] for shape in shapes if len(shape) == 2) == 64
+    assert max(shape[0] for shape in shapes) == 64
+    shapes.clear()
+    assert generate_group([step]).order == 100
+    assert max(shape[0] for shape in shapes) == 64
+
+
+def sequential_closure(generators, cap):
+    """generate_group one product at a time, each compared in full with
+    every stored element by _find.  Returns the elements, labels and table,
+    or ("cap", cap, count, labels) where the walk passed the cap."""
+    tol = 10 * groups.DEDUP_TOL
+    steps = []
+    for i, g in enumerate(generators):
+        g = np.asarray(g, dtype=complex)
+        steps += [(g, f"g{i}"), (np.linalg.inv(g), f"g{i}^-1")]
+    elements, names = [np.eye(4, dtype=complex)], ["I"]
+    flat = elements[0].reshape(1, 16)
+    for m, name in zip(elements, names):
+        for g, step in steps:
+            prod = m @ g
+            if groups._find(flat, prod.ravel(), tol) >= 0:
+                continue
+            flat = np.concatenate([flat, prod.reshape(1, 16)])
+            elements.append(prod)
+            names.append(step if name == "I" else f"{name}·{step}")
+            if len(elements) > cap:
+                return "cap", cap, len(elements), names
+    stack = np.array(elements)
+    table = np.array([groups._find(flat, (a @ stack).reshape(-1, 16), tol) for a in stack])
+    return stack, names, table
+
+
+def closure_cases():
+    h = named_operator("H", K)
+    for cap in (64, 256, 1024):
+        yield f"H-readme-{cap}", [h], cap
+    for i, k in enumerate(random_kinematics(np.random.default_rng(16), 3)):
+        yield f"H-random-{i}", [named_operator("H", k)], 256
+    gammas = [weyl_gamma(mu) for mu in range(4)]
+    yield "dirac-32", gammas, 1024
+    yield "dirac-64", gammas + [1j * np.eye(4)], 1024
+    r = np.diag([-1.0, 1.0, 1.0, 1.0])
+    yield "R-merged", [(1 + 4.9e-8) * r], 16
+    yield "R-apart", [(1 + 6e-8) * r], 16
+    yield "cyclic-100", [np.diag([np.exp(2j * np.pi / 100), 1, 1, 1])], 1024
+    # a matches I, b matches a but not I: b is new, since a was never kept.
+    a, b = (1 + 0.9e-7) * np.eye(4), (1 + 1.8e-7) * np.eye(4)
+    yield "drift-chain", [a, b], 64
+
+
+@pytest.mark.parametrize("gens, cap", [c[1:] for c in closure_cases()],
+                         ids=[c[0] for c in closure_cases()])
+def test_closure_matches_sequential_reference(gens, cap, monkeypatch):
+    ref = sequential_closure(gens, cap)
+    composed = []
+    real_compose = groups._compose_label
+
+    def recording_compose(a, b):
+        composed.append(real_compose(a, b))
+        return composed[-1]
+
+    monkeypatch.setattr(groups, "_compose_label", recording_compose)
+    if isinstance(ref[0], str):
+        with pytest.raises(CapExceeded) as err:
+            generate_group(gens, cap)
+        assert (err.value.cap, err.value.count) == ref[1:3]
+        # The walk may finish the block that passed the cap, so it can have
+        # named more products than the reference; the first ones agree.
+        assert composed[:cap] == ref[3][1:]
+    else:
+        group = generate_group(gens, cap)
+        assert np.array_equal(np.array(group.elements), ref[0])
+        assert group.labels == ref[1] == ["I"] + composed
+        assert np.array_equal(group.table, ref[2])
+
+
+def _row(entries, scale, i, value):
+    row = scale * entries
+    if value is not None:
+        row[i] = value
+    return row
+
+
+_SMALL = st.floats(-4, 4)
+#: rows with entries of order 1, near 1e300 or near overflow, and at most
+#: one NaN or infinite entry
+_ROW = st.builds(
+    _row,
+    arrays(complex, 16, elements=st.builds(complex, _SMALL, _SMALL)),
+    st.sampled_from([1.0, 1e300, 4e307]),
+    st.integers(0, 15),
+    st.one_of(st.none(), st.sampled_from([complex(math.nan, 0), complex(math.inf, 1),
+                                          complex(0, -math.inf)])),
+)
+
+
+def _nudges(tol):
+    """Offsets at, just inside and just outside tol on each entry; the
+    aligned ones move the key by 16 tol, the edge of the key window."""
+    aligned = tol * np.conj(groups._KEY_WEIGHTS)
+    edge = np.full(16, tol, dtype=complex)
+    return [np.zeros(16), edge, -1j * edge, aligned, aligned * (1 - 2**-50),
+            aligned * (1 + 2**-50), edge * (1 - 2**-50), edge * (1 + 2**-50)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+@np.errstate(all="ignore")
+def test_keyed_lookup_matches_find(data):
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-7, 1.0, 1e285]))
+    base = np.array(data.draw(st.lists(_ROW, min_size=1, max_size=4)))
+    # Clusters of near-duplicates that differ only by rounding.
+    stored = np.concatenate([base, base * (1 + 2**-52), base * (1 - 2**-53),
+                             (base * 3) / 3])
+    stored = stored[data.draw(st.permutations(range(len(stored))))]
+    queries = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        row = stored[data.draw(st.integers(0, len(stored) - 1))]
+        bits = data.draw(st.one_of(st.just(2**16 - 1), st.integers(0, 2**16 - 1)))
+        mask = (bits >> np.arange(16)) & 1
+        queries.append(row + mask * data.draw(st.sampled_from(_nudges(tol))))
+    queries.append(data.draw(_ROW))
+    x = np.array(queries)
+    keys = groups._key(stored)
+    brute = (abs(stored[None] - x[:, None]) <= tol).all(axis=-1)
+    assert np.array_equal(groups._matches(stored, keys, x, tol), brute)
+    assert np.array_equal(groups._lookup(stored, keys, x, tol), groups._find(stored, x, tol))
+
+
+def test_key_window_allows_for_rounding():
+    # Rows moved by just under tol along the key weights sit on the edge of
+    # the key window, and rounding puts some of their keys past 16 tol.
+    rng = np.random.default_rng(17)
+    tol = 1e-7
+    stored = rng.uniform(-1, 1, (1024, 16)) + 1j * rng.uniform(-1, 1, (1024, 16))
+    keys = groups._key(stored)
+    past = 0
+    for k in range(30, 34):
+        x = stored + tol * (1 - 2.0**-k) * np.conj(groups._KEY_WEIGHTS)
+        hit = (abs(x - stored) <= tol).all(axis=-1)
+        past += (hit & (abs(groups._key(x) - keys) > 16 * tol)).sum()
+        for i in range(0, 1024, 64):
+            found = groups._lookup(stored, keys, x[i:i + 64], tol)
+            assert np.array_equal(found, np.where(hit[i:i + 64], np.arange(i, i + 64), -1))
+    assert past >= 1
 
 
 def test_generate_trivial_group():
