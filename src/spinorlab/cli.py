@@ -334,6 +334,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
@@ -347,7 +354,7 @@ FLAGS = {
     "--theta": dict(type=float, default=0.7, help="polar angle"),
     "--phi": dict(type=float, default=0.3, help="azimuthal angle"),
     "--energy": dict(type=float, help="optional cross-check; must equal sqrt(p^2 + m^2)"),
-    "--seed": dict(type=int, default=0, help="random seed"),
+    "--seed": dict(type=_non_negative_int, default=0, help="random seed"),
     "--trials": dict(type=_positive_int, default=100, help="trial count"),
     "--tolerance": dict(type=_tolerance, help="comparison tolerance (default %(default)g)"),
     "--group": dict(choices=GROUP_CHOICES, default="GF"),

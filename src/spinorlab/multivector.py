@@ -14,12 +14,17 @@ suite rely on.  Mixing an exact operand with a complex one gives complex.
 
 The product blade of blades ``a`` and ``b`` is ``a ^ b``, so the geometric
 product is a signed XOR convolution.  In floating point it is one array
-expression over precomputed index and sign tables; exact operands take a
-short loop over their nonzero pairs instead.
+expression over precomputed index and sign tables.  Each exact operand is
+written as integer numerators over the lcm of its denominators; a short
+loop over the nonzero pairs runs on Python ints, exact at any size, and
+each nonzero slot is divided once by the two denominators' product.  A
+``Fraction`` operand makes every nonzero slot a ``Fraction``; two int
+operands give ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Number
 from typing import Iterable, Mapping
@@ -113,18 +118,25 @@ def _common(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # no Fraction arithmetic in the pair loop (see the module notes)
+    a, b = a.tolist(), b.tolist()
+    da, db = math.lcm(*[v.denominator for v in a]), math.lcm(*[v.denominator for v in b])
+    x = [v.numerator * (da // v.denominator) for v in a]
+    y = [v.numerator * (db // v.denominator) for v in b]
     out = [0] * BLADE_COUNT
-    right = [(mb, cb) for mb, cb in enumerate(b.tolist()) if cb]
-    for ma, ca in enumerate(a.tolist()):
+    right = [(mb, cb) for mb, cb in enumerate(y) if cb]
+    for ma, ca in enumerate(x):
         if not ca:
             continue
         sign_row = _MUL_SIGN[ma]
         for mb, cb in right:
-            # adding or subtracting spares a Fraction product per term
             if sign_row[mb] > 0:
                 out[ma ^ mb] += ca * cb
             else:
                 out[ma ^ mb] -= ca * cb
+    if any(isinstance(v, Fraction) for v in a + b):
+        den = da * db
+        out = [Fraction(v, den) if v else 0 for v in out]
     return np.array(out, dtype=object)
 
 

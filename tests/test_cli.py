@@ -225,6 +225,14 @@ def test_nonpositive_trials_is_a_usage_error(argv, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-theorems", "table1", "embed", "spinor-spaces"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1", "--trials", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_import_does_not_load_scipy():
     code = "import spinorlab, spinorlab.cli, sys; assert 'scipy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -26,6 +26,7 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
+from spinorlab.multivector import _MUL_SIGN, _exact_product, _involute, _product
 from spinorlab.weyl import from_matrix, to_matrix
 
 ONE = scalar(1)
@@ -283,6 +284,101 @@ def test_exact_operands_keep_exact_types():
     assert coefficient_distance(a, shifted) == Fraction(1, 6)
     assert type(coefficient_distance(a, shifted)) is Fraction
     assert a.items() == [(0, 2), (3, Fraction(1, 3)), (9, -1), (15, Fraction(-5, 7))]
+    ints = Multivector({0: 2, 5: -3, 15: 7}) * Multivector({1: 1, 6: -4})
+    assert all(type(v) is int for _, v in ints.items())
+    # a holds ints in slots 0 and 9, and b in slots 3 and 6, yet a Fraction
+    # operand makes every nonzero slot of the product a Fraction
+    for x in (a * b, b * a, Multivector({0: Fraction(2, 1)}) * gamma(1)):
+        assert x.items() and all(type(v) is Fraction for _, v in x.items())
+    assert (a * b).coefficient(3) == 2
+    assert repr(ints) == "Multivector(2*e0 + 12*e01 + 3*e2 + -8*e12 + 28*e03 + -7*e123)"
+
+
+def pairwise_fraction_product(a, b):
+    """The exact product one blade pair at a time in int and Fraction
+    arithmetic, each pair reduced as it is added: the reference that the
+    integer-numerator kernel must match slot for slot."""
+    out = [0] * BLADE_COUNT
+    for ma, ca in enumerate(a):
+        for mb, cb in enumerate(b):
+            if ca and cb:
+                if _MUL_SIGN[ma][mb] > 0:
+                    out[ma ^ mb] += ca * cb
+                else:
+                    out[ma ^ mb] -= ca * cb
+    return out
+
+
+#: denominator bases that share factors (2, 3, 5, 7, 11, 13) across draws
+SHARED_BASES = (2**20, 3**12, 10**6, 7 * 11 * 13, 2 * 3 * 5 * 7 * 11 * 13)
+BIG = st.integers(-(2**200), 2**200)
+DENOMINATORS = st.one_of(
+    st.integers(1, 10**12),
+    st.builds(lambda base, k: base * k, st.sampled_from(SHARED_BASES), st.integers(1, 10**5)),
+)
+EXACT_VALUES = st.one_of(
+    BIG,
+    st.integers(-9, 9),
+    st.builds(Fraction, BIG, DENOMINATORS),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    BIG.map(lambda n: Fraction(n, 1)),
+)
+
+
+@st.composite
+def exact_operand_pairs(draw):
+    """Two exact coefficient rows with 0-16 nonzero slots each, int, Fraction
+    or mixed.  Some pairs are built so that products cancel: a vector times
+    itself (every bivector slot cancels), or an operand times its negated
+    reverse (the grade-2 and grade-3 slots cancel)."""
+    def row(slots):
+        values = [0] * BLADE_COUNT
+        for m in draw(st.lists(st.sampled_from(slots), max_size=len(slots), unique=True)):
+            values[m] = draw(EXACT_VALUES)
+        return np.array(values, dtype=object)
+
+    kind = draw(st.sampled_from(("independent", "vector-squared", "reverse")))
+    if kind == "vector-squared":
+        a = row([1, 2, 4, 8])
+        return a, a.copy()
+    a = row(list(range(BLADE_COUNT)))
+    if kind == "reverse":
+        return a, -_involute("reversion", a)
+    return a, row(list(range(BLADE_COUNT)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_operand_pairs())
+def test_exact_product_matches_pairwise_fraction_reference(pair):
+    a, b = pair
+    got = _exact_product(a, b)
+    assert got.dtype == object and got.shape == (BLADE_COUNT,)
+    assert got.tolist() == pairwise_fraction_product(a.tolist(), b.tolist())
+    fraction = any(isinstance(v, Fraction) for v in [*a, *b])
+    assert all(type(v) in (int, Fraction) for v in got)
+    assert all(type(v) is (Fraction if fraction else int) for v in got if v)
+
+
+def test_exact_product_cancels_to_exact_zero():
+    v = np.array([0, Fraction(1, 3), 5, 0, 2**200, 0, 0, 0, Fraction(-7, 10**12)]
+                 + [0] * 7, dtype=object)
+    square = _exact_product(v, v)
+    assert square.tolist() == pairwise_fraction_product(v.tolist(), v.tolist())
+    assert [m for m, c in enumerate(square) if c] == [0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(exact_operand_pairs(), min_size=1, max_size=5))
+def test_stacked_exact_product_is_row_by_row(pairs):
+    a = np.stack([x for x, _ in pairs])
+    b = np.stack([y for _, y in pairs])
+    stacked = _product(a, b)
+    assert stacked.dtype == object and stacked.shape == a.shape
+    for got, x, y in zip(stacked, a, b):
+        assert got.tolist() == _exact_product(x, y).tolist()
+        assert all(type(v) in (int, Fraction) for v in got)
+    # one right operand broadcast against the stack, as ideals uses it
+    assert _product(a, b[0]).tolist() == [_exact_product(x, b[0]).tolist() for x in a]
 
 
 def test_items_lists_only_nonzero_slots_in_mask_order():
