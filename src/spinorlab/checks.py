@@ -27,7 +27,7 @@ from .quaternions import (
     QuatMatrix2, _even_block, _m2h, gl2h_embed, intertwiner, is_quaternionic_pattern,
     quaternionic_gamma,
 )
-from .weyl import DET_TOL, GAMMA0, _dagger, _dirac_dagger, _matrices, _modulus
+from .weyl import GAMMA0, PERTURBATION, _dagger, _dirac_dagger, _invertible, _matrices, _modulus
 
 _BLOCK = 256
 
@@ -59,8 +59,7 @@ def _draw(rng, n, layout) -> list:
     widths = [16 if w is None else w for w in layout]
     u = np.split(rng.uniform(-1, 1, (n, sum(widths))), np.cumsum(widths)[:-1], axis=1)
     stacks = [v if w else _delta_from(v) for w, v in zip(layout, u)]
-    if all((_modulus(np.linalg.det(s)) > DET_TOL).all()
-           for w, s in zip(layout, stacks) if w is None):
+    if all(_invertible(s).all() for w, s in zip(layout, stacks) if w is None):
         return stacks
     rng.bit_generator.state = state
     trials = [[rng.uniform(-1, 1, w) if w else random_delta(rng) for w in layout] for _ in range(n)]
@@ -90,12 +89,12 @@ def generic_acceptance(rng, trials) -> int:
 
 def adjoint_fixed_points(rng, trials) -> tuple:
     """Worst distance of a self-adjoint multivector from its gamma0-adjoint,
-    and weakest distance once 1e-6 i times another one is added."""
+    and weakest distance once ``PERTURBATION`` i times another one is added."""
     fixed, detected = [], []
     for n in _blocks(trials):
         x, other = np.moveaxis(_random_coefficients(rng, (n, 2), hermitian=True), 1, 0)
         fixed.append(abs(_dirac_dagger(x) - x).max(axis=-1))
-        y = x + other * complex(0, 1e-6)
+        y = x + other * complex(0, PERTURBATION)
         detected.append(abs(_dirac_dagger(y) - y).max(axis=-1))
     return _worst(fixed), _weakest(detected)
 
@@ -166,8 +165,7 @@ def invertibility_transported(rng, trials) -> bool:
     samples = chain((_random_coefficients(rng, (n,), real=True) for n in _blocks(trials)),
                     [zero_divisor[None]])
     # a list, not a generator: every block is drawn even after a disagreement
-    return all([np.array_equal(_modulus(np.linalg.det(_matrices(x))) > DET_TOL,
-                               _modulus(np.linalg.det(gl2h_embed(_m2h(x.real)))) > DET_TOL)
+    return all([np.array_equal(_invertible(_matrices(x)), _invertible(gl2h_embed(_m2h(x.real))))
                 for x in samples])
 
 

@@ -46,7 +46,8 @@ from .serialize import (
     MalformedInputError, dump_json, load_json, matrix_from_obj, matrix_to_obj,
     multivector_to_obj, spinor_from_obj, spinor_to_obj,
 )
-from .weyl import to_matrix
+from .weyl import (DETECTION_TOL, GROUP_TOL, IDENTITY_TOL, NONCOMMUTING_TOL, PRODUCT_TOL, RANK_TOL,
+                   ROUNDING_TOL, VALIDATION_TOL, to_matrix)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -145,18 +146,20 @@ def _suite_verify_theorems(args) -> SuiteReport:
     report = _report(args, k)
     rng, trials = np.random.default_rng(args.seed), args.trials
     constraint, hermiticity = checks.block_pattern(rng, trials)
-    report.add("block-structure-validation", constraint, 1e-10)
-    report.add("block-hermiticity", hermiticity, 1e-12)
+    report.add("block-structure-validation", constraint, VALIDATION_TOL)
+    report.add("block-hermiticity", hermiticity, ROUNDING_TOL)
     accepted = checks.generic_acceptance(rng, trials)
     report.add("generic-matrix-rejection", accepted / trials, 0.0)
     fixed, detected = checks.adjoint_fixed_points(rng, trials)
-    report.add("adjoint-fixed-points", fixed, 1e-12)
-    report.add("adjoint-imaginary-detection", detected, 1e-7, passed=detected > 1e-7)
+    report.add("adjoint-fixed-points", fixed, ROUNDING_TOL)
+    report.add("adjoint-imaginary-detection", detected, DETECTION_TOL,
+               passed=detected > DETECTION_TOL)
     commuting, noncomm, inverse, det = checks.closure(rng, trials, k)
-    report.add("closure-commuting-products", commuting, 1e-9)
-    report.add("closure-noncommuting-detection", noncomm, 1e-6, passed=noncomm > 1e-6)
-    report.add("inverse-closure-lemma", inverse, 1e-9)
-    report.add("determinant-transport", det, 1e-9)
+    report.add("closure-commuting-products", commuting, IDENTITY_TOL)
+    report.add("closure-noncommuting-detection", noncomm, NONCOMMUTING_TOL,
+               passed=noncomm > NONCOMMUTING_TOL)
+    report.add("inverse-closure-lemma", inverse, IDENTITY_TOL)
+    report.add("determinant-transport", det, IDENTITY_TOL)
     return report
 
 
@@ -234,14 +237,14 @@ def _suite_embed(args) -> SuiteReport:
     report = _report(args)
     rng, n = np.random.default_rng(args.seed), args.trials
     report.add("quaternion-clifford-relations", checks.quaternion_clifford_relations(), 0.0)
-    report.add("gl2h-homomorphism", checks.gl2h_homomorphism(rng, n), 1e-10)
+    report.add("gl2h-homomorphism", checks.gl2h_homomorphism(rng, n), PRODUCT_TOL)
     report.add("pattern-dof", abs(pattern_dof() - 16), 0.0)
     report.add("pattern-detection", checks.pattern_mistakes(rng, n), 0.0)
     report.require("invertibility-transport", checks.invertibility_transported(rng, n))
     report.add("even-block-multiplicativity",
-               checks.even_block_multiplicativity(rng, n), 1e-10)
+               checks.even_block_multiplicativity(rng, n), PRODUCT_TOL)
     report.add("intertwined-representations",
-               checks.intertwined_representations(rng, n), 1e-9)
+               checks.intertwined_representations(rng, n), IDENTITY_TOL)
     return report
 
 
@@ -252,10 +255,10 @@ def _suite_spinor_spaces(args) -> SuiteReport:
 
     fc = canonical_idempotent("complex")
     fr = canonical_idempotent("real")
-    report.add("complex-idempotency", checks.idempotency(fc), 1e-12)
-    rank = np.linalg.matrix_rank(to_matrix(fc.value), tol=1e-9)
+    report.add("complex-idempotency", checks.idempotency(fc), ROUNDING_TOL)
+    rank = np.linalg.matrix_rank(to_matrix(fc.value), tol=RANK_TOL)
     report.add("complex-projector-rank-1", abs(rank - 1), 0.0)
-    report.add("real-idempotency", checks.idempotency(fr), 1e-12)
+    report.add("real-idempotency", checks.idempotency(fr), ROUNDING_TOL)
 
     complex_left = ideal_basis(fc, "left", "complex")
     complex_right = ideal_basis(fc, "right", "complex")
@@ -274,7 +277,7 @@ def _suite_spinor_spaces(args) -> SuiteReport:
         (ring_r.name, ring_r.dimension, ring_r.profile_ok) == ("H", 4, True),
     )
 
-    report.add("beta-in-ring", checks.beta_in_ring(rng, trials, fr, real=True), 1e-10)
+    report.add("beta-in-ring", checks.beta_in_ring(rng, trials, fr, real=True), PRODUCT_TOL)
 
     one = scalar(1)
     report.require(
@@ -286,7 +289,7 @@ def _suite_spinor_spaces(args) -> SuiteReport:
 
     report.add(
         "beta-matches-matrix-adjoint",
-        checks.beta_matches_matrix_adjoint(rng, trials, fr), 1e-10,
+        checks.beta_matches_matrix_adjoint(rng, trials, fr), PRODUCT_TOL,
     )
 
     report.payload = {
@@ -378,12 +381,12 @@ SEEDED = ("--seed", "--trials")
 #: default --tolerance, or None for a command without that flag)
 COMMANDS = {
     "verify-theorems": (_suite_verify_theorems, KINEMATICS + SEEDED, None),
-    "table1": (_suite_table1, KINEMATICS + SEEDED, 1e-9),
-    "cayley": (_suite_cayley, KINEMATICS + ("--group",), 1e-9),
-    "classify": (_suite_classify, KINEMATICS + ("--group", "--duals"), 1e-9),
+    "table1": (_suite_table1, KINEMATICS + SEEDED, IDENTITY_TOL),
+    "cayley": (_suite_cayley, KINEMATICS + ("--group",), GROUP_TOL),
+    "classify": (_suite_classify, KINEMATICS + ("--group", "--duals"), GROUP_TOL),
     "embed": (_suite_embed, SEEDED, None),
     "spinor-spaces": (_suite_spinor_spaces, SEEDED, None),
-    "dual": (_suite_dual, KINEMATICS + ("--psi", "--omega"), 1e-10),
+    "dual": (_suite_dual, KINEMATICS + ("--psi", "--omega"), VALIDATION_TOL),
 }
 
 
@@ -409,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: SuiteReport, args) -> int:
     if args.fmt == "csv":
-        if not report.csv:
-            print("csv format is only available for cayley", file=sys.stderr)
-            return EXIT_USAGE
         text = report.csv
     elif args.fmt == "text":
         text = report.as_text()
@@ -431,6 +431,9 @@ def _emit(report: SuiteReport, args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.fmt == "csv" and args.command != "cayley":
+        print("csv format is only available for cayley", file=sys.stderr)
+        return EXIT_USAGE
     try:
         report = args.suite(args)
     except (KinematicsError, SingularParameterError) as exc:

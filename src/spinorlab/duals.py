@@ -18,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import DET_TOL, GAMMA0, _dagger, _modulus
-
-ONSHELL_TOL = 1e-12
-VALIDATION_TOL = 1e-10
+from .weyl import GAMMA0, ONSHELL_TOL, VALIDATION_TOL, _dagger, _invertible
 
 ELEMENT_NAMES = ("G", "F", "FG", "XiDagger", "GXiDagger", "H", "Hinv")
 
@@ -273,7 +270,7 @@ def _max_entry(m: np.ndarray):
 def _validation(kind: str, m: np.ndarray, residual, tol: float) -> OperatorValidation:
     """Pass when the constraint residual is within ``tol`` and m is invertible."""
     det = np.linalg.det(m)
-    ok = (residual <= tol) & (_modulus(det) > DET_TOL)
+    ok = (residual <= tol) & _invertible(m)
     if det.ndim == 0:
         det, ok = complex(det), bool(ok)
     return OperatorValidation(kind, ok, residual, det, tol)
@@ -348,7 +345,7 @@ def random_delta(seed) -> np.ndarray:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     while True:
         delta = _delta_from(rng.uniform(-1, 1, 16))
-        if abs(np.linalg.det(delta)) > DET_TOL:
+        if _invertible(delta):
             return delta
 
 

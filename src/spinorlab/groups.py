@@ -16,12 +16,10 @@ import numpy as np
 
 from .duals import DualSpinor, InvalidOperatorError, KinematicPoint, validate_omega
 from .multivector import _BLADES, _GRADES, _ODD, Multivector, _involute, _product
-from .weyl import DET_TOL, from_matrix, multivector_inverse, to_matrix
+from .weyl import (COMMUTATOR_TOL, CONJUGATION_TOL, DEDUP_TOL, GROUP_TOL, KEY_ROUNDING, ZERO_TOL,
+                   _invertible, from_matrix, multivector_inverse, to_matrix)
 
 GENERATION_CAP = 1024
-DEDUP_TOL = 1e-8
-#: largest commutator entry for which two Omegas count as commuting
-COMMUTATOR_TOL = 1e-9
 
 
 class CapExceeded(RuntimeError):
@@ -149,9 +147,9 @@ def _key(rows: np.ndarray) -> np.ndarray:
 def _matches(stored: np.ndarray, keys: np.ndarray, x: np.ndarray, tol: float):
     """Boolean matrix, [i, j] set where x[i] is within max-entry distance
     ``tol`` of stored[j], whose keys are ``keys``.  Only pairs with keys within
-    16 ``tol`` (|w| = 1) plus 1e-13 of the 1-norm (ten times a key's
-    rounding), or NaN, get the full entry test."""
-    reach = 16 * tol + 1e-13 * (abs(x).sum(axis=-1) + 16 * tol)
+    16 ``tol`` (|w| = 1) plus ``KEY_ROUNDING`` of the 1-norm (ten times a
+    key's rounding), or NaN, get the full entry test."""
+    reach = 16 * tol + KEY_ROUNDING * (abs(x).sum(axis=-1) + 16 * tol)
     hits = ~(abs(keys - _key(x)[:, None]) > reach[:, None])
     i, j = np.divmod(np.flatnonzero(hits), len(keys))
     hits[i, j] = (abs(stored[j] - x[i]) <= tol).all(axis=-1)
@@ -178,7 +176,7 @@ def _build_table(stack: np.ndarray, tol: float) -> np.ndarray:
     return table
 
 
-def group_from_elements(elements, labels=None, tol: float = 1e-9) -> FiniteMatrixGroup:
+def group_from_elements(elements, labels=None, tol: float = GROUP_TOL) -> FiniteMatrixGroup:
     """Build a group from an explicit closed element list, verifying closure."""
     mats = [np.asarray(m, dtype=complex) for m in elements]
     if labels is None:
@@ -208,7 +206,7 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
     """
     gens = [np.asarray(m, dtype=complex) for m in generators]
     for i, g in enumerate(gens):
-        if abs(np.linalg.det(g)) <= DET_TOL:
+        if not _invertible(g):
             raise ValueError(f"generator {i} is not invertible")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
@@ -290,7 +288,7 @@ class OrbitPartition:
         return {str(i): cls for i, cls in enumerate(self.classes)}
 
 
-def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = 1e-9) -> OrbitPartition:
+def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> OrbitPartition:
     """Group the supplied dual spinors into orbit classes.
 
     Duals are row covectors, so the group acts on the right, ``psi -> psi @ g``.
@@ -346,7 +344,7 @@ def _conjugates(x: np.ndarray, x_inv: np.ndarray) -> tuple:
     return images, abs(np.where(_GRADES == 1, 0, images)).sum(axis=-1)
 
 
-def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
+def membership(x: Multivector, tol: float = ZERO_TOL) -> MembershipRecord:
     """Classify x within the Clifford group hierarchy.
 
     in_gamma requires conjugation x e_mu x^-1 to land on grade 1 with real
@@ -357,7 +355,7 @@ def membership(x: Multivector, tol: float = 1e-10) -> MembershipRecord:
     return _membership(x, tol)[0]
 
 
-def _membership(x: Multivector, tol: float = 1e-10) -> tuple:
+def _membership(x: Multivector, tol: float = ZERO_TOL) -> tuple:
     """``membership(x, tol)`` and the inverse of x, or None if x has none."""
     even = bool(abs(x._c[_ODD]).sum() <= tol)
 
@@ -391,8 +389,8 @@ def twisted_adjoint(x: Multivector) -> np.ndarray:
     if not record.in_pin:
         raise ValueError("twisted_adjoint requires a Pin element")
     images, stray = _conjugates(_involute("grade", x._c), x_inv._c)
-    if stray.max() > 1e-8:
-        raise ValueError(f"conjugation left grade 1 by {stray[stray > 1e-8][0]:.3e}")
+    if stray.max() > CONJUGATION_TOL:
+        raise ValueError(f"conjugation left grade 1 by {stray[stray > CONJUGATION_TOL][0]:.3e}")
     return images[:, _VECTOR_SLOTS].real.T
 
 

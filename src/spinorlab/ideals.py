@@ -25,11 +25,8 @@ from .multivector import (
     involution,
     scalar,
 )
-from .weyl import multivector_inverse, to_matrix
-
-RANK_TOL = 1e-9
-#: largest residual of an adjoint-involution condition that still holds
-INVOLUTION_TOL = 1e-10
+from .weyl import (ANTICOMMUTATOR_TOL, INVOLUTION_TOL, NULL_SPACE_RTOL, RANK_TOL, ROUNDING_TOL,
+                   UNIT_TOL, multivector_inverse, to_matrix)
 
 
 class InvolutionConditionError(ValueError):
@@ -38,13 +35,13 @@ class InvolutionConditionError(ValueError):
 
 @dataclass(frozen=True)
 class Idempotent:
-    """Multivector f with f*f = f (within 1e-12 on coefficients)."""
+    """Multivector f with f*f = f (within ``ROUNDING_TOL`` on coefficients)."""
 
     value: Multivector
 
     def __post_init__(self):
         residual = coefficient_distance(self.value * self.value, self.value)
-        if residual > 1e-12:
+        if residual > ROUNDING_TOL:
             raise ValueError(f"not idempotent: residual {residual:.3e}")
 
 
@@ -158,7 +155,7 @@ def division_ring_identify(f: Idempotent, scalars: str = "real") -> RingReport:
             return RingReport("C", 2, True, profile_ok, basis)
         # quaternions additionally need a noncommuting pair
         noncomm = any(
-            coefficient_distance(u * v, v * u) > 1e-9
+            coefficient_distance(u * v, v * u) > UNIT_TOL
             for i, u in enumerate(units)
             for v in units[i + 1:]
         )
@@ -180,11 +177,11 @@ def _pure_units(f: Multivector, basis: list) -> tuple[list, bool]:
     for w in basis:
         lam = complex(np.trace(to_matrix(w))) / f_trace
         pure = w - lam * f
-        if pure.max_abs() <= 1e-9:
+        if pure.max_abs() <= UNIT_TOL:
             continue
         sq = pure * pure
         coeff = complex(np.trace(to_matrix(sq))) / f_trace
-        if coefficient_distance(sq, coeff * f) > 1e-9 or coeff.real >= 0:
+        if coefficient_distance(sq, coeff * f) > UNIT_TOL or coeff.real >= 0:
             ok = False
             continue
         units.append((1.0 / np.sqrt(-coeff.real)) * pure)
@@ -192,7 +189,7 @@ def _pure_units(f: Multivector, basis: list) -> tuple[list, bool]:
         for v in units[i + 1:]:
             anti = u * v + v * u
             lam = complex(np.trace(to_matrix(anti))) / f_trace
-            if coefficient_distance(anti, lam * f) > 1e-8:
+            if coefficient_distance(anti, lam * f) > ANTICOMMUTATOR_TOL:
                 ok = False
     return units, ok
 
@@ -275,15 +272,15 @@ def find_adjoint_element(kind: str, f: Idempotent) -> Multivector | None:
     rows = [_real_vec(c.astype(complex)) for c in (cond1, cond2)]
     system = np.concatenate(rows, axis=-1).T  # columns indexed by blade, rows by condition
     _, sv, vh = np.linalg.svd(system)
-    null = vh[int((sv > 1e-10 * sv[0]).sum()):].T
+    null = vh[int((sv > NULL_SPACE_RTOL * sv[0]).sum()):].T
     if null.shape[1] == 0:
         return None
     rng = np.random.default_rng(0)
     candidates = [null[:, i] for i in range(null.shape[1])]
     candidates += [null @ rng.uniform(-1, 1, null.shape[1]) for _ in range(32)]
     for coeffs in candidates:
-        h = Multivector({m: c for m, c in enumerate(coeffs) if abs(c) > 1e-12})
-        if h.is_zero(1e-9):
+        h = Multivector({m: c for m, c in enumerate(coeffs) if abs(c) > ROUNDING_TOL})
+        if h.is_zero(UNIT_TOL):
             continue
         try:
             if verify_involution_conditions(kind, h, f):

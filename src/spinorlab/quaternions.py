@@ -14,11 +14,7 @@ from numbers import Real
 import numpy as np
 
 from .multivector import BLADE_COUNT, DIMENSION, GRADE, Multivector
-from .weyl import DET_TOL, _matrices, _modulus, weyl_gamma
-
-#: largest pattern residual, imaginary part or odd-grade content that
-#: still counts as zero
-ZERO_TOL = 1e-10
+from .weyl import ZERO_TOL, _invertible, _matrices, _modulus, weyl_gamma
 
 
 def _hamilton(a1, b1, c1, d1, a2, b2, c2, d2) -> tuple:
@@ -310,6 +306,6 @@ def intertwiner() -> np.ndarray:
     if sv[-1] > np.finfo(float).eps * max(system.shape) * sv[0]:
         raise RuntimeError("no intertwiner found; representations inequivalent")
     s = vh[-1].conj().reshape((4, 4), order="F")
-    if abs(np.linalg.det(s)) <= DET_TOL:
+    if not _invertible(s):
         raise RuntimeError("intertwiner candidate is singular")
     return s

@@ -64,15 +64,38 @@ for _mask in range(BLADE_COUNT):
 
 GAMMA0 = _GAMMAS[0]
 
-#: the one invertibility threshold: a 4x4 operator with |det| at or below
-#: this is singular
-DET_TOL = 1e-12
+# -- every threshold of the package, named once; other modules import them from here --
+DET_TOL = 1e-12  #: |det| of a 4x4 operator at or below which it is singular
+ONSHELL_TOL = 1e-12  #: |E - sqrt(p^2 + m^2)| of a given energy, per unit of max(1, E)
+VALIDATION_TOL = 1e-10  #: Delta or Omega constraint residual of a valid operator
+ROUNDING_TOL = 1e-12  #: an O(1) identity residual or coefficient that is zero but for rounding
+ZERO_TOL = 1e-10  #: pattern residual, imaginary part or off-grade content that counts as zero
+COMMUTATOR_TOL = 1e-9  #: largest commutator entry for which two Omegas count as commuting
+GROUP_TOL = 1e-9  #: max-entry distance at which two group elements, or two duals, are equal
+DEDUP_TOL = 1e-8  #: a tenth of the max-entry distance at which generate_group merges products
+KEY_ROUNDING = 1e-13  #: rounding of a group lookup key, per unit of the row's 1-norm
+CONJUGATION_TOL = 1e-8  #: how far a Pin element's twisted conjugate of e_mu leaves grade 1
+RANK_TOL = 1e-9  #: singular value at or below which a rank count drops a direction
+INVOLUTION_TOL = 1e-10  #: residual of an adjoint-involution condition that still holds
+UNIT_TOL = 1e-9  #: coefficient distance at which f·Cl·f units agree, or an adjoint candidate is 0
+ANTICOMMUTATOR_TOL = 1e-8  #: distance of u v + v u from the ring scalars, for f·Cl·f units u, v
+NULL_SPACE_RTOL = 1e-10  #: singular value, over the largest, below which a direction is null
+IDENTITY_TOL = 1e-9  #: worst entry of a matrix identity through products, inverses or closed forms
+PRODUCT_TOL = 1e-10  #: worst entry of a product rule or a beta residual over O(1) draws
+PERTURBATION = 1e-6  #: imaginary part adjoint_fixed_points adds to a self-adjoint multivector
+DETECTION_TOL = 1e-7  #: adjoint residual above which that perturbation counts as detected
+NONCOMMUTING_TOL = 1e-6  #: Omega residual above which a non-commuting product is detected
 
 
 def _modulus(z):
     """|z| of complex numbers, each as abs takes it of one number; numpy's
     abs of a complex array can differ from that in the last bit."""
     return np.hypot(np.real(z), np.imag(z))
+
+
+def _invertible(m):
+    """|det m| > DET_TOL, per matrix of a stack: the one invertibility test."""
+    return _modulus(np.linalg.det(m)) > DET_TOL
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -136,6 +159,6 @@ def dirac_dagger_dual(a: Multivector) -> Multivector:
 def multivector_inverse(a: Multivector) -> Multivector:
     """Inverse under the geometric product, via the matrix representation."""
     m = to_matrix(a)
-    if abs(np.linalg.det(m)) <= DET_TOL:
+    if not _invertible(m):
         raise ZeroDivisionError("multivector is not invertible")
     return from_matrix(np.linalg.inv(m))

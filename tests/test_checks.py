@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinorlab import checks, duals
+from spinorlab import checks, duals, weyl
 from spinorlab.duals import (
     ELEMENT_NAMES, KinematicPoint, block_decompose, closed_form, delta_to_omega,
     named_operator, omega_residual, random_delta, random_kinematics, validate_delta, xi,
@@ -266,8 +266,7 @@ def test_operator_residual_rejects_zero_momentum_like_one_point():
 def test_resampled_deltas_keep_the_stream(monkeypatch, name, seed):
     # No natural seed draws a Delta with |det| <= 1e-12; at 0.05 about 3 in
     # 100 do, and random_delta resamples them.
-    monkeypatch.setattr(duals, "DET_TOL", 0.05)
-    monkeypatch.setattr(checks, "DET_TOL", 0.05)
+    monkeypatch.setattr(weyl, "DET_TOL", 0.05)
     per_trial = []  # trials the batched check handed to random_delta
     monkeypatch.setattr(checks, "random_delta", lambda rng: per_trial.append(1) or random_delta(rng))
     assert_same_stream(*PAIRS[name], seed, counts=(1, BLOCK - 1, BLOCK + 1, 600))

@@ -103,6 +103,15 @@ def test_csv_format_only_for_cayley(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify-theorems", "table1", "embed", "spinor-spaces", "dual"])
+def test_csv_format_is_refused_before_the_suite_runs(command, monkeypatch, capsys):
+    # No suite runs, so neither a long run nor a missing input file is reached.
+    monkeypatch.setattr(cli, "_report", lambda *a: pytest.fail("the suite ran"))
+    argv = [command, "--format", "csv"] + (["--psi", "missing.json"] if command == "dual" else [])
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "csv format is only available for cayley\n"
+
+
 def test_embed_and_spinor_spaces(capsys):
     code, out = run(capsys, ["embed", "--trials", "30", "--format", "text"])
     assert code == EXIT_OK
@@ -286,6 +295,47 @@ CHECK_NAMES = {
     ],
     "dual": ["omega-validity"],
 }
+
+
+#: the tolerance each check states at default flags
+STATED_BOUNDS = {
+    "verify-theorems": {
+        "block-structure-validation": 1e-10, "block-hermiticity": 1e-12,
+        "generic-matrix-rejection": 0.0, "adjoint-fixed-points": 1e-12,
+        "adjoint-imaginary-detection": 1e-7, "closure-commuting-products": 1e-9,
+        "closure-noncommuting-detection": 1e-6, "inverse-closure-lemma": 1e-9,
+        "determinant-transport": 1e-9,
+    },
+    "table1": {
+        "row-G": 1e-9, "row-F": 1e-9, "row-FG": 1e-9, "row-XiDagger": 1e-9,
+        "row-GXiDagger": 1e-9, "row-H": 1e-9, "row-Hinv": 1e-9,
+    },
+    "cayley": {"closure": 1e-9, "identified-K4": 0.0},
+    "classify": {"orbit-sizes-divide-order": 0.0},
+    "embed": {
+        "quaternion-clifford-relations": 0.0, "gl2h-homomorphism": 1e-10, "pattern-dof": 0.0,
+        "pattern-detection": 0.0, "invertibility-transport": 0.0,
+        "even-block-multiplicativity": 1e-10, "intertwined-representations": 1e-9,
+    },
+    "spinor-spaces": {
+        "complex-idempotency": 1e-12, "complex-projector-rank-1": 0.0,
+        "real-idempotency": 1e-12, "ideal-dimension-complex-left": 0.0,
+        "ideal-dimension-complex-right": 0.0, "ideal-dimension-real-left": 0.0,
+        "division-ring-complex-is-C": 0.0, "division-ring-real-is-H": 0.0,
+        "beta-in-ring": 1e-10, "involution-conditions": 0.0,
+        "beta-matches-matrix-adjoint": 1e-10,
+    },
+    "dual": {"omega-validity": 1e-10},
+}
+
+
+@pytest.mark.parametrize("command", list(SUITE_ARGV))
+def test_every_stated_bound_is_pinned(command, input_files, capsys):
+    argv = [command] + [a.format(**input_files) for a in SUITE_ARGV[command]]
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    bounds = {c["name"]: c["tolerance"] for c in json.loads(out)["checks"]}
+    assert bounds == STATED_BOUNDS[command]
 
 
 @pytest.mark.parametrize("command", list(SUITE_ARGV))

@@ -1,5 +1,5 @@
-"""The public surface: one invertibility threshold, fixed tolerances, and
-every name the benchmark's tracer wraps."""
+"""The public surface: one tolerance table, one invertibility test, fixed
+tolerances, and every name the benchmark's tracer wraps."""
 
 import ast
 import importlib
@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorlab import checks, duals, groups, ideals, multivector, quaternions, serialize, weyl
-from spinorlab.duals import KinematicPoint, validate_delta, validate_omega
+import spinorlab
+from spinorlab import duals, groups, ideals, multivector, quaternions, serialize, weyl
+from spinorlab.duals import KinematicPoint, _delta_from, random_delta, validate_delta, validate_omega
 from spinorlab.groups import CapExceeded, generate_group
 from spinorlab.multivector import scalar
-from spinorlab.quaternions import Q_I, QuatMatrix2, Quaternion, mv_to_m2h, quaternionic_gamma
+from spinorlab.quaternions import (
+    Q_I, QuatMatrix2, Quaternion, intertwiner, mv_to_m2h, quaternionic_gamma,
+)
 from spinorlab.weyl import DET_TOL, multivector_inverse
 
 #: (module, function, parameter) that are fixed values, not options
@@ -44,9 +47,84 @@ def test_fixed_values_are_not_parameters(module, name, param):
     assert param not in inspect.signature(getattr(module, name)).parameters
 
 
-def test_det_tol_is_defined_once():
-    assert duals.DET_TOL is DET_TOL and groups.DET_TOL is DET_TOL
-    assert checks.DET_TOL is DET_TOL and quaternions.DET_TOL is DET_TOL
+@pytest.fixture
+def fresh_intertwiner():
+    intertwiner.cache_clear()
+    yield intertwiner
+    intertwiner.cache_clear()
+
+
+@pytest.mark.parametrize("tol, invertible", [(0.05, True), (2.0, False)])
+def test_one_patch_reaches_every_invertibility_decision(
+    monkeypatch, fresh_intertwiner, tol, invertible
+):
+    # Only weyl.DET_TOL is patched.  I has det 1, the intertwiner S has
+    # |det S| = 0.0625, and seed 2's first Delta draw has |det| 0.63: each
+    # is on one side of 0.05 and the other side of 2.0.
+    monkeypatch.setattr(weyl, "DET_TOL", tol)
+    eye, k = np.eye(4, dtype=complex), KinematicPoint(1.0, 1.0, 0.7, 0.3)
+    assert bool(validate_delta(eye)) == invertible
+    assert bool(validate_omega(eye, k)) == invertible
+    first_draw = _delta_from(np.random.default_rng(2).uniform(-1, 1, 16))
+    resampled = random_delta(2)
+    assert abs(np.linalg.det(resampled)) > tol
+    assert np.array_equal(resampled, first_draw) == invertible
+    if invertible:
+        multivector_inverse(scalar(1))
+        assert generate_group([eye]).order == 1
+        assert abs(np.linalg.det(fresh_intertwiner())) == pytest.approx(0.0625)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            multivector_inverse(scalar(1))
+        with pytest.raises(ValueError, match="not invertible"):
+            generate_group([eye])
+        with pytest.raises(RuntimeError, match="singular"):
+            fresh_intertwiner()
+
+
+def test_a_nan_determinant_is_singular_at_every_decision():
+    # Every decision is the one comparison |det| > DET_TOL, which NaN fails.
+    nan = float("nan")
+    with np.errstate(invalid="ignore"):
+        assert not validate_delta(nan * np.eye(4)).ok
+        with pytest.raises(ZeroDivisionError):
+            multivector_inverse(scalar(nan))
+        with pytest.raises(ValueError, match="not invertible"):
+            generate_group([nan * np.eye(4)], cap=4)
+
+
+def _threshold_problems(name: str, tree) -> list:
+    """Small float literals, ``*_TOL`` assignments and DET_TOL reads in one
+    module.  weyl.py may hold them in its tolerance table (its top-level
+    ``NAME = <float>`` lines), and read DET_TOL in ``_invertible`` only."""
+    problems = []
+    for top in tree.body:
+        if name == "weyl.py" and isinstance(top, ast.Assign) and isinstance(
+                top.value, ast.Constant) and type(top.value.value) is float:
+            continue
+        for n in ast.walk(top):
+            where = f"{name}:{getattr(n, 'lineno', top.lineno)}"
+            if isinstance(n, ast.Constant) and type(n.value) is float and 0 < n.value < 1e-5:
+                problems.append(f"{where} literal {n.value!r}")
+            if isinstance(n, (ast.Assign, ast.AnnAssign)) and name != "weyl.py":
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                problems += [f"{where} assigns {t.id}" for t in targets
+                             if isinstance(t, ast.Name) and t.id.endswith("_TOL")]
+            read = (n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                    else None)
+            if isinstance(n, ast.ImportFrom) and "DET_TOL" in [a.name for a in n.names]:
+                read = "DET_TOL"
+            if read == "DET_TOL" and (name, getattr(top, "name", None)) != ("weyl.py", "_invertible"):
+                problems.append(f"{where} reads DET_TOL")
+    return problems
+
+
+def test_every_threshold_lives_in_the_tolerance_table():
+    paths = sorted(Path(spinorlab.__file__).parent.glob("*.py"))
+    assert any(p.name == "weyl.py" for p in paths)
+    problems = [problem for path in paths
+                for problem in _threshold_problems(path.name, ast.parse(path.read_text()))]
+    assert not problems
 
 
 @pytest.mark.parametrize("side, invertible", [(0.5, False), (2.0, True)])
