@@ -2,7 +2,7 @@
 
 Sets of Omega operators close into a group exactly when they commute.
 Two order-4 Klein groups arise from the named operators; the H family
-generates an infinite group, which the element cap detects cheaply.
+generates an infinite group, which the trace of H proves at once.
 """
 
 import numpy as np
@@ -46,9 +46,9 @@ labeled = group_from_elements([np.eye(4), g, f, f @ g], ["I", "G", "F", "FG"])
 print("Cayley table:")
 print(labeled.to_csv())
 
-# The H element has unbounded order: generation hits the cap.
+# |tr H| > 4, so H has infinite order and generation stops with a witness.
 try:
-    generate_group([named_operator("H", k)], cap=64)
+    generate_group([named_operator("H", k)], cap=64, labels=["H"])
 except CapExceeded as stop:
     print("H family:", stop)
 

@@ -210,19 +210,15 @@ def closed_form(name: str, k: KinematicPoint) -> np.ndarray:
         a = E * E + 2 * p * c * E + p * p
         b = E * E - 2 * p * c * E + p * p
         f = 2 * E * p * s
-        if name == "H":
-            return _matrix([
-                [a, ep * f, 0, 0],
-                [em * f, b, 0, 0],
-                [0, 0, b, -ep * f],
-                [0, 0, -em * f, a],
-            ], m)
-        return _matrix([
-            [b, -ep * f, 0, 0],
-            [-em * f, a, 0, 0],
-            [0, 0, a, ep * f],
-            [0, 0, em * f, b],
-        ], m) / m4
+        if name == "Hinv":  # H with a and b swapped and ep, em negated, over m^4
+            a, b, ep, em = b, a, -ep, -em
+        h = _matrix([
+            [a, ep * f, 0, 0],
+            [em * f, b, 0, 0],
+            [0, 0, b, -ep * f],
+            [0, 0, -em * f, a],
+        ], m)
+        return h if name == "H" else h / m4
     raise ValueError(f"unknown operator name {name!r}; choose from {ELEMENT_NAMES}")
 
 

@@ -17,18 +17,19 @@ import numpy as np
 from .duals import DualSpinor, InvalidOperatorError, KinematicPoint, validate_omega
 from .multivector import _BLADES, _GRADES, _ODD, Multivector, _involute, _product
 from .weyl import (COMMUTATOR_TOL, CONJUGATION_TOL, DEDUP_TOL, GROUP_TOL, KEY_ROUNDING, ZERO_TOL,
-                   _invertible, from_matrix, multivector_inverse, to_matrix)
+                   _dagger, _invertible, from_matrix, multivector_inverse, to_matrix)
 
 GENERATION_CAP = 1024
 
 
 class CapExceeded(RuntimeError):
-    """Closure passed the element cap; evidence the group is not finite."""
+    """The generated group has more than ``cap`` (``count`` = cap + 1) elements:
+    the walk passed the cap, or ``witness`` names an element of infinite order."""
 
-    def __init__(self, cap: int, count: int):
-        super().__init__(f"group generation exceeded cap {cap} ({count} elements found)")
-        self.cap = cap
-        self.count = count
+    def __init__(self, cap: int, count: int, witness: str | None = None):
+        found = witness or f"{count} elements found"
+        super().__init__(f"group generation exceeded cap {cap} ({found})")
+        self.cap, self.count, self.witness = cap, count, witness
 
 
 # -- closure of Omega sets -----------------------------------------------------
@@ -60,13 +61,12 @@ def check_abelian_closure(candidates, k: KinematicPoint) -> ClosureReport:
             validate_omega(m, k).require()
         except InvalidOperatorError as exc:
             raise InvalidOperatorError(f"candidate {i}: {exc}") from exc
-    worst = 0.0
-    worst_pair = None
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            norm = float(abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max())
-            if norm > worst:
-                worst, worst_pair = norm, (i, j)
+    stack = np.array(mats).reshape(-1, 4, 4)
+    # [i, j] = |m_i m_j - m_j m_i|, kept for i < j; NaN fails > 0 and drops out
+    norms = abs(stack[:, None] @ stack - stack @ stack[:, None]).max(axis=(-2, -1))
+    norms = np.where(np.triu(norms > 0, 1), norms, 0.0)
+    worst = float(norms.max(initial=0.0))
+    worst_pair = tuple(map(int, np.argwhere(norms == worst)[0])) if worst > 0 else None
     return ClosureReport(worst <= COMMUTATOR_TOL, worst, worst_pair, COMMUTATOR_TOL)
 
 
@@ -87,17 +87,17 @@ class FiniteMatrixGroup:
 
     @property
     def identity_index(self) -> int:
-        for i in range(self.order):
-            if all(self.table[i, j] == j and self.table[j, i] == j for j in range(self.order)):
-                return i
-        raise ValueError("group has no identity element")
+        every = np.arange(self.order)
+        (hits,) = np.nonzero(((self.table == every) & (self.table.T == every)).all(axis=1))
+        if not len(hits):
+            raise ValueError("group has no identity element")
+        return int(hits[0])
 
     def inverse_index(self, i: int) -> int:
-        e = self.identity_index
-        for j in range(self.order):
-            if self.table[i, j] == e:
-                return j
-        raise ValueError(f"element {i} has no inverse")
+        (hits,) = np.nonzero(self.table[i] == self.identity_index)
+        if not len(hits):
+            raise ValueError(f"element {i} has no inverse")
+        return int(hits[0])
 
     def element_order(self, i: int) -> int:
         e = self.identity_index
@@ -195,8 +195,8 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
     right by every generator and every generator inverse, and a product
     within max-entry distance ``10 * DEDUP_TOL`` of an element found before
     it is a duplicate.  Raises :class:`CapExceeded` once more than ``cap``
-    distinct elements appear, which is the cheap certificate that the
-    generated group is not small.
+    distinct elements appear, or once the spectrum of a new element proves
+    infinite order (``_screen``; ``witness`` names it).
 
     The walk takes its queue in blocks of ``_TABLE_BLOCK // len(steps)``
     parents: one stacked product, a lookup among the stored elements and one
@@ -226,6 +226,7 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
         new = np.flatnonzero(~dup)
         names += [_compose_label(names[done + j // len(steps)], steps[j % len(steps)])
                   for j in new]
+        _screen(prods[new], names[len(names) - len(new):], cap)
         if len(names) > cap:
             raise CapExceeded(cap, cap + 1)
         flat = np.concatenate([flat, prods[new]])
@@ -233,6 +234,30 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
         done += len(parents)
     stack = flat.reshape(-1, 4, 4)
     return FiniteMatrixGroup(list(stack), names, _build_table(stack, 10 * DEDUP_TOL))
+
+
+def _screen(rows: np.ndarray, labels: list, cap: int) -> None:
+    """Raise :class:`CapExceeded` if the spectrum of a row of ``rows`` (n, 16),
+    named ``labels[i]``, proves it has infinite order.  The walk's first block
+    is the generators and their inverses, so they are screened first.
+
+    Finite order puts every eigenvalue on the unit circle, so |tr g| <= 4,
+    and at +-1 if g is Hermitian.  A change of up to ``10 * DEDUP_TOL`` per
+    entry, the walk's merge distance, moves the trace, and each eigenvalue of
+    a Hermitian g by a Hermitian change, by at most four times that (Weyl's
+    inequality); ``KEY_ROUNDING`` of the row's 1-norm covers rounding.
+    """
+    g = rows.reshape(-1, 4, 4)
+    slack = 40 * DEDUP_TOL + KEY_ROUNDING * abs(rows).sum(axis=-1)
+    trace, off = abs(np.einsum("nii->n", g)), np.zeros(len(g))
+    (herm,) = np.nonzero((g == _dagger(g)).all(axis=(-2, -1)) & np.isfinite(rows).all(axis=-1))
+    off[herm] = abs(abs(np.linalg.eigvalsh(g[herm])) - 1).max(axis=-1)
+    (hits,) = np.nonzero((trace > 4 + slack) | (off > slack))
+    if len(hits):
+        i = hits[0]
+        why = (f"has |tr| {trace[i]:.9g} > 4" if trace[i] > 4 + slack[i]
+               else f"is Hermitian with an eigenvalue modulus off 1 by {off[i]:.3g}")
+        raise CapExceeded(cap, cap + 1, f"{labels[i]} {why}: infinite order")
 
 
 def _compose_label(a: str, b: str) -> str:
@@ -259,17 +284,9 @@ def identify_group(group: FiniteMatrixGroup) -> GroupIdentification:
     element-order profile beyond that."""
     n = group.order
     orders = tuple(sorted(group.element_order(i) for i in range(n)))
-    if n == 1:
-        name = "trivial"
-    elif n == 2:
-        name = "Z2"
-    elif n == 3:
-        name = "Z3"
-    elif n == 4:
-        # Klein group iff every non-identity element is its own inverse.
+    name = {1: "trivial", 2: "Z2", 3: "Z3"}.get(n, f"order-{n} profile {list(orders)}")
+    if n == 4:  # Klein group iff every non-identity element is its own inverse
         name = "K4" if all(o <= 2 for o in orders) else "Z4"
-    else:
-        name = f"order-{n} profile {list(orders)}"
     return GroupIdentification(name, n, orders, tuple(group.labels), group.table.copy())
 
 

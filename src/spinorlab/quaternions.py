@@ -53,9 +53,7 @@ class Quaternion:
         return Quaternion(self.a * other, self.b * other,
                           self.c * other, self.d * other)
 
-    def __rmul__(self, other) -> "Quaternion":
-        return Quaternion(other * self.a, other * self.b,
-                          other * self.c, other * self.d)
+    __rmul__ = __mul__  # a real scalar times q; real products commute
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
@@ -232,13 +230,10 @@ def quaternionic_gamma(mu: int) -> QuatMatrix2:
 
 @lru_cache(maxsize=1)
 def _blade_images() -> tuple:
-    images = []
-    for mask in range(BLADE_COUNT):
-        m = QuatMatrix2.identity()
-        for mu in range(DIMENSION):
-            if mask & (1 << mu):
-                m = m * _GENERATOR_IMAGES[mu]
-        images.append(m)
+    images = [QuatMatrix2.identity()]
+    for mask in range(1, BLADE_COUNT):  # the blade without its last generator, times that one
+        top = mask.bit_length() - 1
+        images.append(images[mask ^ 1 << top] * _GENERATOR_IMAGES[top])
     return tuple(images)
 
 

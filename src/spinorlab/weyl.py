@@ -43,24 +43,13 @@ def weyl_gamma(mu: int) -> np.ndarray:
     return _GAMMAS[mu].copy()
 
 
-def _build_blade_matrices() -> np.ndarray:
-    mats = np.zeros((BLADE_COUNT, 4, 4), dtype=complex)
-    for mask in range(BLADE_COUNT):
-        m = np.eye(4, dtype=complex)
-        for mu in range(DIMENSION):
-            if mask & (1 << mu):
-                m = m @ _GAMMAS[mu]
-        mats[mask] = m
-    return mats
-
-
-_BLADE_MATS = _build_blade_matrices()
+_BLADE_MATS = np.array([np.eye(4, dtype=complex)] * BLADE_COUNT)
+for _mask in range(1, BLADE_COUNT):  # the blade without its last generator, times that one
+    _top = _mask.bit_length() - 1
+    _BLADE_MATS[_mask] = _BLADE_MATS[_mask ^ 1 << _top] @ _GAMMAS[_top]
 
 # Every blade squares to +I or -I, so its inverse is itself up to that sign.
-_BLADE_INV = np.zeros_like(_BLADE_MATS)
-for _mask in range(BLADE_COUNT):
-    _sq = (_BLADE_MATS[_mask] @ _BLADE_MATS[_mask])[0, 0].real
-    _BLADE_INV[_mask] = _BLADE_MATS[_mask] / _sq
+_BLADE_INV = _BLADE_MATS / (_BLADE_MATS @ _BLADE_MATS)[:, :1, :1].real
 
 GAMMA0 = _GAMMAS[0]
 

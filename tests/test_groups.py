@@ -102,6 +102,46 @@ def test_invalid_candidate_error_is_the_omega_verdict():
     assert isinstance(info.value.__cause__, InvalidOperatorError)
 
 
+def loop_closure_scan(mats):
+    """check_abelian_closure's worst commutator and pair, one pair at a time:
+    the first strict maximum in (i, j) order; a NaN norm never replaces it."""
+    worst, worst_pair = 0.0, None
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            norm = float(abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max())
+            if norm > worst:
+                worst, worst_pair = norm, (i, j)
+    return worst, worst_pair
+
+
+def closure_scan_cases():
+    rng = np.random.default_rng(19)
+    a, b, c = (delta_to_omega(random_delta(rng), K) for _ in range(3))
+    eye, nan = np.eye(4, dtype=complex), np.full((4, 4), np.nan + 0j)
+    yield "random", [a, b, c, a @ b]
+    yield "tie", [a, b, a]  # (0, 1) and (1, 2) have equal norms
+    yield "ties", [eye, a, b, b, a]
+    yield "commuting", [eye, 2 * eye, -eye]
+    yield "nan", [a, nan, b]
+    yield "all-nan", [nan, nan]
+    yield "overflow", [1e300 * a, 1e300 * b, c]
+    yield "one", [a]
+    yield "none", []
+
+
+@pytest.mark.parametrize("mats", [c[1] for c in closure_scan_cases()],
+                         ids=[c[0] for c in closure_scan_cases()])
+@np.errstate(all="ignore")
+def test_closure_scan_matches_pair_loop(mats, monkeypatch):
+    # Validation is stubbed so that NaN and overflowing sets reach the scan.
+    monkeypatch.setattr(groups, "validate_omega", lambda m, k: validate_omega(np.eye(4), k))
+    report = check_abelian_closure(mats, K)
+    assert (report.worst_norm, report.worst_pair) == loop_closure_scan(mats)
+    assert type(report.worst_norm) is float
+    assert report.worst_pair is None or all(type(i) is int for i in report.worst_pair)
+    assert report.commutes == (report.worst_norm <= groups.COMMUTATOR_TOL)
+
+
 def omega_condition_residual(om, k):
     x = xi(k)
     return abs(om.conj().T - x @ GAMMA0 @ om @ GAMMA0 @ x).max()
@@ -259,6 +299,16 @@ def closure_cases():
     # a matches I, b matches a but not I: b is new, since a was never kept.
     a, b = (1 + 0.9e-7) * np.eye(4), (1 + 1.8e-7) * np.eye(4)
     yield "drift-chain", [a, b], 64
+    # Order 2, with |tr| 4 + 1.96e-7 and an eigenvalue modulus 1 + 1.47e-7:
+    # past the merge distance, inside the screen's four-fold slack.
+    yield "minus-I-merged", [-(1 + 4.9e-8) * np.eye(4)], 16
+    yield "R-spread", [r + 4.9e-8 * np.ones((4, 4))], 16
+    # H is within 2e-9 of I here, so the walk, not the screen, decides.
+    yield "H-tiny-p", [named_operator("H", KinematicPoint(1.0, 1e-9, 0.7, 0.3))], 64
+    for p in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2):
+        k = KinematicPoint(1.0, p, 0.7, 0.3)
+        for other in ("F", "XiDagger"):
+            yield f"G{other}-{p:g}", [named_operator("G", k), named_operator(other, k)], 64
 
 
 @pytest.mark.parametrize("gens, cap", [c[1:] for c in closure_cases()],
@@ -274,17 +324,59 @@ def test_closure_matches_sequential_reference(gens, cap, monkeypatch):
 
     monkeypatch.setattr(groups, "_compose_label", recording_compose)
     if isinstance(ref[0], str):
+        # The spectral screen stops these walks in their first blocks; with
+        # it off, the walk itself is checked against the reference.
+        monkeypatch.setattr(groups, "_screen", lambda rows, labels, cap: None)
         with pytest.raises(CapExceeded) as err:
             generate_group(gens, cap)
         assert (err.value.cap, err.value.count) == ref[1:3]
+        assert err.value.witness is None
         # The walk may finish the block that passed the cap, so it can have
         # named more products than the reference; the first ones agree.
         assert composed[:cap] == ref[3][1:]
     else:
+        screened = []
+        real_screen = groups._screen
+
+        def recording_screen(rows, labels, cap):
+            real_screen(rows, labels, cap)
+            screened.extend(labels)
+
+        monkeypatch.setattr(groups, "_screen", recording_screen)
         group = generate_group(gens, cap)
         assert np.array_equal(np.array(group.elements), ref[0])
         assert group.labels == ref[1] == ["I"] + composed
         assert np.array_equal(group.table, ref[2])
+        # every element but I went through the live screen, which let it pass
+        assert screened == ref[1][1:]
+
+
+def test_screen_certifies_h_at_random_points():
+    # H = m^2 Xi Xi^dag is Hermitian positive definite and not I for p > 0,
+    # so its group is infinite: its trace or its eigenvalues prove it.
+    kinds = set()
+    for k in random_kinematics(np.random.default_rng(18), 2000):
+        with pytest.raises(CapExceeded) as err:
+            generate_group([named_operator("H", k)], cap=64)
+        stop = err.value
+        assert (stop.cap, stop.count) == (64, 65)
+        assert str(stop) == f"group generation exceeded cap 64 ({stop.witness})"
+        assert stop.witness.startswith("g0 ") and stop.witness.endswith(": infinite order")
+        kinds.add(stop.witness.split()[1])
+    assert kinds == {"has", "is"}  # both the trace and the Hermitian test fire
+
+
+def test_screen_skips_eigenvalues_of_nonfinite_rows():
+    # eigvalsh fails on infinite entries, which overflowing products can hold;
+    # such a row is judged by its trace alone, and the block is still screened.
+    overflowed = np.diag([0, 0, 1, 1]).astype(complex)
+    overflowed[0, 1] = overflowed[1, 0] = np.inf
+    rows = np.array([overflowed, np.eye(4), 0.5 * np.eye(4)]).reshape(3, 16)
+    with pytest.raises(CapExceeded) as err:
+        groups._screen(rows, ["a", "b", "c"], 8)
+    assert (err.value.cap, err.value.count) == (8, 9)
+    assert err.value.witness == (
+        "c is Hermitian with an eigenvalue modulus off 1 by 0.5: infinite order")
 
 
 def _row(entries, scale, i, value):
@@ -385,6 +477,40 @@ def test_gxidagger_cayley_matches_reference_table():
     group = group_from_elements(gxd_elements(K), ["I", "G", "XiDagger", "GXiDagger"])
     assert np.array_equal(group.table, KLEIN_TABLE)
     assert identify_group(group).name == "K4"
+
+
+def loop_identity_index(table):
+    for i in range(len(table)):
+        if all(table[i, j] == j and table[j, i] == j for j in range(len(table))):
+            return i
+    raise ValueError("group has no identity element")
+
+
+def loop_inverse_index(table, i):
+    e = loop_identity_index(table)
+    for j in range(len(table)):
+        if table[i, j] == e:
+            return j
+    raise ValueError(f"element {i} has no inverse")
+
+
+@pytest.mark.parametrize("table", [
+    KLEIN_TABLE,
+    (np.add.outer(range(5), range(5)) + 1) % 5,  # identity at index 4
+    [[0, 1, 2], [1, 1, 1], [2, 1, 0]],  # element 1 has no inverse
+    [[0, 1, 2], [1, 0, 0], [2, 0, 1]],  # element 1 has two
+    [[1, 0], [0, 1]],  # Z2 with the identity second
+    [[0, 0], [0, 0]],  # no identity
+    np.zeros((0, 0), dtype=int),
+])
+def test_identity_and_inverse_match_loops(table):
+    table = np.array(table)
+    group = groups.FiniteMatrixGroup([None] * len(table), [""] * len(table), table)
+    assert (outcome(lambda g: g.identity_index, group)
+            == outcome(loop_identity_index, table))
+    for i in range(-len(table), len(table)):
+        assert (outcome(lambda g: g.inverse_index(i), group)
+                == outcome(lambda t: loop_inverse_index(t, i), table))
 
 
 def test_cyclic_group_identified_as_z4():
