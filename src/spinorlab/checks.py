@@ -19,7 +19,8 @@ import numpy as np
 
 from .duals import (
     ELEMENT_NAMES, _delta_from, _max_entry, _stacked_terms, block_decompose, closed_form,
-    delta_to_omega, named_operator, omega_residual, random_delta, validate_delta, xi,
+    delta_to_omega, named_operator, omega_residual, omega_to_delta, random_delta,
+    validate_delta, xi,
 )
 from .ideals import _beta, _require_adjoint, _ring_residual
 from .multivector import METRIC, _product, _random_coefficients, coefficient_distance, gamma, scalar
@@ -27,7 +28,7 @@ from .quaternions import (
     QuatMatrix2, _even_block, _m2h, gl2h_embed, intertwiner, is_quaternionic_pattern,
     quaternionic_gamma,
 )
-from .weyl import GAMMA0, PERTURBATION, _dagger, _dirac_dagger, _invertible, _matrices, _modulus
+from .weyl import PERTURBATION, _dagger, _dirac_dagger, _invertible, _matrices, _modulus
 
 _BLOCK = 256
 
@@ -113,8 +114,7 @@ def closure(rng, trials, k) -> tuple:
         commuting.append(omega_residual(om1 @ om2, x))
         noncommuting.append(omega_residual(base @ other, x))
         inverse.append(omega_residual(np.linalg.inv(base), x))
-        delta_back = GAMMA0 @ base @ GAMMA0 @ x
-        det.append(_modulus(np.linalg.det(base) - np.linalg.det(delta_back)))
+        det.append(_modulus(np.linalg.det(base) - np.linalg.det(omega_to_delta(base, k))))
     return _worst(commuting), _weakest(noncommuting), _worst(inverse), _worst(det)
 
 

@@ -210,13 +210,13 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
             raise ValueError(f"generator {i} is not invertible")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
-    mats = np.array([m for g in gens for m in (g, np.linalg.inv(g))])
+    mats = np.reshape([m for g in gens for m in (g, np.linalg.inv(g))], (-1, 4, 4))
     steps = [step for name in labels for step in (name, f"{name}^-1")]
 
     flat = np.eye(4, dtype=complex).reshape(1, 16)
     keys, names, done = _key(flat), ["I"], 0
     while done < len(flat):
-        parents = flat[done:done + max(1, _TABLE_BLOCK // len(steps))].reshape(-1, 4, 4)
+        parents = flat[done:done + max(1, _TABLE_BLOCK // max(1, len(steps)))].reshape(-1, 4, 4)
         prods = (parents[:, None] @ mats).reshape(-1, 16)
         dup = _lookup(flat, keys, prods, 10 * DEDUP_TOL) >= 0
         inner = _matches(prods, _key(prods), prods, 10 * DEDUP_TOL)

@@ -26,7 +26,7 @@ from .multivector import (
     scalar,
 )
 from .weyl import (ANTICOMMUTATOR_TOL, INVOLUTION_TOL, NULL_SPACE_RTOL, RANK_TOL, ROUNDING_TOL,
-                   UNIT_TOL, multivector_inverse, to_matrix)
+                   UNIT_TOL, multivector_inverse)
 
 
 class InvolutionConditionError(ValueError):
@@ -150,48 +150,36 @@ def division_ring_identify(f: Idempotent, scalars: str = "real") -> RingReport:
     if dim == 1:
         return RingReport("R", 1, True, True, basis)
     if dim in (2, 4):
-        units, profile_ok = _pure_units(f.value, basis)
+        units, profile_ok = _pure_units(fc, np.array([w._c for w in basis]))
         if dim == 2:
             return RingReport("C", 2, True, profile_ok, basis)
         # quaternions additionally need a noncommuting pair
-        noncomm = any(
-            coefficient_distance(u * v, v * u) > UNIT_TOL
-            for i, u in enumerate(units)
-            for v in units[i + 1:]
-        )
+        i, j = np.triu_indices(len(units), 1)
+        commutators = _product(units[i], units[j]) - _product(units[j], units[i])
+        noncomm = bool((abs(commutators).max(axis=-1) > UNIT_TOL).any())
         return RingReport("H", 4, True, profile_ok and noncomm, basis)
     return RingReport("not_division_ring", dim, False, False, basis)
 
 
-def _pure_units(f: Multivector, basis: list) -> tuple[list, bool]:
-    """Split off the ring-scalar part of each basis element and normalize.
+def _pure_units(f: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Units of f·Cl·f from a basis stack (d, 16), each row less its ring-scalar
+    part and normalized, and whether every unit squares to a negative multiple
+    of f and every two anticommute up to a multiple of f, as in a division ring.
 
-    The ring-scalar component of w in f·Cl·f is trace(W)/trace(F) in the
-    matrix picture; what remains must square to a negative multiple of f if
-    the ring is a division ring, and distinct units must anticommute up to
-    a scalar multiple of f.
+    The ring-scalar part of w is tr M(w) / tr M(f) = w_0 / f_0, since every
+    blade but the scalar has a traceless Weyl image: tr M(x) = 4 x_0.
     """
-    f_trace = complex(np.trace(to_matrix(f)))
-    units = []
-    ok = True
-    for w in basis:
-        lam = complex(np.trace(to_matrix(w))) / f_trace
-        pure = w - lam * f
-        if pure.max_abs() <= UNIT_TOL:
-            continue
-        sq = pure * pure
-        coeff = complex(np.trace(to_matrix(sq))) / f_trace
-        if coefficient_distance(sq, coeff * f) > UNIT_TOL or coeff.real >= 0:
-            ok = False
-            continue
-        units.append((1.0 / np.sqrt(-coeff.real)) * pure)
-    for i, u in enumerate(units):
-        for v in units[i + 1:]:
-            anti = u * v + v * u
-            lam = complex(np.trace(to_matrix(anti))) / f_trace
-            if coefficient_distance(anti, lam * f) > ANTICOMMUTATOR_TOL:
-                ok = False
-    return units, ok
+    f, rows = f.astype(complex), rows.astype(complex)
+    pure = rows - (rows[:, :1] / f[0]) * f
+    pure = pure[abs(pure).max(axis=-1) > UNIT_TOL]
+    sq = _product(pure, pure)
+    coeff = sq[:, :1] / f[0]
+    bad = (abs(sq - coeff * f).max(axis=-1) > UNIT_TOL) | (coeff[:, 0].real >= 0)
+    units = pure[~bad] * (1.0 / np.sqrt(-coeff[~bad].real))
+    i, j = np.triu_indices(len(units), 1)
+    anti = _product(units[i], units[j]) + _product(units[j], units[i])
+    off = abs(anti - (anti[:, :1] / f[0]) * f).max(axis=-1) > ANTICOMMUTATOR_TOL
+    return units, not (bad.any() or off.any())
 
 
 # -- adjoint involutions and beta ---------------------------------------------------

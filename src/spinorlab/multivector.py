@@ -278,7 +278,6 @@ class Multivector:
 
 # -- constructors -----------------------------------------------------------
 
-ZERO = Multivector()
 ONE = Multivector({0: 1})
 _GENERATORS = tuple(Multivector({1 << mu: 1}) for mu in range(DIMENSION))
 #: every basis blade as an exact coefficient row, row ``mask`` for blade ``mask``

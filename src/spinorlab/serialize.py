@@ -28,9 +28,7 @@ class MalformedInputError(ValueError):
 def _part_to_obj(x):
     if isinstance(x, int):
         return [x, 1]
-    if isinstance(x, Fraction):
-        return [x.numerator, x.denominator]
-    return float(x)
+    return [x.numerator, x.denominator]
 
 
 def _part_from_obj(obj):

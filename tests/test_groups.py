@@ -456,6 +456,14 @@ def test_generate_trivial_group():
     assert identify_group(group).name == "trivial"
 
 
+def test_generate_from_no_generators_or_many():
+    group = generate_group([])
+    assert (group.order, group.labels, group.table.tolist()) == (1, ["I"], [[0]])
+    assert identify_group(group).name == "trivial"
+    # 66 steps: the walk still takes one parent per block
+    assert generate_group([weyl_gamma(0)] * 33).order == 2
+
+
 def test_generate_rejects_singular_generator():
     with pytest.raises(ValueError):
         generate_group([np.zeros((4, 4))])

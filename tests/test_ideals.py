@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from spinorlab.ideals import (
+    ANTICOMMUTATOR_TOL,
     RANK_TOL,
+    UNIT_TOL,
     Idempotent,
     InvolutionConditionError,
     beta_inner_product,
@@ -29,7 +31,8 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.weyl import to_matrix
+from spinorlab.ideals import _pure_units
+from spinorlab.weyl import _BLADE_MATS, to_matrix
 
 FC = canonical_idempotent("complex")
 FR = canonical_idempotent("real")
@@ -325,3 +328,108 @@ def test_find_adjoint_element_matches_blade_by_blade_reference(f, kind):
     assert (h is None) == (ref is None)
     if h is not None:
         assert_same_multivectors([h], [ref])
+
+
+# -- the unit profile against the object-by-object reference ------------------------
+
+
+def ref_pure_units(f, basis):
+    """_pure_units one Multivector at a time, reading each ring-scalar part
+    as tr M(w) / tr M(f) from the Weyl matrices."""
+    f_trace = complex(np.trace(to_matrix(f)))
+    units, ok = [], True
+    for w in basis:
+        lam = complex(np.trace(to_matrix(w))) / f_trace
+        pure = w - lam * f
+        if pure.max_abs() <= UNIT_TOL:
+            continue
+        sq = pure * pure
+        coeff = complex(np.trace(to_matrix(sq))) / f_trace
+        if coefficient_distance(sq, coeff * f) > UNIT_TOL or coeff.real >= 0:
+            ok = False
+            continue
+        units.append((1.0 / np.sqrt(-coeff.real)) * pure)
+    for i, u in enumerate(units):
+        for v in units[i + 1:]:
+            anti = u * v + v * u
+            lam = complex(np.trace(to_matrix(anti))) / f_trace
+            if coefficient_distance(anti, lam * f) > ANTICOMMUTATOR_TOL:
+                ok = False
+    return units, ok
+
+
+def ref_ring_identify(f, scalars):
+    """(name, dimension, primitive, profile_ok, basis) from the object-by-object
+    unit profile and the pairwise commutator scan."""
+    basis = ref_independent([f.value * b * f.value for b in BLADES], scalars)
+    dim = len(basis)
+    if dim == 1:
+        return "R" if scalars == "real" else "C", 1, True, True, basis
+    if scalars == "complex" or dim not in (2, 4):
+        return "not_division_ring", dim, False, False, basis
+    units, ok = ref_pure_units(f.value, basis)
+    if dim == 2:
+        return "C", 2, True, ok, basis
+    noncomm = any(coefficient_distance(u * v, v * u) > UNIT_TOL
+                  for i, u in enumerate(units) for v in units[i + 1:])
+    return "H", 4, True, ok and noncomm, basis
+
+
+def assert_same_units(units, ref_units):
+    # a trace sums four diagonal entries where w_0 / f_0 reads one slot, so
+    # the O(1) unit coefficients agree to some ulps of complex128, not bit for bit
+    want = np.reshape([u._c for u in ref_units], (-1, BLADE_COUNT))
+    assert units.shape == want.shape and np.allclose(units, want, rtol=0, atol=1e-14)
+
+
+def half_one_plus(*xs):
+    """The idempotent product of (1 + x)/2 over commuting x with x x = 1."""
+    f = ONE
+    for x in xs:
+        f = f * (0.5 * (ONE + x))
+    return Idempotent(f)
+
+
+G0, G01, IG12, G123 = gamma(0), blade((0, 1)), 1j * blade((1, 2)), blade((1, 2, 3))
+#: of these four square roots of 1, only g0 with ig12 and ig12 with g123 commute
+RING_CASES = {
+    "complex": FC, "real": FR, "exact": EXACT_FR, "unit": Idempotent(ONE),
+    "g0": half_one_plus(G0), "g01": half_one_plus(G01), "ig12": half_one_plus(IG12),
+    "g123": half_one_plus(G123), "g0*ig12": half_one_plus(G0, IG12),
+    "ig12*g123": half_one_plus(IG12, G123),
+}
+
+
+@pytest.mark.parametrize("scalars", ["complex", "real"])
+@pytest.mark.parametrize("f", list(RING_CASES.values()), ids=list(RING_CASES))
+def test_ring_identify_matches_object_reference(f, scalars):
+    ring = division_ring_identify(f, scalars)
+    *want, basis = ref_ring_identify(f, scalars)
+    assert [ring.name, ring.dimension, ring.primitive, ring.profile_ok] == want
+    assert all(type(v) is bool for v in (ring.primitive, ring.profile_ok))
+    assert_same_multivectors(ring.basis, basis)
+    if scalars == "real" and ring.dimension in (2, 4):
+        units, got = _pure_units(f.value._c, np.array([w._c for w in basis]))
+        ref_units, ref_ok = ref_pure_units(f.value, basis)
+        assert got == ref_ok
+        assert_same_units(units, ref_units)
+
+
+def test_only_the_scalar_blade_has_a_trace():
+    # the identity tr M(x) = 4 x_0 that _pure_units reads ring scalars by
+    assert np.trace(_BLADE_MATS, axis1=1, axis2=2).tolist() == [4] + [0] * (BLADE_COUNT - 1)
+
+
+@pytest.mark.parametrize("rows, ok", [
+    ([blade((1, 2)), blade((2, 3))], True),
+    ([1j * blade((1, 2))], False),  # squares to +1
+    ([blade((1, 2)), blade((0, 1, 2, 3))], False),  # commute: u v + v u = -2 e03
+    ([blade((1, 2)), blade((1, 2)) + 0.5 * gamma(0)], False),  # squares to e012 - 0.75
+    ([ONE, 2 * ONE], True),  # nothing but ring scalars
+], ids=["quaternion-pair", "plus-square", "commuting-pair", "square-off-f", "scalars-only"])
+def test_pure_units_flags_what_the_reference_flags(rows, ok):
+    f = ONE
+    units, got = _pure_units(f._c, np.array([w._c for w in rows]))
+    ref_units, ref_ok = ref_pure_units(f, rows)
+    assert got == ref_ok == ok
+    assert_same_units(units, ref_units)

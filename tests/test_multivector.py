@@ -27,7 +27,7 @@ from spinorlab.multivector import (
     scalar,
 )
 from spinorlab.multivector import _MUL_SIGN, _exact_product, _involute, _product
-from spinorlab.weyl import from_matrix, to_matrix
+from spinorlab.weyl import _coefficients, _matrices, from_matrix, to_matrix
 
 ONE = scalar(1)
 
@@ -379,6 +379,33 @@ def test_stacked_exact_product_is_row_by_row(pairs):
         assert all(type(v) in (int, Fraction) for v in got)
     # one right operand broadcast against the stack, as ideals uses it
     assert _product(a, b[0]).tolist() == [_exact_product(x, b[0]).tolist() for x in a]
+
+
+#: a real or imaginary part: zero, or of either sign with magnitude 1e-5 to 1e5
+FLOAT_PARTS = st.one_of(st.just(0.0), st.builds(
+    lambda sign, magnitude: sign * magnitude, st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=1e-5, max_value=1e5)))
+FLOAT_ROWS = st.lists(st.builds(complex, FLOAT_PARTS, FLOAT_PARTS),
+                      min_size=BLADE_COUNT, max_size=BLADE_COUNT).map(np.array)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(FLOAT_ROWS, FLOAT_ROWS), min_size=1, max_size=5))
+def test_single_row_fast_paths_match_stacked_kernels(pairs):
+    """The single-row branches give the stacked kernels' bits, which the
+    batched checks in ``checks.py`` rely on to match the trial-by-trial loop."""
+    a = np.stack([x for x, _ in pairs])
+    b = np.stack([y for _, y in pairs])
+    mats, products = _matrices(a), _product(a, b)
+    back = _coefficients(mats)
+    for x, y, m, xm, xy in zip(a, b, mats, back, products):
+        assert same_bits(to_matrix(Multivector._of(x)), m)
+        assert same_bits(from_matrix(m)._c, xm)
+        assert same_bits((Multivector._of(x) * Multivector._of(y))._c, xy)
 
 
 def test_items_lists_only_nonzero_slots_in_mask_order():
