@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import DualSpinor, InvalidOperatorError, KinematicPoint, validate_omega
-from .multivector import _BLADES, _GRADES, _ODD, Multivector, _involute, _product
+from .multivector import _GRADES, _ODD, _SP, _XOR, Multivector, _product
 from .weyl import (COMMUTATOR_TOL, CONJUGATION_TOL, DEDUP_TOL, GROUP_TOL, KEY_ROUNDING, ZERO_TOL,
                    _dagger, _invertible, from_matrix, multivector_inverse, to_matrix)
 
@@ -349,16 +349,38 @@ class MembershipRecord:
     norm: complex
 
 
-#: coefficient slots of the generators e_0 .. e_3
+#: coefficient slots of the generators e_0 .. e_3; slot c of x e_mu is
+#: x[_E_SLOTS[mu, c]] * _E_SIGNS[0, mu, c], and of hat(x) e_mu the same with _E_SIGNS[1]
 _VECTOR_SLOTS = [1 << mu for mu in range(4)]
+_E_SLOTS = _XOR[_VECTOR_SLOTS]
+_E_SIGNS = _SP[_E_SLOTS, np.arange(16)].astype(int) * np.where(_ODD[_E_SLOTS], [[[1]], [[-1]]], 1)
+_LAST = [(None, None)]  # the last x given to _pin_data and its data, stored as one pair
 
 
-def _conjugates(x: np.ndarray, x_inv: np.ndarray) -> tuple:
-    """The rows x e_mu x_inv for mu = 0..3 as a (4, 16) stack, each with the
-    bits of (x * e_mu) * x_inv, and each row's sum of |coefficient| off
-    grade 1."""
-    images = _product(_product(x, _BLADES[_VECTOR_SLOTS]), x_inv)
-    return images, abs(np.where(_GRADES == 1, 0, images)).sum(axis=-1)
+def _times_generators(c: np.ndarray) -> np.ndarray:
+    """c e_mu and hat(c) e_mu (..., 2, 4, 16) of coefficient rows c (..., 16), with the
+    bits of _product: e_mu is a unit blade, and + 0 turns each -0 into the +0 its sum gives."""
+    return c[..., None, _E_SLOTS] * _E_SIGNS + 0
+
+
+def _pin_data(x: Multivector) -> tuple:
+    """x * rev(x); the stack (2, 4, 16) of x e_mu x^-1 and hat(x) e_mu x^-1,
+    with the bits of (x * e_mu) * x^-1, or None if x has no inverse; and each
+    row's sum of |coefficient| off grade 1.  None of it depends on a tolerance.
+    The last x's data is kept, so membership(x) then twisted_adjoint(x) invert x once."""
+    last, data = _LAST[0]
+    if last is x:
+        return data
+    norm_mv = x * x.reversion()
+    try:
+        x_inv = multivector_inverse(x)
+    except ZeroDivisionError:
+        data = norm_mv, None, None
+    else:
+        images = _product(_times_generators(x._c), x_inv._c)
+        data = norm_mv, images, abs(np.where(_GRADES == 1, 0, images)).sum(axis=-1)
+    _LAST[0] = x, data
+    return data
 
 
 def membership(x: Multivector, tol: float = ZERO_TOL) -> MembershipRecord:
@@ -367,32 +389,26 @@ def membership(x: Multivector, tol: float = ZERO_TOL) -> MembershipRecord:
     in_gamma requires conjugation x e_mu x^-1 to land on grade 1 with real
     coefficients for all four generators; in_pin additionally pins the
     reversion norm x * rev(x) to a +-1 scalar; in_spin adds evenness and
-    in_spin_plus picks the +1 norm sheet.
+    in_spin_plus picks the +1 norm sheet.  The inverse and conjugates are
+    shared with a following ``twisted_adjoint(x)``; only the flags read tol.
     """
-    return _membership(x, tol)[0]
+    return _membership(x, tol)
 
 
-def _membership(x: Multivector, tol: float = ZERO_TOL) -> tuple:
-    """``membership(x, tol)`` and the inverse of x, or None if x has none."""
+def _membership(x: Multivector, tol: float = ZERO_TOL) -> MembershipRecord:
     even = bool(abs(x._c[_ODD]).sum() <= tol)
-
-    norm_mv = x * x.reversion()
+    norm_mv, images, stray = _pin_data(x)
     norm = complex(norm_mv.scalar_part())
-
-    try:
-        xinv = multivector_inverse(x)
-    except ZeroDivisionError:
-        return MembershipRecord(even, False, False, False, False, False, norm), None
-
-    images, stray = _conjugates(x._c, xinv._c)
-    in_gamma = bool(stray.max() <= tol and abs(images[:, _VECTOR_SLOTS].imag).max() <= tol)
+    if images is None:
+        return MembershipRecord(even, False, False, False, False, False, norm)
+    in_gamma = bool(stray[0].max() <= tol and abs(images[0][:, _VECTOR_SLOTS].imag).max() <= tol)
 
     off_scalar = abs(norm_mv._c[1:]).sum()
     unit = bool(off_scalar <= tol) and (abs(norm - 1) <= tol or abs(norm + 1) <= tol)
     in_pin = in_gamma and unit
     in_spin = in_pin and even
     in_spin_plus = in_spin and abs(norm - 1) <= tol
-    return MembershipRecord(even, True, in_gamma, in_pin, in_spin, in_spin_plus, norm), xinv
+    return MembershipRecord(even, True, in_gamma, in_pin, in_spin, in_spin_plus, norm)
 
 
 def twisted_adjoint(x: Multivector) -> np.ndarray:
@@ -400,12 +416,11 @@ def twisted_adjoint(x: Multivector) -> np.ndarray:
 
     Returns Lambda with hat(x) e_nu x^-1 = Lambda[mu, nu] e_mu, where hat is
     the grade involution (so odd elements act with the extra sign).  x and -x
-    produce the same Lambda, and Lambda^T g Lambda = g.
+    produce the same Lambda, and Lambda^T g Lambda = g.  It reuses membership(x)'s pass.
     """
-    record, x_inv = _membership(x)
-    if not record.in_pin:
+    if not _membership(x).in_pin:
         raise ValueError("twisted_adjoint requires a Pin element")
-    images, stray = _conjugates(_involute("grade", x._c), x_inv._c)
+    _, (_, images), (_, stray) = _pin_data(x)
     if stray.max() > CONJUGATION_TOL:
         raise ValueError(f"conjugation left grade 1 by {stray[stray > CONJUGATION_TOL][0]:.3e}")
     return images[:, _VECTOR_SLOTS].real.T

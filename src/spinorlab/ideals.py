@@ -41,7 +41,7 @@ class Idempotent:
 
     def __post_init__(self):
         residual = coefficient_distance(self.value * self.value, self.value)
-        if residual > ROUNDING_TOL:
+        if not residual <= ROUNDING_TOL:  # NaN is not idempotent
             raise ValueError(f"not idempotent: residual {residual:.3e}")
 
 

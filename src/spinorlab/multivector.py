@@ -134,7 +134,7 @@ def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 out[ma ^ mb] += ca * cb
             else:
                 out[ma ^ mb] -= ca * cb
-    if any(isinstance(v, Fraction) for v in a + b):
+    if any(issubclass(t, Fraction) for t in {*map(type, a), *map(type, b)}):
         den = da * db
         out = [Fraction(v, den) if v else 0 for v in out]
     return np.array(out, dtype=object)

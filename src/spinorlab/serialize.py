@@ -27,7 +27,7 @@ class MalformedInputError(ValueError):
 
 def _part_to_obj(x):
     if isinstance(x, int):
-        return [x, 1]
+        return [int(x), 1]  # a bool coefficient is the int 1 or 0
     return [x.numerator, x.denominator]
 
 

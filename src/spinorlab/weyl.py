@@ -150,4 +150,4 @@ def multivector_inverse(a: Multivector) -> Multivector:
     m = to_matrix(a)
     if not _invertible(m):
         raise ZeroDivisionError("multivector is not invertible")
-    return from_matrix(np.linalg.inv(m))
+    return Multivector._of(_coefficients(np.linalg.inv(m)))

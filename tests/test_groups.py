@@ -1,7 +1,10 @@
 """Group machinery: closure, generation, Cayley tables, orbits, hierarchy."""
 
 import math
+import sys
+import threading
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,10 +34,15 @@ from spinorlab.groups import (
     membership,
     orbit_partition,
     twisted_adjoint,
+    _VECTOR_SLOTS,
+    _times_generators,
 )
 from spinorlab.multivector import (
+    _BLADES,
     METRIC,
     Multivector,
+    _involute,
+    _product,
     blade,
     coefficient_distance,
     gamma,
@@ -828,6 +836,134 @@ def test_conjugates_match_element_by_element_references():
         else:
             assert np.array_equal(lam, ref)
     assert rejected == 3  # 1 + e0, scalar(2) and the generic element are not in Pin
+
+
+#: a real or imaginary part: zero of either sign, or of either sign with
+#: magnitude 1e-5 to 1e5
+FLOAT_PARTS = st.one_of(st.sampled_from((0.0, -0.0)), st.builds(
+    lambda sign, magnitude: sign * magnitude, st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=1e-5, max_value=1e5)))
+FLOAT_ROWS = st.lists(st.builds(complex, FLOAT_PARTS, FLOAT_PARTS), min_size=16, max_size=16)
+EXACT_ROWS = st.lists(st.one_of(
+    st.just(0), st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 10**12)),
+), min_size=16, max_size=16)
+
+
+def blade_products(row):
+    """x e_mu and hat(x) e_mu as products with the generators' coefficient rows."""
+    return [_product(x, _BLADES[_VECTOR_SLOTS]) for x in (row, _involute("grade", row))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FLOAT_ROWS, min_size=1, max_size=3))
+def test_generator_gather_has_the_bits_of_the_blade_product(rows):
+    # e_mu is a unit blade, so x e_mu is a signed gather of x's slots; the
+    # gather must give every bit of the product, the sign of each zero included.
+    x = np.array(rows)
+    got = _times_generators(x)
+    assert got.dtype == complex and got.shape == (len(rows), 2, 4, 16)
+    for row, images in zip(x, got):
+        for image, want in zip(images, blade_products(row)):
+            assert image.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(EXACT_ROWS, min_size=1, max_size=3))
+def test_generator_gather_is_exact_on_exact_rows(rows):
+    x = np.array(rows, dtype=object)
+    got = _times_generators(x)
+    assert got.dtype == object and got.shape == (len(rows), 2, 4, 16)
+    for row, images in zip(x, got):
+        for image, want in zip(images, blade_products(row)):
+            assert image.tolist() == want.tolist()
+            assert all(type(v) in (int, Fraction) for v in image.ravel())
+            assert image.astype(complex).tobytes() == want.astype(complex).tobytes()
+
+
+def copy_of(x):
+    return Multivector._of(x._c.copy())
+
+
+def bits(result):
+    """A result or error text, with the bits of every float in it."""
+    if isinstance(result, MembershipRecord):
+        return astuple(result)[:-1], np.complex128(result.norm).tobytes()
+    return result.tobytes() if isinstance(result, np.ndarray) else result
+
+
+def test_shared_pass_gives_what_fresh_copies_give():
+    # Each call's record, Lambda or error text has the bits that the same call
+    # on a fresh copy of its argument gives, whatever object came before it.
+    rng = np.random.default_rng(16)
+    rotor = exp_bivector(random_multivector(rng, real=True, grades=(2,)))
+    near = (1 + 1e-9) * rotor
+    assert membership(near, tol=1e-8).in_pin  # then the default tol, on the same object
+    assert outcome(twisted_adjoint, near) == "ValueError: twisted_adjoint requires a Pin element"
+    assert not membership(near).in_pin
+    pool = [
+        rotor, copy_of(rotor), rotor * gamma(1), near,
+        Multivector({0: Fraction(3, 5), 6: Fraction(4, 5)}), Multivector({0: 0.6, 6: 0.8}),
+        scalar(1), scalar(1.0), -scalar(-1.0),  # equal values: exact, +0 parts, -0 parts
+        scalar(1) + gamma(0), scalar(2), random_multivector(rng),  # singular, not in Pin
+    ]
+    calls = [(membership, {}), (membership, {"tol": 1e-8}), (twisted_adjoint, {})]
+    sequence = [(x, f, kw) for x in pool for f, kw in calls]
+    sequence += [(x, twisted_adjoint, {}) for x in pool]
+    sequence += [(pool[i], *calls[j]) for i, j in rng.integers(0, (len(pool), 3), (300, 2))]
+    for x, f, kw in sequence:
+        assert bits(outcome(lambda y: f(y, **kw), x)) == bits(
+            outcome(lambda y: f(y, **kw), copy_of(x)))
+
+
+def test_membership_then_twisted_adjoint_inverts_once(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return multivector_inverse(x)
+
+    monkeypatch.setattr(groups, "multivector_inverse", counted)
+    x = exp_bivector(0.3 * blade((1, 2)) + 0.2 * blade((0, 3)))
+    assert membership(x).in_spin_plus
+    twisted_adjoint(x)
+    membership(x, tol=1e-8)
+    assert len(calls) == 1
+    membership(copy_of(x))
+    assert len(calls) == 2
+    twisted_adjoint(x)  # no longer the last object seen
+    assert len(calls) == 3
+
+
+def test_shared_pass_under_threads():
+    # The last object and its data are stored as one tuple, so however the
+    # threads interleave, none reads data that belongs to another object.
+    rng = np.random.default_rng(17)
+    xs = [exp_bivector(random_multivector(rng, real=True, grades=(2,))) for _ in range(6)]
+    xs += [x * gamma(1) for x in xs[:2]] + [scalar(2), scalar(1) + gamma(0)]
+    want = [(bits(membership(copy_of(x))), bits(outcome(twisted_adjoint, copy_of(x))))
+            for x in xs]
+    wrong, finished = [], []
+
+    def work(seed):
+        for i in np.random.default_rng(seed).integers(0, len(xs), 300):
+            got = bits(membership(xs[i])), bits(outcome(twisted_adjoint, xs[i]))
+            if got != want[i]:
+                wrong.append(i)
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [0, 1, 2, 3] and not wrong
 
 
 # -- rotor exponential --------------------------------------------------------------------------

@@ -67,6 +67,15 @@ def test_idempotent_constructor_rejects_non_idempotent():
         canonical_idempotent("split")
 
 
+def test_idempotent_constructor_rejects_nan():
+    # A NaN residual compares false against every bound; it must be refused
+    # here, not reach division_ring_identify's SVD.
+    with pytest.raises(ValueError, match="not idempotent: residual nan"):
+        Idempotent(Multivector({0: float("nan")}))
+    with pytest.raises(ValueError, match="not idempotent"):
+        Idempotent(Multivector({0: 0.5, 1: float("nan")}))
+
+
 def test_ideal_dimensions():
     assert ideal_basis(FC, "left", "complex").dimension == 4
     assert ideal_basis(FC, "right", "complex").dimension == 4

@@ -1,5 +1,6 @@
 """JSON round trips for multivectors, matrices, and spinors."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from spinorlab.multivector import Multivector, gamma, random_multivector, scalar
 from spinorlab.serialize import (
     MalformedInputError,
+    dump_json,
     matrix_from_obj,
     matrix_to_obj,
     multivector_from_obj,
@@ -45,6 +47,16 @@ def test_multivector_complex_coefficients():
     back = multivector_from_obj(obj)
     assert back.coefficient(0) == 1 + 2j
     assert back.coefficient(1) == 3j
+
+
+def test_bool_coefficients_round_trip():
+    # Multivector keeps a bool as an exact int; the file must hold plain ints,
+    # which the reader's exact-pair test accepts.
+    x = Multivector({0: True, 5: True, 6: False})
+    obj = multivector_to_obj(x)
+    assert obj == {"": [[1, 1], [0, 1]], "02": [[1, 1], [0, 1]]}
+    assert all(type(v) is int for pair in obj.values() for part in pair for v in part)
+    assert multivector_from_obj(json.loads(dump_json(obj))) == x
 
 
 def test_multivector_bad_inputs():
