@@ -139,8 +139,8 @@ _KEY_WEIGHTS = np.exp(1j * np.arange(1, 17))
 
 
 def _key(rows: np.ndarray) -> np.ndarray:
-    """Key of each row of a (n, 16) stack; NaN, which matches any key, on overflow."""
-    key = (rows @ _KEY_WEIGHTS).real
+    """Key of each row of a (n, 16) or (n, 4) stack; NaN, which matches any key, on overflow."""
+    key = (rows @ _KEY_WEIGHTS[:rows.shape[-1]]).real
     return np.where(np.isfinite(key), key, np.nan)
 
 
@@ -163,16 +163,19 @@ def _lookup(stored: np.ndarray, keys: np.ndarray, x: np.ndarray, tol: float):
 
 
 def _build_table(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Cayley table of a (n, 4, 4) stack, a block of whole rows per stacked product."""
     n = len(stack)
     flat = stack.reshape(n, 16)
     keys = _key(flat)
     table = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        row = (stack[i] @ stack).reshape(n, 16)
-        for j in range(0, n, _TABLE_BLOCK):
-            table[i, j:j + _TABLE_BLOCK] = _lookup(flat, keys, row[j:j + _TABLE_BLOCK], tol)
-        if (table[i] < 0).any():
+    step = max(1, _TABLE_BLOCK // max(1, n))
+    for i in range(0, n, step):
+        prods = (stack[i:i + step, None] @ stack).reshape(-1, 16)
+        found = np.concatenate([_lookup(flat, keys, prods[j:j + _TABLE_BLOCK], tol)
+                                for j in range(0, len(prods), _TABLE_BLOCK)])
+        if (found < 0).any():
             raise ValueError("element set is not closed under products")
+        table[i:i + step] = found.reshape(-1, n)
     return table
 
 
@@ -182,9 +185,9 @@ def group_from_elements(elements, labels=None, tol: float = GROUP_TOL) -> Finite
     if labels is None:
         labels = [f"g{i}" for i in range(len(mats))]
     group = FiniteMatrixGroup(mats, list(labels), _build_table(np.array(mats), tol))
-    group.identity_index  # raises if missing
-    for i in range(group.order):
-        group.inverse_index(i)
+    (lost,) = np.nonzero(~(group.table == group.identity_index).any(axis=1))
+    if len(lost):
+        raise ValueError(f"element {lost[0]} has no inverse")
     return group
 
 
@@ -309,27 +312,38 @@ def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> 
     """Group the supplied dual spinors into orbit classes.
 
     Duals are row covectors, so the group acts on the right, ``psi -> psi @ g``.
-    ``orbit_sizes`` counts the distinct images of each representative, which
-    divides the group order.
+    Classes open in input order, so they are listed by smallest index and the
+    representative is the first member; a dual joins the first open class with
+    an image within max-entry distance ``tol`` (absolute) of it.  ``orbit_sizes``
+    counts the distinct images of each representative, which divides the group
+    order.  A non-finite dual is refused.  Open duals are taken
+    ``_TABLE_BLOCK // order`` at a time, matched by one keyed lookup.
     """
     rows = np.array([
         d.components if isinstance(d, DualSpinor) else np.asarray(d, complex).reshape(4)
         for d in duals
     ], dtype=complex).reshape(-1, 4)
+    if not np.isfinite(rows).all():
+        raise ValueError(f"dual {np.isfinite(rows).all(axis=-1).argmin()} is not finite")
     mats = np.array(group.elements)
 
-    classes: list[list[int]] = []
-    sizes: list[int] = []
-    unassigned = np.ones(len(rows), dtype=bool)
-    for i in range(len(rows)):
-        if not unassigned[i]:
-            continue
-        images = rows[i] @ mats
-        open_rows = i + np.flatnonzero(unassigned[i:])
-        members = open_rows[_find(images, rows[open_rows], tol) >= 0]
-        unassigned[members] = False
-        classes.append([int(j) for j in members])
-        sizes.append(int((_find(images, images, tol) == np.arange(len(images))).sum()))
+    classes, sizes = [], []
+    keys, unassigned = _key(rows), np.ones(len(rows), dtype=bool)
+    while unassigned.any():
+        block = np.flatnonzero(unassigned)[:max(1, _TABLE_BLOCK // len(mats))]
+        images = (rows[block, None, None] @ mats)[:, :, 0]
+        hits = _matches(rows, keys, images.reshape(-1, 4), tol)
+        hits = hits.reshape(len(block), len(mats), -1).any(axis=1)
+        opened = []
+        for r, i in enumerate(block):
+            if unassigned[i]:
+                hits[r, i] = True  # a member even if no image lands on it; the block closes
+                members = np.flatnonzero(unassigned & hits[r])
+                unassigned[members] = False
+                classes.append(members.tolist())
+                opened.append(r)
+        images = images[opened]
+        sizes += (_find(images[:, None], images, tol) == np.arange(len(mats))).sum(axis=-1).tolist()
     return OrbitPartition(classes, [cls[0] for cls in classes], sizes)
 
 

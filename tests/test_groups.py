@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinorlab.duals import (
+    DualSpinor,
     InvalidOperatorError,
     KinematicPoint,
     delta_to_omega,
@@ -263,6 +264,24 @@ def test_table_lookups_stay_in_blocks(monkeypatch):
     shapes.clear()
     assert generate_group([step]).order == 100
     assert max(shape[0] for shape in shapes) == 64
+
+
+def _corner():
+    e = np.zeros((4, 4))
+    e[0, 3] = 1  # e @ e = 0
+    return e
+
+
+@pytest.mark.parametrize("elements, message", [
+    # closed, with identity I; -I is its own inverse, 0, P and -P have none
+    ([np.eye(4), -np.eye(4), np.zeros((4, 4)), np.diag([1.0, 0, 0, 0]),
+      -np.diag([1.0, 0, 0, 0])], "element 2 has no inverse"),
+    ([np.zeros((4, 4)), _corner()], "group has no identity element"),
+    ([np.eye(4), _corner()], "element set is not closed under products"),
+])
+def test_group_from_elements_names_the_first_failure(elements, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        group_from_elements(elements)
 
 
 def sequential_closure(generators, cap):
@@ -649,6 +668,151 @@ def test_partition_invariant_under_input_permutation():
     sizes1 = sorted(len(c) for c in p1.classes)
     sizes2 = sorted(len(c) for c in p2.classes)
     assert sizes1 == sizes2
+
+
+def ref_orbit_partition(group, duals, tol=1e-9):
+    """orbit_partition one class at a time, each class with two dense scans:
+    its members among the open rows, then its distinct images."""
+    rows = np.array([
+        d.components if isinstance(d, DualSpinor) else np.asarray(d, complex).reshape(4)
+        for d in duals
+    ], dtype=complex).reshape(-1, 4)
+    mats = np.array(group.elements)
+    classes, sizes = [], []
+    unassigned = np.ones(len(rows), dtype=bool)
+    for i in range(len(rows)):
+        if not unassigned[i]:
+            continue
+        images = rows[i] @ mats
+        open_rows = i + np.flatnonzero(unassigned[i:])
+        members = open_rows[groups._find(images, rows[open_rows], tol) >= 0]
+        unassigned[members] = False
+        classes.append([int(j) for j in members])
+        sizes.append(int((groups._find(images, images, tol) == np.arange(len(images))).sum()))
+    return classes, [cls[0] for cls in classes], sizes
+
+
+def klein_group(name, k):
+    # Built without the closure check, which fails for GXiDagger near E/m 1e3.
+    elements = gf_elements(k) if name == "GF" else gxd_elements(k)
+    return groups.FiniteMatrixGroup(elements, ["I", "G", name[1:], name], KLEIN_TABLE)
+
+
+def shuffled_orbits(rng, elements, bases, scale=1.0):
+    """Some images of each of ``bases`` random rows, shuffled."""
+    rows = []
+    for _ in range(bases):
+        base = scale * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        picked = rng.permutation(len(elements))[:rng.integers(1, len(elements) + 1)]
+        rows += [base @ elements[g] for g in picked]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def nudged(rng, rows, tol):
+    """Each row moved along random phases by tol * (1 +- 2^-k) per entry."""
+    out = []
+    for row in rows:
+        k = rng.choice([20, 30, 40, 52])
+        phases = np.exp(2j * np.pi * rng.uniform(size=4))
+        out += [row, row + tol * (1 + rng.choice([-1, 1]) * 2.0**-k) * phases]
+    return out
+
+
+#: the point of the classify-gxidagger-orbits-split ledger entry
+SPLIT_POINT = KinematicPoint(1.8384213168348236, 2700.0665423118476,
+                             2.4029433328532512, 4.276206332007041)
+
+
+def orbit_cases():
+    rng = np.random.default_rng(19)
+    for name in ("GF", "GXiDagger"):
+        for p in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 2e3, 3e3):
+            group = klein_group(name, KinematicPoint(1.0, p, 0.7, 0.3))
+            yield f"{name}-{p:g}", group, shuffled_orbits(rng, group.elements, 60), 1e-9
+        group = klein_group(name, SPLIT_POINT)
+        yield f"{name}-split-point", group, shuffled_orbits(rng, group.elements, 100), 1e-9
+    gf = klein_group("GF", K)
+    rows = shuffled_orbits(rng, gf.elements, 30)
+    for tol in (0.0, 1e-9, 1e-7, 1e285):
+        yield f"tol-{tol:g}", gf, rows, tol
+        yield f"nudged-{tol:g}", gf, nudged(rng, rows, tol), tol
+    trivial = generate_group([np.eye(4, dtype=complex)])
+    yield "trivial", trivial, shuffled_orbits(rng, gf.elements, 10), 1e-9
+    dirac = generate_group([weyl_gamma(mu) for mu in range(4)] + [1j * np.eye(4)])
+    yield "order-64", dirac, shuffled_orbits(rng, dirac.elements, 5), 1e-9
+    yield "empty", gf, [], 1e-9
+    yield "duplicates", gf, rows[:10] * 3 + rows[:4], 1e-9
+    yield "mixed-types", gf, [DualSpinor(r) if i % 2 else list(r) for i, r in enumerate(rows)], 1e-9
+    huge = shuffled_orbits(rng, gf.elements, 30, scale=1e307)  # some images overflow
+    for tol in (1e-9, 1e285):
+        yield f"near-overflow-{tol:g}", gf, huge, tol
+
+
+@pytest.mark.parametrize("group, rows, tol", [c[1:] for c in orbit_cases()],
+                         ids=[c[0] for c in orbit_cases()])
+@np.errstate(over="ignore", invalid="ignore")
+def test_orbit_partition_matches_class_by_class_reference(group, rows, tol):
+    partition = orbit_partition(group, rows, tol)
+    assert (partition.classes, partition.representatives, partition.orbit_sizes) == (
+        ref_orbit_partition(group, rows, tol))
+    assert all(type(j) is int for cls in partition.classes for j in cls)
+    assert all(type(s) is int for s in partition.orbit_sizes)
+
+
+def test_split_point_still_splits_true_orbits():
+    # The absolute tol splits some orbits at this point (a known defect); the
+    # partition must split exactly where the reference does, no more and no less.
+    rng = np.random.default_rng(20)
+    group = klein_group("GXiDagger", SPLIT_POINT)
+    rows = shuffled_orbits(rng, group.elements, 100)
+    partition = orbit_partition(group, rows)
+    assert partition.classes == ref_orbit_partition(group, rows)[0]
+    assert len(partition.classes) > 100
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_non_finite_dual_is_refused_by_index(bad):
+    group = group_from_elements(gf_elements(K))
+    with pytest.raises(ValueError, match=r"^dual 0 is not finite$"):
+        orbit_partition(group, [[bad, 1, 1, 1]])
+    rows = [np.ones(4), DualSpinor([1, bad, 1, 1]), [bad, 1, 1, 1]]
+    with pytest.raises(ValueError, match=r"^dual 1 is not finite$"):
+        orbit_partition(group, rows)
+
+
+def test_a_dual_belongs_to_the_class_it_opens():
+    # The identity is (1 + 1e-10) I, so a dual of size 100 is 1e-8 from its
+    # own image; it still opens, and belongs to, its own class.
+    group = group_from_elements([(1 + 1e-10) * np.eye(4)])
+    rows = [100 * np.ones(4), 100 * (1 + 1e-10) * np.ones(4), 50 * np.ones(4)]
+    partition = orbit_partition(group, rows)
+    assert partition.classes == [[0, 1], [2]]
+    assert (partition.representatives, partition.orbit_sizes) == ([0, 2], [1, 1])
+
+
+def test_orbit_lookups_stay_in_blocks(monkeypatch):
+    shapes, finds = [], []
+    real_matches, real_find = groups._matches, groups._find
+
+    def recording_matches(stored, keys, x, tol):
+        shapes.append(x.shape)
+        return real_matches(stored, keys, x, tol)
+
+    def recording_find(stored, x, tol):
+        finds.append(x.shape)
+        return real_find(stored, x, tol)
+
+    monkeypatch.setattr(groups, "_matches", recording_matches)
+    monkeypatch.setattr(groups, "_find", recording_find)
+    group = group_from_elements(gf_elements(K))
+    assert len(shapes) == 1  # the whole order-4 table in one keyed call
+    shapes.clear()
+    rows = shuffled_orbits(np.random.default_rng(21), group.elements, 200)[:400]
+    assert len(rows) == 400
+    partition = orbit_partition(group, rows)
+    assert max(shape[0] for shape in shapes) <= 64
+    assert len(shapes) <= math.ceil(400 / 16)
+    assert len(finds) <= len(shapes) < len(partition.classes)
 
 
 # -- hierarchy membership --------------------------------------------------------------------
