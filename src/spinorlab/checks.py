@@ -60,7 +60,7 @@ def _draw(rng, n, layout) -> list:
     widths = [16 if w is None else w for w in layout]
     u = np.split(rng.uniform(-1, 1, (n, sum(widths))), np.cumsum(widths)[:-1], axis=1)
     stacks = [v if w else _delta_from(v) for w, v in zip(layout, u)]
-    if all(_invertible(s).all() for w, s in zip(layout, stacks) if w is None):
+    if all(_invertible(np.linalg.det(s)).all() for w, s in zip(layout, stacks) if w is None):
         return stacks
     rng.bit_generator.state = state
     trials = [[rng.uniform(-1, 1, w) if w else random_delta(rng) for w in layout] for _ in range(n)]
@@ -165,7 +165,8 @@ def invertibility_transported(rng, trials) -> bool:
     samples = chain((_random_coefficients(rng, (n,), real=True) for n in _blocks(trials)),
                     [zero_divisor[None]])
     # a list, not a generator: every block is drawn even after a disagreement
-    return all([np.array_equal(_invertible(_matrices(x)), _invertible(gl2h_embed(_m2h(x.real))))
+    return all([np.array_equal(_invertible(np.linalg.det(_matrices(x))),
+                               _invertible(np.linalg.det(gl2h_embed(_m2h(x.real)))))
                 for x in samples])
 
 

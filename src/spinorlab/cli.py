@@ -18,6 +18,7 @@ Exit codes
 3  malformed input file
 4  invalid or off-shell kinematics, or a singular parameter (F at p = 0)
 5  invalid operator matrix
+141  stdout closed before the report was written (128 + SIGPIPE)
 """
 
 from __future__ import annotations
@@ -425,7 +426,10 @@ def _emit(report: SuiteReport, args) -> int:
             print(f"usage error: cannot write {args.output}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        print(text.rstrip("\n"))
+        try:
+            print(text.rstrip("\n"), flush=True)
+        except BrokenPipeError:  # no reader; the failed flush leaves none to fail at exit
+            return 141
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

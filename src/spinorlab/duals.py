@@ -266,7 +266,7 @@ def _max_entry(m: np.ndarray):
 def _validation(kind: str, m: np.ndarray, residual, tol: float) -> OperatorValidation:
     """Pass when the constraint residual is within ``tol`` and m is invertible."""
     det = np.linalg.det(m)
-    ok = (residual <= tol) & _invertible(m)
+    ok = (residual <= tol) & _invertible(det)
     if det.ndim == 0:
         det, ok = complex(det), bool(ok)
     return OperatorValidation(kind, ok, residual, det, tol)
@@ -341,7 +341,7 @@ def random_delta(seed) -> np.ndarray:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     while True:
         delta = _delta_from(rng.uniform(-1, 1, 16))
-        if _invertible(delta):
+        if _invertible(np.linalg.det(delta)):
             return delta
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .duals import DualSpinor, InvalidOperatorError, KinematicPoint, validate_omega
 from .multivector import _GRADES, _ODD, _SP, _XOR, Multivector, _product
 from .weyl import (COMMUTATOR_TOL, CONJUGATION_TOL, DEDUP_TOL, GROUP_TOL, KEY_ROUNDING, ZERO_TOL,
-                   _dagger, _invertible, from_matrix, multivector_inverse, to_matrix)
+                   _I2, _coefficients, _dagger, _invertible, _matrices, multivector_inverse)
 
 GENERATION_CAP = 1024
 
@@ -206,23 +206,28 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
     among the block's earlier products, then a greedy pass in discovery
     order.  A lookup fully tests only rows with keys ``Re(w . row)`` within 16
     tolerances plus rounding, as every match has, so the result is exact.
+
+    The Cayley table is composed from the element each product became, as g_i g_j =
+    (g_i g_parent(j)) step(j), unless ``_certified`` refuses it for ``_build_table``.
     """
     gens = [np.asarray(m, dtype=complex) for m in generators]
     for i, g in enumerate(gens):
-        if not _invertible(g):
+        if not _invertible(np.linalg.det(g)):
             raise ValueError(f"generator {i} is not invertible")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
     mats = np.reshape([m for g in gens for m in (g, np.linalg.inv(g))], (-1, 4, 4))
     steps = [step for name in labels for step in (name, f"{name}^-1")]
 
-    flat = np.eye(4, dtype=complex).reshape(1, 16)
+    flat, tol = np.eye(4, dtype=complex).reshape(1, 16), 10 * DEDUP_TOL
     keys, names, done = _key(flat), ["I"], 0
+    right, origin = [], []  # each product's element, by blocks; each element's (parent, step)
     while done < len(flat):
         parents = flat[done:done + max(1, _TABLE_BLOCK // max(1, len(steps)))].reshape(-1, 4, 4)
         prods = (parents[:, None] @ mats).reshape(-1, 16)
-        dup = _lookup(flat, keys, prods, 10 * DEDUP_TOL) >= 0
-        inner = _matches(prods, _key(prods), prods, 10 * DEDUP_TOL)
+        at = _lookup(flat, keys, prods, tol)
+        dup = at >= 0
+        inner = _matches(prods, _key(prods), prods, tol)
         for later, earlier in zip(*np.nonzero(np.tril(inner, -1))):
             if not dup[earlier]:
                 dup[later] = True
@@ -232,11 +237,37 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
         _screen(prods[new], names[len(names) - len(new):], cap)
         if len(names) > cap:
             raise CapExceeded(cap, cap + 1)
+        # a merged product is the first new product it matches, which came before it
+        at[new] = len(flat) + np.arange(len(new))
+        merged = np.flatnonzero(dup & (at < 0))
+        if len(merged):
+            at[merged] = at[new[inner[merged][:, new].argmax(axis=1)]]
+        right.append(at.reshape(len(parents), len(steps)))
+        origin += [(done + j // len(steps), j % len(steps)) for j in new]
         flat = np.concatenate([flat, prods[new]])
         keys = np.concatenate([keys, _key(prods[new])])
         done += len(parents)
-    stack = flat.reshape(-1, 4, 4)
-    return FiniteMatrixGroup(list(stack), names, _build_table(stack, 10 * DEDUP_TOL))
+    stack, right = flat.reshape(-1, 4, 4), np.concatenate(right)
+    table = np.empty((len(stack), len(stack)), dtype=int)
+    table[:, 0] = np.arange(len(stack))  # element 0 is I
+    for j, (parent, step) in enumerate(origin, 1):
+        table[:, j] = right[table[:, parent], step]
+    if not _certified(stack, keys, table, tol):
+        table = _build_table(stack, tol)
+    return FiniteMatrixGroup(list(stack), names, table)
+
+
+def _certified(stack: np.ndarray, keys: np.ndarray, table: np.ndarray, tol: float) -> bool:
+    """Whether ``table`` is ``_build_table(stack, tol)``'s: by (b) each product g_i g_j, with
+    its bits there, lies within DEDUP_TOL = tol / 10 of g_table[i, j], and by (a) no two elements
+    lie within 2 tol (plus rounding), so none has a second match.  Merged groups fail (b)."""
+    flat, rows = stack.reshape(-1, 16), _TABLE_BLOCK // 16  # a (b) block: a lookup's entries
+    for i in range(0, len(flat), _TABLE_BLOCK):  # (a): each element's first match is itself
+        if (_lookup(flat, keys, flat[i:i + _TABLE_BLOCK], 2 * tol * (1 + KEY_ROUNDING))
+                != np.arange(i, min(i + _TABLE_BLOCK, len(flat)))).any():
+            return False
+    return all((abs(stack[table[i:i + rows]] - stack[i:i + rows, None] @ stack) <= DEDUP_TOL).all()
+               for i in range(0, len(flat), rows))
 
 
 def _screen(rows: np.ndarray, labels: list, cap: int) -> None:
@@ -378,21 +409,24 @@ def _times_generators(c: np.ndarray) -> np.ndarray:
 
 
 def _pin_data(x: Multivector) -> tuple:
-    """x * rev(x); the stack (2, 4, 16) of x e_mu x^-1 and hat(x) e_mu x^-1,
-    with the bits of (x * e_mu) * x^-1, or None if x has no inverse; and each
-    row's sum of |coefficient| off grade 1.  None of it depends on a tolerance.
-    The last x's data is kept, so membership(x) then twisted_adjoint(x) invert x once."""
+    """All membership(x) and twisted_adjoint(x) compare with tol, as computed (an exact mass may
+    not fit a float): x's odd mass; x * rev(x)'s scalar and off-scalar mass; and, None if x has no
+    inverse, x e_mu x^-1 and hat(x) e_mu x^-1 (2, 4, 16) with the bits of (x * e_mu) * x^-1, each
+    row's mass off grade 1, and for x e_mu x^-1 its max and the max |imag| on grade 1."""
     last, data = _LAST[0]
     if last is x:
         return data
     norm_mv = x * x.reversion()
+    scalars = abs(x._c[_ODD]).sum(), norm_mv._c[0], abs(norm_mv._c[1:]).sum()
     try:
         x_inv = multivector_inverse(x)
     except ZeroDivisionError:
-        data = norm_mv, None, None
+        data = *scalars, None
     else:
         images = _product(_times_generators(x._c), x_inv._c)
-        data = norm_mv, images, abs(np.where(_GRADES == 1, 0, images)).sum(axis=-1)
+        stray = abs(np.where(_GRADES == 1, 0, images)).sum(axis=-1)
+        data = *scalars, (images, stray, stray[0].max(),
+                          abs(images[0][:, _VECTOR_SLOTS].imag).max())
     _LAST[0] = x, data
     return data
 
@@ -403,21 +437,20 @@ def membership(x: Multivector, tol: float = ZERO_TOL) -> MembershipRecord:
     in_gamma requires conjugation x e_mu x^-1 to land on grade 1 with real
     coefficients for all four generators; in_pin additionally pins the
     reversion norm x * rev(x) to a +-1 scalar; in_spin adds evenness and
-    in_spin_plus picks the +1 norm sheet.  The inverse and conjugates are
-    shared with a following ``twisted_adjoint(x)``; only the flags read tol.
+    in_spin_plus picks the +1 norm sheet.  x is measured once by ``_pin_data``,
+    shared with a following ``twisted_adjoint(x)``; here only tol is compared.
     """
     return _membership(x, tol)
 
 
 def _membership(x: Multivector, tol: float = ZERO_TOL) -> MembershipRecord:
-    even = bool(abs(x._c[_ODD]).sum() <= tol)
-    norm_mv, images, stray = _pin_data(x)
-    norm = complex(norm_mv.scalar_part())
-    if images is None:
+    odd, scalar, off_scalar, conjugates = _pin_data(x)
+    even = bool(odd <= tol)
+    norm = complex(scalar)
+    if conjugates is None:
         return MembershipRecord(even, False, False, False, False, False, norm)
-    in_gamma = bool(stray[0].max() <= tol and abs(images[0][:, _VECTOR_SLOTS].imag).max() <= tol)
-
-    off_scalar = abs(norm_mv._c[1:]).sum()
+    _, _, worst_stray, worst_imag = conjugates
+    in_gamma = bool(worst_stray <= tol and worst_imag <= tol)
     unit = bool(off_scalar <= tol) and (abs(norm - 1) <= tol or abs(norm + 1) <= tol)
     in_pin = in_gamma and unit
     in_spin = in_pin and even
@@ -430,11 +463,11 @@ def twisted_adjoint(x: Multivector) -> np.ndarray:
 
     Returns Lambda with hat(x) e_nu x^-1 = Lambda[mu, nu] e_mu, where hat is
     the grade involution (so odd elements act with the extra sign).  x and -x
-    produce the same Lambda, and Lambda^T g Lambda = g.  It reuses membership(x)'s pass.
+    produce the same Lambda, and Lambda^T g Lambda = g.  It re-reads membership(x)'s data.
     """
     if not _membership(x).in_pin:
         raise ValueError("twisted_adjoint requires a Pin element")
-    _, (_, images), (_, stray) = _pin_data(x)
+    (_, images), (_, stray) = _pin_data(x)[3][:2]
     if stray.max() > CONJUGATION_TOL:
         raise ValueError(f"conjugation left grade 1 by {stray[stray > CONJUGATION_TOL][0]:.3e}")
     return images[:, _VECTOR_SLOTS].real.T
@@ -450,11 +483,12 @@ def exp_bivector(b: Multivector) -> Multivector:
     """
     if any(m.bit_count() != 2 for m, _ in b.items()):
         raise ValueError("exp_bivector requires a pure grade-2 argument")
-    m = to_matrix(b)
+    m = _matrices(b._c.astype(complex, copy=False))
     out = np.zeros((4, 4), dtype=complex)
     for blk in (slice(0, 2), slice(2, 4)):
         a = m[blk, blk]
-        s = cmath.sqrt(a[0, 1] * a[1, 0] - a[0, 0] * a[1, 1])
+        (a00, a01), (a10, a11) = a.tolist()
+        s = cmath.sqrt(a01 * a10 - a00 * a11)
         sinhc = cmath.sinh(s) / s if s else 1
-        out[blk, blk] = cmath.cosh(s) * np.eye(2) + sinhc * a
-    return from_matrix(out)
+        out[blk, blk] = cmath.cosh(s) * _I2 + sinhc * a
+    return Multivector._of(_coefficients(out))

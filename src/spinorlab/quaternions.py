@@ -301,6 +301,6 @@ def intertwiner() -> np.ndarray:
     if sv[-1] > np.finfo(float).eps * max(system.shape) * sv[0]:
         raise RuntimeError("no intertwiner found; representations inequivalent")
     s = vh[-1].conj().reshape((4, 4), order="F")
-    if not _invertible(s):
+    if not _invertible(np.linalg.det(s)):
         raise RuntimeError("intertwiner candidate is singular")
     return s

@@ -82,9 +82,9 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
-def _invertible(m):
-    """|det m| > DET_TOL, per matrix of a stack: the one invertibility test."""
-    return _modulus(np.linalg.det(m)) > DET_TOL
+def _invertible(det):
+    """|det| > DET_TOL, of a determinant or each of an array of them: the one invertibility test."""
+    return _modulus(det) > DET_TOL
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -148,6 +148,6 @@ def dirac_dagger_dual(a: Multivector) -> Multivector:
 def multivector_inverse(a: Multivector) -> Multivector:
     """Inverse under the geometric product, via the matrix representation."""
     m = to_matrix(a)
-    if not _invertible(m):
+    if not _invertible(np.linalg.det(m)):
         raise ZeroDivisionError("multivector is not invertible")
     return Multivector._of(_coefficients(np.linalg.inv(m)))

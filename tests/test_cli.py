@@ -526,3 +526,22 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"usage error: cannot write {target}: ")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1"],  # a report that fits in the pipe's buffer, so only the flush fails
+    ["cayley", "--format", "csv"],
+    ["verify-theorems", "--trials", "2", "--seed", "1"],
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # The reader's end is closed before the command starts, so every write to
+    # stdout fails with EPIPE however fast the command runs.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "spinorlab.cli", *argv], stdout=write,
+                                stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -344,3 +344,24 @@ def test_inverse_closure_lemma():
         x = xi(k)
         residual = abs(inv.conj().T - x @ GAMMA0 @ inv @ GAMMA0 @ x).max()
         assert residual < 1e-9
+
+
+@pytest.mark.parametrize("validate", [validate_delta, lambda m: validate_omega(m, K_REF)])
+def test_a_validation_takes_one_determinant(validate, monkeypatch):
+    # The determinant the report carries is the one the invertibility test reads.
+    calls = []
+    real_det = np.linalg.det
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return real_det(m)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    stack = np.array([np.eye(4), 1e-4 * np.eye(4), 2 * np.eye(4)], dtype=complex)
+    single = validate(stack[0])
+    assert calls == [(4, 4)] and single.ok and single.det == 1
+    calls.clear()
+    report = validate(stack)
+    assert calls == [(3, 4, 4)]
+    assert report.ok.tolist() == [True, False, True]  # det 1e-16 is singular
+    assert np.array_equal(report.det, real_det(stack))

@@ -1,5 +1,6 @@
 """Group machinery: closure, generation, Cayley tables, orbits, hierarchy."""
 
+import cmath
 import math
 import sys
 import threading
@@ -50,7 +51,7 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.weyl import GAMMA0, multivector_inverse, to_matrix, weyl_gamma
+from spinorlab.weyl import GAMMA0, from_matrix, multivector_inverse, to_matrix, weyl_gamma
 
 K = KinematicPoint(1.0, 1.0, 0.7, 0.3)
 
@@ -1193,3 +1194,206 @@ def test_exp_null_bivector_is_exact():
     b = blade((0, 1)) + blade((1, 3))
     assert b * b == Multivector()
     assert exp_bivector(b) == scalar(1) + b
+
+
+# -- Cayley tables composed from the walk ----------------------------------------------------
+
+
+def table_cases():
+    """Every input of the sequential-reference test, which has the Dirac
+    groups of orders 32 and 64 and cyclic-100, and [G, F] and [G, XiDagger] up
+    to momentum 1e4, where [G, XiDagger] closes at orders 6 and 8."""
+    yield from closure_cases()
+    for p in (1e3, 3e3, 1e4):
+        k = KinematicPoint(1.0, p, 0.7, 0.3)
+        for other in ("F", "XiDagger"):
+            yield f"G{other}-{p:g}", [named_operator("G", k), named_operator(other, k)], 64
+
+
+def closure_outcome(gens, cap):
+    """Elements, labels and table bits of generate_group, or its error text."""
+    try:
+        group = generate_group(gens, cap)
+    except (CapExceeded, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return np.array(group.elements).tobytes(), group.labels, group.table.dtype, group.table.tobytes()
+
+
+@pytest.mark.parametrize("gens, cap", [c[1:] for c in table_cases()],
+                         ids=[c[0] for c in table_cases()])
+def test_composed_table_is_the_lookup_table(gens, cap, monkeypatch):
+    composed = []
+    real_certified = groups._certified
+
+    def recording_certified(stack, keys, table, tol):
+        composed.append(table.copy())
+        return real_certified(stack, keys, table, tol)
+
+    monkeypatch.setattr(groups, "_certified", recording_certified)
+    got = closure_outcome(gens, cap)
+    # With the certificate refusing every table, each one is found by lookup.
+    monkeypatch.setattr(groups, "_certified", lambda *args: False)
+    assert got == closure_outcome(gens, cap)
+    if isinstance(got, str):
+        assert not composed  # a walk that raises composes nothing
+    else:
+        stack = np.frombuffer(got[0], dtype=complex).reshape(-1, 4, 4)
+        assert np.array_equal(composed[0], groups._build_table(stack, 10 * groups.DEDUP_TOL))
+
+
+def counted_lookup_tables(monkeypatch):
+    calls = []
+    real_build = groups._build_table
+
+    def counted(stack, tol):
+        calls.append(len(stack))
+        return real_build(stack, tol)
+
+    monkeypatch.setattr(groups, "_build_table", counted)
+    return calls
+
+
+def test_dirac_table_is_composed_and_merged_groups_fall_back(monkeypatch):
+    calls = counted_lookup_tables(monkeypatch)
+    cases = {name: (gens, cap) for name, gens, cap in table_cases()}
+    assert generate_group(*cases["dirac-64"]).order == 64
+    assert calls == []
+    # These close only through products merged farther out than DEDUP_TOL.
+    for name in ("R-merged", "minus-I-merged", "R-spread", "GXiDagger-1000"):
+        calls.clear()
+        order = generate_group(*cases[name]).order
+        assert calls == [order], name
+    # drift-chain's walk raises before it has a table to compose or look up.
+    calls.clear()
+    with pytest.raises(CapExceeded):
+        generate_group(*cases["drift-chain"])
+    assert calls == []
+
+
+def test_h_certificate_composes_no_table(monkeypatch):
+    # The spectral screen stops the walk in its first block.
+    touched = []
+    monkeypatch.setattr(groups, "_certified", lambda *args: touched.append("certify"))
+    monkeypatch.setattr(groups, "_build_table", lambda *args: touched.append("look up"))
+    for cap in (64, 1024):
+        with pytest.raises(CapExceeded):
+            generate_group([named_operator("H", K)], cap)
+    assert touched == []
+
+
+def test_certificate_refuses_a_table_that_names_a_copy():
+    # -I stored twice: every product has two matches, and the lookup takes the first.
+    stack = np.array([np.eye(4), -np.eye(4), -np.eye(4)], dtype=complex)
+    keys = groups._key(stack.reshape(3, 16))
+    first = groups._build_table(stack, 1e-7)
+    assert first.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    assert not groups._certified(stack, keys, np.where(first == 1, 2, first), 1e-7)
+    assert not groups._certified(stack, keys, first, 1e-7)  # (a) fails either way
+    assert groups._certified(stack[:2], keys[:2], first[:2, :2], 1e-7)
+    # A wrong entry fails (b).
+    wrong = first[:2, :2].copy()
+    wrong[1, 1] = 1
+    assert not groups._certified(stack[:2], keys[:2], wrong, 1e-7)
+
+
+# -- Spin elements measured once -----------------------------------------------------------
+
+
+def any_outcome(f, x):
+    """What f(x) returns, with the bits of its floats, or the type and text
+    of whatever it raises."""
+    try:
+        return bits(f(x))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def exact_pin_rows():
+    """Exact elements with entries up to 2^2000: rotors (p + q e12) / r from
+    Pythagorean triples, nudged by 2^-2000 or 2^-1000 on an odd or off-scalar
+    slot, and ones whose integer entries overflow a float."""
+    big, small = 2**1000 + 1, 2**999 - 3
+    p, q, r = big * big - small * small, 2 * big * small, big * big + small * small
+    rotor = Multivector({0: Fraction(p, r), 6: Fraction(q, r)})
+    rows = [rotor, rotor * gamma(1), Multivector({0: Fraction(3, 5), 6: Fraction(4, 5)})]
+    for nudge in (Fraction(1, 2**2000), Fraction(1, 2**1000), Fraction(1, 10**9)):
+        rows += [rotor + Multivector({1: nudge}), rotor + Multivector({3: nudge}),
+                 Multivector({0: 1, 8: nudge}), scalar(1 + nudge)]
+    rows += [scalar(2**2000), Multivector({0: 1, 1: 2**2000}), scalar(-1), scalar(1) + gamma(0)]
+    return rows
+
+
+def test_spin_flags_under_interleaved_tolerances():
+    # One measurement serves every tolerance: each call's outcome is the one a
+    # fresh copy gives, and the exact masses are compared exactly (2^-2000 is
+    # not 0, though it underflows a float).
+    rows = exact_pin_rows()
+    rng = np.random.default_rng(19)
+    calls = [(lambda y, t=t: membership(y, tol=t)) for t in (0, 1e-10, 1e-8)] + [twisted_adjoint]
+    for i, j in rng.integers(0, (len(rows), len(calls)), (600, 2)):
+        x, f = rows[i], calls[j]
+        assert any_outcome(f, x) == any_outcome(f, copy_of(x))
+        if j < 3 and not isinstance(any_outcome(ref_membership, x), str):
+            assert membership(x, tol=(0, 1e-10, 1e-8)[j]) == ref_membership(x, tol=(0, 1e-10, 1e-8)[j])
+    nudged = rows[3]  # rotor + 2^-2000 e0
+    assert [membership(nudged, tol=t).even for t in (0, 1e-10, 0)] == [False, True, False]
+    assert membership(rows[0], tol=0).in_spin_plus
+    assert any_outcome(membership, rows[-4]).startswith("OverflowError")
+
+
+def test_in_gamma_reads_the_untwisted_conjugates():
+    # Rotors nudged off grade 0 + 2 by a small vector: some leave grade 1 by
+    # less than tol under x e_mu x^-1 and by more under hat(x) e_mu x^-1.
+    rng = np.random.default_rng(3)
+    split = 0
+    for _ in range(800):
+        rotor = exp_bivector(random_multivector(rng, real=True, grades=(2,)))
+        eps = 10 ** rng.uniform(-12, -8)
+        x = rotor + Multivector._of(eps * random_multivector(rng, real=True, grades=(1,))._c)
+        for tol in (1e-10, 1e-8):
+            record = membership(x, tol)
+            assert record == ref_membership(x, tol)
+            stray = groups._pin_data(x)[3][1]
+            split += bool((stray[0].max() <= tol) != (stray.max() <= tol))
+    assert split >= 2
+
+
+def matrix_form_exp_bivector(b):
+    """exp_bivector through to_matrix, np.eye and from_matrix: the reference for its bits."""
+    if any(m.bit_count() != 2 for m, _ in b.items()):
+        raise ValueError("exp_bivector requires a pure grade-2 argument")
+    m = to_matrix(b)
+    out = np.zeros((4, 4), dtype=complex)
+    for blk in (slice(0, 2), slice(2, 4)):
+        a = m[blk, blk]
+        s = cmath.sqrt(a[0, 1] * a[1, 0] - a[0, 0] * a[1, 1])
+        sinhc = cmath.sinh(s) / s if s else 1
+        out[blk, blk] = cmath.cosh(s) * np.eye(2) + sinhc * a
+    return from_matrix(out)
+
+
+#: a bivector coefficient part: zero of either sign, or up to 20 either way
+BIVECTOR_PARTS = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-20, 20))
+BIVECTORS = st.lists(st.one_of(
+    st.builds(complex, BIVECTOR_PARTS, BIVECTOR_PARTS), BIVECTOR_PARTS,
+    st.just(0), st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)),
+), min_size=6, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BIVECTORS, st.sampled_from([None, 0, 7, 15]), st.sampled_from(["mapping", "raw", "zero"]))
+def test_exp_bivector_has_the_bits_of_the_matrix_form(parts, stray, form):
+    # The mapping constructor drops zero values, so "raw" writes the parts,
+    # zeros of either sign included, straight into a complex coefficient row.
+    coeffs = {} if form == "zero" else dict(zip((3, 5, 9, 6, 10, 12), parts))
+    if stray is not None:
+        coeffs[stray] = parts[0]
+    if form == "raw":
+        row = np.zeros(16, dtype=complex)
+        row[list(coeffs)] = [complex(v) for v in coeffs.values()]
+        b = Multivector._of(row)
+    else:
+        b = Multivector(coeffs)
+    with np.errstate(all="ignore"):
+        assert any_outcome(lambda y: exp_bivector(y)._c, b) == any_outcome(
+            lambda y: matrix_form_exp_bivector(y)._c, b)
