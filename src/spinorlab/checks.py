@@ -13,8 +13,6 @@ its results and the generator's final state are bit for bit that loop's.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .duals import (
@@ -162,12 +160,10 @@ def invertibility_transported(rng, trials) -> bool:
     """Whether det != 0 agrees between the Weyl image and the M2(H) image, on
     random real multivectors and one zero divisor."""
     zero_divisor = (scalar(1) + gamma(0))._c.astype(complex)  # singular on both sides
-    samples = chain((_random_coefficients(rng, (n,), real=True) for n in _blocks(trials)),
-                    [zero_divisor[None]])
-    # a list, not a generator: every block is drawn even after a disagreement
-    return all([np.array_equal(_invertible(np.linalg.det(_matrices(x))),
-                               _invertible(np.linalg.det(gl2h_embed(_m2h(x.real)))))
-                for x in samples])
+    samples = [_random_coefficients(rng, (n,), real=True) for n in _blocks(trials)]
+    return all(np.array_equal(_invertible(np.linalg.det(_matrices(x))),
+                              _invertible(np.linalg.det(gl2h_embed(_m2h(x.real)))))
+               for x in [*samples, zero_divisor[None]])
 
 
 def even_block_multiplicativity(rng, trials) -> float:

@@ -14,11 +14,11 @@ Exit codes
 ----------
 0  all checks passed
 1  one or more checks failed
-2  command-line usage error
+2  command-line usage error, or a report that cannot be written
 3  malformed input file
 4  invalid or off-shell kinematics, or a singular parameter (F at p = 0)
 5  invalid operator matrix
-141  stdout closed before the report was written (128 + SIGPIPE)
+141  stdout or an --output pipe closed before the report was written (128 + SIGPIPE)
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import math
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -418,18 +419,15 @@ def _emit(report: SuiteReport, args) -> int:
         text = report.as_text()
     else:
         text = dump_json(report.as_obj())
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            print(f"usage error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        try:
-            print(text.rstrip("\n"), flush=True)
-        except BrokenPipeError:  # no reader; the failed flush leaves none to fail at exit
-            return 141
+    try:
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+            fh.write(text.rstrip("\n") + "\n")
+            fh.flush()
+    except BrokenPipeError:  # no reader; the failed flush leaves none to fail at exit
+        return 141
+    except OSError as exc:
+        print(f"usage error: cannot write {args.output or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

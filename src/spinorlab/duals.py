@@ -338,7 +338,7 @@ def random_delta(seed) -> np.ndarray:
     off-diagonal imaginary part and the two diagonal entries.  Resamples
     until the determinant is nonzero.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     while True:
         delta = _delta_from(rng.uniform(-1, 1, 16))
         if _invertible(np.linalg.det(delta)):

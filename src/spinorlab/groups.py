@@ -438,12 +438,9 @@ def membership(x: Multivector, tol: float = ZERO_TOL) -> MembershipRecord:
     coefficients for all four generators; in_pin additionally pins the
     reversion norm x * rev(x) to a +-1 scalar; in_spin adds evenness and
     in_spin_plus picks the +1 norm sheet.  x is measured once by ``_pin_data``,
-    shared with a following ``twisted_adjoint(x)``; here only tol is compared.
+    shared with a following ``twisted_adjoint(x)``, which calls this function
+    for its Pin test; here only tol is compared.
     """
-    return _membership(x, tol)
-
-
-def _membership(x: Multivector, tol: float = ZERO_TOL) -> MembershipRecord:
     odd, scalar, off_scalar, conjugates = _pin_data(x)
     even = bool(odd <= tol)
     norm = complex(scalar)
@@ -465,7 +462,7 @@ def twisted_adjoint(x: Multivector) -> np.ndarray:
     the grade involution (so odd elements act with the extra sign).  x and -x
     produce the same Lambda, and Lambda^T g Lambda = g.  It re-reads membership(x)'s data.
     """
-    if not _membership(x).in_pin:
+    if not membership(x).in_pin:
         raise ValueError("twisted_adjoint requires a Pin element")
     (_, images), (_, stray) = _pin_data(x)[3][:2]
     if stray.max() > CONJUGATION_TOL:

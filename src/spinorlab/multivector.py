@@ -43,22 +43,11 @@ _EXACT = (int, Fraction)
 
 
 def _blade_sign(a: int, b: int) -> int:
-    # Sign from counting transpositions, metric factors for repeated indices;
-    # the product blade itself is always a ^ b.
-    sign = 1
-    acc = a
-    for j in range(DIMENSION):
-        bit = 1 << j
-        if not b & bit:
-            continue
-        if (acc >> (j + 1)).bit_count() & 1:
-            sign = -sign
-        if acc & bit:
-            sign *= METRIC[j]
-            acc &= ~bit
-        else:
-            acc |= bit
-    return sign
+    # (-1) to the number of pairs (i in a, j in b) with i > j, times the
+    # metric factor of each generator both blades share; the product blade
+    # itself is always a ^ b.
+    swaps = sum((a >> j + 1).bit_count() for j in range(DIMENSION) if b >> j & 1)
+    return (-1) ** swaps * math.prod(METRIC[j] for j in range(DIMENSION) if (a & b) >> j & 1)
 
 
 _MUL_SIGN = [[_blade_sign(a, b) for b in range(BLADE_COUNT)] for a in range(BLADE_COUNT)]
@@ -278,7 +267,6 @@ class Multivector:
 
 # -- constructors -----------------------------------------------------------
 
-ONE = Multivector({0: 1})
 _GENERATORS = tuple(Multivector({1 << mu: 1}) for mu in range(DIMENSION))
 #: every basis blade as an exact coefficient row, row ``mask`` for blade ``mask``
 _BLADES = np.eye(BLADE_COUNT, dtype=object)

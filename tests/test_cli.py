@@ -532,6 +532,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     ["table1"],  # a report that fits in the pipe's buffer, so only the flush fails
     ["cayley", "--format", "csv"],
     ["verify-theorems", "--trials", "2", "--seed", "1"],
+    ["table1", "--output", "/dev/stdout"],  # the same pipe, opened by path
 ])
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     # The reader's end is closed before the command starts, so every write to
@@ -545,3 +546,22 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
     finally:
         os.close(write)
     assert (result.returncode, result.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_a_usage_error_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "spinorlab.cli", "table1"], stdout=full,
+                                stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (result.returncode, result.stderr) == (
+        EXIT_USAGE, b"usage error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+def test_duals_object_instead_of_a_list_exits_3(tmp_path, capsys):
+    duals_file = tmp_path / "duals.json"
+    duals_file.write_text(dump_json({"row": spinor_to_obj(np.ones(4))}))
+    assert main(["classify", "--duals", str(duals_file), *KFLAGS]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: duals JSON must be a list of spinor rows\n"

@@ -365,3 +365,9 @@ def test_a_validation_takes_one_determinant(validate, monkeypatch):
     assert calls == [(3, 4, 4)]
     assert report.ok.tolist() == [True, False, True]  # det 1e-16 is singular
     assert np.array_equal(report.det, real_det(stack))
+
+
+def test_closed_form_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown operator name 'bogus'") as exc:
+        closed_form("bogus", KinematicPoint(1.0, 1.0, 0.7, 0.3))
+    assert str(ELEMENT_NAMES) in str(exc.value)

@@ -1397,3 +1397,11 @@ def test_exp_bivector_has_the_bits_of_the_matrix_form(parts, stray, form):
     with np.errstate(all="ignore"):
         assert any_outcome(lambda y: exp_bivector(y)._c, b) == any_outcome(
             lambda y: matrix_form_exp_bivector(y)._c, b)
+
+
+def test_element_order_refuses_a_table_with_no_cycle_to_the_identity():
+    # Element 1 cycles 1 -> 2 -> 1 and never reaches the identity 0.
+    table = np.array([[0, 1, 2], [1, 2, 1], [2, 1, 0]])
+    group = groups.FiniteMatrixGroup([None] * 3, [""] * 3, table)
+    with pytest.raises(ValueError, match="table is broken"):
+        group.element_order(1)

@@ -442,3 +442,14 @@ def test_pure_units_flags_what_the_reference_flags(rows, ok):
     ref_units, ref_ok = ref_pure_units(f, rows)
     assert got == ref_ok == ok
     assert_same_units(units, ref_units)
+
+
+def test_division_ring_identify_refuses_an_unknown_scalar_field():
+    with pytest.raises(ValueError, match="unknown scalar field 'octonion'"):
+        division_ring_identify(FR, "octonion")
+
+
+def test_beta_refuses_an_h_that_its_involution_moves():
+    # e12 commutes with e0, so alpha(f) = h^-1 f h holds, but rev(e12) = -e12.
+    with pytest.raises(InvolutionConditionError, match=r"^alpha\(h\) != h \(residual 2\.000e\+00\)$"):
+        beta_inner_product(ONE, ONE, "reversion", blade((1, 2)), FR)

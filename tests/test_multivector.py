@@ -27,7 +27,7 @@ from spinorlab.multivector import (
     scalar,
 )
 from spinorlab.multivector import _MUL_SIGN, _exact_product, _involute, _product
-from spinorlab.weyl import _coefficients, _matrices, from_matrix, to_matrix
+from spinorlab.weyl import _BLADE_MATS, _coefficients, _matrices, from_matrix, to_matrix
 
 ONE = scalar(1)
 
@@ -471,3 +471,19 @@ def test_random_multivector_draws_are_pinned():
     assert vector.items() == [
         (1 << j, complex(PINNED_DRAWS[2 * j], PINNED_DRAWS[2 * j + 1])) for j in range(4)
     ]
+
+
+def test_out_of_range_masks_and_generators_are_refused():
+    with pytest.raises(ValueError, match="blade mask 16 out of range"):
+        Multivector({BLADE_COUNT: 1})
+    with pytest.raises(ValueError, match="gamma index 4 out of range"):
+        gamma(4)
+
+
+def test_sign_table_matches_the_matrix_representation():
+    # weyl builds each blade's matrix as a product of gamma matrices, without
+    # _MUL_SIGN, so the table is checked against an independent product.
+    for a in range(BLADE_COUNT):
+        for b in range(BLADE_COUNT):
+            assert np.array_equal(_BLADE_MATS[a] @ _BLADE_MATS[b],
+                                  _MUL_SIGN[a][b] * _BLADE_MATS[a ^ b]), (a, b)

@@ -220,3 +220,8 @@ def test_intertwiner_relates_the_two_representations():
         x = random_multivector(rng, real=True)
         lhs = s @ gl2h_embed(mv_to_m2h(x)) @ s_inv
         assert abs(lhs - to_matrix(x)).max() < 1e-9
+
+
+def test_quaternionic_gamma_refuses_an_out_of_range_index():
+    with pytest.raises(ValueError, match="gamma index 4 out of range"):
+        quaternionic_gamma(4)

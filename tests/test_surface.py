@@ -127,6 +127,35 @@ def test_every_threshold_lives_in_the_tolerance_table():
     assert not problems
 
 
+def _defined_names(tree) -> list:
+    """(name, line) for each top-level def, class and assignment target of
+    one module; loop targets and imports define nothing here."""
+    defined = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((top.name, top.lineno))
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            defined += [(n.id, top.lineno) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)]
+    return defined
+
+
+def test_every_module_level_name_is_read_or_exported():
+    # A name is read where it is loaded, by itself or as an attribute, anywhere
+    # in the package; the package's __init__ re-exports what it imports.
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(Path(spinorlab.__file__).parent.glob("*.py"))}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+    exported = {a.asname or a.name for n in trees["__init__.py"].body
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    unread = [f"{name}:{line} {ident}" for name, tree in trees.items()
+              for ident, line in _defined_names(tree) if ident not in read | exported]
+    assert not unread
+
+
 @pytest.mark.parametrize("side, invertible", [(0.5, False), (2.0, True)])
 def test_every_invertibility_decision_uses_det_tol(side, invertible):
     # c I is a valid Delta and a valid Omega for real c, with det c^4; put
