@@ -62,22 +62,6 @@ GROUP_CHOICES = ("GF", "GXiDagger")
 
 
 @dataclass
-class Check:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-
-    def as_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-        }
-
-
-@dataclass
 class SuiteReport:
     suite: str
     kinematics: dict
@@ -87,20 +71,20 @@ class SuiteReport:
     payload: dict = field(default_factory=dict)
     csv: str = ""  # the --format csv text, for suites that have one
 
-    def add(self, name, residual, tolerance, passed=None) -> "Check":
+    def add(self, name, residual, tolerance, passed=None) -> None:
+        """Append the check's report object; ``passed`` overrides residual <= tolerance."""
         if passed is None:
             passed = residual <= tolerance
-        check = Check(name, bool(passed), float(residual), float(tolerance))
-        self.checks.append(check)
-        return check
+        self.checks.append({"name": name, "status": "pass" if passed else "fail",
+                            "residual": float(residual), "tolerance": float(tolerance)})
 
-    def require(self, name, ok, tolerance=0.0) -> "Check":
+    def require(self, name, ok, tolerance=0.0) -> None:
         """A yes/no check: residual 0.0 when ``ok``, else 1.0."""
-        return self.add(name, 0.0 if ok else 1.0, tolerance)
+        self.add(name, 0.0 if ok else 1.0, tolerance)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c["status"] == "pass" for c in self.checks)
 
     def as_obj(self) -> dict:
         obj = {
@@ -109,7 +93,7 @@ class SuiteReport:
             "seed": self.seed,
             "trials": self.trials,
             "status": "pass" if self.passed else "fail",
-            "checks": [c.as_obj() for c in self.checks],
+            "checks": self.checks,
         }
         if self.payload:
             obj["payload"] = self.payload
@@ -118,10 +102,9 @@ class SuiteReport:
     def as_text(self) -> str:
         lines = [f"suite: {self.suite}  status: {'pass' if self.passed else 'fail'}"]
         for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
             lines.append(
-                f"  {status}  {c.name}  residual={c.residual:.3e}"
-                f"  tolerance={c.tolerance:.1e}"
+                f"  {c['status'].upper()}  {c['name']}  residual={c['residual']:.3e}"
+                f"  tolerance={c['tolerance']:.1e}"
             )
         return "\n".join(lines)
 
@@ -207,7 +190,7 @@ def _suite_cayley(args) -> SuiteReport:
         "group": args.group,
         "name": ident.name,
         "labels": list(group.labels),
-        "table": group.to_json_obj()["table"],
+        "table": group.table.tolist(),
     }
     report.csv = group.to_csv()
     return report
@@ -227,7 +210,7 @@ def _suite_classify(args) -> SuiteReport:
     report.require("orbit-sizes-divide-order", divides)
     report.payload = {
         "group": args.group,
-        "classes": partition.to_json_obj(),
+        "classes": {str(i): cls for i, cls in enumerate(partition.classes)},
         "representatives": partition.representatives,
         "orbit_sizes": partition.orbit_sizes,
     }

@@ -117,12 +117,6 @@ class FiniteMatrixGroup:
             writer.writerow([self.labels[i]] + [self.labels[j] for j in self.table[i]])
         return out.getvalue()
 
-    def to_json_obj(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "table": [[int(j) for j in row] for row in self.table],
-        }
-
 
 def _find(stored: np.ndarray, x: np.ndarray, tol: float):
     """Index of the first row of ``stored`` within max-entry distance ``tol``
@@ -182,9 +176,10 @@ def _build_table(stack: np.ndarray, tol: float) -> np.ndarray:
 def group_from_elements(elements, labels=None, tol: float = GROUP_TOL) -> FiniteMatrixGroup:
     """Build a group from an explicit closed element list, verifying closure."""
     mats = [np.asarray(m, dtype=complex) for m in elements]
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(mats))]
-    group = FiniteMatrixGroup(mats, list(labels), _build_table(np.array(mats), tol))
+    labels = [f"g{i}" for i in range(len(mats))] if labels is None else list(labels)
+    if len(labels) != len(mats):
+        raise ValueError(f"{len(labels)} labels for {len(mats)} elements")
+    group = FiniteMatrixGroup(mats, labels, _build_table(np.array(mats), tol))
     (lost,) = np.nonzero(~(group.table == group.identity_index).any(axis=1))
     if len(lost):
         raise ValueError(f"element {lost[0]} has no inverse")
@@ -211,11 +206,12 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
     (g_i g_parent(j)) step(j), unless ``_certified`` refuses it for ``_build_table``.
     """
     gens = [np.asarray(m, dtype=complex) for m in generators]
+    labels = [f"g{i}" for i in range(len(gens))] if labels is None else list(labels)
+    if len(labels) != len(gens):
+        raise ValueError(f"{len(labels)} labels for {len(gens)} generators")
     for i, g in enumerate(gens):
         if not _invertible(np.linalg.det(g)):
             raise ValueError(f"generator {i} is not invertible")
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(gens))]
     mats = np.reshape([m for g in gens for m in (g, np.linalg.inv(g))], (-1, 4, 4))
     steps = [step for name in labels for step in (name, f"{name}^-1")]
 
@@ -304,24 +300,22 @@ def _compose_label(a: str, b: str) -> str:
 
 @dataclass(frozen=True)
 class GroupIdentification:
-    """Cayley table plus a small-group name (orders <= 4 resolved exactly)."""
+    """A group's name (orders <= 4 resolved exactly) and its order."""
 
     name: str
     order: int
-    element_orders: tuple
-    labels: tuple
-    table: np.ndarray
 
 
 def identify_group(group: FiniteMatrixGroup) -> GroupIdentification:
-    """Name the group: trivial/Z2/Z3 by order, K4 vs Z4 at order 4, and an
-    element-order profile beyond that."""
+    """Name the group from its Cayley table: trivial/Z2/Z3 by order, K4 vs Z4
+    at order 4, and beyond that its sorted element orders, as
+    ``"order-n profile [...]"``."""
     n = group.order
-    orders = tuple(sorted(group.element_order(i) for i in range(n)))
-    name = {1: "trivial", 2: "Z2", 3: "Z3"}.get(n, f"order-{n} profile {list(orders)}")
+    orders = sorted(group.element_order(i) for i in range(n))
+    name = {1: "trivial", 2: "Z2", 3: "Z3"}.get(n, f"order-{n} profile {orders}")
     if n == 4:  # Klein group iff every non-identity element is its own inverse
         name = "K4" if all(o <= 2 for o in orders) else "Z4"
-    return GroupIdentification(name, n, orders, tuple(group.labels), group.table.copy())
+    return GroupIdentification(name, n)
 
 
 # -- orbits of dual spinors --------------------------------------------------------
@@ -334,9 +328,6 @@ class OrbitPartition:
     classes: list
     representatives: list
     orbit_sizes: list
-
-    def to_json_obj(self) -> dict:
-        return {str(i): cls for i, cls in enumerate(self.classes)}
 
 
 def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> OrbitPartition:

@@ -177,9 +177,6 @@ class Multivector:
         """Nonzero coefficients as (mask, value) pairs in ascending mask order."""
         return [(m, v) for m, v in enumerate(self._c.tolist()) if v]
 
-    def grades(self) -> list[int]:
-        return sorted({GRADE[m] for m, _ in self.items()})
-
     def scalar_part(self):
         return self.coefficient(0)
 
@@ -343,7 +340,7 @@ def coefficient_distance(a: Multivector, b: Multivector):
 
 
 def hermitian_blade(mask: int) -> Multivector:
-    factor = 1j if GRADE[mask] in (2, 3) else 1
+    factor = 1j if _TURNED[mask] else 1
     return Multivector({mask: factor})
 
 

@@ -412,6 +412,33 @@ def test_nan_residual_fails_its_check(capsys):
     assert math.isnan(check["closure-commuting-products"]["residual"])
 
 
+def test_a_report_renders_each_kind_of_check():
+    report = cli.SuiteReport("demo", {}, 0, 0)
+    report.add("small", np.float64(1e-14), 1e-12)
+    report.add("nan", float("nan"), 1e-9)
+    report.add("detection", 0.5, 1e-6, passed=True)  # detected: above its tolerance
+    report.require("flag", False)
+    # repr pins each value's type and the NaN, and the items the key order
+    assert [[(key, repr(value)) for key, value in c.items()]
+            for c in report.as_obj()["checks"]] == [
+        [("name", "'small'"), ("status", "'pass'"), ("residual", "1e-14"),
+         ("tolerance", "1e-12")],
+        [("name", "'nan'"), ("status", "'fail'"), ("residual", "nan"), ("tolerance", "1e-09")],
+        [("name", "'detection'"), ("status", "'pass'"), ("residual", "0.5"),
+         ("tolerance", "1e-06")],
+        [("name", "'flag'"), ("status", "'fail'"), ("residual", "1.0"), ("tolerance", "0.0")],
+    ]
+    assert report.as_text().splitlines() == [
+        "suite: demo  status: fail",
+        "  PASS  small  residual=1.000e-14  tolerance=1.0e-12",
+        "  FAIL  nan  residual=nan  tolerance=1.0e-09",
+        "  PASS  detection  residual=5.000e-01  tolerance=1.0e-06",
+        "  FAIL  flag  residual=1.000e+00  tolerance=0.0e+00",
+    ]
+    assert report.passed is False
+    assert report.as_obj()["status"] == "fail"
+
+
 @pytest.mark.parametrize("flag", ["--psi", "--omega"])
 def test_integer_too_large_for_a_float_exits_3(flag, tmp_path, capsys):
     big = [10**400, 0]

@@ -497,6 +497,25 @@ def test_generate_rejects_singular_generator():
         generate_group([np.zeros((4, 4))])
 
 
+@pytest.mark.parametrize("labels", [["G"], ["G", "F", "X"]])
+def test_generate_refuses_a_label_count_that_is_not_the_generator_count(labels):
+    gens = [named_operator("G", K), named_operator("F", K)]
+    with pytest.raises(ValueError, match=f"^{len(labels)} labels for 2 generators$"):
+        generate_group(gens, labels=labels)
+    # the count is checked before the generators are: a singular one is not reached
+    with pytest.raises(ValueError, match=f"^{len(labels)} labels for 2 generators$"):
+        generate_group([np.zeros((4, 4))] * 2, labels=labels)
+
+
+@pytest.mark.parametrize("labels", [["I", "G"], ["I", "G", "F", "FG", "X"]])
+def test_group_from_elements_refuses_a_label_count_that_is_not_the_element_count(labels):
+    with pytest.raises(ValueError, match=f"^{len(labels)} labels for 4 elements$"):
+        group_from_elements(gf_elements(K), labels)
+    # checked before closure: an open set with the wrong count names the count
+    with pytest.raises(ValueError, match=f"^{len(labels)} labels for 4 elements$"):
+        group_from_elements([np.eye(4), 2 * np.eye(4), 3 * np.eye(4), 4 * np.eye(4)], labels)
+
+
 # -- identification ------------------------------------------------------------------
 
 

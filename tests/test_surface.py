@@ -2,6 +2,7 @@
 tolerances, and every name the benchmark's tracer wraps."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -153,6 +154,38 @@ def test_every_module_level_name_is_read_or_exported():
                 if isinstance(n, ast.ImportFrom) for a in n.names}
     unread = [f"{name}:{line} {ident}" for name, tree in trees.items()
               for ident, line in _defined_names(tree) if ident not in read | exported]
+    assert not unread
+
+
+def _members(cls) -> list:
+    """Non-dunder methods, properties and dataclass fields of ``cls``, its
+    package bases included."""
+    own = [vars(c) for c in cls.__mro__ if c.__module__.startswith("spinorlab")]
+    members = {name for body in own for name, value in body.items()
+               if callable(value) or isinstance(value, (property, classmethod, staticmethod))}
+    if dataclasses.is_dataclass(cls):
+        members |= {f.name for f in dataclasses.fields(cls)}
+    return sorted(m for m in members if not (m.startswith("__") and m.endswith("__")))
+
+
+def test_every_member_of_an_exported_class_is_read():
+    # A member is read where it is loaded as an attribute, or where a string
+    # literal names it (getattr, monkeypatch, the tracer's "Class.method").
+    root = Path(__file__).parents[1]
+    read = set()
+    for path in sorted(p for top in ("src", "tests", "demos", "perfbench")
+                       for p in (root / top).rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and all(
+                    part.isidentifier() for part in n.value.split(".")):
+                read.update(n.value.split("."))
+    classes = [(name, value) for name, value in vars(spinorlab).items()
+               if inspect.isclass(value) and not name.startswith("_")]
+    assert len(classes) > 10
+    unread = [f"{name}.{member}" for name, cls in classes
+              for member in _members(cls) if member not in read]
     assert not unread
 
 
