@@ -14,17 +14,18 @@ suite rely on.  Mixing an exact operand with a complex one gives complex.
 
 The product blade of blades ``a`` and ``b`` is ``a ^ b``, so the geometric
 product is a signed XOR convolution.  In floating point it is one array
-expression over precomputed index and sign tables.  Each exact operand is
-written as integer numerators over the lcm of its denominators; a short
-loop over the nonzero pairs runs on Python ints, exact at any size, and
-each nonzero slot is divided once by the two denominators' product.  A
-``Fraction`` operand makes every nonzero slot a ``Fraction``; two int
-operands give ints.
+expression over precomputed index and sign tables.  An exact product loops
+over the pairs of nonzero slots on Python ints, exact at any size.  A
+``Fraction`` in any slot of either operand, ``Fraction(0)`` too, makes every
+nonzero slot a ``Fraction``: the operands are then written as integer
+numerators over the lcm of their denominators, and each nonzero slot is
+divided once by the two lcms' product.  Otherwise the slots are ints.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Number
 from typing import Iterable, Mapping
@@ -77,7 +78,9 @@ _INVOLUTIONS = {
 def _involute(kind: str, c: np.ndarray) -> np.ndarray:
     """Involution ``kind`` of a coefficient array, or of each row of a stack."""
     negated, conjugates = _INVOLUTIONS[kind]
-    if negated is not None:
+    if negated is not None and c.dtype == object:  # one new object per negation: masked slots only
+        c = np.negative(c, out=c.copy(), where=negated)
+    elif negated is not None:
         c = np.where(negated, -c, c)
     return c.conj() if conjugates else c
 
@@ -91,8 +94,8 @@ def mask_from_key(key: str) -> int:
     mask = 0
     prev = -1
     for ch in key:
-        j = int(ch)
-        if not 0 <= j < DIMENSION or j <= prev:
+        j = "0123".find(ch)  # the generator index, or -1 for any other character
+        if j <= prev:
             raise ValueError(f"bad blade key {key!r}")
         mask |= 1 << j
         prev = j
@@ -109,24 +112,30 @@ def _common(a: np.ndarray, b: np.ndarray) -> tuple:
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # no Fraction arithmetic in the pair loop (see the module notes)
     a, b = a.tolist(), b.tolist()
-    da, db = math.lcm(*[v.denominator for v in a]), math.lcm(*[v.denominator for v in b])
-    x = [v.numerator * (da // v.denominator) for v in a]
-    y = [v.numerator * (db // v.denominator) for v in b]
+    fraction = any(issubclass(t, Fraction) for t in {*map(type, a), *map(type, b)})
+    if fraction:
+        (left, da), (right, db) = _numerators(a), _numerators(b)
+    else:
+        left, right = [(m, v) for m, v in enumerate(a) if v], [(m, v) for m, v in enumerate(b) if v]
     out = [0] * BLADE_COUNT
-    right = [(mb, cb) for mb, cb in enumerate(y) if cb]
-    for ma, ca in enumerate(x):
-        if not ca:
-            continue
+    for ma, ca in left:
         sign_row = _MUL_SIGN[ma]
         for mb, cb in right:
             if sign_row[mb] > 0:
                 out[ma ^ mb] += ca * cb
             else:
                 out[ma ^ mb] -= ca * cb
-    if any(issubclass(t, Fraction) for t in {*map(type, a), *map(type, b)}):
+    if fraction:
         den = da * db
         out = [Fraction(v, den) if v else 0 for v in out]
-    return np.array(out, dtype=object)
+    return np.fromiter(out, dtype=object, count=BLADE_COUNT)
+
+
+def _numerators(row: list) -> tuple:
+    """Nonzero (mask, numerator) pairs of an exact row over its lcm denominator, and that lcm."""
+    ratios = [(m, v.as_integer_ratio()) for m, v in enumerate(row) if v]
+    den = math.lcm(*[d for _, (_, d) in ratios])
+    return [(m, n * (den // d)) for m, (n, d) in ratios], den
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,7 +162,10 @@ class Multivector:
         values = [0] * BLADE_COUNT
         if coeffs:
             for mask, value in coeffs.items():
-                mask = int(mask)
+                try:
+                    mask = operator.index(mask)
+                except TypeError:
+                    raise ValueError(f"blade mask {mask!r} is not an integer") from None
                 if not 0 <= mask < BLADE_COUNT:
                     raise ValueError(f"blade mask {mask} out of range")
                 if value != 0:
@@ -324,11 +336,18 @@ def involution(kind: str, a: Multivector) -> Multivector:
 
 
 def coefficient_distance(a: Multivector, b: Multivector):
-    """Max absolute difference between coefficients of two multivectors;
-    exact when both are exact."""
+    """Max absolute difference between coefficients of two multivectors; exact
+    when both are exact: the first largest slot is found on integer numerators
+    over one lcm, and only its ``abs(x - y)`` is built, an int or a ``Fraction``."""
     x, y = _common(a._c, b._c)
-    worst = np.abs(x - y).max()
-    return worst if x.dtype == object else float(worst)
+    if x.dtype != object:
+        return float(np.abs(x - y).max())
+    x, y = x.tolist(), y.tolist()
+    den = math.lcm(*[v.denominator for v in x + y])
+    gaps = [abs(u.numerator * (den // u.denominator) - v.numerator * (den // v.denominator))
+            for u, v in zip(x, y)]
+    i = gaps.index(max(gaps))
+    return abs(x[i] - y[i])
 
 
 # -- the self-adjoint (gamma0-Hermitian) basis -------------------------------
@@ -340,8 +359,8 @@ def coefficient_distance(a: Multivector, b: Multivector):
 
 
 def hermitian_blade(mask: int) -> Multivector:
-    factor = 1j if _TURNED[mask] else 1
-    return Multivector({mask: factor})
+    plain = Multivector({mask: 1})  # refuses a mask outside 0..15 before _TURNED is read
+    return Multivector({mask: 1j}) if _TURNED[mask] else plain
 
 
 def random_multivector(rng, *, real: bool = False, hermitian: bool = False,

@@ -1,5 +1,6 @@
 """Core multivector arithmetic: products, grades, involutions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.multivector import _MUL_SIGN, _exact_product, _involute, _product
+from spinorlab.multivector import _INVOLUTIONS, _MUL_SIGN, _exact_product, _involute, _product
 from spinorlab.weyl import _BLADE_MATS, _coefficients, _matrices, from_matrix, to_matrix
 
 ONE = scalar(1)
@@ -487,3 +488,178 @@ def test_sign_table_matches_the_matrix_representation():
         for b in range(BLADE_COUNT):
             assert np.array_equal(_BLADE_MATS[a] @ _BLADE_MATS[b],
                                   _MUL_SIGN[a][b] * _BLADE_MATS[a ^ b]), (a, b)
+
+
+# -- the exact kernels against their dense forms -------------------------------------
+#
+# The exact kernels skip zero slots, leave int rows unscaled and locate the
+# distance on integer numerators.  The dense forms below handle every slot the
+# plain way and are the reference: each kernel must give the same element
+# types and values slot for slot.
+
+
+def dense_exact_product(a, b):
+    """Every slot of both rows scaled to integer numerators over its row's lcm."""
+    a, b = a.tolist(), b.tolist()
+    da, db = math.lcm(*[v.denominator for v in a]), math.lcm(*[v.denominator for v in b])
+    x = [v.numerator * (da // v.denominator) for v in a]
+    y = [v.numerator * (db // v.denominator) for v in b]
+    out = [0] * BLADE_COUNT
+    right = [(mb, cb) for mb, cb in enumerate(y) if cb]
+    for ma, ca in enumerate(x):
+        if not ca:
+            continue
+        sign_row = _MUL_SIGN[ma]
+        for mb, cb in right:
+            if sign_row[mb] > 0:
+                out[ma ^ mb] += ca * cb
+            else:
+                out[ma ^ mb] -= ca * cb
+    if any(issubclass(t, Fraction) for t in {*map(type, a), *map(type, b)}):
+        den = da * db
+        out = [Fraction(v, den) if v else 0 for v in out]
+    return np.array(out, dtype=object)
+
+
+def dense_involute(kind, c):
+    negated, conjugates = _INVOLUTIONS[kind]
+    if negated is not None:
+        c = np.where(negated, -c, c)
+    return c.conj() if conjugates else c
+
+
+def dense_distance(x, y):
+    """numpy's object max keeps the first of equal slots."""
+    return np.abs(x - y).max()
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+#: nonzero exact values: ints, bools, Fractions, values of size 2**70 and
+#: denominators up to 2**70
+EXACT_NONZERO = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.just(True),
+    st.sampled_from((2**70, -(2**70), 2**70 + 1, Fraction(2**70), Fraction(-1, 2**70))),
+    st.builds(Fraction, st.integers(-(2**70), 2**70).filter(bool), st.integers(1, 2**70)),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12)),
+)
+#: the zeros an exact row can hold: int 0, a subtraction's Fraction(0), False
+EXACT_ZEROS = st.sampled_from((0, Fraction(0), False))
+#: small values, so that slots tie in size across int, bool and Fraction
+EXACT_SMALL = st.sampled_from((0, 1, -1, True, False, Fraction(0), Fraction(1), Fraction(-1),
+                               Fraction(1, 2), Fraction(-1, 2)))
+
+
+@st.composite
+def exact_rows(draw, values=EXACT_NONZERO):
+    """A length-16 object row: a zero of some kind in every slot, then
+    values written into a drawn set of slots."""
+    row = [draw(EXACT_ZEROS) for _ in range(BLADE_COUNT)]
+    for m in draw(st.sets(st.integers(0, BLADE_COUNT - 1))):
+        row[m] = draw(values)
+    return np.array(row, dtype=object)
+
+
+ANY_EXACT_ROW = st.one_of(exact_rows(), exact_rows(EXACT_SMALL))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_EXACT_ROW, ANY_EXACT_ROW)
+def test_exact_product_matches_the_dense_kernel(a, b):
+    got = _exact_product(a, b)
+    assert got.dtype == object and got.shape == (BLADE_COUNT,)
+    assert typed(got) == typed(dense_exact_product(a, b))
+
+
+def test_a_fraction_zero_makes_the_product_fraction():
+    a = np.array([0] * BLADE_COUNT, dtype=object)
+    a[1], a[9] = 3, Fraction(0)
+    b = np.array([0] * BLADE_COUNT, dtype=object)
+    b[2] = 5
+    want = [(int, 0)] * BLADE_COUNT
+    want[3] = (Fraction, 15)
+    assert typed(_exact_product(a, b)) == want == typed(dense_exact_product(a, b))
+    a[9] = 0
+    want[3] = (int, 15)
+    assert typed(_exact_product(a, b)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_INVOLUTIONS)), st.lists(ANY_EXACT_ROW, min_size=1, max_size=3),
+       st.booleans())
+def test_exact_involutions_match_the_dense_kernel(kind, rows, stacked):
+    for c in [np.stack(rows)] if stacked else rows:
+        before = typed(c.ravel())
+        got = _involute(kind, c)
+        assert got.dtype == object and got.shape == c.shape
+        assert typed(got.ravel()) == typed(dense_involute(kind, c).ravel())
+        assert typed(c.ravel()) == before  # the operand is left as it was
+
+
+@st.composite
+def exact_row_pairs(draw):
+    """Two rows, often one a few slots away from the other, so that equal
+    gaps, zero gaps included, are common."""
+    x = draw(ANY_EXACT_ROW)
+    if draw(st.booleans()):
+        return x, draw(ANY_EXACT_ROW)
+    y = x.copy()
+    for m in draw(st.sets(st.integers(0, BLADE_COUNT - 1), max_size=4)):
+        y[m] = draw(st.one_of(EXACT_SMALL, EXACT_NONZERO))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_row_pairs())
+def test_exact_distance_matches_the_dense_kernel(pair):
+    x, y = pair
+    got = coefficient_distance(Multivector._of(x), Multivector._of(y))
+    assert typed([got]) == typed([dense_distance(x, y)])
+
+
+def test_exact_distance_keeps_the_first_of_equal_gaps():
+    def row(values):
+        out = np.array([0] * BLADE_COUNT, dtype=object)
+        for m, v in values.items():
+            out[m] = v
+        return Multivector._of(out)
+
+    zero = row({})
+    cases = [
+        (row({}), zero, (int, 0)),
+        (row({0: Fraction(0)}), zero, (Fraction, 0)),
+        (row({3: Fraction(0)}), zero, (int, 0)),
+        (row({2: 1, 5: Fraction(1)}), zero, (int, 1)),
+        (row({2: Fraction(-1), 5: 1}), zero, (Fraction, 1)),
+        (row({1: True, 4: -1}), zero, (int, 1)),
+        (row({2: Fraction(1, 2)}), row({2: 1, 7: Fraction(1, 2)}), (Fraction, Fraction(1, 2))),
+        (row({4: 2**70 + 1}), row({4: Fraction(1, 2**70)}),
+         (Fraction, 2**70 + 1 - Fraction(1, 2**70))),
+    ]
+    for a, b, want in cases:
+        got = coefficient_distance(a, b)
+        assert (type(got), got) == want
+        assert typed([got]) == typed([dense_distance(a._c, b._c)])
+
+
+@pytest.mark.parametrize("mask, message", [
+    (16, "blade mask 16 out of range"),
+    (-1, "blade mask -1 out of range"),
+    (1.5, "blade mask 1.5 is not an integer"),
+    (np.float64(2.0), f"blade mask {np.float64(2.0)!r} is not an integer"),
+    ("3", "blade mask '3' is not an integer"),
+])
+def test_a_mask_that_is_not_a_blade_is_refused(mask, message):
+    for make in (hermitian_blade, basis_blade):
+        with pytest.raises(ValueError) as info:
+            make(mask)
+        assert str(info.value) == message
+
+
+def test_integer_masks_of_any_integer_type_are_accepted():
+    for mask in (np.int64(5), np.uint8(5), 5):
+        assert Multivector({mask: 2}).items() == [(5, 2)]
+    assert hermitian_blade(np.int64(6)).items() == [(6, 1j)]

@@ -70,6 +70,13 @@ def test_multivector_bad_inputs():
         multivector_from_obj({"01": [[1, 2, 3], 0]})
 
 
+@pytest.mark.parametrize("key", ["a", "-1", " 1", "1 ", "+1", "\u0663", "x0"])
+def test_a_blade_key_that_is_not_generator_digits_is_refused(key):
+    with pytest.raises(MalformedInputError) as info:
+        multivector_from_obj({key: [1, 0]})
+    assert str(info.value) == f"bad blade key {key!r}"
+
+
 def test_matrix_roundtrip():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
