@@ -156,20 +156,32 @@ def _lookup(stored: np.ndarray, keys: np.ndarray, x: np.ndarray, tol: float):
     return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
 
 
-def _build_table(stack: np.ndarray, tol: float) -> np.ndarray:
-    """Cayley table of a (n, 4, 4) stack, a block of whole rows per stacked product."""
+def _build_table(stack: np.ndarray, tol: float, hint=None) -> np.ndarray:
+    """Cayley table of a (n, 4, 4) stack: [i, j] is the first element within max-entry distance
+    ``tol`` of g_i g_j.  Each block of rows takes one stacked product: ``_TABLE_BLOCK // 16``
+    rows, or in a group of under 16 elements as many as make ``_TABLE_BLOCK`` products.
+    A block keeps its rows of the table ``hint`` if each product lies within DEDUP_TOL (at most
+    ``tol``) of its hinted element and no two elements lie within 2 ``tol`` (plus rounding), so the
+    hinted element is the only match; any other block is looked up by key."""
     n = len(stack)
     flat = stack.reshape(n, 16)
     keys = _key(flat)
-    table = np.zeros((n, n), dtype=int)
-    step = max(1, _TABLE_BLOCK // max(1, n))
-    for i in range(0, n, step):
-        prods = (stack[i:i + step, None] @ stack).reshape(-1, 16)
+    if hint is not None and any(  # each element's first match within 2 tol must be itself
+            (_lookup(flat, keys, flat[i:i + _TABLE_BLOCK], 2 * tol * (1 + KEY_ROUNDING))
+             != np.arange(i, min(i + _TABLE_BLOCK, n))).any() for i in range(0, n, _TABLE_BLOCK)):
+        hint = None
+    table, rows = np.empty((n, n), dtype=int), max(_TABLE_BLOCK // 16, _TABLE_BLOCK // max(1, n))
+    for i in range(0, n, rows):
+        prods = stack[i:i + rows, None] @ stack
+        if hint is not None and (abs(stack[hint[i:i + rows]] - prods) <= DEDUP_TOL).all():
+            table[i:i + rows] = hint[i:i + rows]
+            continue
+        prods = prods.reshape(-1, 16)
         found = np.concatenate([_lookup(flat, keys, prods[j:j + _TABLE_BLOCK], tol)
                                 for j in range(0, len(prods), _TABLE_BLOCK)])
         if (found < 0).any():
             raise ValueError("element set is not closed under products")
-        table[i:i + step] = found.reshape(-1, n)
+        table[i:i + rows] = found.reshape(-1, n)
     return table
 
 
@@ -202,8 +214,8 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
     order.  A lookup fully tests only rows with keys ``Re(w . row)`` within 16
     tolerances plus rounding, as every match has, so the result is exact.
 
-    The Cayley table is composed from the element each product became, as g_i g_j =
-    (g_i g_parent(j)) step(j), unless ``_certified`` refuses it for ``_build_table``.
+    The walk notes the element each product became, and the table it composes from them, as
+    g_i g_j = (g_i g_parent(j)) step(j), is ``_build_table``'s hint.
     """
     gens = [np.asarray(m, dtype=complex) for m in generators]
     labels = [f"g{i}" for i in range(len(gens))] if labels is None else list(labels)
@@ -248,22 +260,7 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
     table[:, 0] = np.arange(len(stack))  # element 0 is I
     for j, (parent, step) in enumerate(origin, 1):
         table[:, j] = right[table[:, parent], step]
-    if not _certified(stack, keys, table, tol):
-        table = _build_table(stack, tol)
-    return FiniteMatrixGroup(list(stack), names, table)
-
-
-def _certified(stack: np.ndarray, keys: np.ndarray, table: np.ndarray, tol: float) -> bool:
-    """Whether ``table`` is ``_build_table(stack, tol)``'s: by (b) each product g_i g_j, with
-    its bits there, lies within DEDUP_TOL = tol / 10 of g_table[i, j], and by (a) no two elements
-    lie within 2 tol (plus rounding), so none has a second match.  Merged groups fail (b)."""
-    flat, rows = stack.reshape(-1, 16), _TABLE_BLOCK // 16  # a (b) block: a lookup's entries
-    for i in range(0, len(flat), _TABLE_BLOCK):  # (a): each element's first match is itself
-        if (_lookup(flat, keys, flat[i:i + _TABLE_BLOCK], 2 * tol * (1 + KEY_ROUNDING))
-                != np.arange(i, min(i + _TABLE_BLOCK, len(flat)))).any():
-            return False
-    return all((abs(stack[table[i:i + rows]] - stack[i:i + rows, None] @ stack) <= DEDUP_TOL).all()
-               for i in range(0, len(flat), rows))
+    return FiniteMatrixGroup(list(stack), names, _build_table(stack, tol, table))
 
 
 def _screen(rows: np.ndarray, labels: list, cap: int) -> None:

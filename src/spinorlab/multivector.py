@@ -359,8 +359,9 @@ def coefficient_distance(a: Multivector, b: Multivector):
 
 
 def hermitian_blade(mask: int) -> Multivector:
-    plain = Multivector({mask: 1})  # refuses a mask outside 0..15 before _TURNED is read
-    return Multivector({mask: 1j}) if _TURNED[mask] else plain
+    plain = Multivector({mask: 1})  # refuses a mask that is not an integer in 0..15
+    ((slot, _),) = plain.items()
+    return Multivector({slot: 1j}) if _TURNED[slot] else plain
 
 
 def random_multivector(rng, *, real: bool = False, hermitian: bool = False,

@@ -4,7 +4,7 @@ import cmath
 import math
 import sys
 import threading
-from dataclasses import astuple
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -1238,81 +1238,151 @@ def closure_outcome(gens, cap):
     return np.array(group.elements).tobytes(), group.labels, group.table.dtype, group.table.tobytes()
 
 
+TABLE_TOL = 10 * groups.DEDUP_TOL  # generate_group's merge distance
+
+
+@dataclass
+class Build:
+    """One _build_table call: its order and hint, and the rows each keyed lookup
+    was given, for the separation check (at 2 tol plus rounding) and for products."""
+
+    order: int
+    hint: np.ndarray | None
+    separation: list = field(default_factory=list)
+    products: list = field(default_factory=list)
+
+    def looked_up(self) -> tuple:
+        return sum(map(len, self.separation)), sum(map(len, self.products))
+
+
+def recorded_builds(monkeypatch) -> list:
+    """Record each later _build_table call; the walk's own lookups are not recorded."""
+    builds = []
+    real_build, real_lookup = groups._build_table, groups._lookup
+
+    def build(stack, tol, hint=None):
+        record = Build(len(stack), None if hint is None else hint.copy())
+        builds.append(record)
+
+        def lookup(stored, keys, x, t):
+            (record.products if t == tol else record.separation).append(x.copy())
+            return real_lookup(stored, keys, x, t)
+
+        monkeypatch.setattr(groups, "_lookup", lookup)
+        try:
+            return real_build(stack, tol, hint)
+        finally:
+            monkeypatch.setattr(groups, "_lookup", real_lookup)
+
+    monkeypatch.setattr(groups, "_build_table", build)
+    return builds
+
+
 @pytest.mark.parametrize("gens, cap", [c[1:] for c in table_cases()],
                          ids=[c[0] for c in table_cases()])
 def test_composed_table_is_the_lookup_table(gens, cap, monkeypatch):
-    composed = []
-    real_certified = groups._certified
-
-    def recording_certified(stack, keys, table, tol):
-        composed.append(table.copy())
-        return real_certified(stack, keys, table, tol)
-
-    monkeypatch.setattr(groups, "_certified", recording_certified)
+    real_build = groups._build_table
+    builds = recorded_builds(monkeypatch)
     got = closure_outcome(gens, cap)
-    # With the certificate refusing every table, each one is found by lookup.
-    monkeypatch.setattr(groups, "_certified", lambda *args: False)
+    # With the hint dropped, each table is found by lookup.
+    monkeypatch.setattr(groups, "_build_table", lambda stack, tol, hint: real_build(stack, tol))
     assert got == closure_outcome(gens, cap)
     if isinstance(got, str):
-        assert not composed  # a walk that raises composes nothing
+        assert not builds  # a walk that raises composes nothing
     else:
         stack = np.frombuffer(got[0], dtype=complex).reshape(-1, 4, 4)
-        assert np.array_equal(composed[0], groups._build_table(stack, 10 * groups.DEDUP_TOL))
-
-
-def counted_lookup_tables(monkeypatch):
-    calls = []
-    real_build = groups._build_table
-
-    def counted(stack, tol):
-        calls.append(len(stack))
-        return real_build(stack, tol)
-
-    monkeypatch.setattr(groups, "_build_table", counted)
-    return calls
+        assert np.array_equal(builds[0].hint, real_build(stack, TABLE_TOL))
 
 
 def test_dirac_table_is_composed_and_merged_groups_fall_back(monkeypatch):
-    calls = counted_lookup_tables(monkeypatch)
+    builds = recorded_builds(monkeypatch)
     cases = {name: (gens, cap) for name, gens, cap in table_cases()}
     assert generate_group(*cases["dirac-64"]).order == 64
-    assert calls == []
+    # The separation check looks each element up once, and no product is looked up.
+    assert [b.looked_up() for b in builds] == [(64, 0)]
     # These close only through products merged farther out than DEDUP_TOL.
     for name in ("R-merged", "minus-I-merged", "R-spread", "GXiDagger-1000"):
-        calls.clear()
+        builds.clear()
         order = generate_group(*cases[name]).order
-        assert calls == [order], name
+        [build] = builds
+        separation, products = build.looked_up()
+        assert build.order == separation == order and 0 < products <= order**2, name
     # drift-chain's walk raises before it has a table to compose or look up.
-    calls.clear()
+    builds.clear()
     with pytest.raises(CapExceeded):
         generate_group(*cases["drift-chain"])
-    assert calls == []
+    assert builds == []
 
 
 def test_h_certificate_composes_no_table(monkeypatch):
     # The spectral screen stops the walk in its first block.
     touched = []
-    monkeypatch.setattr(groups, "_certified", lambda *args: touched.append("certify"))
-    monkeypatch.setattr(groups, "_build_table", lambda *args: touched.append("look up"))
+    monkeypatch.setattr(groups, "_build_table", lambda *args: touched.append("build"))
     for cap in (64, 1024):
         with pytest.raises(CapExceeded):
             generate_group([named_operator("H", K)], cap)
     assert touched == []
 
 
-def test_certificate_refuses_a_table_that_names_a_copy():
+def test_certificate_refuses_a_table_that_names_a_copy(monkeypatch):
     # -I stored twice: every product has two matches, and the lookup takes the first.
     stack = np.array([np.eye(4), -np.eye(4), -np.eye(4)], dtype=complex)
-    keys = groups._key(stack.reshape(3, 16))
     first = groups._build_table(stack, 1e-7)
     assert first.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
-    assert not groups._certified(stack, keys, np.where(first == 1, 2, first), 1e-7)
-    assert not groups._certified(stack, keys, first, 1e-7)  # (a) fails either way
-    assert groups._certified(stack[:2], keys[:2], first[:2, :2], 1e-7)
-    # A wrong entry fails (b).
+    builds = recorded_builds(monkeypatch)
+    # The copies fail the separation check, so even the lookup's own table is refused.
+    for hint in (np.where(first == 1, 2, first), first):
+        assert np.array_equal(groups._build_table(stack, 1e-7, hint), first)
+    assert [b.looked_up()[1] for b in builds] == [9, 9]
+    # Without the copy the table is kept; a wrong entry refuses its block.
+    builds.clear()
     wrong = first[:2, :2].copy()
     wrong[1, 1] = 1
-    assert not groups._certified(stack[:2], keys[:2], wrong, 1e-7)
+    for hint in (first[:2, :2], wrong):
+        assert np.array_equal(groups._build_table(stack[:2], 1e-7, hint), first[:2, :2])
+    assert [b.looked_up() for b in builds] == [(2, 0), (2, 4)]
+
+
+class CountedProducts(np.ndarray):
+    """A (n, 4, 4) stack that counts the 4x4 products a stacked product with it forms."""
+
+    count = 0
+
+    def __matmul__(self, other):
+        out = np.asarray(self) @ np.asarray(other)
+        CountedProducts.count += out.size // 16 if out.ndim == 4 else 0
+        return out
+
+
+@pytest.mark.parametrize("name, wrong, refused", [
+    ("dirac-32", [0, 3], [0, 3]),
+    ("dirac-64", [0, 7, 15], [0, 7, 15]),
+    ("cyclic-100", [1, 24], [1, 24]),
+    ("GXiDagger-3000", [0], [0]),
+    # merged groups, each one block: the walk's own hint is refused
+    ("GXiDagger-1000", [], [0]),
+    ("GXiDagger-10000", [], [0]),
+])
+def test_a_refused_hint_block_alone_is_looked_up(name, wrong, refused, monkeypatch):
+    gens, cap = {c[0]: c[1:] for c in table_cases()}[name]
+    builds = recorded_builds(monkeypatch)
+    stack = np.array(generate_group(gens, cap).elements)
+    n = len(stack)
+    rows = max(groups._TABLE_BLOCK // 16, groups._TABLE_BLOCK // n)  # the builder's block
+    hint = builds[0].hint
+    for b in wrong:  # one wrong entry in each chosen block of rows
+        i, j = b * rows + b % min(rows, n - b * rows), b % n
+        hint[i, j] = (hint[i, j] + 1) % n
+    builds.clear()
+    counted = stack.view(CountedProducts)
+    CountedProducts.count = 0
+    table = groups._build_table(counted, TABLE_TOL, hint)
+    # each of the n^2 products is formed once, and only a refused block's are looked up
+    assert CountedProducts.count == n * n
+    assert np.array_equal(table, groups._build_table(stack, TABLE_TOL))
+    looked_up = np.concatenate(builds[0].products)
+    blocks = [stack[b * rows:(b + 1) * rows, None] @ stack for b in refused]
+    assert np.array_equal(looked_up, np.concatenate(blocks).reshape(-1, 16))
 
 
 # -- Spin elements measured once -----------------------------------------------------------

@@ -663,3 +663,12 @@ def test_integer_masks_of_any_integer_type_are_accepted():
     for mask in (np.int64(5), np.uint8(5), 5):
         assert Multivector({mask: 2}).items() == [(5, 2)]
     assert hermitian_blade(np.int64(6)).items() == [(6, 1j)]
+
+
+@pytest.mark.parametrize("mask, want", [
+    (True, Multivector({1: 1})), (False, Multivector({0: 1})),
+    (np.int64(6), Multivector({6: 1j})), (np.uint8(14), Multivector({14: 1j})),
+])
+def test_hermitian_blade_reads_the_mask_its_multivector_accepted(mask, want):
+    # _TURNED[True] would be a boolean index, not slot 1; 16 and -1 are refused above
+    assert hermitian_blade(mask) == want == hermitian_blade(int(mask))

@@ -1,0 +1,114 @@
+"""Print one sha256 line per case of what a source tree shows its users.
+
+    python3 tools/same_outputs.py TREE > outputs.txt
+
+TREE is a checkout of this repository.  Its ``src`` and ``perfbench``
+directories go first on ``sys.path``.  Diff the listings of two checkouts
+to see whether a change altered any of these cases:
+
+* ``cli``: each argv that the cli-cold and suites-warm workloads serve in
+  cycles 0-3 of seeds 1-10 (480 argvs), run in process through
+  ``spinorlab.cli.main``.  Its stdout, its stderr, the warnings it raised
+  (category and text) and its exit code or exception text are hashed.
+  Input files go to a temporary directory.  That directory's path and
+  TREE's path are replaced by placeholders.
+* ``demo``: the stdout of each script in ``TREE/demos``.
+* ``groups``: the first 100 jobs of the groups workload for seeds 1-10.
+  Each value is hashed with the bits of its arrays, or the error text.
+
+The script writes nothing under TREE: bytecode is not cached.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = range(1, 11)
+CYCLES = 4
+GROUP_JOBS = 100
+
+
+def digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def canonical(value):
+    """A comparable form of a job's value: arrays by dtype, shape and bits,
+    dataclasses field by field, everything else by repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, *(canonical(getattr(value, f.name))
+                                       for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, *map(canonical, value)
+    return repr(value)
+
+
+def run_cli(main, argv, places: dict) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            end = f"exit {main(argv)}"
+        except SystemExit as exc:
+            end = f"exit {exc.code}"
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            end = f"{type(exc).__name__}: {exc}"
+    texts = [out.getvalue(), err.getvalue(), end,
+             [f"{w.category.__name__}: {w.message}" for w in caught]]
+    for path, name in places.items():
+        texts = [t.replace(path, name) if isinstance(t, str) else t for t in texts]
+    return digest(*texts)
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/same_outputs.py TREE", file=sys.stderr)
+        return 2
+    tree = Path(argv[0]).resolve()
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import workloads as W
+    from spinorlab.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        places = {tmp: "<tmp>", str(tree): "<tree>"}
+        for name, seed in itertools.product(("cli-cold", "suites-warm"), SEEDS):
+            workload = W.WORKLOADS[name](seed, Path(tmp), dict(os.environ))
+            if name != "cli-cold":
+                workload.warmup()  # the benchmark draws it before serving
+            for c in range(CYCLES):
+                for req in workload.cycle(c):
+                    print(f"cli {name} {seed} {c} {req.kind}", run_cli(cli_main, req.argv, places))
+
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for demo in sorted((tree / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                              timeout=300)
+        print(f"demo {demo.name}", digest(proc.stdout, proc.returncode))
+
+    for seed in SEEDS:
+        workload = W.WORKLOADS["groups"](seed, None, {})
+        workload.warmup()
+        for i, req in enumerate(itertools.islice(workload.requests(), GROUP_JOBS)):
+            out = W.run(workload, req)
+            print(f"groups {seed} {i} {req.kind}", digest(out.error, canonical(out.value)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
