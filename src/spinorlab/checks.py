@@ -1,9 +1,10 @@
 """The verification checks behind the CLI suites and the acceptance gate.
 
 Each check draws from the generator it is given and returns what it
-measured: a worst residual, a count or a flag.  Check names and tolerances
-stay with the callers.  Worst and weakest values propagate NaN, so a trial
-that produced NaN fails its check.
+measured: a worst residual, a count or a flag; one that draws nothing is
+computed once per process.  Check names and tolerances stay with the
+callers.  Worst and weakest values propagate NaN, so a trial that produced
+NaN fails its check.
 
 Trials run in blocks of at most ``_BLOCK``, so memory stays bounded.  A
 block draws its numbers in one call, in the order a trial-by-trial loop
@@ -13,12 +14,13 @@ its results and the generator's final state are bit for bit that loop's.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .duals import (
-    ELEMENT_NAMES, _delta_from, _max_entry, _stacked_terms, block_decompose, closed_form,
-    delta_to_omega, named_operator, omega_residual, omega_to_delta, random_delta,
-    validate_delta, xi,
+    _delta_from, _max_entry, _named_operators, _split_delta, _stacked_terms, _to_delta, _to_omega,
+    closed_form, omega_residual, random_delta, validate_delta, xi,
 )
 from .ideals import _beta, _require_adjoint, _ring_residual
 from .multivector import METRIC, _product, _random_coefficients, coefficient_distance, gamma, scalar
@@ -72,8 +74,10 @@ def block_pattern(rng, trials) -> tuple:
     constraint, hermiticity = [], []
     for n in _blocks(trials):
         (delta,) = _draw(rng, n, (None,))
-        constraint.append(validate_delta(delta).residual)
-        hermiticity.append(block_decompose(delta).hermiticity_residual())
+        check = validate_delta(delta)
+        check.require()  # as block_decompose would, on the one validation
+        constraint.append(check.residual)
+        hermiticity.append(_split_delta(delta).hermiticity_residual())
     return _worst(constraint), _worst(hermiticity)
 
 
@@ -105,28 +109,31 @@ def closure(rng, trials, k) -> tuple:
     commuting, noncommuting, inverse, det = [], [], [], []
     for n in _blocks(trials):
         base, c, other = _draw(rng, n, (None, 5, None))
-        base, other = delta_to_omega(base, k), delta_to_omega(other, k)
+        base, other = _to_omega(base, x), _to_omega(other, x)
         c = c[:, :, None, None]
         om1 = c[:, 0] * np.eye(4) + c[:, 1] * base + c[:, 2] * base @ base
         om2 = c[:, 3] * np.eye(4) + c[:, 4] * base
         commuting.append(omega_residual(om1 @ om2, x))
         noncommuting.append(omega_residual(base @ other, x))
         inverse.append(omega_residual(np.linalg.inv(base), x))
-        det.append(_modulus(np.linalg.det(base) - np.linalg.det(omega_to_delta(base, k))))
+        det.append(_modulus(np.linalg.det(base) - np.linalg.det(_to_delta(base, x))))
     return _worst(commuting), _weakest(noncommuting), _worst(inverse), _worst(det)
 
 
 def operator_residuals(points) -> list:
     """Worst entry of each named operator's defining expression minus its
-    closed form over the kinematic ``points``, in ``ELEMENT_NAMES`` order."""
+    closed form over the kinematic ``points`` (points, or their terms), in
+    ``ELEMENT_NAMES`` order.  Each block forms Xi once."""
     blocks = [_stacked_terms(points[i:i + _BLOCK]) for i in range(0, len(points), _BLOCK)]
-    return [_worst([_max_entry(named_operator(name, t) - closed_form(name, t)) for t in blocks])
-            for name in ELEMENT_NAMES]
+    per_block = [[_max_entry(op - closed_form(name, t)) for name, op in _named_operators(t)]
+                 for t in blocks]
+    return [_worst(each) for each in zip(*per_block)]
 
 
+@cache
 def quaternion_clifford_relations() -> float:
     """Worst component of {g_mu, g_nu} - 2 eta_mu_nu I over the quaternionic
-    gammas in M2(H)."""
+    gammas in M2(H); it draws nothing, so it is computed once per process."""
     gammas = np.array([quaternionic_gamma(mu).q for mu in range(4)])
     gm, gn = QuatMatrix2._of(gammas[:, None]), QuatMatrix2._of(gammas[None, :])
     anti = gm * gn + gn * gm  # entry [mu, nu] for every pair

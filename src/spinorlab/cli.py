@@ -10,6 +10,8 @@ embed             quaternionic embedding suite
 spinor-spaces     idempotent / ideal / division-ring / beta suite
 dual              compute a dual spinor from psi, Omega, and kinematics
 
+What embed and spinor-spaces measure without drawing is computed once per process.
+
 Exit codes
 ----------
 0  all checks passed
@@ -29,14 +31,14 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
 from . import __version__, checks
 from .duals import (
-    ELEMENT_NAMES, InvalidOperatorError, KinematicPoint, KinematicsError,
-    SingularParameterError, dual_of, named_operator, random_kinematics, validate_omega,
+    InvalidOperatorError, KinematicPoint, KinematicsError, SingularParameterError,
+    _drawn, _named_operators, _row_terms, dual_of, named_operator, validate_omega,
 )
 from .groups import group_from_elements, identify_group, orbit_partition
 from .ideals import (
@@ -153,14 +155,12 @@ def _suite_table1(args) -> SuiteReport:
     k = _kinematics(args)
     report = _report(args, k)
     rng = np.random.default_rng(args.seed)
-    points = [k] + random_kinematics(rng, args.trials)
-    for name, residual in zip(ELEMENT_NAMES, checks.operator_residuals(points)):
+    points = [k] + _drawn(rng, args.trials, _row_terms)
+    residuals = checks.operator_residuals(points)
+    operators = dict(_named_operators(k))
+    for name, residual in zip(operators, residuals):
         report.add(f"row-{name}", residual, args.tolerance)
-    report.payload = {
-        "operators": {
-            name: matrix_to_obj(named_operator(name, k)) for name in ELEMENT_NAMES
-        }
-    }
+    report.payload = {"operators": {name: matrix_to_obj(op) for name, op in operators.items()}}
     return report
 
 
@@ -233,63 +233,54 @@ def _suite_embed(args) -> SuiteReport:
     return report
 
 
+@cache
+def _spinor_space_structure() -> tuple:
+    """What spinor-spaces measures without drawing, once per process: the
+    canonical idempotents, their idempotency, the complex one's rank, the
+    three ideal bases, the two rings and the involution conditions.  A
+    caller that patches a ``weyl`` tolerance calls ``cache_clear()``."""
+    fc, fr = canonical_idempotent("complex"), canonical_idempotent("real")
+    one = scalar(1)
+    involutions = (verify_involution_conditions("reversion", one, fr)
+                   and not verify_involution_conditions("grade", one, fr)
+                   and verify_involution_conditions("reversion", gamma(0), fr))
+    return (fc, fr, checks.idempotency(fc), checks.idempotency(fr),
+            np.linalg.matrix_rank(to_matrix(fc.value), tol=RANK_TOL),
+            ideal_basis(fc, "left", "complex"), ideal_basis(fc, "right", "complex"),
+            ideal_basis(fr, "left", "real"), division_ring_identify(fc, "complex"),
+            division_ring_identify(fr, "real"), involutions)
+
+
 def _suite_spinor_spaces(args) -> SuiteReport:
     """Idempotent, ideal, division-ring and beta suite."""
     report = _report(args)
     rng, trials = np.random.default_rng(args.seed), args.trials
-
-    fc = canonical_idempotent("complex")
-    fr = canonical_idempotent("real")
-    report.add("complex-idempotency", checks.idempotency(fc), ROUNDING_TOL)
-    rank = np.linalg.matrix_rank(to_matrix(fc.value), tol=RANK_TOL)
+    (fc, fr, idempotency_c, idempotency_r, rank, complex_left, complex_right, basis,
+     ring_c, ring_r, involutions) = _spinor_space_structure()
+    report.add("complex-idempotency", idempotency_c, ROUNDING_TOL)
     report.add("complex-projector-rank-1", abs(rank - 1), 0.0)
-    report.add("real-idempotency", checks.idempotency(fr), ROUNDING_TOL)
-
-    complex_left = ideal_basis(fc, "left", "complex")
-    complex_right = ideal_basis(fc, "right", "complex")
-    basis = ideal_basis(fr, "left", "real")
+    report.add("real-idempotency", idempotency_r, ROUNDING_TOL)
     report.add("ideal-dimension-complex-left", abs(complex_left.dimension - 4), 0.0)
     report.add("ideal-dimension-complex-right", abs(complex_right.dimension - 4), 0.0)
     report.add("ideal-dimension-real-left", abs(basis.dimension - 8), 0.0)
-
-    ring_c = division_ring_identify(fc, "complex")
-    report.require(
-        "division-ring-complex-is-C", (ring_c.name, ring_c.dimension) == ("C", 1)
-    )
-    ring_r = division_ring_identify(fr, "real")
-    report.require(
-        "division-ring-real-is-H",
-        (ring_r.name, ring_r.dimension, ring_r.profile_ok) == ("H", 4, True),
-    )
-
+    report.require("division-ring-complex-is-C", (ring_c.name, ring_c.dimension) == ("C", 1))
+    report.require("division-ring-real-is-H",
+                   (ring_r.name, ring_r.dimension, ring_r.profile_ok) == ("H", 4, True))
     report.add("beta-in-ring", checks.beta_in_ring(rng, trials, fr, real=True), PRODUCT_TOL)
+    report.require("involution-conditions", involutions)
+    report.add("beta-matches-matrix-adjoint", checks.beta_matches_matrix_adjoint(rng, trials, fr),
+               PRODUCT_TOL)
 
-    one = scalar(1)
-    report.require(
-        "involution-conditions",
-        verify_involution_conditions("reversion", one, fr)
-        and not verify_involution_conditions("grade", one, fr)
-        and verify_involution_conditions("reversion", gamma(0), fr),
-    )
-
-    report.add(
-        "beta-matches-matrix-adjoint",
-        checks.beta_matches_matrix_adjoint(rng, trials, fr), PRODUCT_TOL,
-    )
-
+    # built afresh for each report, from the process's one structure
     report.payload = {
-        "idempotents": {
-            "complex": multivector_to_obj(fc.value),
-            "real": multivector_to_obj(fr.value),
-        },
+        "idempotents": {"complex": multivector_to_obj(fc.value),
+                        "real": multivector_to_obj(fr.value)},
         "ideal_dimensions": {
             "complex_left": complex_left.dimension,
             "complex_right": complex_right.dimension,
             "real_left": basis.dimension,
         },
-        "ideal_basis_real_left": [
-            multivector_to_obj(g) for g in basis.generators
-        ],
+        "ideal_basis_real_left": [multivector_to_obj(g) for g in basis.generators],
         "division_rings": {
             "complex": {"name": ring_c.name, "dimension": ring_c.dimension},
             "real": {"name": ring_r.name, "dimension": ring_r.dimension},
@@ -315,22 +306,21 @@ def _suite_dual(args) -> SuiteReport:
 # -- the command table and argument plumbing ------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+def _int_at_least(least: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
@@ -342,8 +332,8 @@ FLAGS = {
     "--theta": dict(type=float, default=0.7, help="polar angle"),
     "--phi": dict(type=float, default=0.3, help="azimuthal angle"),
     "--energy": dict(type=float, help="optional cross-check; must equal sqrt(p^2 + m^2)"),
-    "--seed": dict(type=_non_negative_int, default=0, help="random seed"),
-    "--trials": dict(type=_positive_int, default=100, help="trial count"),
+    "--seed": dict(type=partial(_int_at_least, 0), default=0, help="random seed"),
+    "--trials": dict(type=partial(_int_at_least, 1), default=100, help="trial count"),
     "--tolerance": dict(type=_tolerance, help="comparison tolerance (default %(default)g)"),
     "--group": dict(choices=GROUP_CHOICES, default="GF"),
     "--duals": dict(required=True, help="JSON file with a list of duals"),

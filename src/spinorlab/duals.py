@@ -80,9 +80,15 @@ class KinematicPoint:
 def random_kinematics(rng, n) -> list:
     """``n`` generic on-shell points with O(1) parameters, drawn in one call
     and bit for bit as ``n`` draws of m, p, theta and phi in turn."""
+    return _drawn(rng, n, KinematicPoint)
+
+
+def _drawn(rng, n, make) -> list:
+    """``make(m, p, theta, phi)`` of each row that :func:`random_kinematics`
+    draws; ``make=_row_terms`` takes the terms of its points, building none."""
     low, high = (0.5, 0.5, 0.05, 0.0), (2.0, 2.0, math.pi - 0.05, 2.0 * math.pi)
     # Python floats, not numpy's: m ** 4 differs between them in the last bit
-    return [KinematicPoint(*row) for row in rng.uniform(low, high, (n, 4)).tolist()]
+    return [make(*row) for row in rng.uniform(low, high, (n, 4)).tolist()]
 
 
 # -- Xi ----------------------------------------------------------------------
@@ -93,8 +99,12 @@ def _terms(k) -> tuple:
     cos theta, ep = e^{-i phi} and m^4.  Terms already taken pass through."""
     if not isinstance(k, KinematicPoint):
         return k
-    return (k.m, k.p, k.E, math.sin(k.theta), math.cos(k.theta),
-            complex(math.cos(k.phi), -math.sin(k.phi)), k.m ** 4)
+    return _row_terms(k.m, k.p, k.theta, k.phi)
+
+
+def _row_terms(m, p, theta, phi) -> tuple:
+    E = math.sqrt(p * p + m * m)  # the bits of KinematicPoint.E
+    return m, p, E, math.sin(theta), math.cos(theta), complex(math.cos(phi), -math.sin(phi)), m ** 4
 
 
 def _stacked_terms(points) -> tuple:
@@ -150,9 +160,21 @@ def named_operator(name: str, k: KinematicPoint) -> np.ndarray:
     Hinv : m^-2 Xi^dag Xi             inverse of H
     """
     t = _terms(k)
-    m, p, E = t[:3]
+    x = xi(t)
+    return _named(name, t, x, _dagger(x))
+
+
+def _named_operators(k):
+    """(name, operator) at a point or (stacked) terms, one at a time, from one Xi."""
+    t = _terms(k)
     x = xi(t)
     xd = _dagger(x)
+    return ((name, _named(name, t, x, xd)) for name in ELEMENT_NAMES)
+
+
+def _named(name: str, t: tuple, x: np.ndarray, xd: np.ndarray) -> np.ndarray:
+    """:func:`named_operator` from the terms ``t``, Xi and Xi^dag."""
+    m, p, E = t[:3]
     g0 = GAMMA0
     if name == "G":
         return (m / (2 * E)) * (g0 @ x + x @ g0)
@@ -300,12 +322,20 @@ def validate_omega(
 
 def omega_to_delta(m: np.ndarray, k: KinematicPoint) -> np.ndarray:
     """Delta = g0 Omega g0 Xi."""
-    return GAMMA0 @ np.asarray(m, dtype=complex) @ GAMMA0 @ xi(k)
+    return _to_delta(m, xi(k))
 
 
 def delta_to_omega(m: np.ndarray, k: KinematicPoint) -> np.ndarray:
     """Omega = g0 Delta Xi g0; inverse of :func:`omega_to_delta`."""
-    return GAMMA0 @ np.asarray(m, dtype=complex) @ xi(k) @ GAMMA0
+    return _to_omega(m, xi(k))
+
+
+def _to_delta(m, x) -> np.ndarray:  # the conversions given the matrix Xi
+    return GAMMA0 @ np.asarray(m, dtype=complex) @ GAMMA0 @ x
+
+
+def _to_omega(m, x) -> np.ndarray:
+    return GAMMA0 @ np.asarray(m, dtype=complex) @ x @ GAMMA0
 
 
 # -- random Delta and block structure -------------------------------------------
@@ -369,10 +399,12 @@ def block_decompose(delta: np.ndarray) -> DeltaBlocks:
     """Extract (A, B, C) from a valid Delta, or stacked blocks from a stack;
     rejects invalid input."""
     validate_delta(delta).require()
-    delta = np.asarray(delta, dtype=complex)
-    return DeltaBlocks(
-        A=delta[..., :2, :2].copy(), B=delta[..., :2, 2:].copy(), C=delta[..., 2:, :2].copy()
-    )
+    return _split_delta(np.asarray(delta, dtype=complex))
+
+
+def _split_delta(delta: np.ndarray) -> DeltaBlocks:  # of a Delta already validated
+    return DeltaBlocks(A=delta[..., :2, :2].copy(), B=delta[..., :2, 2:].copy(),
+                       C=delta[..., 2:, :2].copy())
 
 
 # -- the dual map -----------------------------------------------------------------

@@ -296,3 +296,30 @@ def test_beta_of_exact_operands_stays_exact():
     b = beta_inner_product(psi, psi, "reversion", scalar(1), exact_f)
     assert b._c.dtype == object
     assert b == beta(psi, psi, "reversion", scalar(1), exact_f)
+
+
+def test_block_pattern_validates_each_block_once(monkeypatch):
+    validated = []  # the size of each stack validated, by either module
+
+    def counted(delta):
+        validated.append(len(delta))
+        return validate_delta(delta)
+
+    monkeypatch.setattr(checks, "validate_delta", counted)
+    monkeypatch.setattr(duals, "validate_delta", counted)
+    checks.block_pattern(np.random.default_rng(0), BLOCK + 1)
+    assert validated == [BLOCK, 1]
+
+
+def test_block_pattern_refuses_a_stack_that_is_not_a_delta(monkeypatch):
+    monkeypatch.setattr(checks, "_draw", lambda rng, n, layout: [np.full((n, 4, 4), 1j)])
+    with pytest.raises(duals.InvalidOperatorError, match="^not a valid Delta: constraint residual"):
+        checks.block_pattern(np.random.default_rng(0), 3)
+
+
+def test_closure_forms_xi_once(monkeypatch):
+    formed = []
+    monkeypatch.setattr(checks, "xi", lambda k: formed.append(k) or xi(k))
+    monkeypatch.setattr(duals, "xi", lambda k: formed.append(k) or xi(k))
+    checks.closure(np.random.default_rng(0), BLOCK + 1, K)
+    assert formed == [K]

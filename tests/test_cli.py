@@ -3,13 +3,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from spinorlab import cli, duals
+from spinorlab import checks, cli, duals, weyl
 from spinorlab.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_KINEMATICS,
@@ -19,7 +21,7 @@ from spinorlab.cli import (
     EXIT_USAGE,
     main,
 )
-from spinorlab.duals import KinematicPoint, named_operator, xi
+from spinorlab.duals import ELEMENT_NAMES, KinematicPoint, named_operator, xi
 from spinorlab.serialize import dump_json, matrix_to_obj, spinor_to_obj
 from spinorlab.weyl import GAMMA0
 
@@ -592,3 +594,107 @@ def test_duals_object_instead_of_a_list_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: duals JSON must be a list of spinor rows\n"
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--seed", "abc", "must be an integer, got 'abc'"),
+    ("--trials", "1e3", "must be an integer, got '1e3'"),
+    ("--tolerance", "abc", "must be a number, got 'abc'"),
+])
+def test_an_unreadable_number_is_a_usage_error_that_names_no_helper(flag, text, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", flag, text])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: {message}\n")
+    assert not re.search(r"(?<!\w)_\w", err)  # no _-prefixed name
+
+
+# -- fixed work is done once per process ------------------------------------------
+
+
+@pytest.fixture
+def fresh_structure():
+    """The cached spinor-space structure and quaternionic Clifford relations,
+    computed anew inside the test and forgotten after it."""
+    cli._spinor_space_structure.cache_clear()
+    checks.quaternion_clifford_relations.cache_clear()
+    yield cli._spinor_space_structure
+    cli._spinor_space_structure.cache_clear()
+    checks.quaternion_clifford_relations.cache_clear()
+
+
+def test_a_second_call_recomputes_no_fixed_structure(fresh_structure, monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a: calls.update([name]) or real(*a))
+
+    for name in ("ideal_basis", "division_ring_identify", "verify_involution_conditions"):
+        counted(name)
+    first = {"ideal_basis": 3, "division_ring_identify": 2, "verify_involution_conditions": 3}
+    for seed in ("1", "2"):
+        for command in ("spinor-spaces", "embed"):
+            assert run(capsys, [command, "--seed", seed, "--trials", "4"])[0] == EXIT_OK
+        assert calls == first
+        assert checks.quaternion_clifford_relations.cache_info().misses == 1
+    assert fresh_structure.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("command, seeded", [
+    ("spinor-spaces", {"beta-in-ring", "beta-matches-matrix-adjoint"}),
+    ("embed", {"gl2h-homomorphism", "pattern-detection", "invertibility-transport",
+               "even-block-multiplicativity", "intertwined-representations"}),
+])
+def test_a_new_seed_changes_only_the_seeded_residuals(command, seeded, fresh_structure, capsys):
+    one, two = (json.loads(run(capsys, [command, "--seed", s, "--trials", "20"])[1])
+                for s in ("1", "2"))
+    assert (one.pop("seed"), two.pop("seed")) == (1, 2)
+    checks_one, checks_two = one.pop("checks"), two.pop("checks")
+    assert one == two  # payload and status included
+    assert [c["name"] for c in checks_one] == [c["name"] for c in checks_two]
+    changed = {a["name"] for a, b in zip(checks_one, checks_two) if a != b}
+    assert changed and changed <= seeded
+
+
+def test_each_spinor_spaces_report_builds_its_own_payload(fresh_structure):
+    args = cli.build_parser().parse_args(["spinor-spaces", "--trials", "2"])
+    first = cli._suite_spinor_spaces(args)
+    want = json.loads(json.dumps(first.payload))
+    first.payload["ideal_dimensions"]["real_left"] = -1
+    first.payload["ideal_basis_real_left"].clear()
+    first.payload["idempotents"]["real"].clear()
+    first.payload["division_rings"]["real"]["name"] = "R"
+    assert cli._suite_spinor_spaces(args).payload == want
+
+
+def test_a_patched_tolerance_reaches_the_structure_once_its_cache_is_cleared(
+    fresh_structure, monkeypatch
+):
+    # h = 1 and h = g0 have |det| 1, below a DET_TOL of 2: both are singular.
+    assert fresh_structure()[-1]  # the involution conditions hold
+    monkeypatch.setattr(weyl, "DET_TOL", 2.0)
+    assert fresh_structure()[-1]  # the process's structure does not see the patch
+    fresh_structure.cache_clear()
+    with pytest.raises(ZeroDivisionError):
+        fresh_structure()
+
+
+@pytest.mark.parametrize("momentum", ["0.001", "1", "3000"])
+def test_table1_payload_is_each_named_operator_bit_for_bit(momentum, capsys):
+    _, out = run(capsys, ["table1", "--trials", "3", "--momentum", momentum])
+    operators = json.loads(out)["payload"]["operators"]
+    assert list(operators) == list(ELEMENT_NAMES)
+    k = KinematicPoint(1.0, float(momentum), 0.7, 0.3)
+    for name in ELEMENT_NAMES:
+        want = np.array(matrix_to_obj(named_operator(name, k)))
+        assert np.array(operators[name]).tobytes() == want.tobytes(), name
+
+
+def test_table1_forms_xi_once_per_block_and_once_for_its_payload(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(duals, "xi", lambda k: calls.append(1) or xi(k))
+    trials = checks._BLOCK + 10  # with the point itself, two blocks
+    assert run(capsys, ["table1", "--trials", str(trials)])[0] == EXIT_OK
+    assert len(calls) == 3

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spinorlab import duals
 from spinorlab.duals import (
     ELEMENT_NAMES,
     InvalidOperatorError,
@@ -371,3 +372,22 @@ def test_closed_form_refuses_an_unknown_name():
     with pytest.raises(ValueError, match="unknown operator name 'bogus'") as exc:
         closed_form("bogus", KinematicPoint(1.0, 1.0, 0.7, 0.3))
     assert str(ELEMENT_NAMES) in str(exc.value)
+
+
+def written_out_terms(k):
+    """The operator terms of a point, as the formula reads them off it."""
+    return (k.m, k.p, k.E, math.sin(k.theta), math.cos(k.theta),
+            complex(math.cos(k.phi), -math.sin(k.phi)), k.m ** 4)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (7, 250), (42, 600)])
+def test_terms_taken_from_the_draw_are_the_terms_of_its_points(seed, n):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    terms = duals._drawn(rng, n, duals._row_terms)
+    points = random_kinematics(ref, n)
+    # repr tells every float bit pattern apart, -0.0 from 0.0 included
+    assert repr(terms) == repr([written_out_terms(k) for k in points])
+    assert repr([duals._terms(k) for k in points]) == repr(terms)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    k = KinematicPoint(3.0, 4.0, 0.1, 0.2, E=5.0)
+    assert repr(duals._terms(k)) == repr(written_out_terms(k))
