@@ -1,10 +1,10 @@
 """The verification checks behind the CLI suites and the acceptance gate.
 
-Each check draws from the generator it is given and returns what it
-measured: a worst residual, a count or a flag; one that draws nothing is
-computed once per process.  Check names and tolerances stay with the
-callers.  Worst and weakest values propagate NaN, so a trial that produced
-NaN fails its check.
+Each check draws from the generator it is given and returns its verdicts:
+report check objects made by :func:`verdict`, which holds the check's name,
+its tolerance and the direction of its comparison.  A measurement that
+draws nothing is computed once per process and kept as a number; each call
+builds new check objects from it.
 
 Trials run in blocks of at most ``_BLOCK``, so memory stays bounded.  A
 block draws its numbers in one call, in the order a trial-by-trial loop
@@ -19,16 +19,19 @@ from functools import cache
 import numpy as np
 
 from .duals import (
-    _delta_from, _max_entry, _named_operators, _split_delta, _stacked_terms, _to_delta, _to_omega,
-    closed_form, omega_residual, random_delta, validate_delta, xi,
+    ELEMENT_NAMES, _delta_from, _max_entry, _named_operators, _split_delta, _stacked_terms,
+    _to_delta, _to_omega, closed_form, omega_residual, random_delta, validate_delta, xi,
 )
 from .ideals import _beta, _require_adjoint, _ring_residual
 from .multivector import METRIC, _product, _random_coefficients, coefficient_distance, gamma, scalar
 from .quaternions import (
     QuatMatrix2, _even_block, _m2h, gl2h_embed, intertwiner, is_quaternionic_pattern,
-    quaternionic_gamma,
+    pattern_dof, quaternionic_gamma,
 )
-from .weyl import PERTURBATION, _dagger, _dirac_dagger, _invertible, _matrices, _modulus
+from .weyl import (
+    DETECTION_TOL, IDENTITY_TOL, NONCOMMUTING_TOL, PERTURBATION, PRODUCT_TOL, ROUNDING_TOL,
+    VALIDATION_TOL, _dagger, _dirac_dagger, _invertible, _matrices, _modulus,
+)
 
 _BLOCK = 256
 
@@ -38,13 +41,16 @@ def _blocks(trials) -> list:
     return [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
 
 
-# numpy's max and min return NaN if any value is NaN; Python's may drop it.
-def _worst(blocks) -> float:
-    return float(np.max([np.max(b) for b in blocks]))
-
-
-def _weakest(blocks) -> float:
-    return float(np.min([np.min(b) for b in blocks]))
+def verdict(name, blocks, tolerance, above=False) -> dict:
+    """The report's check object.  A bound's residual is the largest value in ``blocks``, a
+    number or a list of numbers and arrays, and passes at or below ``tolerance``; a detection
+    (``above``) takes the smallest and passes above it.  numpy's max and min propagate NaN,
+    which fails both.  A yes/no check gives residual 1 when it fails."""
+    reduce = np.min if above else np.max
+    residual = float(reduce([reduce(b) for b in blocks]) if isinstance(blocks, list) else blocks)
+    passed = residual > tolerance if above else residual <= tolerance
+    return {"name": name, "status": "pass" if passed else "fail",
+            "residual": residual, "tolerance": float(tolerance)}
 
 
 def _draw(rng, n, layout) -> list:
@@ -67,10 +73,9 @@ def _draw(rng, n, layout) -> list:
     return [np.array(part) for part in zip(*trials)]
 
 
-def block_pattern(rng, trials) -> tuple:
-    """Worst Delta-constraint residual and worst B/C hermiticity residual
-    over random block-pattern Deltas; a Delta that fails validation raises
-    :class:`InvalidOperatorError`."""
+def block_pattern(rng, trials) -> list:
+    """The Delta-constraint and B/C hermiticity residuals of random block-pattern Deltas;
+    a Delta that fails validation raises :class:`InvalidOperatorError`."""
     constraint, hermiticity = [], []
     for n in _blocks(trials):
         (delta,) = _draw(rng, n, (None,))
@@ -78,33 +83,35 @@ def block_pattern(rng, trials) -> tuple:
         check.require()  # as block_decompose would, on the one validation
         constraint.append(check.residual)
         hermiticity.append(_split_delta(delta).hermiticity_residual())
-    return _worst(constraint), _worst(hermiticity)
+    return [verdict("block-structure-validation", constraint, VALIDATION_TOL),
+            verdict("block-hermiticity", hermiticity, ROUNDING_TOL)]
 
 
-def generic_acceptance(rng, trials) -> int:
-    """How many generic complex 4x4 matrices pass as a Delta."""
+def generic_acceptance(rng, trials) -> dict:
+    """The share of generic complex 4x4 matrices that pass as a Delta."""
     accepted = 0
     for n in _blocks(trials):
         re, im = np.moveaxis(rng.uniform(-1, 1, (n, 2, 4, 4)), 1, 0)
         accepted += int(np.count_nonzero(validate_delta(re + 1j * im).ok))
-    return accepted
+    return verdict("generic-matrix-rejection", accepted / trials, 0.0)
 
 
-def adjoint_fixed_points(rng, trials) -> tuple:
-    """Worst distance of a self-adjoint multivector from its gamma0-adjoint,
-    and weakest distance once ``PERTURBATION`` i times another one is added."""
+def adjoint_fixed_points(rng, trials) -> list:
+    """The distance of a self-adjoint multivector from its gamma0-adjoint and, to be
+    detected, that distance once ``PERTURBATION`` i times another one is added."""
     fixed, detected = [], []
     for n in _blocks(trials):
         x, other = np.moveaxis(_random_coefficients(rng, (n, 2), hermitian=True), 1, 0)
         fixed.append(abs(_dirac_dagger(x) - x).max(axis=-1))
         y = x + other * complex(0, PERTURBATION)
         detected.append(abs(_dirac_dagger(y) - y).max(axis=-1))
-    return _worst(fixed), _weakest(detected)
+    return [verdict("adjoint-fixed-points", fixed, ROUNDING_TOL),
+            verdict("adjoint-imaginary-detection", detected, DETECTION_TOL, above=True)]
 
 
-def closure(rng, trials, k) -> tuple:
-    """Omega residuals at ``k``: worst for commuting products, weakest for
-    non-commuting ones, worst for inverses; worst det change Omega -> Delta."""
+def closure(rng, trials, k) -> list:
+    """Omega residuals at ``k`` of commuting products, of non-commuting ones
+    (to be detected) and of inverses; the det change Omega -> Delta."""
     x = xi(k)
     commuting, noncommuting, inverse, det = [], [], [], []
     for n in _blocks(trials):
@@ -117,17 +124,21 @@ def closure(rng, trials, k) -> tuple:
         noncommuting.append(omega_residual(base @ other, x))
         inverse.append(omega_residual(np.linalg.inv(base), x))
         det.append(_modulus(np.linalg.det(base) - np.linalg.det(_to_delta(base, x))))
-    return _worst(commuting), _weakest(noncommuting), _worst(inverse), _worst(det)
+    return [verdict("closure-commuting-products", commuting, IDENTITY_TOL),
+            verdict("closure-noncommuting-detection", noncommuting, NONCOMMUTING_TOL, above=True),
+            verdict("inverse-closure-lemma", inverse, IDENTITY_TOL),
+            verdict("determinant-transport", det, IDENTITY_TOL)]
 
 
-def operator_residuals(points) -> list:
-    """Worst entry of each named operator's defining expression minus its
-    closed form over the kinematic ``points`` (points, or their terms), in
-    ``ELEMENT_NAMES`` order.  Each block forms Xi once."""
+def operator_residuals(points, tolerance) -> list:
+    """One check per named operator, in ``ELEMENT_NAMES`` order: the largest
+    entry of its defining expression minus its closed form over the
+    kinematic ``points`` (points, or their terms).  Each block forms Xi once."""
     blocks = [_stacked_terms(points[i:i + _BLOCK]) for i in range(0, len(points), _BLOCK)]
     per_block = [[_max_entry(op - closed_form(name, t)) for name, op in _named_operators(t)]
                  for t in blocks]
-    return [_worst(each) for each in zip(*per_block)]
+    return [verdict(f"row-{name}", list(each), tolerance)
+            for name, each in zip(ELEMENT_NAMES, zip(*per_block))]
 
 
 @cache
@@ -138,19 +149,29 @@ def quaternion_clifford_relations() -> float:
     gm, gn = QuatMatrix2._of(gammas[:, None]), QuatMatrix2._of(gammas[None, :])
     anti = gm * gn + gn * gm  # entry [mu, nu] for every pair
     want = QuatMatrix2.identity().q * (2.0 * np.diag(METRIC))[..., None, None, None]
-    return _worst([abs(anti.q - want)])
+    return float(np.max(abs(anti.q - want)))
 
 
-def gl2h_homomorphism(rng, trials) -> float:
-    """Worst entry of embed(a b) - embed(a) embed(b) over random M2(H) pairs."""
+def clifford_relations() -> dict:
+    """The check on :func:`quaternion_clifford_relations`."""
+    return verdict("quaternion-clifford-relations", quaternion_clifford_relations(), 0.0)
+
+
+def gl2h_homomorphism(rng, trials) -> dict:
+    """The largest entry of embed(a b) - embed(a) embed(b) over random M2(H) pairs."""
     worst = []
     for n in _blocks(trials):
         a, b = map(QuatMatrix2._of, np.moveaxis(rng.uniform(-1, 1, (n, 2, 2, 2, 4)), 1, 0))
         worst.append(_max_entry(gl2h_embed(a * b) - gl2h_embed(a) @ gl2h_embed(b)))
-    return _worst(worst)
+    return verdict("gl2h-homomorphism", worst, PRODUCT_TOL)
 
 
-def pattern_mistakes(rng, trials) -> int:
+def pattern_dimension() -> dict:
+    """Whether the quaternionic pattern has 16 real degrees of freedom."""
+    return verdict("pattern-dof", abs(pattern_dof() - 16), 0.0)
+
+
+def pattern_mistakes(rng, trials) -> dict:
     """Embedded M2(H) matrices missed plus generic matrices accepted by the
     quaternionic pattern test."""
     mistakes = 0
@@ -160,31 +181,32 @@ def pattern_mistakes(rng, trials) -> int:
         generic = u[:, 16:32].reshape(n, 4, 4) + 1j * u[:, 32:].reshape(n, 4, 4)
         mistakes += int(np.count_nonzero(~is_quaternionic_pattern(embedded).matches))
         mistakes += int(np.count_nonzero(is_quaternionic_pattern(generic).matches))
-    return mistakes
+    return verdict("pattern-detection", mistakes, 0.0)
 
 
-def invertibility_transported(rng, trials) -> bool:
+def invertibility_transported(rng, trials) -> dict:
     """Whether det != 0 agrees between the Weyl image and the M2(H) image, on
     random real multivectors and one zero divisor."""
     zero_divisor = (scalar(1) + gamma(0))._c.astype(complex)  # singular on both sides
     samples = [_random_coefficients(rng, (n,), real=True) for n in _blocks(trials)]
-    return all(np.array_equal(_invertible(np.linalg.det(_matrices(x))),
-                              _invertible(np.linalg.det(gl2h_embed(_m2h(x.real)))))
-               for x in [*samples, zero_divisor[None]])
+    agree = all(np.array_equal(_invertible(np.linalg.det(_matrices(x))),
+                               _invertible(np.linalg.det(gl2h_embed(_m2h(x.real)))))
+                for x in [*samples, zero_divisor[None]])
+    return verdict("invertibility-transport", not agree, 0.0)
 
 
-def even_block_multiplicativity(rng, trials) -> float:
-    """Worst entry of m(x y) - m(x) m(y) for the even-subalgebra block map
-    m of :func:`even_to_m2c`."""
+def even_block_multiplicativity(rng, trials) -> dict:
+    """The largest entry of m(x y) - m(x) m(y) for the even-subalgebra block
+    map m of :func:`even_to_m2c`."""
     worst = []
     for n in _blocks(trials):
         x, y = np.moveaxis(_random_coefficients(rng, (n, 2), real=True, grades=(0, 2, 4)), 1, 0)
         worst.append(_max_entry(_even_block(_product(x, y)) - _even_block(x) @ _even_block(y)))
-    return _worst(worst)
+    return verdict("even-block-multiplicativity", worst, PRODUCT_TOL)
 
 
-def intertwined_representations(rng, trials) -> float:
-    """Worst entry of S embed(x) S^-1 - to_matrix(x) over real multivectors."""
+def intertwined_representations(rng, trials) -> dict:
+    """The largest entry of S embed(x) S^-1 - to_matrix(x) over real multivectors."""
     s = intertwiner()
     s_inv = np.linalg.inv(s)
     worst = []
@@ -192,7 +214,7 @@ def intertwined_representations(rng, trials) -> float:
         x = _random_coefficients(rng, (n,), real=True)
         lhs = s @ gl2h_embed(_m2h(x.real)) @ s_inv
         worst.append(_max_entry(lhs - _matrices(x)))
-    return _worst(worst)
+    return verdict("intertwined-representations", worst, IDENTITY_TOL)
 
 
 def idempotency(f) -> float:
@@ -205,8 +227,8 @@ def _ideal_pairs(rng, n, f, real=False) -> np.ndarray:
     return np.moveaxis(_product(_random_coefficients(rng, (n, 2), real=real), f), 1, 0)
 
 
-def beta_in_ring(rng, trials, f, real) -> float:
-    """Worst distance of beta(psi, phi) (reversion, h = 1) from the scalar
+def beta_in_ring(rng, trials, f, real) -> dict:
+    """The distance of beta(psi, phi) (reversion, h = 1) from the scalar
     ring f Cl f, for psi, phi in the left ideal of ``f``."""
     one, fc = scalar(1), f.value._c
     _require_adjoint("reversion", one, f)
@@ -214,11 +236,11 @@ def beta_in_ring(rng, trials, f, real) -> float:
     for n in _blocks(trials):
         psi, phi = _ideal_pairs(rng, n, fc, real)
         worst.append(_ring_residual(_beta(psi, phi, "reversion", one._c, fc), fc))
-    return _worst(worst)
+    return verdict("beta-in-ring", worst, PRODUCT_TOL)
 
 
-def beta_matches_matrix_adjoint(rng, trials, f) -> float:
-    """Worst entry of beta(psi, phi) (gamma0-adjoint, h = g0) minus
+def beta_matches_matrix_adjoint(rng, trials, f) -> dict:
+    """The largest entry of beta(psi, phi) (gamma0-adjoint, h = g0) minus
     psi^dag g0 phi f computed on matrices."""
     g0 = gamma(0)
     _require_adjoint("dirac_dagger", g0, f)
@@ -229,4 +251,27 @@ def beta_matches_matrix_adjoint(rng, trials, f) -> float:
         b = _beta(psi, phi, "dirac_dagger", h, fc)
         matrix_side = _dagger(_matrices(psi)) @ _matrices(h) @ _matrices(phi) @ _matrices(fc)
         worst.append(_max_entry(_matrices(b) - matrix_side))
-    return _worst(worst)
+    return verdict("beta-matches-matrix-adjoint", worst, PRODUCT_TOL)
+
+
+def spinor_spaces(structure, rng, trials) -> list:
+    """The spinor-space checks in report order.  ``structure`` holds what they measure without
+    drawing: the complex and real canonical idempotents f, the distance of f f from each f, the
+    complex one's matrix rank, the complex left, complex right and real left ideals, the two
+    division rings and whether the involution conditions hold."""
+    (_, fr, idempotency_c, idempotency_r, rank, complex_left, complex_right, real_left,
+     ring_c, ring_r, involutions) = structure
+    return [
+        verdict("complex-idempotency", idempotency_c, ROUNDING_TOL),
+        verdict("complex-projector-rank-1", abs(rank - 1), 0.0),
+        verdict("real-idempotency", idempotency_r, ROUNDING_TOL),
+        verdict("ideal-dimension-complex-left", abs(complex_left.dimension - 4), 0.0),
+        verdict("ideal-dimension-complex-right", abs(complex_right.dimension - 4), 0.0),
+        verdict("ideal-dimension-real-left", abs(real_left.dimension - 8), 0.0),
+        verdict("division-ring-complex-is-C", (ring_c.name, ring_c.dimension) != ("C", 1), 0.0),
+        verdict("division-ring-real-is-H",
+                (ring_r.name, ring_r.dimension, ring_r.profile_ok) != ("H", 4, True), 0.0),
+        beta_in_ring(rng, trials, fr, real=True),
+        verdict("involution-conditions", not involutions, 0.0),
+        beta_matches_matrix_adjoint(rng, trials, fr),
+    ]

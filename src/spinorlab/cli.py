@@ -45,13 +45,11 @@ from .ideals import (
     canonical_idempotent, division_ring_identify, ideal_basis, verify_involution_conditions,
 )
 from .multivector import gamma, scalar
-from .quaternions import pattern_dof
 from .serialize import (
     MalformedInputError, dump_json, load_json, matrix_from_obj, matrix_to_obj,
     multivector_to_obj, spinor_from_obj, spinor_to_obj,
 )
-from .weyl import (DETECTION_TOL, GROUP_TOL, IDENTITY_TOL, NONCOMMUTING_TOL, PRODUCT_TOL, RANK_TOL,
-                   ROUNDING_TOL, VALIDATION_TOL, to_matrix)
+from .weyl import GROUP_TOL, IDENTITY_TOL, RANK_TOL, VALIDATION_TOL, to_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,20 +67,9 @@ class SuiteReport:
     kinematics: dict
     seed: int
     trials: int
-    checks: list = field(default_factory=list)
+    checks: list = field(default_factory=list)  # check objects made by checks.verdict
     payload: dict = field(default_factory=dict)
     csv: str = ""  # the --format csv text, for suites that have one
-
-    def add(self, name, residual, tolerance, passed=None) -> None:
-        """Append the check's report object; ``passed`` overrides residual <= tolerance."""
-        if passed is None:
-            passed = residual <= tolerance
-        self.checks.append({"name": name, "status": "pass" if passed else "fail",
-                            "residual": float(residual), "tolerance": float(tolerance)})
-
-    def require(self, name, ok, tolerance=0.0) -> None:
-        """A yes/no check: residual 0.0 when ``ok``, else 1.0."""
-        self.add(name, 0.0 if ok else 1.0, tolerance)
 
     @property
     def passed(self) -> bool:
@@ -131,22 +118,9 @@ def _suite_verify_theorems(args) -> SuiteReport:
     """Block-structure and fixed-point theorems, closure, inverses."""
     k = _kinematics(args)
     report = _report(args, k)
-    rng, trials = np.random.default_rng(args.seed), args.trials
-    constraint, hermiticity = checks.block_pattern(rng, trials)
-    report.add("block-structure-validation", constraint, VALIDATION_TOL)
-    report.add("block-hermiticity", hermiticity, ROUNDING_TOL)
-    accepted = checks.generic_acceptance(rng, trials)
-    report.add("generic-matrix-rejection", accepted / trials, 0.0)
-    fixed, detected = checks.adjoint_fixed_points(rng, trials)
-    report.add("adjoint-fixed-points", fixed, ROUNDING_TOL)
-    report.add("adjoint-imaginary-detection", detected, DETECTION_TOL,
-               passed=detected > DETECTION_TOL)
-    commuting, noncomm, inverse, det = checks.closure(rng, trials, k)
-    report.add("closure-commuting-products", commuting, IDENTITY_TOL)
-    report.add("closure-noncommuting-detection", noncomm, NONCOMMUTING_TOL,
-               passed=noncomm > NONCOMMUTING_TOL)
-    report.add("inverse-closure-lemma", inverse, IDENTITY_TOL)
-    report.add("determinant-transport", det, IDENTITY_TOL)
+    rng, n = np.random.default_rng(args.seed), args.trials
+    report.checks = [*checks.block_pattern(rng, n), checks.generic_acceptance(rng, n),
+                     *checks.adjoint_fixed_points(rng, n), *checks.closure(rng, n, k)]
     return report
 
 
@@ -156,11 +130,8 @@ def _suite_table1(args) -> SuiteReport:
     report = _report(args, k)
     rng = np.random.default_rng(args.seed)
     points = [k] + _drawn(rng, args.trials, _row_terms)
-    residuals = checks.operator_residuals(points)
-    operators = dict(_named_operators(k))
-    for name, residual in zip(operators, residuals):
-        report.add(f"row-{name}", residual, args.tolerance)
-    report.payload = {"operators": {name: matrix_to_obj(op) for name, op in operators.items()}}
+    report.checks = checks.operator_residuals(points, args.tolerance)
+    report.payload = {"operators": {name: matrix_to_obj(op) for name, op in _named_operators(k)}}
     return report
 
 
@@ -184,8 +155,8 @@ def _suite_cayley(args) -> SuiteReport:
     group = _named_group(args.group, k, args.tolerance)
     ident = identify_group(group)
     # group_from_elements raises unless the elements are closed under products
-    report.require("closure", True, args.tolerance)
-    report.require("identified-K4", ident.name == "K4")
+    report.checks = [checks.verdict("closure", 0, args.tolerance),
+                     checks.verdict("identified-K4", ident.name != "K4", 0.0)]
     report.payload = {
         "group": args.group,
         "name": ident.name,
@@ -207,7 +178,7 @@ def _suite_classify(args) -> SuiteReport:
     group = _named_group(args.group, k, args.tolerance)
     partition = orbit_partition(group, rows, tol=args.tolerance)
     divides = all(group.order % s == 0 for s in partition.orbit_sizes)
-    report.require("orbit-sizes-divide-order", divides)
+    report.checks = [checks.verdict("orbit-sizes-divide-order", not divides, 0.0)]
     report.payload = {
         "group": args.group,
         "classes": {str(i): cls for i, cls in enumerate(partition.classes)},
@@ -221,15 +192,11 @@ def _suite_embed(args) -> SuiteReport:
     """Quaternionic embedding suite."""
     report = _report(args)
     rng, n = np.random.default_rng(args.seed), args.trials
-    report.add("quaternion-clifford-relations", checks.quaternion_clifford_relations(), 0.0)
-    report.add("gl2h-homomorphism", checks.gl2h_homomorphism(rng, n), PRODUCT_TOL)
-    report.add("pattern-dof", abs(pattern_dof() - 16), 0.0)
-    report.add("pattern-detection", checks.pattern_mistakes(rng, n), 0.0)
-    report.require("invertibility-transport", checks.invertibility_transported(rng, n))
-    report.add("even-block-multiplicativity",
-               checks.even_block_multiplicativity(rng, n), PRODUCT_TOL)
-    report.add("intertwined-representations",
-               checks.intertwined_representations(rng, n), IDENTITY_TOL)
+    report.checks = [checks.clifford_relations(), checks.gl2h_homomorphism(rng, n),
+                     checks.pattern_dimension(), checks.pattern_mistakes(rng, n),
+                     checks.invertibility_transported(rng, n),
+                     checks.even_block_multiplicativity(rng, n),
+                     checks.intertwined_representations(rng, n)]
     return report
 
 
@@ -254,23 +221,9 @@ def _spinor_space_structure() -> tuple:
 def _suite_spinor_spaces(args) -> SuiteReport:
     """Idempotent, ideal, division-ring and beta suite."""
     report = _report(args)
-    rng, trials = np.random.default_rng(args.seed), args.trials
-    (fc, fr, idempotency_c, idempotency_r, rank, complex_left, complex_right, basis,
-     ring_c, ring_r, involutions) = _spinor_space_structure()
-    report.add("complex-idempotency", idempotency_c, ROUNDING_TOL)
-    report.add("complex-projector-rank-1", abs(rank - 1), 0.0)
-    report.add("real-idempotency", idempotency_r, ROUNDING_TOL)
-    report.add("ideal-dimension-complex-left", abs(complex_left.dimension - 4), 0.0)
-    report.add("ideal-dimension-complex-right", abs(complex_right.dimension - 4), 0.0)
-    report.add("ideal-dimension-real-left", abs(basis.dimension - 8), 0.0)
-    report.require("division-ring-complex-is-C", (ring_c.name, ring_c.dimension) == ("C", 1))
-    report.require("division-ring-real-is-H",
-                   (ring_r.name, ring_r.dimension, ring_r.profile_ok) == ("H", 4, True))
-    report.add("beta-in-ring", checks.beta_in_ring(rng, trials, fr, real=True), PRODUCT_TOL)
-    report.require("involution-conditions", involutions)
-    report.add("beta-matches-matrix-adjoint", checks.beta_matches_matrix_adjoint(rng, trials, fr),
-               PRODUCT_TOL)
-
+    structure = _spinor_space_structure()
+    fc, fr, _, _, _, complex_left, complex_right, basis, ring_c, ring_r, _ = structure
+    report.checks = checks.spinor_spaces(structure, np.random.default_rng(args.seed), args.trials)
     # built afresh for each report, from the process's one structure
     report.payload = {
         "idempotents": {"complex": multivector_to_obj(fc.value),
@@ -298,7 +251,7 @@ def _suite_dual(args) -> SuiteReport:
     check = validate_omega(omega, k, args.tolerance)
     dual = dual_of(psi, omega, k, check=check)
     report = _report(args, k)
-    report.add("omega-validity", check.residual, args.tolerance)
+    report.checks = [checks.verdict("omega-validity", check.residual, args.tolerance)]
     report.payload = {"dual": spinor_to_obj(dual.components)}
     return report
 

@@ -383,9 +383,6 @@ class DeltaBlocks:
     B: np.ndarray
     C: np.ndarray
 
-    def reassemble(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.C, self.A.conj().T]])
-
     def hermiticity_residual(self):
         """Largest entry of B - B^dag and C - C^dag; per Delta for stacked blocks."""
         return _max_entry(np.concatenate(

@@ -93,12 +93,6 @@ class FiniteMatrixGroup:
             raise ValueError("group has no identity element")
         return int(hits[0])
 
-    def inverse_index(self, i: int) -> int:
-        (hits,) = np.nonzero(self.table[i] == self.identity_index)
-        if not len(hits):
-            raise ValueError(f"element {i} has no inverse")
-        return int(hits[0])
-
     def element_order(self, i: int) -> int:
         e = self.identity_index
         j, n = i, 1

@@ -189,12 +189,6 @@ class Multivector:
         """Nonzero coefficients as (mask, value) pairs in ascending mask order."""
         return [(m, v) for m, v in enumerate(self._c.tolist()) if v]
 
-    def scalar_part(self):
-        return self.coefficient(0)
-
-    def max_abs(self) -> float:
-        return max((abs(v) for _, v in self.items()), default=0.0)
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(v) <= tol for _, v in self.items())
 
@@ -254,15 +248,6 @@ class Multivector:
 
     def complex_conjugate(self) -> "Multivector":
         return Multivector._of(_involute("complex_conj", self._c))
-
-    def hermitian_conjugate(self) -> "Multivector":
-        """Reversion composed with complex conjugation.
-
-        This is the algebraic form of the gamma0-adjoint a -> g0 a^dag g0
-        in any representation with g0 Hermitian and the spatial generators
-        anti-Hermitian.
-        """
-        return Multivector._of(_involute("dirac_dagger", self._c))
 
     def __repr__(self):
         terms = []
@@ -328,8 +313,9 @@ def grade_projection(a: Multivector, k: int) -> Multivector:
 
 
 def involution(kind: str, a: Multivector) -> Multivector:
-    """One of the canonical (anti)automorphisms of the algebra, or the
-    gamma0-adjoint composite "dirac_dagger" (reversion then conjugation)."""
+    """One of the canonical (anti)automorphisms of the algebra, or "dirac_dagger": reversion
+    composed with complex conjugation, the gamma0-adjoint a -> g0 a^dag g0 of any
+    representation with g0 Hermitian and the spatial generators anti-Hermitian."""
     if kind not in _INVOLUTIONS:
         raise ValueError(f"unknown involution kind {kind!r}")
     return Multivector._of(_involute(kind, a._c))
@@ -352,7 +338,7 @@ def coefficient_distance(a: Multivector, b: Multivector):
 
 # -- the self-adjoint (gamma0-Hermitian) basis -------------------------------
 #
-# hermitian_conjugate flips the sign of plain grade-2 and grade-3 blades and
+# The gamma0-adjoint flips the sign of plain grade-2 and grade-3 blades and
 # conjugates coefficients, so the blades rescaled by i on those grades are
 # exactly the elements it fixes.  Real combinations of them form the
 # 16-dimensional real space of operators Delta with g0*Delta Hermitian.

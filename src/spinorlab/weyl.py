@@ -139,7 +139,7 @@ def from_matrix(m: np.ndarray) -> Multivector:
 def dirac_dagger_dual(a: Multivector) -> Multivector:
     """The gamma0-adjoint a -> g0 M(a)^dagger g0 pulled back to the algebra.
 
-    Coincides with ``a.hermitian_conjugate()``; its fixed points are the
+    Coincides with ``involution("dirac_dagger", a)``; its fixed points are the
     real combinations of the self-adjoint basis blades.
     """
     return Multivector._of(_dirac_dagger(a._c.astype(complex, copy=False)))

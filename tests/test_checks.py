@@ -1,7 +1,7 @@
 """The batched checks draw and measure exactly what trial-by-trial loops do.
 
 Each reference below is a trial-by-trial loop written with the
-single-operator functions.  A batched check must return the same values,
+single-operator functions.  A batched check must report the same residuals,
 bit for bit, and leave its generator in the same state, at trial counts on
 both sides of the block size.
 """
@@ -41,6 +41,11 @@ def worst(values):
 
 def weakest(values):
     return float(np.min(values))
+
+
+def residuals(found):
+    """The residual of one returned check, or a tuple of those of several."""
+    return found["residual"] if isinstance(found, dict) else tuple(c["residual"] for c in found)
 
 
 def random_generic(rng):
@@ -189,13 +194,15 @@ def ref_beta_matches_matrix_adjoint(rng, trials, f=FR):
 #: name -> (batched check, its trial-by-trial reference), both (rng, trials)
 PAIRS = {
     "block_pattern": (checks.block_pattern, ref_block_pattern),
-    "generic_acceptance": (checks.generic_acceptance, ref_generic_acceptance),
+    "generic_acceptance": (  # the share accepted
+        checks.generic_acceptance, lambda rng, n: ref_generic_acceptance(rng, n) / n),
     "adjoint_fixed_points": (checks.adjoint_fixed_points, ref_adjoint_fixed_points),
     "closure": (lambda rng, n: checks.closure(rng, n, K), ref_closure),
     "gl2h_homomorphism": (checks.gl2h_homomorphism, ref_gl2h_homomorphism),
     "pattern_mistakes": (checks.pattern_mistakes, ref_pattern_mistakes),
-    "invertibility_transported": (
-        checks.invertibility_transported, ref_invertibility_transported),
+    "invertibility_transported": (  # a yes/no check: residual 1 when it fails
+        checks.invertibility_transported,
+        lambda rng, n: float(not ref_invertibility_transported(rng, n))),
     "even_block_multiplicativity": (
         checks.even_block_multiplicativity, ref_even_block_multiplicativity),
     "intertwined_representations": (
@@ -214,7 +221,7 @@ PAIRS = {
 def assert_same_stream(batched, reference, seed, counts=COUNTS):
     for trials in counts:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert batched(rng, trials) == reference(ref_rng, trials), trials
+        assert residuals(batched(rng, trials)) == reference(ref_rng, trials), trials
         assert rng.bit_generator.state == ref_rng.bit_generator.state, trials
 
 
@@ -248,17 +255,17 @@ def test_operator_residual_matches_point_by_point(seed):
     each = {name: [float(abs(named_operator(name, k) - closed_form(name, k)).max())
                    for k in points] for name in ELEMENT_NAMES}
     for n in COUNTS:
-        want = [worst(each[name][:n]) for name in ELEMENT_NAMES]
-        assert checks.operator_residuals(points[:n]) == want, n
+        want = tuple(worst(each[name][:n]) for name in ELEMENT_NAMES)
+        assert residuals(checks.operator_residuals(points[:n], 1e-9)) == want, n
 
 
 def test_operator_residual_rejects_zero_momentum_like_one_point():
     points = [K, KinematicPoint(1.0, 0.0, 0.7, 0.3)]
-    assert min(checks.operator_residuals(points[:1])) >= 0.0
+    assert min(residuals(checks.operator_residuals(points[:1], 1e-9))) >= 0.0
     with pytest.raises(duals.SingularParameterError):
         named_operator("F", points[1])
     with pytest.raises(duals.SingularParameterError):
-        checks.operator_residuals(points)
+        checks.operator_residuals(points, 1e-9)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

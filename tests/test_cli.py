@@ -415,11 +415,12 @@ def test_nan_residual_fails_its_check(capsys):
 
 
 def test_a_report_renders_each_kind_of_check():
-    report = cli.SuiteReport("demo", {}, 0, 0)
-    report.add("small", np.float64(1e-14), 1e-12)
-    report.add("nan", float("nan"), 1e-9)
-    report.add("detection", 0.5, 1e-6, passed=True)  # detected: above its tolerance
-    report.require("flag", False)
+    report = cli.SuiteReport("demo", {}, 0, 0, [
+        checks.verdict("small", np.float64(1e-14), 1e-12),  # a bound, read as a float
+        checks.verdict("nan", [np.array([0.0, np.nan]), 1e-15], 1e-9),
+        checks.verdict("detection", [np.array([0.5, 2.0]), 0.7], 1e-6, above=True),
+        checks.verdict("flag", True, 0.0),  # a yes/no check that failed
+    ])
     # repr pins each value's type and the NaN, and the items the key order
     assert [[(key, repr(value)) for key, value in c.items()]
             for c in report.as_obj()["checks"]] == [
@@ -439,6 +440,32 @@ def test_a_report_renders_each_kind_of_check():
     ]
     assert report.passed is False
     assert report.as_obj()["status"] == "fail"
+
+
+@pytest.mark.parametrize("blocks, above, status, residual", [
+    (False, False, "pass", 0.0),  # a yes/no check that holds
+    (1e-9, False, "pass", 1e-9),  # a bound passes at its tolerance
+    ([np.array([1e-10, 2e-9]), 0.0], False, "fail", 2e-9),  # the largest over the blocks
+    (1e-9, True, "fail", 1e-9),  # a detection fails at its tolerance
+    ([np.array([3e-9, 2e-9]), 5e-9], True, "pass", 2e-9),  # the smallest over the blocks
+    ([np.array([2e-9, np.nan]), 5e-9], True, "fail", math.nan),
+    (np.int64(0), False, "pass", 0.0),
+])
+def test_a_verdict_reduces_its_blocks_in_the_direction_it_compares(blocks, above, status, residual):
+    check = checks.verdict("demo", blocks, 1e-9, above=above)
+    assert list(check) == ["name", "status", "residual", "tolerance"]
+    assert (check["name"], check["status"], check["tolerance"]) == ("demo", status, 1e-9)
+    assert type(check["residual"]) is float and repr(check["residual"]) == repr(residual)
+
+
+@pytest.mark.parametrize("command", ["embed", "spinor-spaces"])
+def test_a_changed_check_reaches_no_later_report(command, capsys):
+    argv = [command, "--seed", "3", "--trials", "4"]
+    first = run(capsys, argv)
+    args = cli.build_parser().parse_args(argv)
+    for check in args.suite(args).checks:
+        check.update(status="fail", residual=-1.0, tolerance=-1.0)
+    assert run(capsys, argv) == first
 
 
 @pytest.mark.parametrize("flag", ["--psi", "--omega"])

@@ -350,7 +350,7 @@ def ref_pure_units(f, basis):
     for w in basis:
         lam = complex(np.trace(to_matrix(w))) / f_trace
         pure = w - lam * f
-        if pure.max_abs() <= UNIT_TOL:
+        if pure.is_zero(UNIT_TOL):
             continue
         sq = pure * pure
         coeff = complex(np.trace(to_matrix(sq))) / f_trace

@@ -198,12 +198,12 @@ def test_blade_keys_roundtrip():
 def test_hermitian_blades_fixed_by_hermitian_conjugation():
     for mask in range(BLADE_COUNT):
         hb = hermitian_blade(mask)
-        assert hb.hermitian_conjugate() == hb
+        assert involution("dirac_dagger", hb) == hb
 
 
 def test_plain_bivector_flips_under_hermitian_conjugation():
     e12 = basis_blade(0b0110)
-    assert e12.hermitian_conjugate() == -1 * e12
+    assert involution("dirac_dagger", e12) == -1 * e12
 
 
 def test_hermitian_coefficient_roundtrip():
@@ -214,7 +214,7 @@ def test_hermitian_coefficient_roundtrip():
     for mask, c in enumerate(coeffs):
         rebuilt = rebuilt + c * hermitian_blade(mask)
     assert coefficient_distance(rebuilt, x) < 1e-15
-    assert all(hermitian_blade(m).hermitian_conjugate() == hermitian_blade(m)
+    assert all(involution("dirac_dagger", hermitian_blade(m)) == hermitian_blade(m)
                for m in range(BLADE_COUNT))
 
 
@@ -275,7 +275,7 @@ def test_exact_operands_keep_exact_types():
     b = Multivector({1: Fraction(3, 4), 6: 2, 3: 1})
     results = [a * b, b * a, a + b, a - b, -a, 3 * a, a * Fraction(1, 2),
                a.grade_involution(), a.reversion(), a.clifford_conjugation(),
-               a.complex_conjugate(), a.hermitian_conjugate(), grade_projection(a, 2)]
+               a.complex_conjugate(), involution("dirac_dagger", a), grade_projection(a, 2)]
     for x in results:
         assert all(type(v) in (int, Fraction) for _, v in x.items())
     assert (a - a).items() == []
