@@ -2,9 +2,10 @@
 
 Each check draws from the generator it is given and returns its verdicts:
 report check objects made by :func:`verdict`, which holds the check's name,
-its tolerance and the direction of its comparison.  A measurement that
-draws nothing is computed once per process and kept as a number; each call
-builds new check objects from it.
+its tolerance and the direction of its comparison.  What draws nothing,
+the quaternionic Clifford relations and :func:`spinor_space_structure`, is
+measured once per process and cached; each call builds new check objects
+from it.  After patching a ``weyl`` tolerance, clear the structure's cache.
 
 Trials run in blocks of at most ``_BLOCK``, so memory stays bounded.  A
 block draws its numbers in one call, in the order a trial-by-trial loop
@@ -22,15 +23,19 @@ from .duals import (
     ELEMENT_NAMES, _delta_from, _max_entry, _named_operators, _split_delta, _stacked_terms,
     _to_delta, _to_omega, closed_form, omega_residual, random_delta, validate_delta, xi,
 )
-from .ideals import _beta, _require_adjoint, _ring_residual
-from .multivector import METRIC, _product, _random_coefficients, coefficient_distance, gamma, scalar
+from .ideals import (
+    _beta, _require_adjoint, _ring_residual, canonical_idempotent, division_ring_identify,
+    ideal_basis, verify_involution_conditions,
+)
+from .multivector import METRIC, _product, _random_coefficients, gamma, scalar
 from .quaternions import (
     QuatMatrix2, _even_block, _m2h, gl2h_embed, intertwiner, is_quaternionic_pattern,
     pattern_dof, quaternionic_gamma,
 )
 from .weyl import (
-    DETECTION_TOL, IDENTITY_TOL, NONCOMMUTING_TOL, PERTURBATION, PRODUCT_TOL, ROUNDING_TOL,
-    VALIDATION_TOL, _dagger, _dirac_dagger, _invertible, _matrices, _modulus,
+    DETECTION_TOL, IDENTITY_TOL, NONCOMMUTING_TOL, PERTURBATION, PRODUCT_TOL, RANK_TOL,
+    ROUNDING_TOL, VALIDATION_TOL, _dagger, _dirac_dagger, _invertible, _matrices, _modulus,
+    to_matrix,
 )
 
 _BLOCK = 256
@@ -217,11 +222,6 @@ def intertwined_representations(rng, trials) -> dict:
     return verdict("intertwined-representations", worst, IDENTITY_TOL)
 
 
-def idempotency(f) -> float:
-    """Coefficient distance of f f from f."""
-    return coefficient_distance(f.value * f.value, f.value)
-
-
 def _ideal_pairs(rng, n, f, real=False) -> np.ndarray:
     """psi, phi = (random multivector) f for ``n`` trials."""
     return np.moveaxis(_product(_random_coefficients(rng, (n, 2), real=real), f), 1, 0)
@@ -254,17 +254,30 @@ def beta_matches_matrix_adjoint(rng, trials, f) -> dict:
     return verdict("beta-matches-matrix-adjoint", worst, PRODUCT_TOL)
 
 
-def spinor_spaces(structure, rng, trials) -> list:
-    """The spinor-space checks in report order.  ``structure`` holds what they measure without
-    drawing: the complex and real canonical idempotents f, the distance of f f from each f, the
-    complex one's matrix rank, the complex left, complex right and real left ideals, the two
-    division rings and whether the involution conditions hold."""
-    (_, fr, idempotency_c, idempotency_r, rank, complex_left, complex_right, real_left,
-     ring_c, ring_r, involutions) = structure
+@cache
+def spinor_space_structure() -> tuple:
+    """What the spinor-space checks measure without drawing, once per process: the complex and
+    real canonical idempotents f, the complex one's matrix rank, the complex left, complex right
+    and real left ideals, the two division rings and whether the involution conditions hold."""
+    fc, fr = canonical_idempotent("complex"), canonical_idempotent("real")
+    one = scalar(1)
+    involutions = (verify_involution_conditions("reversion", one, fr)
+                   and not verify_involution_conditions("grade", one, fr)
+                   and verify_involution_conditions("reversion", gamma(0), fr))
+    return (fc, fr, np.linalg.matrix_rank(to_matrix(fc.value), tol=RANK_TOL),
+            ideal_basis(fc, "left", "complex"), ideal_basis(fc, "right", "complex"),
+            ideal_basis(fr, "left", "real"), division_ring_identify(fc, "complex"),
+            division_ring_identify(fr, "real"), involutions)
+
+
+def spinor_spaces(rng, trials) -> list:
+    """The spinor-space checks in report order, on :func:`spinor_space_structure`."""
+    (fc, fr, rank, complex_left, complex_right, real_left, ring_c, ring_r,
+     involutions) = spinor_space_structure()
     return [
-        verdict("complex-idempotency", idempotency_c, ROUNDING_TOL),
+        verdict("complex-idempotency", fc.residual, ROUNDING_TOL),
         verdict("complex-projector-rank-1", abs(rank - 1), 0.0),
-        verdict("real-idempotency", idempotency_r, ROUNDING_TOL),
+        verdict("real-idempotency", fr.residual, ROUNDING_TOL),
         verdict("ideal-dimension-complex-left", abs(complex_left.dimension - 4), 0.0),
         verdict("ideal-dimension-complex-right", abs(complex_right.dimension - 4), 0.0),
         verdict("ideal-dimension-real-left", abs(real_left.dimension - 8), 0.0),

@@ -41,15 +41,11 @@ from .duals import (
     _drawn, _named_operators, _row_terms, dual_of, named_operator, validate_omega,
 )
 from .groups import group_from_elements, identify_group, orbit_partition
-from .ideals import (
-    canonical_idempotent, division_ring_identify, ideal_basis, verify_involution_conditions,
-)
-from .multivector import gamma, scalar
 from .serialize import (
     MalformedInputError, dump_json, load_json, matrix_from_obj, matrix_to_obj,
     multivector_to_obj, spinor_from_obj, spinor_to_obj,
 )
-from .weyl import GROUP_TOL, IDENTITY_TOL, RANK_TOL, VALIDATION_TOL, to_matrix
+from .weyl import GROUP_TOL, IDENTITY_TOL, VALIDATION_TOL
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -200,37 +196,18 @@ def _suite_embed(args) -> SuiteReport:
     return report
 
 
-@cache
-def _spinor_space_structure() -> tuple:
-    """What spinor-spaces measures without drawing, once per process: the
-    canonical idempotents, their idempotency, the complex one's rank, the
-    three ideal bases, the two rings and the involution conditions.  A
-    caller that patches a ``weyl`` tolerance calls ``cache_clear()``."""
-    fc, fr = canonical_idempotent("complex"), canonical_idempotent("real")
-    one = scalar(1)
-    involutions = (verify_involution_conditions("reversion", one, fr)
-                   and not verify_involution_conditions("grade", one, fr)
-                   and verify_involution_conditions("reversion", gamma(0), fr))
-    return (fc, fr, checks.idempotency(fc), checks.idempotency(fr),
-            np.linalg.matrix_rank(to_matrix(fc.value), tol=RANK_TOL),
-            ideal_basis(fc, "left", "complex"), ideal_basis(fc, "right", "complex"),
-            ideal_basis(fr, "left", "real"), division_ring_identify(fc, "complex"),
-            division_ring_identify(fr, "real"), involutions)
-
-
 def _suite_spinor_spaces(args) -> SuiteReport:
     """Idempotent, ideal, division-ring and beta suite."""
     report = _report(args)
-    structure = _spinor_space_structure()
-    fc, fr, _, _, _, complex_left, complex_right, basis, ring_c, ring_r, _ = structure
-    report.checks = checks.spinor_spaces(structure, np.random.default_rng(args.seed), args.trials)
+    report.checks = checks.spinor_spaces(np.random.default_rng(args.seed), args.trials)
     # built afresh for each report, from the process's one structure
+    fc, fr, _, left, right, basis, ring_c, ring_r, _ = checks.spinor_space_structure()
     report.payload = {
         "idempotents": {"complex": multivector_to_obj(fc.value),
                         "real": multivector_to_obj(fr.value)},
         "ideal_dimensions": {
-            "complex_left": complex_left.dimension,
-            "complex_right": complex_right.dimension,
+            "complex_left": left.dimension,
+            "complex_right": right.dimension,
             "real_left": basis.dimension,
         },
         "ideal_basis_real_left": [multivector_to_obj(g) for g in basis.generators],

@@ -10,7 +10,7 @@ alpha(h) = h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +38,13 @@ class Idempotent:
     """Multivector f with f*f = f (within ``ROUNDING_TOL`` on coefficients)."""
 
     value: Multivector
+    residual: object = field(init=False, repr=False, compare=False)  #: distance of f f from f
 
     def __post_init__(self):
         residual = coefficient_distance(self.value * self.value, self.value)
         if not residual <= ROUNDING_TOL:  # NaN is not idempotent
             raise ValueError(f"not idempotent: residual {residual:.3e}")
+        object.__setattr__(self, "residual", residual)
 
 
 def canonical_idempotent(mode: str = "complex") -> Idempotent:

@@ -102,6 +102,17 @@ def mask_from_key(key: str) -> int:
     return mask
 
 
+def _index(value, name: str, stop: int | None = None) -> int:
+    """``value`` read through ``operator.index`` and in range(``stop``), or ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if stop is not None and value not in range(stop):
+        raise ValueError(f"{name} {value} out of range")
+    return value
+
+
 def _common(a: np.ndarray, b: np.ndarray) -> tuple:
     """Two coefficient arrays in one dtype: object only if both are exact."""
     if a.dtype == b.dtype:
@@ -171,6 +182,9 @@ class Multivector:
                 if value != 0:
                     values[mask] = value
         exact = all(isinstance(v, _EXACT) for v in values)
+        if not exact:  # a numpy integer is the int it equals
+            values = [int(v) if isinstance(v, np.integer) else v for v in values]
+            exact = all(isinstance(v, _EXACT) for v in values)
         self._c = np.array(values, dtype=object if exact else complex)
 
     @classmethod
@@ -183,6 +197,7 @@ class Multivector:
     # -- access -----------------------------------------------------------
 
     def coefficient(self, mask: int):
+        mask = _index(mask, "blade mask")
         return self._c.tolist()[mask] if 0 <= mask < BLADE_COUNT else 0
 
     def items(self) -> list[tuple[int, object]]:
@@ -225,6 +240,8 @@ class Multivector:
             return NotImplemented
         if self._c.dtype == object and isinstance(k, _EXACT):
             return Multivector._of(self._c * k)
+        if isinstance(k, np.integer):  # the int it equals, as from the left
+            return self._scaled(int(k))
         return Multivector._of(self._c.astype(complex) * complex(k))
 
     def __eq__(self, other):
@@ -276,9 +293,7 @@ def basis_blade(mask: int) -> Multivector:
 
 def gamma(mu: int) -> Multivector:
     """Generator e_mu (mu in 0..3)."""
-    if mu not in range(DIMENSION):
-        raise ValueError(f"gamma index {mu} out of range")
-    return _GENERATORS[mu]
+    return _GENERATORS[_index(mu, "gamma index", DIMENSION)]
 
 
 def blade(indices: Iterable[int]) -> Multivector:
@@ -307,6 +322,7 @@ def gamma5_chiral() -> Multivector:
 
 
 def grade_projection(a: Multivector, k: int) -> Multivector:
+    k = _index(k, "grade")
     if not 0 <= k <= DIMENSION:
         raise ValueError(f"grade {k} out of range 0..{DIMENSION}")
     return Multivector._of(np.where(_GRADES == k, a._c, 0))

@@ -13,7 +13,7 @@ from numbers import Real
 
 import numpy as np
 
-from .multivector import BLADE_COUNT, DIMENSION, GRADE, Multivector
+from .multivector import BLADE_COUNT, DIMENSION, GRADE, Multivector, _index
 from .weyl import ZERO_TOL, _invertible, _matrices, _modulus, weyl_gamma
 
 
@@ -50,8 +50,9 @@ class Quaternion:
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return Quaternion(*_hamilton(*self.as_list(), *other.as_list()))
-        return Quaternion(self.a * other, self.b * other,
-                          self.c * other, self.d * other)
+        if isinstance(other, Real):
+            return Quaternion(self.a * other, self.b * other, self.c * other, self.d * other)
+        return NotImplemented  # QuatMatrix2.__rmul__ takes q * M
 
     __rmul__ = __mul__  # a real scalar times q; real products commute
 
@@ -144,7 +145,11 @@ class QuatMatrix2:
             return QuatMatrix2._of(self.q * other)
         return NotImplemented
 
-    __rmul__ = __mul__  # a real scalar times the matrix; Quaternion.__mul__ takes q * M
+    def __rmul__(self, other):
+        if isinstance(other, Quaternion):  # other times each entry, on the left
+            return QuatMatrix2._of(np.stack(
+                _hamilton(*other.as_list(), *np.moveaxis(self.q, -1, 0)), axis=-1))
+        return self.__mul__(other)  # a real scalar commutes
 
     def entries(self) -> tuple:
         return (self.q11, self.q12, self.q21, self.q22)
@@ -223,9 +228,7 @@ _GENERATOR_IMAGES = (
 
 
 def quaternionic_gamma(mu: int) -> QuatMatrix2:
-    if mu not in range(DIMENSION):
-        raise ValueError(f"gamma index {mu} out of range")
-    return _GENERATOR_IMAGES[mu]
+    return _GENERATOR_IMAGES[_index(mu, "gamma index", DIMENSION)]
 
 
 @lru_cache(maxsize=1)

@@ -14,6 +14,7 @@ from .multivector import (
     BLADE_COUNT,
     DIMENSION,
     Multivector,
+    _index,
     gamma,
 )
 
@@ -38,9 +39,7 @@ _GAMMAS = _build_gammas()
 
 def weyl_gamma(mu: int) -> np.ndarray:
     """4x4 matrix of the generator gamma^mu, mu in 0..3."""
-    if mu not in range(DIMENSION):
-        raise ValueError(f"gamma index {mu} out of range")
-    return _GAMMAS[mu].copy()
+    return _GAMMAS[_index(mu, "gamma index", DIMENSION)].copy()
 
 
 _BLADE_MATS = np.array([np.eye(4, dtype=complex)] * BLADE_COUNT)
@@ -98,6 +97,8 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 # the bits of the single multivector.
 _BLADE_ROWS = _BLADE_MATS.reshape(BLADE_COUNT, 16)
 _TRACE_DUAL = _BLADE_INV.transpose(0, 2, 1).reshape(BLADE_COUNT, 16) / 4
+for _array in (_Z2, _I2, *_PAULI, *_GAMMAS, _BLADE_MATS, _BLADE_INV, _BLADE_ROWS, _TRACE_DUAL):
+    _array.flags.writeable = False  # shared by every caller; GAMMA0 is _GAMMAS[0]
 
 
 def _matrices(c: np.ndarray) -> np.ndarray:

@@ -253,7 +253,7 @@ def test_criterion_09_spin_hierarchy():
 def test_criterion_10_spinor_spaces():
     fc = canonical_idempotent("complex")
     fr = canonical_idempotent("real")
-    idem = checks.idempotency(fc)
+    idem = fc.residual
     rank = int(np.linalg.matrix_rank(to_matrix(fc.value), tol=1e-9))
     ring_c = division_ring_identify(fc, "complex")
     ring_r = division_ring_identify(fr, "real")

@@ -644,10 +644,10 @@ def test_an_unreadable_number_is_a_usage_error_that_names_no_helper(flag, text, 
 def fresh_structure():
     """The cached spinor-space structure and quaternionic Clifford relations,
     computed anew inside the test and forgotten after it."""
-    cli._spinor_space_structure.cache_clear()
+    checks.spinor_space_structure.cache_clear()
     checks.quaternion_clifford_relations.cache_clear()
-    yield cli._spinor_space_structure
-    cli._spinor_space_structure.cache_clear()
+    yield checks.spinor_space_structure
+    checks.spinor_space_structure.cache_clear()
     checks.quaternion_clifford_relations.cache_clear()
 
 
@@ -655,8 +655,8 @@ def test_a_second_call_recomputes_no_fixed_structure(fresh_structure, monkeypatc
     calls = Counter()
 
     def counted(name):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a: calls.update([name]) or real(*a))
+        real = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda *a: calls.update([name]) or real(*a))
 
     for name in ("ideal_basis", "division_ring_identify", "verify_involution_conditions"):
         counted(name)

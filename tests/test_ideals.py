@@ -46,6 +46,14 @@ def test_canonical_idempotents_are_idempotent():
     assert FR.value * FR.value == FR.value
 
 
+@pytest.mark.parametrize("f", [FC, FR, EXACT_FR], ids=["complex", "real", "exact"])
+def test_an_idempotent_keeps_the_residual_its_constructor_measured(f):
+    want = coefficient_distance(f.value * f.value, f.value)
+    assert (type(f.residual), repr(f.residual)) == (type(want), repr(want))  # bit for bit
+    same = Idempotent(f.value)
+    assert "residual" not in repr(f) and f == same and hash(f) == hash(same)
+
+
 def test_complex_idempotent_has_rank_one():
     assert np.linalg.matrix_rank(to_matrix(FC.value), tol=1e-9) == 1
 

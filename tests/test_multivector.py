@@ -672,3 +672,13 @@ def test_integer_masks_of_any_integer_type_are_accepted():
 def test_hermitian_blade_reads_the_mask_its_multivector_accepted(mask, want):
     # _TURNED[True] would be a boolean index, not slot 1; 16 and -1 are refused above
     assert hermitian_blade(mask) == want == hermitian_blade(int(mask))
+
+
+@pytest.mark.parametrize("k", [np.int8(3), np.int64(3), np.uint8(3)])
+def test_a_numpy_integer_keeps_a_multivector_exact_from_either_side(k):
+    for x in (k * gamma(1), gamma(1) * k, Multivector({2: k})):
+        ((_, value),) = x.items()
+        assert (type(value), value) == (int, 3)
+    half = Multivector({2: Fraction(1, 2)})
+    assert (half * k).items() == (k * half).items() == [(2, Fraction(3, 2))]
+    assert Multivector({0: k, 1: 0.5})._c.dtype == complex  # mixed with a float, as before

@@ -14,7 +14,7 @@ import spinorlab
 from spinorlab import duals, groups, ideals, multivector, quaternions, serialize, weyl
 from spinorlab.duals import KinematicPoint, _delta_from, random_delta, validate_delta, validate_omega
 from spinorlab.groups import CapExceeded, generate_group
-from spinorlab.multivector import scalar
+from spinorlab.multivector import gamma, grade_projection, scalar
 from spinorlab.quaternions import (
     Q_I, QuatMatrix2, Quaternion, intertwiner, mv_to_m2h, quaternionic_gamma,
 )
@@ -238,6 +238,54 @@ def test_quat_matrix_times_a_quaternion_multiplies_each_entry_on_the_right():
     assert (m * 2).entries() == (2 * m).entries() == tuple(q * 2 for q in m.entries())
     with pytest.raises(TypeError):
         m * "2"
+
+
+def test_a_quaternion_times_a_quat_matrix_multiplies_each_entry_on_the_left():
+    m = QuatMatrix2(Quaternion(1, 2, 3, 4), Quaternion(0.5, -1, 0, 2),
+                    Quaternion(-3, 0, 1, 1), Quaternion(0, 0, -2, 0.25))
+    product = Q_I * m
+    assert isinstance(product, QuatMatrix2)
+    assert product.entries() == tuple(Q_I * q for q in m.entries())
+    assert product.entries() != (m * Q_I).entries()
+    for bad in (1j, "2"):
+        with pytest.raises(TypeError):
+            Q_I * bad
+    assert 2 * Q_I == Q_I * 2 == Q_I * np.float64(2) == Quaternion(0, 2)
+    assert (2.5 * m).entries() == (m * 2.5).entries() == tuple(q * 2.5 for q in m.entries())
+
+
+def test_the_weyl_module_arrays_are_read_only():
+    # GAMMA0 and the blade matrices are shared by every Delta and Omega
+    # validation; an in-place edit by a caller must not reach them.
+    shared = [v for v in vars(weyl).values() if isinstance(v, np.ndarray)]
+    shared += [a for v in vars(weyl).values() if isinstance(v, tuple) for a in v]
+    assert len(shared) >= 14 and not any(a.flags.writeable for a in shared)
+    with pytest.raises(ValueError):
+        spinorlab.GAMMA0[0, 0] = 5
+    g = weyl.weyl_gamma(0)
+    g[0, 0] = 5  # a copy, the caller's own
+    assert spinorlab.GAMMA0[0, 0] == 0
+
+
+@pytest.mark.parametrize("call, stop, message", [
+    (gamma, 4, "gamma index 4 out of range"),
+    (weyl.weyl_gamma, 4, "gamma index 4 out of range"),
+    (quaternionic_gamma, 4, "gamma index 4 out of range"),
+    (lambda i: grade_projection(gamma(0) + gamma(1) * gamma(2), i), 5,
+     "grade 5 out of range 0..4"),
+    (lambda i: (gamma(0) + 2 * gamma(1)).coefficient(i), 16, None),  # no such blade: 0
+], ids=["gamma", "weyl_gamma", "quaternionic_gamma", "grade_projection", "coefficient"])
+def test_an_index_is_read_as_an_integer(call, stop, message):
+    for bad in (1.0, 1.5, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            call(bad)
+    for good in (np.int64(1), np.uint8(1), True):
+        assert repr(call(good)) == repr(call(1))
+    if message is None:
+        assert call(np.int64(stop)) == 0
+    else:
+        with pytest.raises(ValueError, match=message):
+            call(np.int64(stop))
 
 
 def test_quaternionic_images_are_read_only():

@@ -15,6 +15,11 @@ to see whether a change altered any of these cases:
 * ``demo``: the stdout of each script in ``TREE/demos``.
 * ``groups``: the first 100 jobs of the groups workload for seeds 1-10.
   Each value is hashed with the bits of its arrays, or the error text.
+* ``exact``: the first 100 requests of the exact-algebra workload for seeds
+  1-10, hashed as the groups jobs are; a multivector's repr names the type
+  of each coefficient, so a slot that turns complex changes its line.
+* ``text``: each suites-warm argv of cycle 0, run again with
+  ``--format text``.
 
 The script writes nothing under TREE: bytecode is not cached.
 """
@@ -38,6 +43,7 @@ import numpy as np
 SEEDS = range(1, 11)
 CYCLES = 4
 GROUP_JOBS = 100
+EXACT_JOBS = 100
 
 
 def digest(*parts) -> str:
@@ -85,6 +91,7 @@ def main(argv) -> int:
     import workloads as W
     from spinorlab.cli import main as cli_main
 
+    text_runs = []  # (seed, request) of each suites-warm argv in cycle 0
     with tempfile.TemporaryDirectory() as tmp:
         places = {tmp: "<tmp>", str(tree): "<tree>"}
         for name, seed in itertools.product(("cli-cold", "suites-warm"), SEEDS):
@@ -94,6 +101,8 @@ def main(argv) -> int:
             for c in range(CYCLES):
                 for req in workload.cycle(c):
                     print(f"cli {name} {seed} {c} {req.kind}", run_cli(cli_main, req.argv, places))
+                    if name == "suites-warm" and c == 0:
+                        text_runs.append((seed, req))
 
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     for demo in sorted((tree / "demos").glob("*.py")):
@@ -107,6 +116,17 @@ def main(argv) -> int:
         for i, req in enumerate(itertools.islice(workload.requests(), GROUP_JOBS)):
             out = W.run(workload, req)
             print(f"groups {seed} {i} {req.kind}", digest(out.error, canonical(out.value)))
+
+    for seed in SEEDS:
+        workload = W.WORKLOADS["exact-algebra"](seed, None, {})
+        workload.warmup()
+        for i, req in enumerate(itertools.islice(workload.requests(), EXACT_JOBS)):
+            out = W.run(workload, req)
+            print(f"exact {seed} {i} {req.kind}", digest(out.error, canonical(out.value)))
+
+    for seed, req in text_runs:
+        argv = req.argv + ["--format", "text"]
+        print(f"text {seed} {req.kind}", run_cli(cli_main, argv, places))
     return 0
 
 
