@@ -20,8 +20,9 @@ from functools import cache
 import numpy as np
 
 from .duals import (
-    ELEMENT_NAMES, _delta_from, _max_entry, _named_operators, _split_delta, _stacked_terms,
-    _to_delta, _to_omega, closed_form, omega_residual, random_delta, validate_delta, xi,
+    ELEMENT_NAMES, _delta_from, _delta_validation, _max_entry, _named_operators, _split_delta,
+    _stacked_terms, _to_delta, _to_omega, closed_form, omega_residual, random_delta,
+    validate_delta, xi,
 )
 from .ideals import (
     _beta, _require_adjoint, _ring_residual, canonical_idempotent, division_ring_identify,
@@ -34,8 +35,8 @@ from .quaternions import (
 )
 from .weyl import (
     DETECTION_TOL, IDENTITY_TOL, NONCOMMUTING_TOL, PERTURBATION, PRODUCT_TOL, RANK_TOL,
-    ROUNDING_TOL, VALIDATION_TOL, _dagger, _dirac_dagger, _invertible, _matrices, _modulus,
-    to_matrix,
+    ROUNDING_TOL, VALIDATION_TOL, _dagger, _dirac_dagger, _g0_right, _invertible, _matrices,
+    _modulus, to_matrix,
 )
 
 _BLOCK = 256
@@ -58,24 +59,25 @@ def verdict(name, blocks, tolerance, above=False) -> dict:
             "residual": residual, "tolerance": float(tolerance)}
 
 
-def _draw(rng, n, layout) -> list:
+def _draw(rng, n, layout) -> tuple:
     """``n`` trials, each drawing in turn a random Delta for every None in
     ``layout`` and that many uniforms in [-1, 1] for every number; one
-    stack per entry.
+    stack per entry, and the determinants of the Delta stacks.
 
     A Delta that :func:`random_delta` would resample takes more draws than
     one call made, so a block with one rewinds the generator and draws
-    trial by trial.
+    trial by trial; it returns no determinants.
     """
     state = rng.bit_generator.state
     widths = [16 if w is None else w for w in layout]
     u = np.split(rng.uniform(-1, 1, (n, sum(widths))), np.cumsum(widths)[:-1], axis=1)
     stacks = [v if w else _delta_from(v) for w, v in zip(layout, u)]
-    if all(_invertible(np.linalg.det(s)).all() for w, s in zip(layout, stacks) if w is None):
-        return stacks
+    dets = [np.linalg.det(s) for w, s in zip(layout, stacks) if w is None]
+    if all(_invertible(d).all() for d in dets):
+        return stacks, dets
     rng.bit_generator.state = state
     trials = [[rng.uniform(-1, 1, w) if w else random_delta(rng) for w in layout] for _ in range(n)]
-    return [np.array(part) for part in zip(*trials)]
+    return [np.array(part) for part in zip(*trials)], []
 
 
 def block_pattern(rng, trials) -> list:
@@ -83,8 +85,8 @@ def block_pattern(rng, trials) -> list:
     a Delta that fails validation raises :class:`InvalidOperatorError`."""
     constraint, hermiticity = [], []
     for n in _blocks(trials):
-        (delta,) = _draw(rng, n, (None,))
-        check = validate_delta(delta)
+        (delta,), dets = _draw(rng, n, (None,))
+        check = _delta_validation(delta, *dets)
         check.require()  # as block_decompose would, on the one validation
         constraint.append(check.residual)
         hermiticity.append(_split_delta(delta).hermiticity_residual())
@@ -120,7 +122,7 @@ def closure(rng, trials, k) -> list:
     x = xi(k)
     commuting, noncommuting, inverse, det = [], [], [], []
     for n in _blocks(trials):
-        base, c, other = _draw(rng, n, (None, 5, None))
+        (base, c, other), _ = _draw(rng, n, (None, 5, None))
         base, other = _to_omega(base, x), _to_omega(other, x)
         c = c[:, :, None, None]
         om1 = c[:, 0] * np.eye(4) + c[:, 1] * base + c[:, 2] * base @ base
@@ -249,7 +251,7 @@ def beta_matches_matrix_adjoint(rng, trials, f) -> dict:
     for n in _blocks(trials):
         psi, phi = _ideal_pairs(rng, n, fc)
         b = _beta(psi, phi, "dirac_dagger", h, fc)
-        matrix_side = _dagger(_matrices(psi)) @ _matrices(h) @ _matrices(phi) @ _matrices(fc)
+        matrix_side = _g0_right(_dagger(_matrices(psi))) @ _matrices(phi) @ _matrices(fc)
         worst.append(_max_entry(_matrices(b) - matrix_side))
     return verdict("beta-matches-matrix-adjoint", worst, PRODUCT_TOL)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import GAMMA0, ONSHELL_TOL, VALIDATION_TOL, _dagger, _invertible
+from .weyl import ONSHELL_TOL, VALIDATION_TOL, _dagger, _g0_left, _g0_right, _invertible
 
 ELEMENT_NAMES = ("G", "F", "FG", "XiDagger", "GXiDagger", "H", "Hinv")
 
@@ -165,33 +165,36 @@ def named_operator(name: str, k: KinematicPoint) -> np.ndarray:
 
 
 def _named_operators(k):
-    """(name, operator) at a point or (stacked) terms, one at a time, from one Xi."""
+    """(name, operator) at a point or (stacked) terms, one at a time, from one Xi
+    and the two products the family shares, Xi^dag Xi and Xi Xi^dag, each formed once."""
     t = _terms(k)
     x = xi(t)
     xd = _dagger(x)
-    return ((name, _named(name, t, x, xd)) for name in ELEMENT_NAMES)
+    xdx, xxd = xd @ x, x @ xd
+    return ((name, _named(name, t, x, xd, xdx, xxd)) for name in ELEMENT_NAMES)
 
 
-def _named(name: str, t: tuple, x: np.ndarray, xd: np.ndarray) -> np.ndarray:
-    """:func:`named_operator` from the terms ``t``, Xi and Xi^dag."""
+def _named(name: str, t: tuple, x: np.ndarray, xd: np.ndarray, xdx=None, xxd=None) -> np.ndarray:
+    """:func:`named_operator` from terms ``t``, Xi, Xi^dag, and Xi^dag Xi, Xi Xi^dag if given."""
     m, p, E = t[:3]
-    g0 = GAMMA0
+    xdx = xd @ x if xdx is None and name in ("FG", "GXiDagger", "Hinv") else xdx
+    xxd = x @ xd if xxd is None and name in ("FG", "H") else xxd
     if name == "G":
-        return (m / (2 * E)) * (g0 @ x + x @ g0)
+        return (m / (2 * E)) * (_g0_left(x) + _g0_right(x))
     if name == "F":
         _require_momentum(p)
-        return (m / (2 * p)) * (g0 @ x - x @ g0)
+        return (m / (2 * p)) * (_g0_left(x) - _g0_right(x))
     if name == "FG":
         _require_momentum(p)
-        return (m * m / (4 * E * p)) * (xd @ x - x @ xd)
+        return (m * m / (4 * E * p)) * (xdx - xxd)
     if name == "XiDagger":
-        return g0 @ x @ g0
+        return _g0_right(_g0_left(x))
     if name == "GXiDagger":
-        return (m / (2 * E)) * (xd @ x + np.eye(4)) @ g0
+        return _g0_right((m / (2 * E)) * (xdx + np.eye(4)))
     if name == "H":
-        return m * m * (x @ xd)
+        return m * m * xxd
     if name == "Hinv":
-        return (xd @ x) / (m * m)
+        return xdx / (m * m)
     raise ValueError(f"unknown operator name {name!r}; choose from {ELEMENT_NAMES}")
 
 
@@ -285,9 +288,9 @@ def _max_entry(m: np.ndarray):
     return float(worst) if worst.ndim == 0 else worst
 
 
-def _validation(kind: str, m: np.ndarray, residual, tol: float) -> OperatorValidation:
-    """Pass when the constraint residual is within ``tol`` and m is invertible."""
-    det = np.linalg.det(m)
+def _validation(kind: str, m: np.ndarray, residual, tol: float, det=None) -> OperatorValidation:
+    """Pass when the residual is within ``tol`` and m (its det ``det`` if given) is invertible."""
+    det = np.linalg.det(m) if det is None else det
     ok = (residual <= tol) & _invertible(det)
     if det.ndim == 0:
         det, ok = complex(det), bool(ok)
@@ -296,15 +299,18 @@ def _validation(kind: str, m: np.ndarray, residual, tol: float) -> OperatorValid
 
 def validate_delta(m: np.ndarray) -> OperatorValidation:
     """Check Delta^dag g0 = g0 Delta and det != 0, of a matrix or a stack."""
-    m = np.asarray(m, dtype=complex)
-    residual = _max_entry(_dagger(m) @ GAMMA0 - GAMMA0 @ m)
-    return _validation("delta", m, residual, VALIDATION_TOL)
+    return _delta_validation(np.asarray(m, dtype=complex))
+
+
+def _delta_validation(m: np.ndarray, det=None) -> OperatorValidation:  # of a complex m
+    residual = _max_entry(_g0_right(_dagger(m)) - _g0_left(m))
+    return _validation("delta", m, residual, VALIDATION_TOL, det)
 
 
 def omega_residual(m: np.ndarray, x: np.ndarray):
     """Max entry of Omega^dag - Xi g0 Omega g0 Xi, given the matrix Xi; an
     array of them for a stack of Omegas."""
-    return _max_entry(_dagger(m) - x @ GAMMA0 @ m @ GAMMA0 @ x)
+    return _max_entry(_dagger(m) - _g0_right(_g0_right(x) @ m) @ x)
 
 
 def validate_omega(
@@ -331,11 +337,11 @@ def delta_to_omega(m: np.ndarray, k: KinematicPoint) -> np.ndarray:
 
 
 def _to_delta(m, x) -> np.ndarray:  # the conversions given the matrix Xi
-    return GAMMA0 @ np.asarray(m, dtype=complex) @ GAMMA0 @ x
+    return _g0_right(_g0_left(np.asarray(m, dtype=complex))) @ x
 
 
 def _to_omega(m, x) -> np.ndarray:
-    return GAMMA0 @ np.asarray(m, dtype=complex) @ x @ GAMMA0
+    return _g0_right(_g0_left(np.asarray(m, dtype=complex)) @ x)
 
 
 # -- random Delta and block structure -------------------------------------------
@@ -433,5 +439,5 @@ def dual_of(
     if check is None:
         check = validate_omega(omega, k)
     check.require()
-    row = np.asarray(psi, dtype=complex).reshape(4).conj() @ GAMMA0 @ xi(k) @ omega
+    row = _g0_right(np.asarray(psi, dtype=complex).reshape(4).conj()) @ xi(k) @ omega
     return DualSpinor(row)

@@ -3,7 +3,9 @@
 Block placement puts sigma^mu in the upper-right corner,
 ``gamma^mu = [[0, sigma^mu], [sigmabar^mu, 0]]`` with sigma^mu = (I, s)
 and sigmabar^mu = (I, -s).  This is the placement for which the chiral
-element i*e0123 maps to diag(-1, -1, 1, 1).
+element i*e0123 maps to diag(-1, -1, 1, 1).  gamma0 = [[0, I], [I, 0]] is
+applied as the block swap it is, by index: the bits of a product for finite
+entries, but an overflowed entry stays inf where a product gave NaN.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ for _mask in range(1, BLADE_COUNT):  # the blade without its last generator, tim
 _BLADE_INV = _BLADE_MATS / (_BLADE_MATS @ _BLADE_MATS)[:, :1, :1].real
 
 GAMMA0 = _GAMMAS[0]
+_SWAP = np.array([2, 3, 0, 1])  # GAMMA0 as a permutation: it swaps the two chiral blocks
 
 # -- every threshold of the package, named once; other modules import them from here --
 DET_TOL = 1e-12  #: |det| of a 4x4 operator at or below which it is singular
@@ -91,13 +94,22 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _g0_left(m: np.ndarray) -> np.ndarray:  # GAMMA0 @ m, of a matrix or a stack
+    return m.take(_SWAP, axis=-2)
+
+
+def _g0_right(m: np.ndarray) -> np.ndarray:  # m @ GAMMA0, of a matrix, a stack or a row
+    return m.take(_SWAP, axis=-1)
+
+
 # Row-vector forms: to_matrix is c @ _BLADE_ROWS, and since the coefficient
 # of blade G_I is trace(M @ G_I^{-1}) / 4, from_matrix is _TRACE_DUAL @ vec(M).
 # The stacked forms keep one vector-matrix product per row, so a stack gets
 # the bits of the single multivector.
 _BLADE_ROWS = _BLADE_MATS.reshape(BLADE_COUNT, 16)
 _TRACE_DUAL = _BLADE_INV.transpose(0, 2, 1).reshape(BLADE_COUNT, 16) / 4
-for _array in (_Z2, _I2, *_PAULI, *_GAMMAS, _BLADE_MATS, _BLADE_INV, _BLADE_ROWS, _TRACE_DUAL):
+for _array in (_Z2, _I2, *_PAULI, *_GAMMAS, _SWAP, _BLADE_MATS, _BLADE_INV, _BLADE_ROWS,
+               _TRACE_DUAL):
     _array.flags.writeable = False  # shared by every caller; GAMMA0 is _GAMMAS[0]
 
 
@@ -117,7 +129,7 @@ def _coefficients(m: np.ndarray) -> np.ndarray:
 
 def _dirac_dagger(c: np.ndarray) -> np.ndarray:
     """The gamma0-adjoint of complex coefficient arrays (..., 16), through matrices."""
-    return _coefficients(GAMMA0 @ _dagger(_matrices(c)) @ GAMMA0)
+    return _coefficients(_g0_right(_g0_left(_dagger(_matrices(c)))))
 
 
 def to_matrix(a: Multivector) -> np.ndarray:

@@ -306,22 +306,113 @@ def test_beta_of_exact_operands_stays_exact():
 
 
 def test_block_pattern_validates_each_block_once(monkeypatch):
-    validated = []  # the size of each stack validated, by either module
+    # on the one determinant the draw took to decide whether to resample
+    validated, dets = [], []  # the size of each stack validated and of each det taken
+    real_validation, real_det = duals._delta_validation, np.linalg.det
 
-    def counted(delta):
+    def counted(delta, *det):
         validated.append(len(delta))
-        return validate_delta(delta)
+        return real_validation(delta, *det)
 
-    monkeypatch.setattr(checks, "validate_delta", counted)
-    monkeypatch.setattr(duals, "validate_delta", counted)
+    monkeypatch.setattr(checks, "_delta_validation", counted)
+    monkeypatch.setattr(duals, "_delta_validation", counted)
+    monkeypatch.setattr(np.linalg, "det", lambda m: dets.append(len(m)) or real_det(m))
     checks.block_pattern(np.random.default_rng(0), BLOCK + 1)
     assert validated == [BLOCK, 1]
+    assert dets == [BLOCK, 1]
 
 
 def test_block_pattern_refuses_a_stack_that_is_not_a_delta(monkeypatch):
-    monkeypatch.setattr(checks, "_draw", lambda rng, n, layout: [np.full((n, 4, 4), 1j)])
+    monkeypatch.setattr(checks, "_draw", lambda rng, n, layout: ([np.full((n, 4, 4), 1j)], []))
     with pytest.raises(duals.InvalidOperatorError, match="^not a valid Delta: constraint residual"):
         checks.block_pattern(np.random.default_rng(0), 3)
+
+
+class RecordedProducts(np.ndarray):
+    """An array that records the plain operands of each matrix product it takes part in,
+    from either side; what is computed from it records its products too."""
+
+    products = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(v) if isinstance(v, RecordedProducts) else v for v in inputs]
+        if ufunc is np.matmul:
+            RecordedProducts.products.append(plain)
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(RecordedProducts) if isinstance(out, np.ndarray) else out
+
+
+def with_gamma0(products) -> list:
+    """The products one of whose operands holds gamma0 as a matrix."""
+    return [pair for pair in products
+            if any(np.shape(v)[-2:] == (4, 4) and (np.reshape(v, (-1, 4, 4)) == GAMMA0)
+                   .all(axis=(1, 2)).any() for v in pair)]
+
+
+def test_closure_takes_no_product_with_gamma0(monkeypatch):
+    want = checks.closure(np.random.default_rng(0), BLOCK, K)
+    draw = checks._draw
+    monkeypatch.setattr(checks, "xi", lambda k: xi(k).view(RecordedProducts))
+    monkeypatch.setattr(checks, "_draw", lambda rng, n, layout: (
+        [s.view(RecordedProducts) for s in draw(rng, n, layout)[0]], []))
+    RecordedProducts.products = []
+    assert checks.closure(np.random.default_rng(0), BLOCK, K) == want
+    assert RecordedProducts.products  # the products were seen
+    assert with_gamma0(RecordedProducts.products) == []
+
+
+def test_the_beta_matrix_side_takes_no_product_with_gamma0(monkeypatch):
+    want = checks.beta_matches_matrix_adjoint(np.random.default_rng(0), BLOCK, FR)
+    monkeypatch.setattr(checks, "_matrices", lambda c: weyl._matrices(c).view(RecordedProducts))
+    RecordedProducts.products = []
+    assert checks.beta_matches_matrix_adjoint(np.random.default_rng(0), BLOCK, FR) == want
+    assert len(RecordedProducts.products) == 2  # (psi^dag g0) phi, then times f
+    assert with_gamma0(RecordedProducts.products) == []
+
+
+def test_the_delta_and_adjoint_checks_take_no_product_with_gamma0(monkeypatch):
+    def both():
+        return checks.block_pattern(np.random.default_rng(0), BLOCK), \
+            checks.adjoint_fixed_points(np.random.default_rng(0), BLOCK)
+
+    want, draw, matrices = both(), checks._draw, weyl._matrices
+
+    def recorded_draw(rng, n, layout):
+        stacks, dets = draw(rng, n, layout)
+        return [s.view(RecordedProducts) for s in stacks], dets
+
+    monkeypatch.setattr(checks, "_draw", recorded_draw)
+    monkeypatch.setattr(weyl, "_matrices", lambda c: matrices(c).view(RecordedProducts))
+    RecordedProducts.products = []
+    assert both() == want
+    assert RecordedProducts.products  # the products were seen
+    assert with_gamma0(RecordedProducts.products) == []
+
+
+@pytest.mark.parametrize("n", [1, BLOCK])
+def test_a_table1_block_forms_each_shared_product_once(n, monkeypatch):
+    points = random_kinematics(np.random.default_rng(n), n)
+    want = checks.operator_residuals(points, 1e-9)
+    x = xi(duals._stacked_terms(points))
+    monkeypatch.setattr(duals, "xi", lambda t: xi(t).view(RecordedProducts))
+    RecordedProducts.products = []
+    assert checks.operator_residuals(points, 1e-9) == want
+    formed = RecordedProducts.products
+    assert with_gamma0(formed) == []
+    assert len(formed) == 2  # Xi^dag Xi and Xi Xi^dag, whatever else the seven read
+    assert any(np.array_equal(a, duals._dagger(x)) and np.array_equal(b, x) for a, b in formed)
+    assert any(np.array_equal(a, x) and np.array_equal(b, duals._dagger(x)) for a, b in formed)
+
+
+@pytest.mark.parametrize("name, products", [
+    ("G", 0), ("F", 0), ("FG", 2), ("XiDagger", 0), ("GXiDagger", 1), ("H", 1), ("Hinv", 1),
+])
+def test_a_single_operator_forms_only_the_products_its_name_reads(name, products, monkeypatch):
+    want = named_operator(name, K)
+    monkeypatch.setattr(duals, "xi", lambda t: xi(t).view(RecordedProducts))
+    RecordedProducts.products = []
+    assert np.array_equal(named_operator(name, K), want)
+    assert len(RecordedProducts.products) == products
 
 
 def test_closure_forms_xi_once(monkeypatch):

@@ -396,3 +396,80 @@ def test_terms_taken_from_the_draw_are_the_terms_of_its_points(seed, n):
     assert rng.bit_generator.state == ref.bit_generator.state
     k = KinematicPoint(3.0, 4.0, 0.1, 0.2, E=5.0)
     assert repr(duals._terms(k)) == repr(written_out_terms(k))
+
+
+# -- gamma0 by index: the product formulas as references ------------------------------------
+#
+# Each formula below multiplies by GAMMA0, in the order the function it mirrors
+# associates its products.  Applying gamma0 as a block swap gives the same bits.
+
+
+def product_named(name, t, x, xd):
+    """The named operator with gamma0 and Xi^dag Xi, Xi Xi^dag as products."""
+    m, p, E = t[:3]
+    g0 = GAMMA0
+    return {
+        "G": lambda: (m / (2 * E)) * (g0 @ x + x @ g0),
+        "F": lambda: (m / (2 * p)) * (g0 @ x - x @ g0),
+        "FG": lambda: (m * m / (4 * E * p)) * (xd @ x - x @ xd),
+        "XiDagger": lambda: g0 @ x @ g0,
+        "GXiDagger": lambda: (m / (2 * E)) * (xd @ x + np.eye(4)) @ g0,
+        "H": lambda: m * m * (x @ xd),
+        "Hinv": lambda: (xd @ x) / (m * m),
+    }[name]()
+
+
+def product_delta_residual(m):
+    return duals._max_entry(m.conj().swapaxes(-1, -2) @ GAMMA0 - GAMMA0 @ m)
+
+
+def product_omega_residual(m, x):
+    return duals._max_entry(m.conj().swapaxes(-1, -2) - x @ GAMMA0 @ m @ GAMMA0 @ x)
+
+
+def product_to_delta(m, x):
+    return GAMMA0 @ m @ GAMMA0 @ x
+
+
+def product_to_omega(m, x):
+    return GAMMA0 @ m @ x @ GAMMA0
+
+
+def same_bits(a, b):
+    """Equal arrays of the same shape; 0.0 and -0.0 count as equal, as a max-entry
+    residual cannot tell them apart."""
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("p", [1e-3, 1.0, 1e3, 1e4])
+def test_the_gamma0_formulas_keep_the_bits_of_their_products(p):
+    rng = np.random.default_rng(int(p * 1000))
+    draws = rng.uniform((0.5, 0.05, 0.0), (2.0, 3.09, 6.28), (250, 3)).tolist()
+    points = [KinematicPoint(m, p, theta, phi) for m, theta, phi in draws]
+    t = duals._stacked_terms(points)
+    deltas = duals._delta_from(rng.uniform(-1, 1, (250, 16)))
+    generic = rng.normal(size=(250, 4, 4)) + 1j * rng.normal(size=(250, 4, 4))
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    passed = duals.OperatorValidation("omega", True, 0.0, 1.0, 0.0)  # dual_of skips validation
+    for i in (slice(None), 0, 249):  # the stack, and single matrices
+        single = not isinstance(i, slice)
+        ti = duals._terms(points[i]) if single else t
+        x = xi(ti)
+        xd = duals._dagger(x)
+        shared = dict(duals._named_operators(ti))
+        for name in ELEMENT_NAMES:
+            want = product_named(name, ti, x, xd)
+            assert same_bits(shared[name], want), (name, i)
+            if single:
+                assert same_bits(named_operator(name, points[i]), want), (name, i)
+        omega = duals._to_omega(deltas[i], x)
+        assert same_bits(omega, product_to_omega(deltas[i], x))
+        back = duals._to_delta(omega, x)
+        assert same_bits(back, product_to_delta(omega, x))
+        assert same_bits(duals.omega_residual(omega, x), product_omega_residual(omega, x))
+        for m in (deltas[i], back, generic[i], omega):
+            assert same_bits(validate_delta(m).residual, product_delta_residual(m))
+        if single:
+            row = psi.conj() @ GAMMA0 @ x @ omega
+            got = dual_of(psi, omega, points[i], check=passed).components
+            assert same_bits(got, row)

@@ -16,6 +16,13 @@ from spinorlab.multivector import (
 )
 from spinorlab.weyl import (
     GAMMA0,
+    _SWAP,
+    _coefficients,
+    _dagger,
+    _dirac_dagger,
+    _g0_left,
+    _g0_right,
+    _matrices,
     dirac_dagger_dual,
     from_matrix,
     multivector_inverse,
@@ -161,3 +168,47 @@ def test_multivector_inverse():
     assert coefficient_distance(x * xi, scalar(1)) < 1e-10
     with pytest.raises(ZeroDivisionError):
         multivector_inverse(scalar(1) + gamma(0))
+
+
+# -- gamma0 applied as a block swap ------------------------------------------------------
+
+
+def random_finite(rng, shape):
+    """Complex entries spread over 300 decades, so the swap meets large and tiny values."""
+    return 10.0 ** rng.uniform(-150, 150, shape) * (rng.normal(size=shape)
+                                                    + 1j * rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (250, 4, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_the_block_swap_has_the_bits_of_the_product_with_gamma0(shape, seed):
+    m = random_finite(np.random.default_rng(seed), shape)
+    assert np.array_equal(_g0_left(m), GAMMA0 @ m)
+    assert np.array_equal(_g0_right(m), m @ GAMMA0)
+    row = m[..., 0, :]  # a row (or rows), as dual_of applies gamma0 to psi^dag
+    assert np.array_equal(_g0_right(row), row @ GAMMA0)
+
+
+def test_the_swap_is_gamma0_in_this_representation():
+    assert np.array_equal(GAMMA0, np.eye(4)[_SWAP])
+
+
+def test_an_overflowed_entry_stays_inf_through_the_swap():
+    m = np.eye(4, dtype=complex)
+    m[0, 0] = np.inf
+    assert _g0_left(m)[2, 0] == np.inf and _g0_right(m)[0, 2] == np.inf
+    assert not np.isnan(_g0_left(m)).any()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(GAMMA0 @ m).any()  # inf * 0 in the product
+
+
+def product_dirac_dagger(c):
+    """The gamma0-adjoint through two products with GAMMA0: the reference for the swap."""
+    return _coefficients(GAMMA0 @ _dagger(_matrices(c)) @ GAMMA0)
+
+
+@pytest.mark.parametrize("n", [1, 250])
+def test_the_dirac_dagger_keeps_the_bits_of_its_product_formula(n):
+    c = random_finite(np.random.default_rng(n), (n, 16))
+    assert np.array_equal(_dirac_dagger(c), product_dirac_dagger(c))
+    assert np.array_equal(_dirac_dagger(c[0]), product_dirac_dagger(c[0]))

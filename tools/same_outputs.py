@@ -20,6 +20,11 @@ to see whether a change altered any of these cases:
   of each coefficient, so a slot that turns complex changes its line.
 * ``text``: each suites-warm argv of cycle 0, run again with
   ``--format text``.
+* ``defects``: each argv that ``tests/test_known_defects.py`` runs, with
+  its input files built as that test builds them, and
+  ``verify-theorems --mass 1e-200 --trials 3``.  These are the overflow,
+  underflow and tolerance regimes, where a change of arithmetic shows
+  first.
 
 The script writes nothing under TREE: bytecode is not cached.
 """
@@ -81,6 +86,55 @@ def run_cli(main, argv, places: dict) -> str:
     return digest(*texts)
 
 
+def defect_argvs(tmp: Path) -> list:
+    """(label, argv) of each defect reproducer, writing its input files to ``tmp``."""
+    from spinorlab.duals import KinematicPoint, delta_to_omega, named_operator, random_delta
+    from spinorlab.serialize import dump_json, matrix_to_obj, spinor_to_obj
+
+    def flags(k):
+        return ["--mass", repr(k.m), "--momentum", repr(k.p), "--theta", repr(k.theta),
+                "--phi", repr(k.phi)]
+
+    def write(name, obj):
+        (tmp / name).write_text(dump_json(obj))
+        return str(tmp / name)
+
+    psi = write("psi.json", spinor_to_obj(
+        np.array([1.0 + 0.5j, -0.3 + 0.2j, 0.7 - 1.1j, 0.1 + 0.4j])))
+    k = KinematicPoint(0.5751532284844632, 34.84283078387758, 1.3466096180838185,
+                       3.970597063820425)
+    omega = write("omega.json", matrix_to_obj(delta_to_omega(random_delta(0), k)))
+    # 1-4 images of each of 10 random rows under the GXiDagger group, shuffled
+    kc = KinematicPoint(1.8384213168348236, 2700.0665423118476, 2.4029433328532512,
+                        4.276206332007041)
+    g, xd = named_operator("G", kc), named_operator("XiDagger", kc)
+    elements = [np.eye(4), g, xd, g @ xd]
+    rng = np.random.default_rng(0)
+    rows = []
+    for _ in range(10):
+        base = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rows += [base @ elements[i] for i in rng.permutation(4)[: int(rng.integers(1, 5))]]
+    duals = write("duals.json", [spinor_to_obj(rows[i]) for i in rng.permutation(len(rows))])
+    return [
+        ("verify-momentum-1e2", ["verify-theorems", "--momentum", "1e2"]),
+        ("verify-seed-0", ["verify-theorems", "--seed", "0"]),
+        ("verify-seed-376383645", [
+            "verify-theorems", "--trials", "250", "--seed", "376383645",
+            "--mass", "0.5767628745418242", "--momentum", "0.5027562819991213",
+            "--theta", "0.8926473955071765", "--phi", "4.161221346488264"]),
+        ("table1-momentum-3e3", ["table1", "--momentum", "3e3"]),
+        ("dual-identity-1e3", ["dual", "--psi", psi, "--momentum", "1e3"]),
+        ("dual-generated-omega", ["dual", "--psi", psi, "--omega", omega, *flags(k)]),
+        ("cayley-gxidagger-3e3", ["cayley", "--group", "GXiDagger", "--momentum", "3e3"]),
+        ("classify-gxidagger", ["classify", "--group", "GXiDagger", "--duals", duals,
+                                *flags(kc)]),
+        ("table1-momentum-1e-8", ["table1", "--momentum", "1e-8"]),
+        ("table1-mass-1e-300", ["table1", "--mass", "1e-300"]),
+        ("verify-momentum-1e100", ["verify-theorems", "--momentum", "1e100", "--trials", "3"]),
+        ("verify-mass-1e-200", ["verify-theorems", "--mass", "1e-200", "--trials", "3"]),
+    ]
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/same_outputs.py TREE", file=sys.stderr)
@@ -127,6 +181,11 @@ def main(argv) -> int:
     for seed, req in text_runs:
         argv = req.argv + ["--format", "text"]
         print(f"text {seed} {req.kind}", run_cli(cli_main, argv, places))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        places = {tmp: "<tmp>", str(tree): "<tree>"}
+        for label, argv in defect_argvs(Path(tmp)):
+            print(f"defects {label}", run_cli(cli_main, argv, places))
     return 0
 
 
