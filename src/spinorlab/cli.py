@@ -30,7 +30,7 @@ import math
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -63,8 +63,8 @@ class SuiteReport:
     kinematics: dict
     seed: int
     trials: int
-    checks: list = field(default_factory=list)  # check objects made by checks.verdict
-    payload: dict = field(default_factory=dict)
+    checks: list  # check objects made by checks.verdict
+    payload: dict | None = None
     csv: str = ""  # the --format csv text, for suites that have one
 
     @property
@@ -104,31 +104,28 @@ def _kinematics(args) -> KinematicPoint:
     )
 
 
-def _report(args, k: KinematicPoint = None) -> SuiteReport:
+def _report(args, k: KinematicPoint | None, checks: list, payload: dict | None = None,
+            csv: str = "") -> SuiteReport:
     # commands without --seed and --trials report seed 0 and 0 trials
     seed, trials = getattr(args, "seed", 0), getattr(args, "trials", 0)
-    return SuiteReport(args.command, k.as_dict() if k else {}, seed, trials)
+    return SuiteReport(args.command, k.as_dict() if k else {}, seed, trials, checks, payload, csv)
 
 
 def _suite_verify_theorems(args) -> SuiteReport:
     """Block-structure and fixed-point theorems, closure, inverses."""
     k = _kinematics(args)
-    report = _report(args, k)
     rng, n = np.random.default_rng(args.seed), args.trials
-    report.checks = [*checks.block_pattern(rng, n), checks.generic_acceptance(rng, n),
-                     *checks.adjoint_fixed_points(rng, n), *checks.closure(rng, n, k)]
-    return report
+    return _report(args, k, [*checks.block_pattern(rng, n), checks.generic_acceptance(rng, n),
+                             *checks.adjoint_fixed_points(rng, n), *checks.closure(rng, n, k)])
 
 
 def _suite_table1(args) -> SuiteReport:
     """Defining expressions of the named operators vs closed forms."""
     k = _kinematics(args)
-    report = _report(args, k)
     rng = np.random.default_rng(args.seed)
     points = [k] + _drawn(rng, args.trials, _row_terms)
-    report.checks = checks.operator_residuals(points, args.tolerance)
-    report.payload = {"operators": {name: matrix_to_obj(op) for name, op in _named_operators(k)}}
-    return report
+    return _report(args, k, checks.operator_residuals(points, args.tolerance),
+                   {"operators": {name: matrix_to_obj(op) for name, op in _named_operators(k)}})
 
 
 def _named_group(name: str, k: KinematicPoint, tol: float):
@@ -147,62 +144,49 @@ def _named_group(name: str, k: KinematicPoint, tol: float):
 def _suite_cayley(args) -> SuiteReport:
     """Cayley table of a named operator group, with identification."""
     k = _kinematics(args)
-    report = _report(args, k)
     group = _named_group(args.group, k, args.tolerance)
     ident = identify_group(group)
     # group_from_elements raises unless the elements are closed under products
-    report.checks = [checks.verdict("closure", 0, args.tolerance),
-                     checks.verdict("identified-K4", ident.name != "K4", 0.0)]
-    report.payload = {
-        "group": args.group,
-        "name": ident.name,
-        "labels": list(group.labels),
-        "table": group.table.tolist(),
-    }
-    report.csv = group.to_csv()
-    return report
+    return _report(args, k, [checks.verdict("closure", 0, args.tolerance),
+                             checks.verdict("identified-K4", ident.name != "K4", 0.0)],
+                   {"group": args.group, "name": ident.name, "labels": list(group.labels),
+                    "table": group.table.tolist()}, csv=group.to_csv())
 
 
 def _suite_classify(args) -> SuiteReport:
     """Orbit partition of supplied dual spinors under a group."""
     k = _kinematics(args)
     duals_obj = load_json(args.duals)
-    report = _report(args, k)
     if not isinstance(duals_obj, list):
         raise MalformedInputError("duals JSON must be a list of spinor rows")
     rows = [spinor_from_obj(obj) for obj in duals_obj]
     group = _named_group(args.group, k, args.tolerance)
     partition = orbit_partition(group, rows, tol=args.tolerance)
     divides = all(group.order % s == 0 for s in partition.orbit_sizes)
-    report.checks = [checks.verdict("orbit-sizes-divide-order", not divides, 0.0)]
-    report.payload = {
+    return _report(args, k, [checks.verdict("orbit-sizes-divide-order", not divides, 0.0)], {
         "group": args.group,
         "classes": {str(i): cls for i, cls in enumerate(partition.classes)},
         "representatives": partition.representatives,
         "orbit_sizes": partition.orbit_sizes,
-    }
-    return report
+    })
 
 
 def _suite_embed(args) -> SuiteReport:
     """Quaternionic embedding suite."""
-    report = _report(args)
     rng, n = np.random.default_rng(args.seed), args.trials
-    report.checks = [checks.clifford_relations(), checks.gl2h_homomorphism(rng, n),
-                     checks.pattern_dimension(), checks.pattern_mistakes(rng, n),
-                     checks.invertibility_transported(rng, n),
-                     checks.even_block_multiplicativity(rng, n),
-                     checks.intertwined_representations(rng, n)]
-    return report
+    return _report(args, None, [checks.clifford_relations(), checks.gl2h_homomorphism(rng, n),
+                                checks.pattern_dimension(), checks.pattern_mistakes(rng, n),
+                                checks.invertibility_transported(rng, n),
+                                checks.even_block_multiplicativity(rng, n),
+                                checks.intertwined_representations(rng, n)])
 
 
 def _suite_spinor_spaces(args) -> SuiteReport:
     """Idempotent, ideal, division-ring and beta suite."""
-    report = _report(args)
-    report.checks = checks.spinor_spaces(np.random.default_rng(args.seed), args.trials)
+    spaces = checks.spinor_spaces(np.random.default_rng(args.seed), args.trials)
     # built afresh for each report, from the process's one structure
     fc, fr, _, left, right, basis, ring_c, ring_r, _ = checks.spinor_space_structure()
-    report.payload = {
+    return _report(args, None, spaces, {
         "idempotents": {"complex": multivector_to_obj(fc.value),
                         "real": multivector_to_obj(fr.value)},
         "ideal_dimensions": {
@@ -215,8 +199,7 @@ def _suite_spinor_spaces(args) -> SuiteReport:
             "complex": {"name": ring_c.name, "dimension": ring_c.dimension},
             "real": {"name": ring_r.name, "dimension": ring_r.dimension},
         },
-    }
-    return report
+    })
 
 
 def _suite_dual(args) -> SuiteReport:
@@ -227,10 +210,10 @@ def _suite_dual(args) -> SuiteReport:
     omega = np.eye(4, dtype=complex) if omega_obj is None else matrix_from_obj(omega_obj)
     check = validate_omega(omega, k, args.tolerance)
     dual = dual_of(psi, omega, k, check=check)
-    report = _report(args, k)
-    report.checks = [checks.verdict("omega-validity", check.residual, args.tolerance)]
-    report.payload = {"dual": spinor_to_obj(dual.components)}
-    return report
+    if not np.isfinite(dual.components).all():
+        raise MalformedInputError("psi is too large: its dual overflows")
+    return _report(args, k, [checks.verdict("omega-validity", check.residual, args.tolerance)],
+                   {"dual": spinor_to_obj(dual.components)})
 
 
 # -- the command table and argument plumbing ------------------------------------

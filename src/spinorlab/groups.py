@@ -26,10 +26,10 @@ class CapExceeded(RuntimeError):
     """The generated group has more than ``cap`` (``count`` = cap + 1) elements:
     the walk passed the cap, or ``witness`` names an element of infinite order."""
 
-    def __init__(self, cap: int, count: int, witness: str | None = None):
-        found = witness or f"{count} elements found"
+    def __init__(self, cap: int, witness: str | None = None):
+        self.cap, self.count, self.witness = cap, cap + 1, witness
+        found = witness or f"{self.count} elements found"
         super().__init__(f"group generation exceeded cap {cap} ({found})")
-        self.cap, self.count, self.witness = cap, count, witness
 
 
 # -- closure of Omega sets -----------------------------------------------------
@@ -238,7 +238,7 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
                   for j in new]
         _screen(prods[new], names[len(names) - len(new):], cap)
         if len(names) > cap:
-            raise CapExceeded(cap, cap + 1)
+            raise CapExceeded(cap)
         # a merged product is the first new product it matches, which came before it
         at[new] = len(flat) + np.arange(len(new))
         merged = np.flatnonzero(dup & (at < 0))
@@ -278,7 +278,7 @@ def _screen(rows: np.ndarray, labels: list, cap: int) -> None:
         i = hits[0]
         why = (f"has |tr| {trace[i]:.9g} > 4" if trace[i] > 4 + slack[i]
                else f"is Hermitian with an eigenvalue modulus off 1 by {off[i]:.3g}")
-        raise CapExceeded(cap, cap + 1, f"{labels[i]} {why}: infinite order")
+        raise CapExceeded(cap, f"{labels[i]} {why}: infinite order")
 
 
 def _compose_label(a: str, b: str) -> str:

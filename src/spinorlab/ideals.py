@@ -74,6 +74,8 @@ def _real_vec(v: np.ndarray) -> np.ndarray:
 def _independent_rows(vectors: np.ndarray, scalars: str) -> list:
     """Greedy basis among the rows of a coefficient stack over C or over R:
     row i is chosen where the rank of the first i + 1 rows rises."""
+    if scalars not in ("complex", "real"):
+        raise ValueError(f"unknown scalar field {scalars!r}")
     rows = vectors.astype(complex)
     if scalars == "real":
         rows = _real_vec(rows)
@@ -99,8 +101,6 @@ def ideal_basis(f: Idempotent, side: str = "left", scalars: str = "complex") -> 
     """Maximal independent set among the 16 products blade·f (or f·blade)."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    if scalars not in ("complex", "real"):
-        raise ValueError(f"unknown scalar field {scalars!r}")
     fc = f.value._c
     products = _product(_BLADES, fc) if side == "left" else _product(fc, _BLADES)
     return IdealBasis(_independent_rows(products, scalars), side, scalars)
@@ -138,8 +138,6 @@ def division_ring_identify(f: Idempotent, scalars: str = "real") -> RingReport:
     negative-square units is H.  Anything bigger is not a division ring and
     marks f as non-primitive for that scalar field.
     """
-    if scalars not in ("complex", "real"):
-        raise ValueError(f"unknown scalar field {scalars!r}")
     fc = f.value._c
     basis = _independent_rows(_product(_product(fc, _BLADES), fc), scalars)
     dim = len(basis)
@@ -187,35 +185,34 @@ def _pure_units(f: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, bool]:
 # -- adjoint involutions and beta ---------------------------------------------------
 
 
-def _involution_residuals(kind: str, h: Multivector, f: Idempotent) -> tuple:
-    """Residuals |alpha(f) - h^-1 f h| and |alpha(h) - h|; raises
-    ZeroDivisionError when h is singular."""
+def _violated_condition(kind: str, h: Multivector, f: Idempotent) -> str | None:
+    """The first of alpha(f) = h^-1 f h and alpha(h) = h that fails, with its
+    residual (as a float: an exact one may be a Fraction), or None when both
+    hold; a NaN residual fails.  Raises ZeroDivisionError when h is singular."""
     hinv = multivector_inverse(h)
-    return (
-        coefficient_distance(involution(kind, f.value), hinv * f.value * h),
-        coefficient_distance(involution(kind, h), h),
-    )
+    r1 = coefficient_distance(involution(kind, f.value), hinv * f.value * h)
+    r2 = coefficient_distance(involution(kind, h), h)
+    if not r1 <= INVOLUTION_TOL:
+        return f"alpha(f) != h^-1 f h (residual {float(r1):.3e})"
+    if not r2 <= INVOLUTION_TOL:
+        return f"alpha(h) != h (residual {float(r2):.3e})"
+    return None
 
 
 def verify_involution_conditions(kind: str, h: Multivector, f: Idempotent) -> bool:
     """Check alpha(f) = h^-1 f h and alpha(h) = h; h must be invertible."""
-    cond1, cond2 = _involution_residuals(kind, h, f)
-    return cond1 <= INVOLUTION_TOL and cond2 <= INVOLUTION_TOL
+    return _violated_condition(kind, h, f) is None
 
 
 def _require_adjoint(kind: str, h: Multivector, f: Idempotent) -> None:
     """Raise :class:`InvolutionConditionError` unless alpha(f) = h^-1 f h
     and alpha(h) = h hold for an invertible h, naming the violated one."""
     try:
-        r1, r2 = _involution_residuals(kind, h, f)
+        violated = _violated_condition(kind, h, f)
     except ZeroDivisionError as exc:
         raise InvolutionConditionError("h is not invertible") from exc
-    if r1 > INVOLUTION_TOL:
-        raise InvolutionConditionError(
-            f"alpha(f) != h^-1 f h (residual {r1:.3e})"
-        )
-    if r2 > INVOLUTION_TOL:
-        raise InvolutionConditionError(f"alpha(h) != h (residual {r2:.3e})")
+    if violated:
+        raise InvolutionConditionError(violated)
 
 
 def beta_inner_product(

@@ -232,18 +232,13 @@ def quaternionic_gamma(mu: int) -> QuatMatrix2:
 
 
 @lru_cache(maxsize=1)
-def _blade_images() -> tuple:
+def _image_components() -> np.ndarray:
+    """Row per blade: the 16 real components (q11 a..d, q12, q21, q22) of its image."""
     images = [QuatMatrix2.identity()]
     for mask in range(1, BLADE_COUNT):  # the blade without its last generator, times that one
         top = mask.bit_length() - 1
         images.append(images[mask ^ 1 << top] * _GENERATOR_IMAGES[top])
-    return tuple(images)
-
-
-@lru_cache(maxsize=1)
-def _image_components() -> np.ndarray:
-    """Row per blade: the 16 real components (q11 a..d, q12, q21, q22) of its image."""
-    return np.array([image.q.ravel() for image in _blade_images()])
+    return np.array([image.q.ravel() for image in images])
 
 
 def mv_to_m2h(x: Multivector) -> QuatMatrix2:

@@ -405,6 +405,16 @@ def test_non_finite_or_zero_denominator_spinor_exits_3(psi_text, tmp_path, capsy
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_finite_psi_whose_dual_overflows_exits_3(tmp_path, capsys):
+    psi_file = tmp_path / "psi.json"
+    psi_file.write_text("[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]")
+    assert main(["dual", "--psi", str(psi_file)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "input error: psi is too large: its dual overflows\n"
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_residual_fails_its_check(capsys):
     # At |p| = 1e80 every commuting product overflows to a NaN residual.
     code, out = run(capsys, ["verify-theorems", "--trials", "5", "--momentum", "1e80"])

@@ -31,7 +31,8 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.ideals import _pure_units
+from spinorlab import ideals
+from spinorlab.ideals import _pure_units, _require_adjoint
 from spinorlab.weyl import _BLADE_MATS, to_matrix
 
 FC = canonical_idempotent("complex")
@@ -461,3 +462,27 @@ def test_beta_refuses_an_h_that_its_involution_moves():
     # e12 commutes with e0, so alpha(f) = h^-1 f h holds, but rev(e12) = -e12.
     with pytest.raises(InvolutionConditionError, match=r"^alpha\(h\) != h \(residual 2\.000e\+00\)$"):
         beta_inner_product(ONE, ONE, "reversion", blade((1, 2)), FR)
+
+
+@pytest.mark.parametrize("nan_call, violated", [(0, r"alpha\(f\) != h\^-1 f h"),
+                                                (1, r"alpha\(h\) != h")],
+                         ids=["alpha-f", "alpha-h"])
+def test_a_nan_residual_fails_both_adjoint_verdicts(monkeypatch, nan_call, violated):
+    # (reversion, 1, FR) holds; one of its two residuals is made NaN.
+    calls = iter(range(4))
+
+    def distance(a, b):
+        return float("nan") if next(calls) % 2 == nan_call else 0.0
+
+    monkeypatch.setattr(ideals, "coefficient_distance", distance)
+    assert not verify_involution_conditions("reversion", ONE, FR)
+    with pytest.raises(InvolutionConditionError, match=rf"^{violated} \(residual nan\)$"):
+        _require_adjoint("reversion", ONE, FR)
+
+
+def test_an_exact_residual_is_named_in_both_adjoint_verdicts():
+    # e12 / 2 commutes with e0, but rev(e12 / 2) = -e12 / 2: a Fraction residual of 1.
+    h = Multivector({0b0110: Fraction(1, 2)})
+    assert not verify_involution_conditions("reversion", h, FR)
+    with pytest.raises(InvolutionConditionError, match=r"^alpha\(h\) != h \(residual 1\.000e\+00\)$"):
+        beta_inner_product(ONE, ONE, "reversion", h, FR)

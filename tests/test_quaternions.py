@@ -144,14 +144,9 @@ def test_mv_to_m2h_rejects_complex_input():
 
 def test_mv_to_m2h_is_bijective():
     # The 16 blade images must be linearly independent over the reals.
-    from spinorlab.quaternions import _blade_images
+    from spinorlab.quaternions import _image_components
 
-    rows = []
-    for img in _blade_images():
-        row = []
-        for q in img.entries():
-            row.extend(q.as_list())
-        rows.append(row)
+    rows = _image_components()
     assert np.linalg.matrix_rank(np.array(rows)) == 16
 
 

@@ -21,10 +21,11 @@ to see whether a change altered any of these cases:
 * ``text``: each suites-warm argv of cycle 0, run again with
   ``--format text``.
 * ``defects``: each argv that ``tests/test_known_defects.py`` runs, with
-  its input files built as that test builds them, and
-  ``verify-theorems --mass 1e-200 --trials 3``.  These are the overflow,
-  underflow and tolerance regimes, where a change of arithmetic shows
-  first.
+  its input files built as that test builds them,
+  ``verify-theorems --mass 1e-200 --trials 3``, and ``dual`` on a finite
+  psi whose dual overflows, as ``tests/test_cli.py`` writes it.  These are
+  the overflow, underflow and tolerance regimes, where a change of
+  arithmetic shows first.
 
 The script writes nothing under TREE: bytecode is not cached.
 """
@@ -99,8 +100,8 @@ def defect_argvs(tmp: Path) -> list:
         (tmp / name).write_text(dump_json(obj))
         return str(tmp / name)
 
-    psi = write("psi.json", spinor_to_obj(
-        np.array([1.0 + 0.5j, -0.3 + 0.2j, 0.7 - 1.1j, 0.1 + 0.4j])))
+    psi_row = np.array([1.0 + 0.5j, -0.3 + 0.2j, 0.7 - 1.1j, 0.1 + 0.4j])
+    psi = write("psi.json", spinor_to_obj(psi_row))
     k = KinematicPoint(0.5751532284844632, 34.84283078387758, 1.3466096180838185,
                        3.970597063820425)
     omega = write("omega.json", matrix_to_obj(delta_to_omega(random_delta(0), k)))
@@ -115,6 +116,8 @@ def defect_argvs(tmp: Path) -> list:
         base = rng.normal(size=4) + 1j * rng.normal(size=4)
         rows += [base @ elements[i] for i in rng.permutation(4)[: int(rng.integers(1, 5))]]
     duals = write("duals.json", [spinor_to_obj(rows[i]) for i in rng.permutation(len(rows))])
+    psi_duals = write("psi-duals.json", [spinor_to_obj(psi_row)])
+    (tmp / "big.json").write_text("[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]")
     return [
         ("verify-momentum-1e2", ["verify-theorems", "--momentum", "1e2"]),
         ("verify-seed-0", ["verify-theorems", "--seed", "0"]),
@@ -132,6 +135,10 @@ def defect_argvs(tmp: Path) -> list:
         ("table1-mass-1e-300", ["table1", "--mass", "1e-300"]),
         ("verify-momentum-1e100", ["verify-theorems", "--momentum", "1e100", "--trials", "3"]),
         ("verify-mass-1e-200", ["verify-theorems", "--mass", "1e-200", "--trials", "3"]),
+        ("dual-psi-overflow", ["dual", "--psi", str(tmp / "big.json")]),
+        ("cayley-tolerance-0", ["cayley", "--tolerance", "0"]),
+        ("classify-tolerance-0", ["classify", "--tolerance", "0", "--duals", psi_duals]),
+        ("cayley-tolerance-1e300", ["cayley", "--tolerance", "1e300"]),
     ]
 
 
