@@ -14,7 +14,6 @@ from .multivector import (
     GRADE,
     METRIC,
     Multivector,
-    basis_blade,
     blade,
     blade_key,
     coefficient_distance,
@@ -23,7 +22,6 @@ from .multivector import (
     grade_projection,
     hermitian_blade,
     involution,
-    mask_from_key,
     pseudoscalar,
     random_multivector,
     scalar,
@@ -52,7 +50,6 @@ from .duals import (
     omega_residual,
     omega_to_delta,
     random_delta,
-    random_kinematics,
     validate_delta,
     validate_omega,
     xi,
@@ -112,7 +109,6 @@ from .serialize import (
     load_json,
     matrix_from_obj,
     matrix_to_obj,
-    multivector_from_obj,
     multivector_to_obj,
     spinor_from_obj,
     spinor_to_obj,

@@ -209,7 +209,8 @@ def _suite_dual(args) -> SuiteReport:
     psi = spinor_from_obj(load_json(args.psi))
     omega = np.eye(4, dtype=complex) if omega_obj is None else matrix_from_obj(omega_obj)
     check = validate_omega(omega, k, args.tolerance)
-    dual = dual_of(psi, omega, k, check=check)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite dual is refused below
+        dual = dual_of(psi, omega, k, check=check)
     if not np.isfinite(dual.components).all():
         raise MalformedInputError("psi is too large: its dual overflows")
     return _report(args, k, [checks.verdict("omega-validity", check.residual, args.tolerance)],

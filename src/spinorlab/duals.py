@@ -77,15 +77,10 @@ class KinematicPoint:
         }
 
 
-def random_kinematics(rng, n) -> list:
-    """``n`` generic on-shell points with O(1) parameters, drawn in one call
-    and bit for bit as ``n`` draws of m, p, theta and phi in turn."""
-    return _drawn(rng, n, KinematicPoint)
-
-
 def _drawn(rng, n, make) -> list:
-    """``make(m, p, theta, phi)`` of each row that :func:`random_kinematics`
-    draws; ``make=_row_terms`` takes the terms of its points, building none."""
+    """``make(m, p, theta, phi)`` of ``n`` generic on-shell points with O(1)
+    parameters, drawn in one call and bit for bit as ``n`` draws of m, p, theta
+    and phi in turn; ``make=_row_terms`` takes their terms, building none."""
     low, high = (0.5, 0.5, 0.05, 0.0), (2.0, 2.0, math.pi - 0.05, 2.0 * math.pi)
     # Python floats, not numpy's: m ** 4 differs between them in the last bit
     return [make(*row) for row in rng.uniform(low, high, (n, 4)).tolist()]

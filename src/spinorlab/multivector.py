@@ -90,18 +90,6 @@ def blade_key(mask: int) -> str:
     return "".join(str(j) for j in range(DIMENSION) if mask & (1 << j))
 
 
-def mask_from_key(key: str) -> int:
-    mask = 0
-    prev = -1
-    for ch in key:
-        j = "0123".find(ch)  # the generator index, or -1 for any other character
-        if j <= prev:
-            raise ValueError(f"bad blade key {key!r}")
-        mask |= 1 << j
-        prev = j
-    return mask
-
-
 def _index(value, name: str, stop: int | None = None) -> int:
     """``value`` read through ``operator.index`` and in range(``stop``), or ValueError."""
     try:
@@ -285,10 +273,6 @@ _BLADES = np.eye(BLADE_COUNT, dtype=object)
 
 def scalar(value) -> Multivector:
     return Multivector({0: value})
-
-
-def basis_blade(mask: int) -> Multivector:
-    return Multivector({mask: 1})
 
 
 def gamma(mu: int) -> Multivector:

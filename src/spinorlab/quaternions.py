@@ -36,14 +36,6 @@ class Quaternion:
     c: float = 0.0
     d: float = 0.0
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.a + other.a, self.b + other.b,
-                          self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.a - other.a, self.b - other.b,
-                          self.c - other.c, self.d - other.d)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
@@ -55,18 +47,6 @@ class Quaternion:
         return NotImplemented  # QuatMatrix2.__rmul__ takes q * M
 
     __rmul__ = __mul__  # a real scalar times q; real products commute
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def norm_sq(self) -> float:
-        return self.a**2 + self.b**2 + self.c**2 + self.d**2
-
-    def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conjugate() * (1.0 / n)
 
     def as_list(self) -> list:
         return [self.a, self.b, self.c, self.d]

@@ -1,12 +1,12 @@
 """JSON formats for multivectors, 4x4 matrices, and spinors.
 
-Multivector: object mapping blade keys ("" scalar, "01", "0123", ...) to
-[re, im] pairs.  Each part is a finite number, or an exact [num, den]
-integer pair with den != 0 when the coefficient is rational (ints and
-Fractions round-trip exactly).
+Multivector (written, not read): object mapping blade keys ("" scalar,
+"01", "0123", ...) to [re, im] pairs, each part of an int or Fraction
+coefficient written as an exact [num, den] integer pair.
 
 Matrix: 4x4 nested array of [re, im].  Spinor / dual spinor: flat array of
-four [re, im] pairs.
+four [re, im] pairs.  Each part read is a finite number, or an exact
+[num, den] integer pair with den != 0.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .multivector import Multivector, blade_key, mask_from_key
+from .multivector import Multivector, blade_key
 
 
 class MalformedInputError(ValueError):
@@ -56,36 +56,16 @@ def _scalar_to_pair(c):
     return [c.real, c.imag]
 
 
-def _scalar_from_pair(pair):
+def _complex_from_pair(pair) -> complex:
     if not isinstance(pair, list) or len(pair) != 2:
         raise MalformedInputError(f"coefficient must be [re, im], got {pair!r}")
     re = _part_from_obj(pair[0])
     im = _part_from_obj(pair[1])
-    if im == 0:
-        return re
-    return complex(_as_float(re), _as_float(im))
-
-
-def _complex_from_pair(pair) -> complex:
-    value = _scalar_from_pair(pair)
-    return value if isinstance(value, complex) else complex(_as_float(value))
+    return complex(_as_float(re), _as_float(im) + 0.0)  # a -0.0 imaginary part reads as 0.0
 
 
 def multivector_to_obj(a: Multivector) -> dict:
     return {blade_key(mask): _scalar_to_pair(value) for mask, value in a.items()}
-
-
-def multivector_from_obj(obj) -> Multivector:
-    if not isinstance(obj, dict):
-        raise MalformedInputError("multivector JSON must be an object")
-    coeffs = {}
-    for key, pair in obj.items():
-        try:
-            mask = mask_from_key(key)
-        except ValueError as exc:
-            raise MalformedInputError(str(exc)) from exc
-        coeffs[mask] = _scalar_from_pair(pair)
-    return Multivector(coeffs)
 
 
 def matrix_to_obj(m: np.ndarray) -> list:

@@ -13,11 +13,12 @@ import pytest
 
 from spinorlab import checks
 from spinorlab.duals import (
+    KinematicPoint,
+    _drawn,
     delta_to_omega,
     named_operator,
     omega_residual,
     random_delta,
-    random_kinematics,
     xi,
 )
 from spinorlab.groups import (
@@ -82,7 +83,7 @@ def test_criterion_02_cayley_tables_reproduce_reference():
     start = time.perf_counter()
     rng = np.random.default_rng(2)
     ok = True
-    for k in random_kinematics(rng, 20):
+    for k in _drawn(rng, 20, KinematicPoint):
         g = named_operator("G", k)
         f = named_operator("F", k)
         xd = named_operator("XiDagger", k)
@@ -111,7 +112,7 @@ def test_criterion_02_cayley_tables_reproduce_reference():
 def test_criterion_03_named_operators_match_closed_forms():
     start = time.perf_counter()
     rng = np.random.default_rng(3)
-    rows = checks.operator_residuals(random_kinematics(rng, 100), 1e-9)
+    rows = checks.operator_residuals(_drawn(rng, 100, KinematicPoint), 1e-9)
     worst = float(np.max([row["residual"] for row in rows]))  # NaN if any residual is NaN
     elapsed = time.perf_counter() - start
     report(
@@ -156,7 +157,7 @@ def test_criterion_05_fixed_points_of_the_adjoint():
 
 def test_criterion_06_closure_theorem():
     rng = np.random.default_rng(6)
-    (k,) = random_kinematics(rng, 1)
+    (k,) = _drawn(rng, 1, KinematicPoint)
     x = xi(k)
 
     worst_commuting = 0.0
@@ -176,7 +177,7 @@ def test_criterion_06_closure_theorem():
         weakest_violation = min(weakest_violation, omega_residual(om1 @ om2, x))
 
     cap_exceeded = 0
-    for kk in random_kinematics(rng, 10):
+    for kk in _drawn(rng, 10, KinematicPoint):
         try:
             generate_group([named_operator("H", kk)], cap=64)
         except CapExceeded:
@@ -210,12 +211,12 @@ def test_criterion_07_quaternionic_suite():
 
 def test_criterion_08_even_subalgebra_map():
     worst = checks.even_block_multiplicativity(np.random.default_rng(8), 1000)["residual"]
-    from spinorlab.multivector import GRADE, basis_blade
+    from spinorlab.multivector import GRADE
 
     cols = []
     for mask in range(16):
         if GRADE[mask] % 2 == 0:
-            block = even_to_m2c(basis_blade(mask))
+            block = even_to_m2c(Multivector({mask: 1}))
             cols.append(np.concatenate([block.ravel().real, block.ravel().imag]))
     m8 = np.array(cols).T
     kernel_residual = float(abs(m8 @ np.linalg.inv(m8) - np.eye(8)).max())

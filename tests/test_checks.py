@@ -15,8 +15,8 @@ import pytest
 
 from spinorlab import checks, duals, weyl
 from spinorlab.duals import (
-    ELEMENT_NAMES, KinematicPoint, block_decompose, closed_form, delta_to_omega,
-    named_operator, omega_residual, random_delta, random_kinematics, validate_delta, xi,
+    ELEMENT_NAMES, KinematicPoint, _drawn, block_decompose, closed_form, delta_to_omega,
+    named_operator, omega_residual, random_delta, validate_delta, xi,
 )
 from spinorlab.ideals import beta_inner_product, canonical_idempotent, ring_membership_residual
 from spinorlab.multivector import (
@@ -57,10 +57,14 @@ def random_quat_matrix(rng):
 
 
 def quat_product(a, b):
-    """a b entry by entry with the scalar Quaternion arithmetic."""
+    """a b entry by entry with the scalar Quaternion product, summed by component."""
     (a11, a12, a21, a22), (b11, b12, b21, b22) = a.entries(), b.entries()
-    return QuatMatrix2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                       a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+    def dot(p, q, r, s):  # p q + r s
+        return Quaternion(*(x + y for x, y in zip((p * q).as_list(), (r * s).as_list())))
+
+    return QuatMatrix2(dot(a11, b11, a12, b21), dot(a11, b12, a12, b22),
+                       dot(a21, b11, a22, b21), dot(a21, b12, a22, b22))
 
 
 def even_block(x):
@@ -242,7 +246,7 @@ def ref_random_kinematics(rng):
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_random_kinematics_draws_as_single_points(seed, n):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    points = random_kinematics(rng, n)
+    points = _drawn(rng, n, KinematicPoint)
     assert points == [ref_random_kinematics(ref_rng) for _ in range(n)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert all(type(v) is float for k in points for v in astuple(k))
@@ -391,7 +395,7 @@ def test_the_delta_and_adjoint_checks_take_no_product_with_gamma0(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, BLOCK])
 def test_a_table1_block_forms_each_shared_product_once(n, monkeypatch):
-    points = random_kinematics(np.random.default_rng(n), n)
+    points = _drawn(np.random.default_rng(n), n, KinematicPoint)
     want = checks.operator_residuals(points, 1e-9)
     x = xi(duals._stacked_terms(points))
     monkeypatch.setattr(duals, "xi", lambda t: xi(t).view(RecordedProducts))

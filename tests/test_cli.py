@@ -404,7 +404,6 @@ def test_non_finite_or_zero_denominator_spinor_exits_3(psi_text, tmp_path, capsy
     assert "input error:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_finite_psi_whose_dual_overflows_exits_3(tmp_path, capsys):
     psi_file = tmp_path / "psi.json"
     psi_file.write_text("[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]")
@@ -412,6 +411,17 @@ def test_a_finite_psi_whose_dual_overflows_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "input error: psi is too large: its dual overflows\n"
     assert captured.out == ""
+
+
+def test_the_overflow_exit_writes_one_line_to_stderr(tmp_path):
+    # No numpy warning precedes the error: in a process, warnings reach stderr.
+    psi_file = tmp_path / "psi.json"
+    psi_file.write_text("[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-m", "spinorlab.cli", "dual", "--psi", str(psi_file)]
+    result = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        EXIT_BAD_INPUT, b"", b"input error: psi is too large: its dual overflows\n")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

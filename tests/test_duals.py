@@ -12,6 +12,7 @@ from spinorlab.duals import (
     KinematicPoint,
     KinematicsError,
     SingularParameterError,
+    _drawn,
     block_decompose,
     closed_form,
     delta_to_omega,
@@ -19,7 +20,6 @@ from spinorlab.duals import (
     named_operator,
     omega_to_delta,
     random_delta,
-    random_kinematics,
     validate_delta,
     validate_omega,
     xi,
@@ -33,7 +33,7 @@ ROOT2 = math.sqrt(2.0)
 
 def sample_points(seed, n):
     rng = np.random.default_rng(seed)
-    return random_kinematics(rng, n)
+    return _drawn(rng, n, KinematicPoint)
 
 
 def reassembled(blocks):
@@ -389,7 +389,7 @@ def written_out_terms(k):
 def test_terms_taken_from_the_draw_are_the_terms_of_its_points(seed, n):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     terms = duals._drawn(rng, n, duals._row_terms)
-    points = random_kinematics(ref, n)
+    points = _drawn(ref, n, KinematicPoint)
     # repr tells every float bit pattern apart, -0.0 from 0.0 included
     assert repr(terms) == repr([written_out_terms(k) for k in points])
     assert repr([duals._terms(k) for k in points]) == repr(terms)

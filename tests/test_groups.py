@@ -17,10 +17,10 @@ from spinorlab.duals import (
     DualSpinor,
     InvalidOperatorError,
     KinematicPoint,
+    _drawn,
     delta_to_omega,
     named_operator,
     random_delta,
-    random_kinematics,
     validate_omega,
     xi,
 )
@@ -315,7 +315,7 @@ def closure_cases():
     h = named_operator("H", K)
     for cap in (64, 256, 1024):
         yield f"H-readme-{cap}", [h], cap
-    for i, k in enumerate(random_kinematics(np.random.default_rng(16), 3)):
+    for i, k in enumerate(_drawn(np.random.default_rng(16), 3, KinematicPoint)):
         yield f"H-random-{i}", [named_operator("H", k)], 256
     gammas = [weyl_gamma(mu) for mu in range(4)]
     yield "dirac-32", gammas, 1024
@@ -383,7 +383,7 @@ def test_screen_certifies_h_at_random_points():
     # H = m^2 Xi Xi^dag is Hermitian positive definite and not I for p > 0,
     # so its group is infinite: its trace or its eigenvalues prove it.
     kinds = set()
-    for k in random_kinematics(np.random.default_rng(18), 2000):
+    for k in _drawn(np.random.default_rng(18), 2000, KinematicPoint):
         with pytest.raises(CapExceeded) as err:
             generate_group([named_operator("H", k)], cap=64)
         stop = err.value

@@ -23,7 +23,6 @@ from spinorlab.ideals import (
 from spinorlab.multivector import (
     BLADE_COUNT,
     Multivector,
-    basis_blade,
     blade,
     coefficient_distance,
     gamma,
@@ -39,7 +38,7 @@ FC = canonical_idempotent("complex")
 FR = canonical_idempotent("real")
 EXACT_FR = Idempotent(Multivector({0: Fraction(1, 2), 1: Fraction(1, 2)}))
 ONE = scalar(1)
-BLADES = [basis_blade(mask) for mask in range(BLADE_COUNT)]
+BLADES = [Multivector({mask: 1}) for mask in range(BLADE_COUNT)]
 
 
 def test_canonical_idempotents_are_idempotent():

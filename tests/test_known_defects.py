@@ -159,6 +159,12 @@ def test_a_report_is_strict_json(argv):
     strict_json(run(argv)[1])
 
 
+@defect("ROADMAP item 12: m ** 4 overflows for masses from about 1.3e77")
+def test_table1_gives_a_report_or_refuses_a_large_mass():
+    code, out = run(["table1", "--mass", "1e100"])
+    assert code == 4 or out and strict_json(out), "neither a report nor exit 4"
+
+
 @defect("ROADMAP item 5: cayley's closure is not measured; group_from_elements raises out of main")
 @pytest.mark.parametrize("argv", [
     ["cayley", "--tolerance", "0"],

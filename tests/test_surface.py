@@ -37,7 +37,6 @@ FIXED = [
     (quaternions, "is_quaternionic_pattern", "tol"),
     (quaternions, "mv_to_m2h", "tol"),
     (quaternions, "even_to_m2c", "tol"),
-    (multivector, "basis_blade", "coeff"),
     (multivector, "blade", "coeff"),
     (serialize, "dump_json", "path"),
 ]
@@ -168,25 +167,50 @@ def _members(cls) -> list:
     return sorted(m for m in members if not (m.startswith("__") and m.endswith("__")))
 
 
-def test_every_member_of_an_exported_class_is_read():
-    # A member is read where it is loaded as an attribute, or where a string
-    # literal names it (getattr, monkeypatch, the tracer's "Class.method").
-    root = Path(__file__).parents[1]
-    read = set()
-    for path in sorted(p for top in ("src", "tests", "demos", "perfbench")
-                       for p in (root / top).rglob("*.py")):
+ROOT = Path(__file__).parents[1]
+
+
+def _reads(tops, skip=()) -> tuple:
+    """(attributes, names): the identifiers loaded as an attribute and as a
+    bare name in the Python files under ``tops``, less ``skip``.  Each part
+    of a string literal that names a dotted identifier (getattr, monkeypatch,
+    the tracer's "Class.method") counts as an attribute."""
+    attributes, names = set(), set()
+    for path in sorted(p for top in tops for p in (ROOT / top).rglob("*.py")):
+        if path in skip:
+            continue
         for n in ast.walk(ast.parse(path.read_text())):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                read.add(n.attr)
+                attributes.add(n.attr)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str) and all(
                     part.isidentifier() for part in n.value.split(".")):
-                read.update(n.value.split("."))
+                attributes.update(n.value.split("."))
+    return attributes, names
+
+
+def test_every_member_of_an_exported_class_is_read():
+    # A member is read where it is loaded as an attribute, or where a string
+    # literal names it.
+    read, _ = _reads(("src", "tests", "demos", "perfbench"))
     classes = [(name, value) for name, value in vars(spinorlab).items()
                if inspect.isclass(value) and not name.startswith("_")]
     assert len(classes) > 10
     unread = [f"{name}.{member}" for name, cls in classes
               for member in _members(cls) if member not in read]
     assert not unread
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    # The package's __init__ only re-exports; a name that only tests read is
+    # surface that no command, demo, benchmark or tool needs.
+    init = ROOT / "src" / "spinorlab" / "__init__.py"
+    exported = [a.asname or a.name for n in ast.parse(init.read_text()).body
+                if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert len(exported) > 80
+    attributes, names = _reads(("src", "demos", "perfbench", "tools"), skip={init})
+    assert [name for name in exported if name not in attributes | names] == []
 
 
 @pytest.mark.parametrize("side, invertible", [(0.5, False), (2.0, True)])

@@ -6,7 +6,6 @@ import pytest
 from spinorlab.multivector import (
     BLADE_COUNT,
     Multivector,
-    basis_blade,
     coefficient_distance,
     gamma,
     gamma5_chiral,
@@ -95,9 +94,10 @@ def test_to_matrix_homomorphism_random_pairs():
 def test_blade_matrices_linearly_independent():
     # Gram matrix of trace pairings must be invertible (injectivity).
     gram = np.zeros((BLADE_COUNT, BLADE_COUNT), dtype=complex)
+    mats = [to_matrix(Multivector({mask: 1})) for mask in range(BLADE_COUNT)]
     for i in range(BLADE_COUNT):
         for j in range(BLADE_COUNT):
-            gram[i, j] = np.trace(to_matrix(basis_blade(i)).conj().T @ to_matrix(basis_blade(j)))
+            gram[i, j] = np.trace(mats[i].conj().T @ mats[j])
     assert abs(np.linalg.det(gram)) > 1.0
 
 

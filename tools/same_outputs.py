@@ -139,6 +139,7 @@ def defect_argvs(tmp: Path) -> list:
         ("cayley-tolerance-0", ["cayley", "--tolerance", "0"]),
         ("classify-tolerance-0", ["classify", "--tolerance", "0", "--duals", psi_duals]),
         ("cayley-tolerance-1e300", ["cayley", "--tolerance", "1e300"]),
+        ("table1-mass-1e100", ["table1", "--mass", "1e100"]),
     ]
 
 
