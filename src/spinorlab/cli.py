@@ -30,7 +30,6 @@ import math
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -57,43 +56,6 @@ EXIT_BAD_OPERATOR = 5
 GROUP_CHOICES = ("GF", "GXiDagger")
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    kinematics: dict
-    seed: int
-    trials: int
-    checks: list  # check objects made by checks.verdict
-    payload: dict | None = None
-    csv: str = ""  # the --format csv text, for suites that have one
-
-    @property
-    def passed(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
-
-    def as_obj(self) -> dict:
-        obj = {
-            "suite": self.suite,
-            "kinematics": self.kinematics,
-            "seed": self.seed,
-            "trials": self.trials,
-            "status": "pass" if self.passed else "fail",
-            "checks": self.checks,
-        }
-        if self.payload:
-            obj["payload"] = self.payload
-        return obj
-
-    def as_text(self) -> str:
-        lines = [f"suite: {self.suite}  status: {'pass' if self.passed else 'fail'}"]
-        for c in self.checks:
-            lines.append(
-                f"  {c['status'].upper()}  {c['name']}  residual={c['residual']:.3e}"
-                f"  tolerance={c['tolerance']:.1e}"
-            )
-        return "\n".join(lines)
-
-
 # -- suites -----------------------------------------------------------------
 # Each reads its inputs in a fixed order, so two bad inputs give one error.
 
@@ -105,13 +67,19 @@ def _kinematics(args) -> KinematicPoint:
 
 
 def _report(args, k: KinematicPoint | None, checks: list, payload: dict | None = None,
-            csv: str = "") -> SuiteReport:
+            csv: str = "") -> tuple[dict, str]:
+    """The report object that every format renders, and the --format csv text."""
     # commands without --seed and --trials report seed 0 and 0 trials
-    seed, trials = getattr(args, "seed", 0), getattr(args, "trials", 0)
-    return SuiteReport(args.command, k.as_dict() if k else {}, seed, trials, checks, payload, csv)
+    report = {"suite": args.command, "kinematics": k.as_dict() if k else {},
+              "seed": getattr(args, "seed", 0), "trials": getattr(args, "trials", 0),
+              "status": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
+              "checks": checks}
+    if payload:
+        report["payload"] = payload
+    return report, csv
 
 
-def _suite_verify_theorems(args) -> SuiteReport:
+def _suite_verify_theorems(args) -> tuple[dict, str]:
     """Block-structure and fixed-point theorems, closure, inverses."""
     k = _kinematics(args)
     rng, n = np.random.default_rng(args.seed), args.trials
@@ -119,7 +87,7 @@ def _suite_verify_theorems(args) -> SuiteReport:
                              *checks.adjoint_fixed_points(rng, n), *checks.closure(rng, n, k)])
 
 
-def _suite_table1(args) -> SuiteReport:
+def _suite_table1(args) -> tuple[dict, str]:
     """Defining expressions of the named operators vs closed forms."""
     k = _kinematics(args)
     rng = np.random.default_rng(args.seed)
@@ -141,7 +109,7 @@ def _named_group(name: str, k: KinematicPoint, tol: float):
     return group_from_elements(elements, labels, tol)
 
 
-def _suite_cayley(args) -> SuiteReport:
+def _suite_cayley(args) -> tuple[dict, str]:
     """Cayley table of a named operator group, with identification."""
     k = _kinematics(args)
     group = _named_group(args.group, k, args.tolerance)
@@ -153,7 +121,7 @@ def _suite_cayley(args) -> SuiteReport:
                     "table": group.table.tolist()}, csv=group.to_csv())
 
 
-def _suite_classify(args) -> SuiteReport:
+def _suite_classify(args) -> tuple[dict, str]:
     """Orbit partition of supplied dual spinors under a group."""
     k = _kinematics(args)
     duals_obj = load_json(args.duals)
@@ -171,7 +139,7 @@ def _suite_classify(args) -> SuiteReport:
     })
 
 
-def _suite_embed(args) -> SuiteReport:
+def _suite_embed(args) -> tuple[dict, str]:
     """Quaternionic embedding suite."""
     rng, n = np.random.default_rng(args.seed), args.trials
     return _report(args, None, [checks.clifford_relations(), checks.gl2h_homomorphism(rng, n),
@@ -181,7 +149,7 @@ def _suite_embed(args) -> SuiteReport:
                                 checks.intertwined_representations(rng, n)])
 
 
-def _suite_spinor_spaces(args) -> SuiteReport:
+def _suite_spinor_spaces(args) -> tuple[dict, str]:
     """Idempotent, ideal, division-ring and beta suite."""
     spaces = checks.spinor_spaces(np.random.default_rng(args.seed), args.trials)
     # built afresh for each report, from the process's one structure
@@ -202,7 +170,7 @@ def _suite_spinor_spaces(args) -> SuiteReport:
     })
 
 
-def _suite_dual(args) -> SuiteReport:
+def _suite_dual(args) -> tuple[dict, str]:
     """Dual spinor psi^dag g0 Xi Omega of a spinor file."""
     omega_obj = None if args.omega == "identity" else load_json(args.omega)
     k = _kinematics(args)
@@ -299,13 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: SuiteReport, args) -> int:
+def _as_text(report: dict) -> str:
+    return "\n".join([f"suite: {report['suite']}  status: {report['status']}"] + [
+        f"  {c['status'].upper()}  {c['name']}  residual={c['residual']:.3e}"
+        f"  tolerance={c['tolerance']:.1e}" for c in report["checks"]])
+
+
+def _emit(report: dict, csv: str, args) -> int:
     if args.fmt == "csv":
-        text = report.csv
+        text = csv
     elif args.fmt == "text":
-        text = report.as_text()
+        text = _as_text(report)
     else:
-        text = dump_json(report.as_obj())
+        text = dump_json(report)
     try:
         with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
             fh.write(text.rstrip("\n") + "\n")
@@ -315,7 +289,7 @@ def _emit(report: SuiteReport, args) -> int:
     except OSError as exc:
         print(f"usage error: cannot write {args.output or 'stdout'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if report["status"] == "pass" else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
@@ -324,7 +298,7 @@ def main(argv=None) -> int:
         print("csv format is only available for cayley", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = args.suite(args)
+        report, csv = args.suite(args)
     except (KinematicsError, SingularParameterError) as exc:
         print(f"kinematics error: {exc}", file=sys.stderr)
         return EXIT_BAD_KINEMATICS
@@ -334,7 +308,7 @@ def main(argv=None) -> int:
     except InvalidOperatorError as exc:
         print(f"operator error: {exc}", file=sys.stderr)
         return EXIT_BAD_OPERATOR
-    return _emit(report, args)
+    return _emit(report, csv, args)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """CLI behavior: commands, report formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -121,6 +122,38 @@ def test_embed_and_spinor_spaces(capsys):
     code, out = run(capsys, ["spinor-spaces", "--trials", "20", "--format", "text"])
     assert code == EXIT_OK
     assert "FAIL" not in out
+
+
+# argv and the status of its report; PSI and DUALS name input files
+ONE_OF_EACH = {
+    "verify-theorems": (["verify-theorems", "--trials", "5"], "pass"),
+    "table1": (["table1", "--trials", "5"], "pass"),
+    "cayley": (["cayley", "--group", "GXiDagger"], "pass"),
+    "classify": (["classify", "--duals", "DUALS"], "pass"),
+    "embed": (["embed", "--trials", "5"], "pass"),
+    "spinor-spaces": (["spinor-spaces", "--trials", "5"], "pass"),
+    "dual": (["dual", "--psi", "PSI"], "pass"),
+    "table1-tolerance-0": (["table1", "--trials", "5", "--tolerance", "0"], "fail"),
+}
+
+
+@pytest.mark.parametrize("argv, status", ONE_OF_EACH.values(), ids=ONE_OF_EACH)
+def test_every_format_renders_the_one_report(argv, status, tmp_path, capsys):
+    row = spinor_to_obj(np.array([1.0, 0.5j, -0.3, 0.2 - 1j]))
+    files = {"PSI": tmp_path / "psi.json", "DUALS": tmp_path / "duals.json"}
+    files["PSI"].write_text(dump_json(row))
+    files["DUALS"].write_text(dump_json([row]))
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    code, out = run(capsys, argv)
+    report = json.loads(out)
+    assert report["status"] == status
+    assert code == (EXIT_OK if status == "pass" else EXIT_CHECK_FAILED)
+    text = [f"suite: {report['suite']}  status: {status}"] + [
+        f"  {c['status'].upper()}  {c['name']}  residual={c['residual']:.3e}"
+        f"  tolerance={c['tolerance']:.1e}" for c in report["checks"]]
+    assert run(capsys, argv + ["--format", "text"]) == (code, "\n".join(text) + "\n")
+    if argv[0] == "cayley":
+        assert run(capsys, argv + ["--format", "csv"])[0] == code
 
 
 def test_dual_command_identity_omega(tmp_path, capsys):
@@ -435,7 +468,7 @@ def test_nan_residual_fails_its_check(capsys):
 
 
 def test_a_report_renders_each_kind_of_check():
-    report = cli.SuiteReport("demo", {}, 0, 0, [
+    report, _ = cli._report(argparse.Namespace(command="demo"), None, [
         checks.verdict("small", np.float64(1e-14), 1e-12),  # a bound, read as a float
         checks.verdict("nan", [np.array([0.0, np.nan]), 1e-15], 1e-9),
         checks.verdict("detection", [np.array([0.5, 2.0]), 0.7], 1e-6, above=True),
@@ -443,7 +476,7 @@ def test_a_report_renders_each_kind_of_check():
     ])
     # repr pins each value's type and the NaN, and the items the key order
     assert [[(key, repr(value)) for key, value in c.items()]
-            for c in report.as_obj()["checks"]] == [
+            for c in report["checks"]] == [
         [("name", "'small'"), ("status", "'pass'"), ("residual", "1e-14"),
          ("tolerance", "1e-12")],
         [("name", "'nan'"), ("status", "'fail'"), ("residual", "nan"), ("tolerance", "1e-09")],
@@ -451,15 +484,14 @@ def test_a_report_renders_each_kind_of_check():
          ("tolerance", "1e-06")],
         [("name", "'flag'"), ("status", "'fail'"), ("residual", "1.0"), ("tolerance", "0.0")],
     ]
-    assert report.as_text().splitlines() == [
+    assert cli._as_text(report).splitlines() == [
         "suite: demo  status: fail",
         "  PASS  small  residual=1.000e-14  tolerance=1.0e-12",
         "  FAIL  nan  residual=nan  tolerance=1.0e-09",
         "  PASS  detection  residual=5.000e-01  tolerance=1.0e-06",
         "  FAIL  flag  residual=1.000e+00  tolerance=0.0e+00",
     ]
-    assert report.passed is False
-    assert report.as_obj()["status"] == "fail"
+    assert report["status"] == "fail"
 
 
 @pytest.mark.parametrize("blocks, above, status, residual", [
@@ -483,7 +515,7 @@ def test_a_changed_check_reaches_no_later_report(command, capsys):
     argv = [command, "--seed", "3", "--trials", "4"]
     first = run(capsys, argv)
     args = cli.build_parser().parse_args(argv)
-    for check in args.suite(args).checks:
+    for check in args.suite(args)[0]["checks"]:
         check.update(status="fail", residual=-1.0, tolerance=-1.0)
     assert run(capsys, argv) == first
 
@@ -707,13 +739,13 @@ def test_a_new_seed_changes_only_the_seeded_residuals(command, seeded, fresh_str
 
 def test_each_spinor_spaces_report_builds_its_own_payload(fresh_structure):
     args = cli.build_parser().parse_args(["spinor-spaces", "--trials", "2"])
-    first = cli._suite_spinor_spaces(args)
-    want = json.loads(json.dumps(first.payload))
-    first.payload["ideal_dimensions"]["real_left"] = -1
-    first.payload["ideal_basis_real_left"].clear()
-    first.payload["idempotents"]["real"].clear()
-    first.payload["division_rings"]["real"]["name"] = "R"
-    assert cli._suite_spinor_spaces(args).payload == want
+    first = cli._suite_spinor_spaces(args)[0]["payload"]
+    want = json.loads(json.dumps(first))
+    first["ideal_dimensions"]["real_left"] = -1
+    first["ideal_basis_real_left"].clear()
+    first["idempotents"]["real"].clear()
+    first["division_rings"]["real"]["name"] = "R"
+    assert cli._suite_spinor_spaces(args)[0]["payload"] == want
 
 
 def test_a_patched_tolerance_reaches_the_structure_once_its_cache_is_cleared(

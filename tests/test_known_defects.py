@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,16 @@ def test_a_report_is_strict_json(argv):
 def test_table1_gives_a_report_or_refuses_a_large_mass():
     code, out = run(["table1", "--mass", "1e100"])
     assert code == 4 or out and strict_json(out), "neither a report nor exit 4"
+
+
+@defect("ROADMAP item 12: Xi overflows in omega_residual at m = 1e-300")
+def test_dual_gives_a_report_or_refuses_a_small_mass(tmp_path):
+    psi = write(tmp_path / "psi.json", [[1, 0], [0, 0], [0, 0], [0, 0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["dual", "--psi", psi, "--mass", "1e-300"])[0]
+    assert code in (0, 4), f"exit {code}, neither a report nor exit 4"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @defect("ROADMAP item 5: cayley's closure is not measured; group_from_elements raises out of main")

@@ -26,6 +26,13 @@ to see whether a change altered any of these cases:
   psi whose dual overflows, as ``tests/test_cli.py`` writes it.  These are
   the overflow, underflow and tolerance regimes, where a change of
   arithmetic shows first.
+* ``text cli-cold``: each cli-cold argv of cycle 0 for seeds 1-10, drawn
+  again with its input files and run with ``--format text``, so that every
+  command, ``cayley``, ``classify`` and ``dual`` included, reaches the text
+  renderer.  A cayley argv asked for csv gives its text report instead.
+
+The ``text cli-cold`` lines come last, so a listing of a tree that predates
+them is a prefix of this listing.
 
 The script writes nothing under TREE: bytecode is not cached.
 """
@@ -118,6 +125,7 @@ def defect_argvs(tmp: Path) -> list:
     duals = write("duals.json", [spinor_to_obj(rows[i]) for i in rng.permutation(len(rows))])
     psi_duals = write("psi-duals.json", [spinor_to_obj(psi_row)])
     (tmp / "big.json").write_text("[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]")
+    unit = write("unit.json", [[1, 0], [0, 0], [0, 0], [0, 0]])
     return [
         ("verify-momentum-1e2", ["verify-theorems", "--momentum", "1e2"]),
         ("verify-seed-0", ["verify-theorems", "--seed", "0"]),
@@ -140,6 +148,7 @@ def defect_argvs(tmp: Path) -> list:
         ("classify-tolerance-0", ["classify", "--tolerance", "0", "--duals", psi_duals]),
         ("cayley-tolerance-1e300", ["cayley", "--tolerance", "1e300"]),
         ("table1-mass-1e100", ["table1", "--mass", "1e100"]),
+        ("dual-identity-mass-1e-300", ["dual", "--psi", unit, "--mass", "1e-300"]),
     ]
 
 
@@ -194,6 +203,16 @@ def main(argv) -> int:
         places = {tmp: "<tmp>", str(tree): "<tree>"}
         for label, argv in defect_argvs(Path(tmp)):
             print(f"defects {label}", run_cli(cli_main, argv, places))
+
+    # Each cli-cold workload numbers its input files from 1, so a seed's
+    # files are written again just before its argvs run.
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            places = {tmp: "<tmp>", str(tree): "<tree>"}
+            workload = W.WORKLOADS["cli-cold"](seed, Path(tmp), dict(os.environ))
+            for i, req in enumerate(workload.cycle(0)):
+                argv = req.argv + ["--format", "text"]
+                print(f"text cli-cold {seed} {i} {req.kind}", run_cli(cli_main, argv, places))
     return 0
 
 
