@@ -57,5 +57,5 @@ print("roundtrip residual:", abs(omega_to_delta(omega, k) - delta).max())
 # Finally the dual map itself: a row covector psi^dag g0 Xi Omega.
 psi = np.array([1.0, 0.0, 0.0, 0.0])
 dual = dual_of(psi, np.eye(4), k)
-print("\ndual of (1,0,0,0) with Omega = I:", dual.components)
-print("pairing with (0,0,1,0):", dual.pair(np.array([0, 0, 1.0, 0])))
+print("\ndual of (1,0,0,0) with Omega = I:", dual)
+print("pairing with (0,0,1,0):", complex(dual @ np.array([0, 0, 1.0, 0])))

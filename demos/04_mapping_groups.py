@@ -43,8 +43,8 @@ ident = identify_group(group)
 print(f"\ngenerated group: order {group.order}, identified as {ident.name}")
 
 labeled = group_from_elements([np.eye(4), g, f, f @ g], ["I", "G", "F", "FG"])
-print("Cayley table:")
-print(labeled.to_csv())
+print("Cayley table of", labeled.labels)
+print(labeled.table)
 
 # |tr H| > 4, so H has infinite order and generation stops with a witness.
 try:

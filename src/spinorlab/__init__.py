@@ -37,7 +37,6 @@ from .weyl import (
 from .duals import (
     ELEMENT_NAMES,
     DeltaBlocks,
-    DualSpinor,
     InvalidOperatorError,
     KinematicPoint,
     KinematicsError,

@@ -27,7 +27,7 @@ class KinematicsError(ValueError):
     """Invalid or off-shell kinematic data."""
 
 
-class SingularParameterError(ValueError):
+class SingularParameterError(KinematicsError):
     """A kinematic parameter sits at a singular value for the requested element."""
 
 
@@ -408,25 +408,12 @@ def _split_delta(delta: np.ndarray) -> DeltaBlocks:  # of a Delta already valida
 # -- the dual map -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualSpinor:
-    """Row covector pairing with column spinors."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=complex).reshape(4)
-        object.__setattr__(self, "components", c)
-
-    def pair(self, psi: np.ndarray) -> complex:
-        return complex(self.components @ np.asarray(psi, dtype=complex).reshape(4))
-
-
 def dual_of(
     psi: np.ndarray, omega: np.ndarray, k: KinematicPoint,
     *, check: OperatorValidation | None = None,
-) -> DualSpinor:
-    """Dual spinor psi^dag g0 Xi Omega for a valid Omega.
+) -> np.ndarray:
+    """Dual spinor psi^dag g0 Xi Omega for a valid Omega: a complex row of 4
+    entries, which pairs with a column spinor phi as ``dual @ phi``.
 
     ``check`` is the caller's validation of ``omega`` when it already has
     one; ``validate_omega(omega, k)`` is computed otherwise.
@@ -434,5 +421,4 @@ def dual_of(
     if check is None:
         check = validate_omega(omega, k)
     check.require()
-    row = _g0_right(np.asarray(psi, dtype=complex).reshape(4).conj()) @ xi(k) @ omega
-    return DualSpinor(row)
+    return _g0_right(np.asarray(psi, dtype=complex).reshape(4).conj()) @ xi(k) @ omega

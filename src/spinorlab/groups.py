@@ -8,13 +8,11 @@ membership tests for the Lipschitz / Pin / Spin chain.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualSpinor, InvalidOperatorError, KinematicPoint, validate_omega
+from .duals import InvalidOperatorError, KinematicPoint, validate_omega
 from .multivector import _GRADES, _ODD, _SP, _XOR, Multivector, _product
 from .weyl import (COMMUTATOR_TOL, CONJUGATION_TOL, DEDUP_TOL, GROUP_TOL, KEY_ROUNDING, ZERO_TOL,
                    _I2, _coefficients, _dagger, _invertible, _matrices, multivector_inverse)
@@ -102,14 +100,6 @@ class FiniteMatrixGroup:
             if n > self.order:
                 raise ValueError("element order exceeds group order; table is broken")
         return n
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + list(self.labels))
-        for i in range(self.order):
-            writer.writerow([self.labels[i]] + [self.labels[j] for j in self.table[i]])
-        return out.getvalue()
 
 
 def _find(stored: np.ndarray, x: np.ndarray, tol: float):
@@ -324,7 +314,8 @@ class OrbitPartition:
 def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> OrbitPartition:
     """Group the supplied dual spinors into orbit classes.
 
-    Duals are row covectors, so the group acts on the right, ``psi -> psi @ g``.
+    Duals are row covectors of 4 entries, as :func:`~spinorlab.duals.dual_of` returns
+    them, so the group acts on the right, ``psi -> psi @ g``.
     Classes open in input order, so they are listed by smallest index and the
     representative is the first member; a dual joins the first open class with
     an image within max-entry distance ``tol`` (absolute) of it.  ``orbit_sizes``
@@ -332,10 +323,8 @@ def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> 
     order.  A non-finite dual is refused.  Open duals are taken
     ``_TABLE_BLOCK // order`` at a time, matched by one keyed lookup.
     """
-    rows = np.array([
-        d.components if isinstance(d, DualSpinor) else np.asarray(d, complex).reshape(4)
-        for d in duals
-    ], dtype=complex).reshape(-1, 4)
+    rows = np.array([np.asarray(d, complex).reshape(4) for d in duals],
+                    dtype=complex).reshape(-1, 4)
     if not np.isfinite(rows).all():
         raise ValueError(f"dual {np.isfinite(rows).all(axis=-1).argmin()} is not finite")
     mats = np.array(group.elements)

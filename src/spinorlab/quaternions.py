@@ -160,30 +160,25 @@ class PatternReport:
 
     matches: bool
     residual: float
-    dof: int
 
     def __bool__(self) -> bool:
         return self.matches
 
 
 def is_quaternionic_pattern(m: np.ndarray) -> PatternReport:
-    """Check the eight conjugate-pair constraints of the GL(2,H) image.
-
-    ``dof`` is the real dimension of the constraint solution space,
-    computed once from the rank of the constraint system (it is 16,
-    matching the real dimension of M2(H)).
-    """
+    """Check the eight conjugate-pair constraints of the GL(2,H) image."""
     m = np.asarray(m, dtype=complex)
     first, second = m[..., _ROWS, _COLS], m[..., _ROWS - 1, _COLS ^ 1]
     residual = _modulus(first - _SIGNS * second.conj()).max(axis=-1)
     if residual.ndim == 0:
         residual = float(residual)
-    return PatternReport(residual <= ZERO_TOL, residual, pattern_dof())
+    return PatternReport(residual <= ZERO_TOL, residual)
 
 
 @lru_cache(maxsize=1)
 def pattern_dof() -> int:
-    """Real dimension of the pattern's solution space: 32 minus constraint rank."""
+    """Real dimension of the pattern's solution space: 32 minus constraint rank
+    (16, the real dimension of M2(H))."""
     # entry (r, c) has real part at 2*(4r+c), imaginary part one after it;
     # row i asks re1 = sign re2, row 8 + i asks im1 = -sign im2
     first, second = 2 * (4 * _ROWS + _COLS), 2 * (4 * (_ROWS - 1) + (_COLS ^ 1))

@@ -7,6 +7,7 @@ both sides of the block size.
 """
 
 import math
+import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -233,6 +234,28 @@ def assert_same_stream(batched, reference, seed, counts=COUNTS):
 @pytest.mark.parametrize("name", PAIRS)
 def test_batched_check_keeps_the_stream(name, seed):
     assert_same_stream(*PAIRS[name], seed)
+
+
+def traced_peak(check, trials) -> int:
+    """Bytes that one run of ``check`` holds at its peak, above what was held before it."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    check(np.random.default_rng(0), trials)
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_batched_check_memory_stays_bounded(name):
+    # A check keeps one block's draws at a time and, across blocks, only its
+    # per-trial residuals: a few bytes a trial, not the draws themselves.
+    check = PAIRS[name][0]
+    check(np.random.default_rng(0), BLOCK)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        one, many = traced_peak(check, BLOCK), traced_peak(check, 21 * BLOCK)
+    finally:
+        tracemalloc.stop()
+    assert (many - one) / (20 * BLOCK) < 64
 
 
 def ref_random_kinematics(rng):

@@ -1,6 +1,8 @@
 """CLI behavior: commands, report formats, determinism, exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -85,6 +87,18 @@ def test_cayley_csv_reproduces_the_reference_table(capsys):
         "F,F,FG,I,G",
         "FG,FG,F,G,I",
     ]
+
+
+@pytest.mark.parametrize("group", ["GF", "GXiDagger"])
+def test_cayley_csv_is_rendered_from_the_json_report(group, capsys):
+    argv = ["cayley", "--group", group, *KFLAGS]
+    payload = json.loads(run(capsys, argv)[1])["payload"]
+    labels, table = payload["labels"], payload["table"]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["", *labels])
+    writer.writerows([labels[i], *(labels[j] for j in row)] for i, row in enumerate(table))
+    assert run(capsys, argv + ["--format", "csv"]) == (EXIT_OK, want.getvalue())
 
 
 def test_cayley_json_identifies_k4(capsys):
@@ -468,7 +482,7 @@ def test_nan_residual_fails_its_check(capsys):
 
 
 def test_a_report_renders_each_kind_of_check():
-    report, _ = cli._report(argparse.Namespace(command="demo"), None, [
+    report = cli._report(argparse.Namespace(command="demo"), None, [
         checks.verdict("small", np.float64(1e-14), 1e-12),  # a bound, read as a float
         checks.verdict("nan", [np.array([0.0, np.nan]), 1e-15], 1e-9),
         checks.verdict("detection", [np.array([0.5, 2.0]), 0.7], 1e-6, above=True),
@@ -515,7 +529,7 @@ def test_a_changed_check_reaches_no_later_report(command, capsys):
     argv = [command, "--seed", "3", "--trials", "4"]
     first = run(capsys, argv)
     args = cli.build_parser().parse_args(argv)
-    for check in args.suite(args)[0]["checks"]:
+    for check in args.suite(args)["checks"]:
         check.update(status="fail", residual=-1.0, tolerance=-1.0)
     assert run(capsys, argv) == first
 
@@ -739,13 +753,13 @@ def test_a_new_seed_changes_only_the_seeded_residuals(command, seeded, fresh_str
 
 def test_each_spinor_spaces_report_builds_its_own_payload(fresh_structure):
     args = cli.build_parser().parse_args(["spinor-spaces", "--trials", "2"])
-    first = cli._suite_spinor_spaces(args)[0]["payload"]
+    first = cli._suite_spinor_spaces(args)["payload"]
     want = json.loads(json.dumps(first))
     first["ideal_dimensions"]["real_left"] = -1
     first["ideal_basis_real_left"].clear()
     first["idempotents"]["real"].clear()
     first["division_rings"]["real"]["name"] = "R"
-    assert cli._suite_spinor_spaces(args)[0]["payload"] == want
+    assert cli._suite_spinor_spaces(args)["payload"] == want
 
 
 def test_a_patched_tolerance_reaches_the_structure_once_its_cache_is_cleared(

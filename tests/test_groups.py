@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinorlab.duals import (
-    DualSpinor,
     InvalidOperatorError,
     KinematicPoint,
     _drawn,
@@ -25,6 +24,7 @@ from spinorlab.duals import (
     xi,
 )
 from spinorlab import groups
+from spinorlab.cli import _as_csv
 from spinorlab.groups import (
     CapExceeded,
     check_abelian_closure,
@@ -583,8 +583,10 @@ def test_order_two_group():
 
 
 def test_csv_layout():
+    # The csv a group's labels and Cayley table render to, as the cayley report carries them.
     group = group_from_elements(gf_elements(K), ["I", "G", "F", "FG"])
-    lines = group.to_csv().strip().splitlines()
+    payload = {"labels": list(group.labels), "table": group.table.tolist()}
+    lines = _as_csv({"payload": payload}).strip().splitlines()
     assert lines[0] == ",I,G,F,FG"
     assert lines[1] == "I,I,G,F,FG"
     assert lines[2] == "G,G,I,FG,F"
@@ -695,10 +697,8 @@ def test_partition_invariant_under_input_permutation():
 def ref_orbit_partition(group, duals, tol=1e-9):
     """orbit_partition one class at a time, each class with two dense scans:
     its members among the open rows, then its distinct images."""
-    rows = np.array([
-        d.components if isinstance(d, DualSpinor) else np.asarray(d, complex).reshape(4)
-        for d in duals
-    ], dtype=complex).reshape(-1, 4)
+    rows = np.array([np.asarray(d, complex).reshape(4) for d in duals],
+                    dtype=complex).reshape(-1, 4)
     mats = np.array(group.elements)
     classes, sizes = [], []
     unassigned = np.ones(len(rows), dtype=bool)
@@ -764,7 +764,7 @@ def orbit_cases():
     yield "order-64", dirac, shuffled_orbits(rng, dirac.elements, 5), 1e-9
     yield "empty", gf, [], 1e-9
     yield "duplicates", gf, rows[:10] * 3 + rows[:4], 1e-9
-    yield "mixed-types", gf, [DualSpinor(r) if i % 2 else list(r) for i, r in enumerate(rows)], 1e-9
+    yield "mixed-types", gf, [r if i % 2 else list(r) for i, r in enumerate(rows)], 1e-9
     huge = shuffled_orbits(rng, gf.elements, 30, scale=1e307)  # some images overflow
     for tol in (1e-9, 1e285):
         yield f"near-overflow-{tol:g}", gf, huge, tol
@@ -797,9 +797,16 @@ def test_non_finite_dual_is_refused_by_index(bad):
     group = group_from_elements(gf_elements(K))
     with pytest.raises(ValueError, match=r"^dual 0 is not finite$"):
         orbit_partition(group, [[bad, 1, 1, 1]])
-    rows = [np.ones(4), DualSpinor([1, bad, 1, 1]), [bad, 1, 1, 1]]
+    rows = [np.ones(4), np.array([1, bad, 1, 1]), [bad, 1, 1, 1]]
     with pytest.raises(ValueError, match=r"^dual 1 is not finite$"):
         orbit_partition(group, rows)
+
+
+@pytest.mark.parametrize("bad", [np.ones(3), np.ones((4, 4)), [1, 1, 1, 1, 1], 1.0])
+def test_a_dual_that_is_not_four_entries_is_refused(bad):
+    group = group_from_elements(gf_elements(K))
+    with pytest.raises(ValueError):
+        orbit_partition(group, [np.ones(4), bad])
 
 
 def test_a_dual_belongs_to_the_class_it_opens():

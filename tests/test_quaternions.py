@@ -94,7 +94,6 @@ def test_pattern_rejects_generic_matrices():
 
 def test_pattern_dof_is_sixteen():
     assert pattern_dof() == 16
-    assert is_quaternionic_pattern(np.eye(4)).dof == 16
 
 
 def test_quaternionic_gamma0():
