@@ -1,16 +1,16 @@
 """The verification checks behind the CLI suites and the acceptance gate.
 
-Each check draws from the generator it is given and returns its verdicts:
-report check objects made by :func:`verdict`, which holds the check's name,
-its tolerance and the direction of its comparison.  What draws nothing,
-the quaternionic Clifford relations and :func:`spinor_space_structure`, is
-measured once per process and cached; each call builds new check objects
-from it.  After patching a ``weyl`` tolerance, clear the structure's cache.
+Each check draws from the generator it is given, table1's seven operator rows included,
+and returns its verdicts: report check objects made by :func:`verdict`, which holds the
+check's name, its tolerance and the direction of its comparison.  What draws nothing, the
+quaternionic Clifford relations and :func:`spinor_space_structure`, is measured once per
+process and cached; each call builds new check objects from it.  After patching a
+``weyl`` tolerance, clear the structure's cache.
 
-Trials run in blocks of at most ``_BLOCK``, so memory stays bounded.  A
-block draws its numbers in one call, in the order a trial-by-trial loop
-draws them, and computes on stacks with the same per-matrix operations:
-its results and the generator's final state are bit for bit that loop's.
+Trials run in blocks of at most ``_BLOCK``, and a block's draws go before the next block
+is drawn, so memory stays bounded.  A block draws its numbers in one call, in the order a
+trial-by-trial loop draws them, and computes on stacks with the same per-matrix
+operations: its results and the generator's final state are bit for bit that loop's.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from functools import cache
 import numpy as np
 
 from .duals import (
-    ELEMENT_NAMES, _delta_from, _delta_validation, _max_entry, _named_operators, _split_delta,
-    _stacked_terms, _to_delta, _to_omega, closed_form, omega_residual, random_delta,
+    ELEMENT_NAMES, _delta_from, _delta_validation, _drawn, _max_entry, _named_operators,
+    _split_delta, _stacked_terms, _to_delta, _to_omega, closed_form, omega_residual, random_delta,
     validate_delta, xi,
 )
 from .ideals import (
@@ -137,13 +137,15 @@ def closure(rng, trials, k) -> list:
             verdict("determinant-transport", det, IDENTITY_TOL)]
 
 
-def operator_residuals(points, tolerance) -> list:
-    """One check per named operator, in ``ELEMENT_NAMES`` order: the largest
-    entry of its defining expression minus its closed form over the
-    kinematic ``points`` (points, or their terms).  Each block forms Xi once."""
-    blocks = [_stacked_terms(points[i:i + _BLOCK]) for i in range(0, len(points), _BLOCK)]
-    per_block = [[_max_entry(op - closed_form(name, t)) for name, op in _named_operators(t)]
-                 for t in blocks]
+def operator_residuals(rng, trials, k, tolerance) -> list:
+    """One check per named operator, in ``ELEMENT_NAMES`` order: the largest entry of
+    its defining expression minus its closed form at the point ``k`` and at ``trials``
+    drawn points, ``k`` leading the first block.  Each block forms Xi once."""
+    def block(lead, n) -> list:  # its terms go before the next block is drawn
+        t = _stacked_terms(lead + _drawn(rng, n - len(lead)))
+        return [_max_entry(op - closed_form(name, t)) for name, op in _named_operators(t)]
+
+    per_block = [block([k] if i == 0 else [], n) for i, n in enumerate(_blocks(trials + 1))]
     return [verdict(f"row-{name}", list(each), tolerance)
             for name, each in zip(ELEMENT_NAMES, zip(*per_block))]
 

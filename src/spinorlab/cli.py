@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__, checks
 from .duals import (
-    InvalidOperatorError, KinematicPoint, KinematicsError, _drawn, _named_operators, _row_terms,
-    dual_of, named_operator, validate_omega,
+    InvalidOperatorError, KinematicPoint, KinematicsError, _named_operators, dual_of,
+    named_operator, validate_omega,
 )
 from .groups import group_from_elements, identify_group, orbit_partition
 from .serialize import (
@@ -90,8 +90,7 @@ def _suite_table1(args) -> dict:
     """Defining expressions of the named operators vs closed forms."""
     k = _kinematics(args)
     rng = np.random.default_rng(args.seed)
-    points = [k] + _drawn(rng, args.trials, _row_terms)
-    return _report(args, k, checks.operator_residuals(points, args.tolerance),
+    return _report(args, k, checks.operator_residuals(rng, args.trials, k, args.tolerance),
                    {"operators": {name: matrix_to_obj(op) for name, op in _named_operators(k)}})
 
 

@@ -77,13 +77,12 @@ class KinematicPoint:
         }
 
 
-def _drawn(rng, n, make) -> list:
-    """``make(m, p, theta, phi)`` of ``n`` generic on-shell points with O(1)
-    parameters, drawn in one call and bit for bit as ``n`` draws of m, p, theta
-    and phi in turn; ``make=_row_terms`` takes their terms, building none."""
+def _drawn(rng, n) -> list:
+    """The terms of ``n`` generic on-shell points with O(1) parameters, drawn in
+    one call and bit for bit as ``n`` draws of m, p, theta and phi in turn."""
     low, high = (0.5, 0.5, 0.05, 0.0), (2.0, 2.0, math.pi - 0.05, 2.0 * math.pi)
     # Python floats, not numpy's: m ** 4 differs between them in the last bit
-    return [make(*row) for row in rng.uniform(low, high, (n, 4)).tolist()]
+    return [_row_terms(*row) for row in rng.uniform(low, high, (n, 4)).tolist()]
 
 
 # -- Xi ----------------------------------------------------------------------

@@ -13,8 +13,6 @@ import pytest
 
 from spinorlab import checks
 from spinorlab.duals import (
-    KinematicPoint,
-    _drawn,
     delta_to_omega,
     named_operator,
     omega_residual,
@@ -41,6 +39,8 @@ from spinorlab.multivector import (
 )
 from spinorlab.quaternions import even_to_m2c, pattern_dof
 from spinorlab.weyl import dirac_dagger_dual, to_matrix
+
+from test_checks import ref_random_kinematics
 
 KLEIN_TABLE = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 
@@ -83,7 +83,7 @@ def test_criterion_02_cayley_tables_reproduce_reference():
     start = time.perf_counter()
     rng = np.random.default_rng(2)
     ok = True
-    for k in _drawn(rng, 20, KinematicPoint):
+    for k in [ref_random_kinematics(rng) for _ in range(20)]:
         g = named_operator("G", k)
         f = named_operator("F", k)
         xd = named_operator("XiDagger", k)
@@ -112,7 +112,7 @@ def test_criterion_02_cayley_tables_reproduce_reference():
 def test_criterion_03_named_operators_match_closed_forms():
     start = time.perf_counter()
     rng = np.random.default_rng(3)
-    rows = checks.operator_residuals(_drawn(rng, 100, KinematicPoint), 1e-9)
+    rows = checks.operator_residuals(rng, 99, ref_random_kinematics(rng), 1e-9)
     worst = float(np.max([row["residual"] for row in rows]))  # NaN if any residual is NaN
     elapsed = time.perf_counter() - start
     report(
@@ -157,7 +157,7 @@ def test_criterion_05_fixed_points_of_the_adjoint():
 
 def test_criterion_06_closure_theorem():
     rng = np.random.default_rng(6)
-    (k,) = _drawn(rng, 1, KinematicPoint)
+    k = ref_random_kinematics(rng)
     x = xi(k)
 
     worst_commuting = 0.0
@@ -177,7 +177,7 @@ def test_criterion_06_closure_theorem():
         weakest_violation = min(weakest_violation, omega_residual(om1 @ om2, x))
 
     cap_exceeded = 0
-    for kk in _drawn(rng, 10, KinematicPoint):
+    for kk in [ref_random_kinematics(rng) for _ in range(10)]:
         try:
             generate_group([named_operator("H", kk)], cap=64)
         except CapExceeded:

@@ -8,13 +8,12 @@ both sides of the block size.
 
 import math
 import tracemalloc
-from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinorlab import checks, duals, weyl
+from spinorlab import checks, cli, duals, weyl
 from spinorlab.duals import (
     ELEMENT_NAMES, KinematicPoint, _drawn, block_decompose, closed_form, delta_to_omega,
     named_operator, omega_residual, random_delta, validate_delta, xi,
@@ -196,6 +195,24 @@ def ref_beta_matches_matrix_adjoint(rng, trials, f=FR):
     return worst(out)
 
 
+def ref_random_kinematics(rng):
+    """One point, drawn one parameter at a time: the tests' one drawer of kinematic points."""
+    return KinematicPoint(m=rng.uniform(0.5, 2.0), p=rng.uniform(0.5, 2.0),
+                          theta=rng.uniform(0.05, math.pi - 0.05),
+                          phi=rng.uniform(0.0, 2.0 * math.pi))
+
+
+def row_residuals(points):
+    """Each named operator's largest defining-expression-minus-closed-form entry, point by point."""
+    return {name: [float(abs(named_operator(name, k) - closed_form(name, k)).max())
+                   for k in points] for name in ELEMENT_NAMES}
+
+
+def ref_operator_residuals(rng, trials, k=K):
+    each = row_residuals([k] + [ref_random_kinematics(rng) for _ in range(trials)])
+    return tuple(worst(each[name]) for name in ELEMENT_NAMES)
+
+
 #: name -> (batched check, its trial-by-trial reference), both (rng, trials)
 PAIRS = {
     "block_pattern": (checks.block_pattern, ref_block_pattern),
@@ -220,6 +237,8 @@ PAIRS = {
     "beta_matches_matrix_adjoint": (
         lambda rng, n: checks.beta_matches_matrix_adjoint(rng, n, FR),
         ref_beta_matches_matrix_adjoint),
+    "operator_residuals": (  # at K, then at the drawn points
+        lambda rng, n: checks.operator_residuals(rng, n, K, 1e-9), ref_operator_residuals),
 }
 
 
@@ -258,41 +277,57 @@ def test_batched_check_memory_stays_bounded(name):
     assert (many - one) / (20 * BLOCK) < 64
 
 
-def ref_random_kinematics(rng):
-    """One point, drawn one parameter at a time."""
-    return KinematicPoint(m=rng.uniform(0.5, 2.0), p=rng.uniform(0.5, 2.0),
-                          theta=rng.uniform(0.05, math.pi - 0.05),
-                          phi=rng.uniform(0.0, 2.0 * math.pi))
+def test_table1_memory_stays_bounded():
+    # The whole suite, from argv to the written report: table1 keeps one block of
+    # points at a time, as the checks above do.
+    def table1(rng, trials):
+        assert cli.main(["table1", "--trials", str(trials)]) == 0
+
+    table1(None, BLOCK - 1)  # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        one, many = traced_peak(table1, BLOCK - 1), traced_peak(table1, 21 * BLOCK - 1)
+    finally:
+        tracemalloc.stop()
+    assert (many - one) / (20 * BLOCK) < 64
 
 
 @pytest.mark.parametrize("n", [1, BLOCK, 300])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_random_kinematics_draws_as_single_points(seed, n):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    points = _drawn(rng, n, KinematicPoint)
-    assert points == [ref_random_kinematics(ref_rng) for _ in range(n)]
+    terms = _drawn(rng, n)
+    points = [ref_random_kinematics(ref_rng) for _ in range(n)]
+    # repr tells every float bit pattern apart, and a numpy float from a Python one
+    assert repr(terms) == repr([duals._terms(k) for k in points])
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert all(type(v) is float for k in points for v in astuple(k))
+
+
+def first_point_then_residuals(seed, n):
+    """The rows at the first ``n`` points drawn from ``seed``, the first one as the given point."""
+    rng = np.random.default_rng(seed)
+    return checks.operator_residuals(rng, n - 1, ref_random_kinematics(rng), 1e-9)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_operator_residual_matches_point_by_point(seed):
     rng = np.random.default_rng(seed)
-    points = [ref_random_kinematics(rng) for _ in range(max(COUNTS))]
-    each = {name: [float(abs(named_operator(name, k) - closed_form(name, k)).max())
-                   for k in points] for name in ELEMENT_NAMES}
+    each = row_residuals([ref_random_kinematics(rng) for _ in range(max(COUNTS))])
     for n in COUNTS:
         want = tuple(worst(each[name][:n]) for name in ELEMENT_NAMES)
-        assert residuals(checks.operator_residuals(points[:n], 1e-9)) == want, n
+        assert residuals(first_point_then_residuals(seed, n)) == want, n
 
 
-def test_operator_residual_rejects_zero_momentum_like_one_point():
-    points = [K, KinematicPoint(1.0, 0.0, 0.7, 0.3)]
-    assert min(residuals(checks.operator_residuals(points[:1], 1e-9))) >= 0.0
+def test_operator_residual_rejects_zero_momentum_like_one_point(monkeypatch):
+    zero = KinematicPoint(1.0, 0.0, 0.7, 0.3)
+    rng = np.random.default_rng(0)
+    assert min(residuals(checks.operator_residuals(rng, 0, K, 1e-9))) >= 0.0
     with pytest.raises(duals.SingularParameterError):
-        named_operator("F", points[1])
+        named_operator("F", zero)
+    # the point at p = 0 drawn after K
+    monkeypatch.setattr(checks, "_drawn", lambda rng, n: [duals._terms(zero)] * n)
     with pytest.raises(duals.SingularParameterError):
-        checks.operator_residuals(points, 1e-9)
+        checks.operator_residuals(rng, 1, K, 1e-9)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -418,12 +453,13 @@ def test_the_delta_and_adjoint_checks_take_no_product_with_gamma0(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, BLOCK])
 def test_a_table1_block_forms_each_shared_product_once(n, monkeypatch):
-    points = _drawn(np.random.default_rng(n), n, KinematicPoint)
-    want = checks.operator_residuals(points, 1e-9)
+    rng = np.random.default_rng(n)
+    points = [ref_random_kinematics(rng) for _ in range(n)]
+    want = first_point_then_residuals(n, n)
     x = xi(duals._stacked_terms(points))
     monkeypatch.setattr(duals, "xi", lambda t: xi(t).view(RecordedProducts))
     RecordedProducts.products = []
-    assert checks.operator_residuals(points, 1e-9) == want
+    assert first_point_then_residuals(n, n) == want
     formed = RecordedProducts.products
     assert with_gamma0(formed) == []
     assert len(formed) == 2  # Xi^dag Xi and Xi Xi^dag, whatever else the seven read

@@ -12,7 +12,6 @@ from spinorlab.duals import (
     KinematicPoint,
     KinematicsError,
     SingularParameterError,
-    _drawn,
     block_decompose,
     closed_form,
     delta_to_omega,
@@ -27,13 +26,15 @@ from spinorlab.duals import (
 )
 from spinorlab.weyl import GAMMA0
 
+from test_checks import ref_random_kinematics
+
 K_REF = KinematicPoint(1.0, 1.0, math.pi / 2, 0.0)
 ROOT2 = math.sqrt(2.0)
 
 
 def sample_points(seed, n):
     rng = np.random.default_rng(seed)
-    return _drawn(rng, n, KinematicPoint)
+    return [ref_random_kinematics(rng) for _ in range(n)]
 
 
 def reassembled(blocks):
@@ -389,8 +390,8 @@ def written_out_terms(k):
 @pytest.mark.parametrize("seed, n", [(0, 1), (7, 250), (42, 600)])
 def test_terms_taken_from_the_draw_are_the_terms_of_its_points(seed, n):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    terms = duals._drawn(rng, n, duals._row_terms)
-    points = _drawn(ref, n, KinematicPoint)
+    terms = duals._drawn(rng, n)
+    points = [ref_random_kinematics(ref) for _ in range(n)]
     # repr tells every float bit pattern apart, -0.0 from 0.0 included
     assert repr(terms) == repr([written_out_terms(k) for k in points])
     assert repr([duals._terms(k) for k in points]) == repr(terms)

@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from spinorlab.duals import (
     InvalidOperatorError,
     KinematicPoint,
-    _drawn,
     delta_to_omega,
     named_operator,
     random_delta,
@@ -52,6 +51,8 @@ from spinorlab.multivector import (
     scalar,
 )
 from spinorlab.weyl import GAMMA0, from_matrix, multivector_inverse, to_matrix, weyl_gamma
+
+from test_checks import ref_random_kinematics
 
 K = KinematicPoint(1.0, 1.0, 0.7, 0.3)
 
@@ -315,7 +316,8 @@ def closure_cases():
     h = named_operator("H", K)
     for cap in (64, 256, 1024):
         yield f"H-readme-{cap}", [h], cap
-    for i, k in enumerate(_drawn(np.random.default_rng(16), 3, KinematicPoint)):
+    rng = np.random.default_rng(16)
+    for i, k in enumerate([ref_random_kinematics(rng) for _ in range(3)]):
         yield f"H-random-{i}", [named_operator("H", k)], 256
     gammas = [weyl_gamma(mu) for mu in range(4)]
     yield "dirac-32", gammas, 1024
@@ -383,7 +385,8 @@ def test_screen_certifies_h_at_random_points():
     # H = m^2 Xi Xi^dag is Hermitian positive definite and not I for p > 0,
     # so its group is infinite: its trace or its eigenvalues prove it.
     kinds = set()
-    for k in _drawn(np.random.default_rng(18), 2000, KinematicPoint):
+    rng = np.random.default_rng(18)
+    for k in [ref_random_kinematics(rng) for _ in range(2000)]:
         with pytest.raises(CapExceeded) as err:
             generate_group([named_operator("H", k)], cap=64)
         stop = err.value

@@ -30,9 +30,13 @@ to see whether a change altered any of these cases:
   again with its input files and run with ``--format text``, so that every
   command, ``cayley``, ``classify`` and ``dual`` included, reaches the text
   renderer.  A cayley argv asked for csv gives its text report instead.
+* ``blocks``: ``table1`` at ``--trials`` 255, 256, 257 and 600, and
+  ``verify-theorems``, ``embed`` and ``spinor-spaces`` at 257, so that each
+  seeded suite runs more than one block of trials.  No argv of the sets
+  above does: they run at most 251 points.
 
-The ``text cli-cold`` lines come last, so a listing of a tree that predates
-them is a prefix of this listing.
+The ``text cli-cold`` and then the ``blocks`` lines come last, so a listing of
+a tree that predates them is a prefix of this listing.
 
 The script writes nothing under TREE: bytecode is not cached.
 """
@@ -213,6 +217,11 @@ def main(argv) -> int:
             for i, req in enumerate(workload.cycle(0)):
                 argv = req.argv + ["--format", "text"]
                 print(f"text cli-cold {seed} {i} {req.kind}", run_cli(cli_main, argv, places))
+
+    blocks = [["table1", "--trials", n] for n in ("255", "256", "257", "600")]
+    blocks += [[s, "--trials", "257"] for s in ("verify-theorems", "embed", "spinor-spaces")]
+    for argv in blocks:
+        print("blocks", *argv, run_cli(cli_main, argv, {str(tree): "<tree>"}))
     return 0
 
 
