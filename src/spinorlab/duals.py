@@ -14,7 +14,7 @@ with E = sqrt(p^2 + m^2) always recomputed, never trusted from input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,37 +35,38 @@ class InvalidOperatorError(ValueError):
     """A matrix fails the Delta or Omega validity condition."""
 
 
-@dataclass(frozen=True)
-class KinematicPoint:
+class KinematicPoint(NamedTuple("KinematicPoint", [("m", float), ("p", float), ("theta", float),
+                                                   ("phi", float), ("E", float)])):
     """On-shell kinematics (m, p, theta, phi) with derived energy E.
 
     E is computed from m and p at construction; supplying an explicit E is
     only a cross-check and must agree with sqrt(p^2 + m^2) to 1e-12.  All
-    parameters and the energy must be finite.
+    parameters, the energy and m^4 must be finite.
     """
 
-    m: float
-    p: float
-    theta: float
-    phi: float
-    E: float = None  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.m, self.p, self.theta, self.phi))):
-            raise KinematicsError(f"kinematics must be finite, got {self}")
-        if not self.m > 0:
-            raise KinematicsError(f"mass must be positive, got {self.m}")
-        if self.p < 0:
-            raise KinematicsError(f"momentum must be nonnegative, got {self.p}")
-        energy = math.sqrt(self.p * self.p + self.m * self.m)
+    def __new__(cls, m, p, theta, phi, E=None):
+        given = super().__new__(cls, m, p, theta, phi, E)
+        if not all(map(math.isfinite, given[:4])):
+            raise KinematicsError(f"kinematics must be finite, got {given}")
+        if not m > 0:
+            raise KinematicsError(f"mass must be positive, got {m}")
+        if p < 0:
+            raise KinematicsError(f"momentum must be nonnegative, got {p}")
+        energy = math.sqrt(p * p + m * m)
         if not math.isfinite(energy):
-            raise KinematicsError(f"energy sqrt(p^2+m^2) overflows at p={self.p}")
+            raise KinematicsError(f"energy sqrt(p^2+m^2) overflows at p={p}")
+        try:
+            math.pow(m, 4)  # raises where the m ** 4 of the operator terms does
+        except OverflowError:
+            raise KinematicsError(f"m^4 at m={m} is outside the representable range") from None
         tol = ONSHELL_TOL * max(1.0, energy)
-        if self.E is not None and not abs(self.E - energy) <= tol:  # NaN E fails
-            raise KinematicsError(
-                f"off-shell kinematics: E={self.E} but sqrt(p^2+m^2)={energy}"
-            )
-        object.__setattr__(self, "E", energy)
+        if E is not None and not abs(E - energy) <= tol:  # NaN E fails
+            raise KinematicsError(f"off-shell kinematics: E={E} but sqrt(p^2+m^2)={energy}")
+        return super().__new__(cls, m, p, theta, phi, energy)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its point too
 
     def as_dict(self) -> dict:
         return {
@@ -249,8 +250,7 @@ def _require_momentum(p):
 # -- validity ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorValidation:
+class OperatorValidation(NamedTuple):
     """Outcome of a Delta/Omega validity check; truthy when it passed.  Of a
     stack, ``ok``, ``residual`` and ``det`` hold one entry per matrix."""
 
@@ -375,8 +375,7 @@ def random_delta(seed) -> np.ndarray:
             return delta
 
 
-@dataclass(frozen=True)
-class DeltaBlocks:
+class DeltaBlocks(NamedTuple):
     """The three independent blocks of a valid Delta."""
 
     A: np.ndarray

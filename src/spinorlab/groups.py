@@ -8,7 +8,7 @@ membership tests for the Lipschitz / Pin / Spin chain.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class CapExceeded(RuntimeError):
 # -- closure of Omega sets -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Pairwise commutation scan result; truthy iff every pair commutes."""
 
     commutes: bool
@@ -71,13 +70,13 @@ def check_abelian_closure(candidates, k: KinematicPoint) -> ClosureReport:
 # -- finite matrix groups --------------------------------------------------------
 
 
-@dataclass
 class FiniteMatrixGroup:
-    """Deduplicated element list with its Cayley table (index-valued)."""
+    """Deduplicated element list with its Cayley table (index-valued); its size is ``order``."""
 
-    elements: list
-    labels: list
-    table: np.ndarray
+    __slots__ = ("elements", "labels", "table")
+
+    def __init__(self, elements: list, labels: list, table: np.ndarray):
+        self.elements, self.labels, self.table = elements, labels, table
 
     @property
     def order(self) -> int:
@@ -279,8 +278,7 @@ def _compose_label(a: str, b: str) -> str:
     return f"{a}·{b}"
 
 
-@dataclass(frozen=True)
-class GroupIdentification:
+class GroupIdentification(NamedTuple):
     """A group's name (orders <= 4 resolved exactly) and its order."""
 
     name: str
@@ -302,8 +300,7 @@ def identify_group(group: FiniteMatrixGroup) -> GroupIdentification:
 # -- orbits of dual spinors --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     """Partition of supplied duals into orbit classes."""
 
     classes: list
@@ -352,8 +349,7 @@ def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> 
 # -- Clifford group hierarchy ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipRecord:
+class MembershipRecord(NamedTuple):
     """Flags for the chain Spin+ ⊂ Pin ⊂ Lipschitz ⊂ units of Cl(1,3)."""
 
     even: bool

@@ -10,7 +10,7 @@ alpha(h) = h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,18 +33,23 @@ class InvolutionConditionError(ValueError):
     """The (alpha, h, f) triple fails an adjoint-involution condition."""
 
 
-@dataclass(frozen=True)
-class Idempotent:
+class Idempotent(NamedTuple("Idempotent", [("value", Multivector)])):
     """Multivector f with f*f = f (within ``ROUNDING_TOL`` on coefficients)."""
 
-    value: Multivector
-    residual: object = field(init=False, repr=False, compare=False)  #: distance of f f from f
+    residual: object  #: distance of f f from f, measured at construction; not a field
 
-    def __post_init__(self):
-        residual = coefficient_distance(self.value * self.value, self.value)
+    def __new__(cls, value: Multivector):
+        residual = coefficient_distance(value * value, value)
         if not residual <= ROUNDING_TOL:  # NaN is not idempotent
             raise ValueError(f"not idempotent: residual {residual:.3e}")
+        self = super().__new__(cls, value)
         object.__setattr__(self, "residual", residual)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace measures its f too
 
 
 def canonical_idempotent(mode: str = "complex") -> Idempotent:
@@ -84,8 +89,7 @@ def _independent_rows(vectors: np.ndarray, scalars: str) -> list:
     return [Multivector._of(vectors[i]) for i in np.flatnonzero(np.diff(ranks, prepend=0))]
 
 
-@dataclass(frozen=True)
-class IdealBasis:
+class IdealBasis(NamedTuple):
     """Independent generators of Cl·f (or f·Cl) over the chosen scalars."""
 
     generators: list
@@ -119,8 +123,7 @@ def project_onto_ideal(a: Multivector, basis: IdealBasis) -> float:
 # -- division rings ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingReport:
+class RingReport(NamedTuple):
     """Identification of the spinor scalar ring f·Cl·f."""
 
     name: str

@@ -7,9 +7,9 @@ complex image of the even subalgebra (isomorphic to M2(C)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,14 +27,16 @@ def _hamilton(a1, b1, c1, d1, a2, b2, c2, d2) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """q = a + b i + c j + d k with real components."""
+class Quaternion(NamedTuple):
+    """q = a + b i + c j + d k with real components.  A value: it refuses the
+    tuple's + and ordering, and numpy defers to its own product."""
 
     a: float = 0.0
     b: float = 0.0
     c: float = 0.0
     d: float = 0.0
+
+    __add__ = __radd__ = __lt__ = __le__ = __gt__ = __ge__ = __array_ufunc__ = None
 
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
@@ -71,7 +73,7 @@ def _m2c(q: np.ndarray) -> np.ndarray:
 
 def quat_to_m2c(q: Quaternion) -> np.ndarray:
     """Standard embedding q -> [[a+ib, c+id], [-c+id, a-ib]]."""
-    return _m2c(np.array(q.as_list(), dtype=float))
+    return _m2c(np.array(q, dtype=float))
 
 
 class QuatMatrix2:
@@ -81,8 +83,7 @@ class QuatMatrix2:
     __slots__ = ("q",)
 
     def __init__(self, q11: Quaternion, q12: Quaternion, q21: Quaternion, q22: Quaternion):
-        self.q = np.array([[q11.as_list(), q12.as_list()],
-                           [q21.as_list(), q22.as_list()]], dtype=float)
+        self.q = np.array([[q11, q12], [q21, q22]], dtype=float)
         self.q.flags.writeable = False
 
     @classmethod
@@ -153,8 +154,7 @@ _ROWS, _COLS = np.repeat([1, 3], 4), np.tile(np.arange(4), 2)
 _SIGNS = np.where(_COLS % 2, 1, -1)
 
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(NamedTuple):
     """Pattern verdict; for a stack of matrices ``matches`` and ``residual``
     are arrays with one entry per matrix."""
 

@@ -4,7 +4,7 @@ import cmath
 import math
 import sys
 import threading
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -1024,7 +1024,7 @@ def test_conjugates_match_element_by_element_references():
     for x in samples:
         record = membership(x)
         assert record == ref_membership(x)
-        assert all(type(flag) is bool for flag in astuple(record)[:-1])
+        assert all(type(flag) is bool for flag in tuple(record)[:-1])
         lam, ref = outcome(twisted_adjoint, x), outcome(ref_twisted_adjoint, x)
         if isinstance(ref, str):
             assert lam == ref
@@ -1084,7 +1084,7 @@ def copy_of(x):
 def bits(result):
     """A result or error text, with the bits of every float in it."""
     if isinstance(result, MembershipRecord):
-        return astuple(result)[:-1], np.complex128(result.norm).tobytes()
+        return tuple(result)[:-1], np.complex128(result.norm).tobytes()
     return result.tobytes() if isinstance(result, np.ndarray) else result
 
 

@@ -5,6 +5,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ import spinorlab
 from spinorlab import duals, groups, ideals, multivector, quaternions, serialize, weyl
 from spinorlab.duals import KinematicPoint, _delta_from, random_delta, validate_delta, validate_omega
 from spinorlab.groups import CapExceeded, generate_group
+from spinorlab.ideals import canonical_idempotent
 from spinorlab.multivector import gamma, grade_projection, scalar
 from spinorlab.quaternions import (
     Q_I, QuatMatrix2, Quaternion, intertwiner, mv_to_m2h, quaternionic_gamma,
@@ -157,14 +162,21 @@ def test_every_module_level_name_is_read_or_exported():
 
 
 def _members(cls) -> list:
-    """Non-dunder methods, properties and dataclass fields of ``cls``, its
-    package bases included."""
+    """Non-dunder methods, properties and fields that spinorlab defines on ``cls``
+    or its package bases.  A field is annotated (a NamedTuple's) or slotted; what
+    a NamedTuple generates, such as ``_asdict`` and ``_replace``, is not counted."""
     own = [vars(c) for c in cls.__mro__ if c.__module__.startswith("spinorlab")]
-    members = {name for body in own for name, value in body.items()
-               if callable(value) or isinstance(value, (property, classmethod, staticmethod))}
-    if dataclasses.is_dataclass(cls):
-        members |= {f.name for f in dataclasses.fields(cls)}
+    members = {name for body in own for name, value in body.items() if _spinorlab_code(value)}
+    members |= {name for body in own
+                for name in [*body.get("__annotations__", ()), *body.get("__slots__", ())]}
     return sorted(m for m in members if not (m.startswith("__") and m.endswith("__")))
+
+
+def _spinorlab_code(value) -> bool:
+    """Whether a class attribute is a method or property whose code spinorlab holds."""
+    code = getattr(value, "__func__", getattr(value, "fget", value))
+    return (callable(value) or isinstance(value, (property, classmethod, staticmethod))) \
+        and getattr(code, "__module__", "").startswith("spinorlab")
 
 
 ROOT = Path(__file__).parents[1]
@@ -321,3 +333,135 @@ def test_quaternionic_images_are_read_only():
     components = np.zeros((2, 2, 4))
     QuatMatrix2._of(components)
     components[0, 0, 0] = 1.0  # wrapping does not freeze the caller's array
+
+
+# -- result records: NamedTuples, so importing spinorlab builds no dataclass ------------------
+
+
+def records() -> dict:
+    """One instance of each result record, made as spinorlab makes it."""
+    k = KinematicPoint(1.0, 1.0, 0.7, 0.3)
+    f = canonical_idempotent("real")
+    group = generate_group([weyl.weyl_gamma(0)])
+    return {
+        KinematicPoint: (k, ("m", "p", "theta", "phi", "E")),
+        duals.OperatorValidation: (validate_delta(random_delta(0)),
+                                   ("kind", "ok", "residual", "det", "tolerance")),
+        duals.DeltaBlocks: (duals.block_decompose(random_delta(0)), ("A", "B", "C")),
+        groups.ClosureReport: (groups.check_abelian_closure([np.eye(4)], k),
+                               ("commutes", "worst_norm", "worst_pair", "tolerance")),
+        groups.FiniteMatrixGroup: (group, ("elements", "labels", "table")),
+        groups.GroupIdentification: (groups.identify_group(group), ("name", "order")),
+        groups.OrbitPartition: (groups.orbit_partition(group, [np.ones(4)]),
+                                ("classes", "representatives", "orbit_sizes")),
+        groups.MembershipRecord: (groups.membership(gamma(0)), (
+            "even", "invertible", "in_gamma", "in_pin", "in_spin", "in_spin_plus", "norm")),
+        ideals.Idempotent: (f, ("value",)),
+        ideals.IdealBasis: (ideals.ideal_basis(f), ("generators", "side", "scalars")),
+        ideals.RingReport: (ideals.division_ring_identify(f),
+                            ("name", "dimension", "primitive", "profile_ok", "basis")),
+        Quaternion: (Q_I, ("a", "b", "c", "d")),
+        quaternions.PatternReport: (quaternions.is_quaternionic_pattern(np.eye(4)),
+                                    ("matches", "residual")),
+    }
+
+
+def test_no_exported_class_is_a_dataclass():
+    classes = {v for v in vars(spinorlab).values() if inspect.isclass(v)}
+    assert set(records()) - classes == {duals.OperatorValidation}  # returned, not exported
+    assert not [cls.__name__ for cls in classes | set(records()) if dataclasses.is_dataclass(cls)]
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    code = "import sys, spinorlab.cli; print(sorted({'dataclasses', 'spinorlab'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "['spinorlab']"
+
+
+def test_each_record_keeps_its_fields_in_order_and_refuses_assignment():
+    for cls, (record, fields) in records().items():
+        assert type(record) is cls
+        assert tuple(getattr(cls, "_fields", None) or cls.__slots__) == fields, cls
+        if cls is groups.FiniteMatrixGroup:  # a mutable record, as it always was
+            continue
+        assert tuple(record) == tuple(getattr(record, name) for name in fields), cls
+        for name in fields + (("residual",) if cls is ideals.Idempotent else ()):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_a_report_is_truthy_only_when_it_passed():
+    k = KinematicPoint(1.0, 1.0, 0.7, 0.3)
+    g, f = duals.named_operator("G", k), duals.named_operator("F", k)
+    embedded = quaternions.gl2h_embed(QuatMatrix2(Q_I, Q_I, Q_I, Q_I))
+    for passed, failed in [
+        (validate_delta(random_delta(0)), validate_delta(np.zeros((4, 4)))),
+        (groups.check_abelian_closure([g, f], k),
+         groups.check_abelian_closure([g, duals.delta_to_omega(random_delta(1), k)], k)),
+        (quaternions.is_quaternionic_pattern(embedded),
+         quaternions.is_quaternionic_pattern(np.diag([1, 2, 3, 4]))),
+    ]:
+        assert type(passed) is type(failed)
+        assert bool(passed) is True and bool(failed) is False, type(passed)
+
+
+def test_a_value_type_refuses_the_tuple_operations_it_never_had():
+    with pytest.raises(TypeError):
+        Q_I + Q_I
+    with pytest.raises(TypeError):
+        Q_I < Quaternion(0.0, 2.0)
+    assert np.float64(2) * Q_I == Quaternion(0.0, 2.0)  # not numpy's array of components
+    with pytest.raises(TypeError):
+        len(generate_group([weyl.weyl_gamma(0)]))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((float("nan"), 1.0, 0.7, 0.3),
+     "kinematics must be finite, got KinematicPoint(m=nan, p=1.0, theta=0.7, phi=0.3, E=None)"),
+    ((1.0, 1.0, float("inf"), 0.3, 3.0),
+     "kinematics must be finite, got KinematicPoint(m=1.0, p=1.0, theta=inf, phi=0.3, E=3.0)"),
+    ((0.0, 1.0, 0.7, 0.3), "mass must be positive, got 0.0"),
+    ((1.0, -1.0, 0.7, 0.3), "momentum must be nonnegative, got -1.0"),
+    ((1e200, 1.0, 0.7, 0.3), "energy sqrt(p^2+m^2) overflows at p=1.0"),
+    ((1.0, 1e200, 0.7, 0.3), "energy sqrt(p^2+m^2) overflows at p=1e+200"),
+    ((1e100, 1.0, 0.7, 0.3), "m^4 at m=1e+100 is outside the representable range"),
+    ((1.0, 1.0, 0.7, 0.3, 2.0),
+     "off-shell kinematics: E=2.0 but sqrt(p^2+m^2)=1.4142135623730951"),
+    ((1.0, 1.0, 0.7, 0.3, float("nan")),
+     "off-shell kinematics: E=nan but sqrt(p^2+m^2)=1.4142135623730951"),
+])
+def test_a_kinematic_point_refuses_with_its_message(args, message):
+    with pytest.raises(duals.KinematicsError) as caught:
+        KinematicPoint(*args)
+    assert str(caught.value) == message
+
+
+def test_a_kinematic_point_takes_masses_up_to_where_m4_overflows():
+    # Python's m ** 4 raises past the edge; below it the point keeps its terms
+    edge = math.pow(sys.float_info.max, 0.25)
+    refused = 0
+    for m in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+        try:
+            fourth = m ** 4
+        except OverflowError:
+            with pytest.raises(duals.KinematicsError, match="outside the representable range"):
+                KinematicPoint(m, 1.0, 0.7, 0.3)
+            refused += 1
+        else:
+            assert duals._terms(KinematicPoint(m, 1.0, 0.7, 0.3))[-1] == fourth
+    assert 0 < refused < 3
+
+
+def test_replacing_a_field_checks_the_record_again():
+    k = KinematicPoint(1.0, 1.0, 0.7, 0.3)
+    with pytest.raises(duals.KinematicsError, match="mass must be positive, got -1.0"):
+        k._replace(m=-1.0)
+    with pytest.raises(duals.KinematicsError, match="off-shell"):  # E is kept, and checked
+        k._replace(p=2.0)
+    assert KinematicPoint._make([3.0, 4.0, 0.7, 0.3]) == (3.0, 4.0, 0.7, 0.3, 5.0)
+    f = canonical_idempotent("real")
+    with pytest.raises(ValueError, match="not idempotent"):
+        f._replace(value=gamma(1))
+    assert ideals.Idempotent._make([f.value]).residual == f.residual

@@ -67,14 +67,24 @@ def digest(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
+def fields(value) -> tuple:
+    """The field names of a record, in order: a NamedTuple's, a dataclass's (as
+    older trees define records) or the slots of a class whose slots are all
+    public.  Anything else has none, a multivector with its private ``_c`` too."""
+    if dataclasses.is_dataclass(value):
+        return tuple(f.name for f in dataclasses.fields(value))
+    names = getattr(value, "_fields", None) or getattr(type(value), "__slots__", ())
+    return () if any(n.startswith("_") for n in names) else tuple(names)
+
+
 def canonical(value):
     """A comparable form of a job's value: arrays by dtype, shape and bits,
-    dataclasses field by field, everything else by repr."""
+    records field by field, so a record that changed kind reads the same,
+    everything else by repr."""
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
-    if dataclasses.is_dataclass(value):
-        return type(value).__name__, *(canonical(getattr(value, f.name))
-                                       for f in dataclasses.fields(value))
+    if fields(value):
+        return type(value).__name__, *(canonical(getattr(value, f)) for f in fields(value))
     if isinstance(value, (list, tuple)):
         return type(value).__name__, *map(canonical, value)
     return repr(value)
