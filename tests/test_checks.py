@@ -15,7 +15,7 @@ import pytest
 
 from spinorlab import checks, cli, duals, weyl
 from spinorlab.duals import (
-    ELEMENT_NAMES, KinematicPoint, _drawn, block_decompose, closed_form, delta_to_omega,
+    ELEMENT_NAMES, KinematicPoint, block_decompose, closed_form, delta_to_omega,
     named_operator, omega_residual, random_delta, validate_delta, xi,
 )
 from spinorlab.ideals import beta_inner_product, canonical_idempotent, ring_membership_residual
@@ -290,17 +290,6 @@ def test_table1_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert (many - one) / (20 * BLOCK) < 64
-
-
-@pytest.mark.parametrize("n", [1, BLOCK, 300])
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_random_kinematics_draws_as_single_points(seed, n):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    terms = _drawn(rng, n)
-    points = [ref_random_kinematics(ref_rng) for _ in range(n)]
-    # repr tells every float bit pattern apart, and a numpy float from a Python one
-    assert repr(terms) == repr([duals._terms(k) for k in points])
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def first_point_then_residuals(seed, n):

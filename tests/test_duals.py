@@ -387,7 +387,10 @@ def written_out_terms(k):
             complex(math.cos(k.phi), -math.sin(k.phi)), k.m ** 4)
 
 
-@pytest.mark.parametrize("seed, n", [(0, 1), (7, 250), (42, 600)])
+@pytest.mark.parametrize("seed, n", [
+    pytest.param(seed, n, id=f"{seed}-{n}") for seed, n in [
+        (0, 1), (0, 256), (0, 300), (1, 1), (1, 256), (1, 300), (7, 1), (7, 250), (7, 256),
+        (7, 300), (42, 600)]])  # checks draws 256 points to a block
 def test_terms_taken_from_the_draw_are_the_terms_of_its_points(seed, n):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     terms = duals._drawn(rng, n)
