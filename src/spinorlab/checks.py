@@ -4,8 +4,10 @@ Each check draws from the generator it is given, table1's seven operator rows in
 and returns its verdicts: report check objects made by :func:`verdict`, which holds the
 check's name, its tolerance and the direction of its comparison.  What draws nothing, the
 quaternionic Clifford relations and :func:`spinor_space_structure`, is measured once per
-process and cached; each call builds new check objects from it.  After patching a
-``weyl`` tolerance, clear the structure's cache.
+process and cached; each call builds new check objects from it.  A patched threshold
+reaches the structure only once its cache is cleared, and only where it is read:
+``weyl.DET_TOL`` in ``weyl``, whose ``_invertible`` reads it at call time; any other in the
+module that imported it, as ``checks.RANK_TOL`` (patching ``weyl.RANK_TOL`` changes nothing).
 
 Trials run in blocks of at most ``_BLOCK``, and a block's draws go before the next block
 is drawn, so memory stays bounded.  A block draws its numbers in one call, in the order a

@@ -1,24 +1,31 @@
-"""Known defects: one table of reproducers, and the tests that hold them.
+"""Known defects and refused inputs: two tables, and the tests that hold them.
 
 ``REPRODUCERS`` is the one list of the command lines where a verdict is
 still wrong, or was wrong and is now refused.  A row is ``label: (argv,
-reason)``.  Its argv names its input files by placeholder (``PSI``,
-``OMEGA``, ``DUALS``, ``PSI_DUALS``, ``UNIT``); ``write_inputs`` writes them.
-Its reason is its id in the benchmark's ledger,
+reason)``.  Its reason is its id in the benchmark's ledger,
 ``perfbench/known_defects.json``, or, for a defect the ledger does not list,
-the ROADMAP item that would mend it.  ``tools/same_outputs.py`` hashes the
-outputs of every row, in this order.
+the ROADMAP item that would mend it.  Each test reads its argv from the
+table by label and asserts what a correct program does.  A defect's case is
+a strict expected failure that fails with an AssertionError while the defect
+stands.  A change that mends a defect, or changes its verdict, makes its
+case pass unexpectedly, and that fails the suite until the mark is removed.
 
-Each test reads its argv from the table by label and asserts what a correct
-program does.  A defect's case is a strict expected failure that fails with
-an AssertionError while the defect stands.  A change that mends a defect,
-or changes its verdict, makes its case pass unexpectedly, and that fails the
-suite until the mark is removed.
+``REFUSALS`` is the one list of the command lines that must be refused with
+a documented exit code from 2 to 5 (README, "Command line").  A row is
+``label: (argv, exit code, last stderr line)``.  One test runs every row and
+checks its code, an empty stdout, no warning and no traceback, its last
+stderr line and, unless argparse refused it, that this is the only line.
+
+The argvs of both tables name input files by placeholder (``PSI``,
+``BIG``, ``MISSING``, ...); ``write_inputs`` writes them.
+``tools/same_outputs.py`` hashes the outputs of every row of both tables, in
+this order.
 """
 
 import contextlib
 import io
 import json
+import re
 import runpy
 import traceback
 import warnings
@@ -92,13 +99,101 @@ REPRODUCERS = {
                          "ROADMAP item 14: verify-theorems raises LinAlgError at m = 1e-8"),
 }
 
+SINGULAR = "kinematics error: F and FG are singular at p = 0"
+NOT_UTF8 = "input error: invalid JSON in ..."
+
+#: label: (argv, exit code, last stderr line); a line that holds a path or an OS
+#: message is matched up to the row's "...".
+REFUSALS = {
+    "dual-psi-overflow": (["dual", "--psi", "BIG"], 3,
+                          "input error: psi is too large: its dual overflows"),
+    "dual-psi-not-a-spinor": (["dual", "--psi", "NOT_A_SPINOR"], 3,
+                              "input error: spinor JSON must be an array of 4 [re, im] pairs"),
+    "dual-psi-missing": (["dual", "--psi", "MISSING"], 3, "input error: cannot read ..."),
+    "dual-psi-nan": (["dual", "--psi", "NAN"], 3, "input error: bad numeric value nan"),
+    "dual-psi-1e400": (["dual", "--psi", "INF"], 3, "input error: bad numeric value inf"),
+    "dual-psi-minus-infinity": (["dual", "--psi", "MINUS_INF"], 3,
+                                "input error: bad numeric value -inf"),
+    "dual-psi-zero-denominator": (["dual", "--psi", "ZERO_DENOMINATOR"], 3,
+                                  "input error: bad exact value [1, 0]"),
+    "dual-psi-true": (["dual", "--psi", "TRUE"], 3, "input error: bad numeric value True"),
+    "dual-psi-false": (["dual", "--psi", "FALSE"], 3, "input error: bad numeric value False"),
+    "dual-psi-true-numerator": (["dual", "--psi", "TRUE_NUMERATOR"], 3,
+                                "input error: bad exact value [True, 1]"),
+    "dual-psi-true-denominator": (["dual", "--psi", "TRUE_DENOMINATOR"], 3,
+                                  "input error: bad exact value [1, True]"),
+    "dual-psi-big-integer": (["dual", "--psi", "BIG_INT"], 3,
+                             "input error: exact value too large for a float"),
+    "dual-omega-big-integer": (["dual", "--psi", "PSI", "--omega", "BIG_INT_OMEGA"], 3,
+                               "input error: exact value too large for a float"),
+    "dual-psi-not-utf8": (["dual", "--psi", "NOT_UTF8"], 3, NOT_UTF8),
+    "dual-omega-not-utf8": (["dual", "--psi", "PSI", "--omega", "NOT_UTF8"], 3, NOT_UTF8),
+    "classify-duals-not-utf8": (["classify", "--duals", "NOT_UTF8"], 3, NOT_UTF8),
+    "dual-psi-nested-deeply": (["dual", "--psi", "DEEP"], 3, "input error: JSON in ..."),
+    "classify-duals-object": (["classify", "--duals", "DUALS_OBJECT"], 3,
+                              "input error: duals JSON must be a list of spinor rows"),
+    "dual-energy=9.0": (["dual", "--psi", "PSI", "--energy", "9.0"], 4,
+                        "kinematics error: off-shell kinematics: E=9.0 but "
+                        "sqrt(p^2+m^2)=1.4142135623730951"),
+    "table1-mass=-2": (["table1", "--mass", "-2"], 4,
+                       "kinematics error: mass must be positive, got -2.0"),
+    "table1-momentum=0": (["table1", "--momentum", "0"], 4, SINGULAR),
+    "cayley-momentum=0": (["cayley", "--momentum", "0"], 4, SINGULAR),
+    "classify-momentum=0": (["classify", "--duals", "PSI_DUALS", "--momentum", "0"], 4, SINGULAR),
+    **{f"table1-{flag}={value}": (["table1", "--trials", "2", f"--{flag}={value}"], 4,
+                                  "kinematics error: kinematics must be finite, got "
+                                  f"KinematicPoint({point}, E=None)")
+       for flag, value, point in [("momentum", "nan", "m=1.0, p=nan, theta=0.7, phi=0.3"),
+                                  ("theta", "inf", "m=1.0, p=1.0, theta=inf, phi=0.3"),
+                                  ("phi", "-inf", "m=1.0, p=1.0, theta=0.7, phi=-inf"),
+                                  ("mass", "inf", "m=inf, p=1.0, theta=0.7, phi=0.3")]},
+    "table1-momentum=1e200": (["table1", "--trials", "2", "--momentum", "1e200"], 4,
+                              "kinematics error: energy sqrt(p^2+m^2) overflows at p=1e+200"),
+    "table1-energy=nan": (["table1", "--trials", "2", "--energy", "nan"], 4,
+                          "kinematics error: off-shell kinematics: E=nan but "
+                          "sqrt(p^2+m^2)=1.4142135623730951"),
+    "dual-omega-not-valid": (["dual", "--psi", "PSI", "--omega", "IMAGINARY_OMEGA"], 5,
+                             "operator error: not a valid Omega: constraint residual 2.000e+00 "
+                             "(tolerance 1.0e-10), |det| = 1.000e+00"),
+    "dual-output-unwritable": (["dual", "--psi", "PSI", "--output", "UNWRITABLE"], 2,
+                               "usage error: cannot write ..."),
+    "embed-format=csv": (["embed", "--format", "csv", "--trials", "5"], 2,
+                         "csv format is only available for cayley"),
+    # argparse writes its usage, then the error line
+    **{f"{command}-{flag}={value}": ([command, f"--{flag}", value, *more], 2,
+                                     f"spinorlab {command}: error: argument --{flag}: {error}")
+       for command, flag, value, more, error in [
+           ("verify-theorems", "trials", "0", [], "must be at least 1, got 0"),
+           ("embed", "trials", "-3", [], "must be at least 1, got -3"),
+           ("verify-theorems", "seed", "-1", ["--trials", "2"], "must be at least 0, got -1"),
+           ("table1", "seed", "-1", ["--trials", "2"], "must be at least 0, got -1"),
+           ("embed", "seed", "-1", ["--trials", "2"], "must be at least 0, got -1"),
+           ("spinor-spaces", "seed", "-1", ["--trials", "2"], "must be at least 0, got -1"),
+           ("table1", "seed", "abc", [], "must be an integer, got 'abc'"),
+           ("table1", "trials", "1e3", [], "must be an integer, got '1e3'"),
+           ("table1", "tolerance", "abc", [], "must be a number, got 'abc'"),
+           ("table1", "tolerance", "nan", [], "must be finite and >= 0, got nan"),
+           ("table1", "tolerance", "inf", [], "must be finite and >= 0, got inf"),
+           ("cayley", "tolerance", "-1e-9", [], "must be finite and >= 0, got -1e-9")]},
+    # the last flag of each argv is one its command does not read
+    **{f"{argv[0]}-{argv[-2][2:]}-unread": (
+        argv, 2, f"spinorlab: error: unrecognized arguments: {' '.join(argv[-2:])}")
+       for argv in [["cayley", "--seed", "3"], ["dual", "--psi", "psi.json", "--trials", "5"],
+                    ["embed", "--tolerance", "1e-3"], ["verify-theorems", "--tolerance", "1e-3"],
+                    ["classify", "--duals", "duals.json", "--seed", "1"]]},
+}
+
 
 def write_inputs(tmp: Path) -> tuple:
     """Write each placeholder's file to ``tmp``.  Returns the placeholder-to-path
     map and DUALS's orbits under GXiDagger, as sorted lists of row positions."""
-    def write(name, obj):
-        (tmp / name).write_text(dump_json(obj))
-        return str(tmp / name)
+    def write(name, obj):  # text and bytes as they are, anything else as JSON
+        path = tmp / name
+        if isinstance(obj, bytes):
+            path.write_bytes(obj)
+        else:
+            path.write_text(obj if isinstance(obj, str) else dump_json(obj))
+        return str(path)
 
     # As the benchmark builds its duals: 1-4 images of each of 10 random rows
     # under the group, shuffled.
@@ -121,22 +216,44 @@ def write_inputs(tmp: Path) -> tuple:
         "DUALS": write("duals.json", [spinor_to_obj(rows[i]) for i in order]),
         "PSI_DUALS": write("psi-duals.json", [spinor_to_obj(PSI)]),
         "UNIT": write("unit.json", [[1, 0], [0, 0], [0, 0], [0, 0]]),
+        "BIG": write("big.json", "[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]"),
+        "NOT_A_SPINOR": write("bad.json", '{"not": "a spinor"}'),
+        "MISSING": str(tmp / "missing.json"),  # not written
+        "NAN": write("nan.json", "[[NaN, 0], [0, 0], [0, 0], [1, 0]]"),
+        "INF": write("inf.json", "[[1e400, 0], [0, 0], [0, 0], [1, 0]]"),
+        "MINUS_INF": write("minus-inf.json", "[[1, 0], [0, -Infinity], [0, 0], [1, 0]]"),
+        "ZERO_DENOMINATOR": write("zero-den.json", "[[[1, 0], 0], [0, 0], [0, 0], [1, 0]]"),
+        "TRUE": write("true.json", "[[true, 0], [0, 0], [0, 0], [0, 0]]"),
+        "FALSE": write("false.json", "[[0, false], [0, 0], [0, 0], [1, 0]]"),
+        "TRUE_NUMERATOR": write("true-num.json", "[[[true, 1], 0], [0, 0], [0, 0], [1, 0]]"),
+        "TRUE_DENOMINATOR": write("true-den.json", "[[[1, true], 0], [0, 0], [0, 0], [1, 0]]"),
+        "BIG_INT": write("big-int.json", f"[[{10**400}, 0], [0, 0], [0, 0], [1, 0]]"),
+        "BIG_INT_OMEGA": write("big-int-omega.json", [
+            [[10**400 if i == j == 0 else int(i == j), 0] for j in range(4)] for i in range(4)]),
+        "NOT_UTF8": write("not-utf8.json", b"\xff\xfe[[1,0]]"),
+        "DEEP": write("deep.json", "[" * 100_000 + "]" * 100_000),
+        "DUALS_OBJECT": write("duals-object.json", {"row": spinor_to_obj(np.ones(4))}),
+        "IMAGINARY_OMEGA": write("omega-i.json", matrix_to_obj(1j * np.eye(4))),
+        "UNWRITABLE": str(tmp / "missing-dir" / "out.json"),  # in no directory
     }
     return files, sorted(orbits.values())
 
 
-def with_files(label, files: dict) -> list:
-    """The argv of ``label`` with each placeholder replaced by its file."""
-    return [files.get(arg, arg) for arg in REPRODUCERS[label][0]]
+def with_files(argv, files: dict) -> list:
+    """``argv`` with each placeholder replaced by its file."""
+    return [files.get(arg, arg) for arg in argv]
 
 
 def run(argv) -> tuple:
-    """Exit code, stdout and stderr of one command run in process; an exception
-    that escapes ``main`` exits 1 with its traceback, as it does in a process."""
+    """Exit code, stdout and stderr of one command run in process.  argparse's
+    refusal exits with its code; an exception that escapes ``main`` exits 1
+    with its traceback, as it does in a process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
         except Exception:  # noqa: BLE001 - an escaped error is the outcome
             traceback.print_exc()
             code = 1
@@ -144,7 +261,7 @@ def run(argv) -> tuple:
 
 
 def run_row(label, tmp: Path) -> tuple:
-    return run(with_files(label, write_inputs(tmp)[0]))
+    return run(with_files({**REPRODUCERS, **REFUSALS}[label][0], write_inputs(tmp)[0]))
 
 
 def strict_json(text: str):
@@ -170,7 +287,7 @@ def test_a_valid_input_passes_every_check(label, tmp_path):
 @pytest.mark.parametrize("label", defects("classify-gxidagger"))
 def test_classify_finds_the_gxidagger_orbits_at_high_momentum(label, tmp_path):
     files, orbits = write_inputs(tmp_path)
-    code, out, _ = run(with_files(label, files))
+    code, out, _ = run(with_files(REPRODUCERS[label][0], files))
     assert code == 0
     assert sorted(json.loads(out)["payload"]["classes"].values()) == orbits
 
@@ -187,11 +304,48 @@ def test_every_ledgered_reason_is_a_ledger_entry():
 def test_same_outputs_hashes_each_row_once(tmp_path):
     cases = list(runpy.run_path(str(ROOT / "tools" / "same_outputs.py"))["defect_argvs"](tmp_path))
     labels = [label for label, _ in cases]
-    assert labels == [*REPRODUCERS, "dual-psi-overflow"]
+    assert labels == [*REPRODUCERS, *REFUSALS]
     assert len(set(labels)) == len(labels)
-    for (label, argv), table in zip(cases, [argv for argv, _ in REPRODUCERS.values()]):
+    tables = [row[0] for row in [*REPRODUCERS.values(), *REFUSALS.values()]]
+    for (label, argv), table in zip(cases, tables, strict=True):
         assert not [arg for arg in argv if arg.isupper()], f"{label}: a placeholder is left"
-        assert all(Path(arg).is_file() for arg, was in zip(argv, table) if arg != was), label
+        # every placeholder but the two that name no file became a file
+        assert all(Path(arg).is_file() != (was in ("MISSING", "UNWRITABLE"))
+                   for arg, was in zip(argv, table) if arg != was), label
+
+
+# -- refused inputs ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", REFUSALS)
+def test_a_bad_input_is_refused(label, tmp_path):
+    _, want_code, want = REFUSALS[label]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_row(label, tmp_path)
+    lines = err.splitlines()
+    assert "Traceback" not in err, lines[-1]
+    assert (code, out, [str(w.message) for w in caught]) == (want_code, "", [])
+    assert lines[-1] == want or want.endswith("...") and lines[-1].startswith(want[:-3])
+    if want.startswith("spinorlab"):  # argparse's refusal, after its usage lines
+        assert not re.search(r"(?<!\w)_\w", err), "a _-prefixed name"
+    else:
+        assert len(lines) == 1
+
+
+def test_an_unwritable_output_creates_no_file(tmp_path):
+    files = write_inputs(tmp_path)[0]
+    err = run(with_files(REFUSALS["dual-output-unwritable"][0], files))[2]
+    assert err.startswith(f"usage error: cannot write {files['UNWRITABLE']}: ")
+    assert not Path(files["UNWRITABLE"]).exists()
+
+
+def test_every_documented_refusal_code_has_a_row():
+    readme = (ROOT / "README.md").read_text()
+    paragraph = re.search(r"^Exit codes:.*?\n\n", readme, re.M | re.S)[0]
+    named = {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
+    codes = {code for _, code, _ in REFUSALS.values()}
+    assert named & set(range(2, 6)) <= codes <= named
 
 
 # -- defects the ledger does not list ---------------------------------------------

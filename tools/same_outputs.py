@@ -21,12 +21,13 @@ to see whether a change altered any of these cases:
 * ``text``: each suites-warm argv of cycle 0, run again with
   ``--format text``.
 * ``defects``: each row of the table of reproducers in
-  ``tests/test_known_defects.py``, in its order, with the input files that
-  file writes, then ``dual`` on a finite psi whose dual overflows, as
-  ``tests/test_cli.py`` writes it.  The table comes from this script's own
-  checkout, so the listings of two trees run the same argvs.  These are the
-  overflow, underflow and tolerance regimes, where a change of arithmetic
-  shows first.
+  ``tests/test_known_defects.py``, in its order, then each row of its table
+  of refused inputs, the first of them ``dual`` on a finite psi whose dual
+  overflows, with the input files that file writes.  The tables come from
+  this script's own checkout, so the listings of two trees run the same
+  argvs.  The reproducers are the overflow, underflow and tolerance regimes,
+  where a change of arithmetic shows first; the refusals are every exit
+  from 2 to 5, where a change of message or of code shows.
 * ``text cli-cold``: each cli-cold argv of cycle 0 for seeds 1-10, drawn
   again with its input files and run with ``--format text``, so that every
   command, ``cayley``, ``classify`` and ``dual`` included, reaches the text
@@ -110,14 +111,13 @@ def run_cli(main, argv, places: dict) -> str:
 
 
 def defect_argvs(tmp: Path):
-    """(label, argv) of each reproducer, writing its input files to ``tmp``."""
-    from test_known_defects import REPRODUCERS, with_files, write_inputs
+    """(label, argv) of each reproducer, then of each refusal, writing their
+    input files to ``tmp``."""
+    from test_known_defects import REFUSALS, REPRODUCERS, with_files, write_inputs
 
     files, _ = write_inputs(tmp)
-    for label in REPRODUCERS:
-        yield label, with_files(label, files)
-    (tmp / "big.json").write_text("[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]")
-    yield "dual-psi-overflow", ["dual", "--psi", str(tmp / "big.json")]
+    for label, (argv, *_) in [*REPRODUCERS.items(), *REFUSALS.items()]:
+        yield label, with_files(argv, files)
 
 
 def main(argv) -> int:
