@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__, checks
 from .duals import (
-    InvalidOperatorError, KinematicPoint, KinematicsError, _named_operators, dual_of,
-    named_operator, validate_omega,
+    InvalidOperatorError, KinematicPoint, KinematicsError, _named_operators, closed_form,
+    dual_of, named_operator, validate_omega,
 )
 from .groups import group_from_elements, identify_group, orbit_partition
 from .serialize import (
@@ -97,7 +97,7 @@ def _suite_table1(args) -> dict:
 def _named_group(name: str, k: KinematicPoint, tol: float):
     g = named_operator("G", k)
     if name == "GF":
-        f = named_operator("F", k)
+        f = closed_form("F", k)  # (m/2p)[g0, Xi] cancels to size p/m; this does not
         elements = [np.eye(4, dtype=complex), g, f, f @ g]
         labels = ["I", "G", "F", "FG"]
     else:
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (suite, flags, tolerance) in COMMANDS.items():
         p = sub.add_parser(name, help=suite.__doc__)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.set_defaults(suite=suite, tolerance=tolerance)
+        p.set_defaults(suite=suite, tolerance=tolerance, parser=p)
         if tolerance is not None:
             flags += ("--tolerance",)
         for flag in flags + ("--format", "--output"):
@@ -299,7 +299,9 @@ def _emit(report: dict, args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # refused by the command's parser, which names the command
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     if args.fmt == "csv" and args.command != "cayley":
         print("csv format is only available for cayley", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,5 @@
-"""Known defects and refused inputs: two tables, and the tests that hold them.
+"""Known defects, refused inputs and valid reports: three tables, and the tests
+that hold them.
 
 ``REPRODUCERS`` is the one list of the command lines where a verdict is
 still wrong, or was wrong and is now refused.  A row is ``label: (argv,
@@ -16,10 +17,18 @@ a documented exit code from 2 to 5 (README, "Command line").  A row is
 checks its code, an empty stdout, no warning and no traceback, its last
 stderr line and, unless argparse refused it, that this is the only line.
 
-The argvs of both tables name input files by placeholder (``PSI``,
+``REPORTS`` is the one list of the command lines that must give a report,
+and the one place where each command's check names and stated tolerances
+are written (``BOUNDS``).  A row is ``label: (argv, status, {check name:
+tolerance})``.  One test runs every row and checks its exit code, an empty
+stderr, no warning and no traceback, a strict-JSON report of that suite and
+status with those checks in that order, a byte-identical rerun, and its text
+rendering.
+
+The argvs of all three tables name input files by placeholder (``PSI``,
 ``BIG``, ``MISSING``, ...); ``write_inputs`` writes them.
-``tools/same_outputs.py`` hashes the outputs of every row of both tables, in
-this order.
+``tools/same_outputs.py`` hashes the outputs of every row of the three
+tables, in this order.
 """
 
 import contextlib
@@ -177,10 +186,81 @@ REFUSALS = {
            ("cayley", "tolerance", "-1e-9", [], "must be finite and >= 0, got -1e-9")]},
     # the last flag of each argv is one its command does not read
     **{f"{argv[0]}-{argv[-2][2:]}-unread": (
-        argv, 2, f"spinorlab: error: unrecognized arguments: {' '.join(argv[-2:])}")
+        argv, 2, f"spinorlab {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}")
        for argv in [["cayley", "--seed", "3"], ["dual", "--psi", "psi.json", "--trials", "5"],
                     ["embed", "--tolerance", "1e-3"], ["verify-theorems", "--tolerance", "1e-3"],
                     ["classify", "--duals", "duals.json", "--seed", "1"]]},
+}
+
+
+#: each command's checks in report order, with the tolerance each states at default flags
+BOUNDS = {
+    "verify-theorems": {
+        "block-structure-validation": 1e-10, "block-hermiticity": 1e-12,
+        "generic-matrix-rejection": 0.0, "adjoint-fixed-points": 1e-12,
+        "adjoint-imaginary-detection": 1e-7, "closure-commuting-products": 1e-9,
+        "closure-noncommuting-detection": 1e-6, "inverse-closure-lemma": 1e-9,
+        "determinant-transport": 1e-9,
+    },
+    "table1": {
+        "row-G": 1e-9, "row-F": 1e-9, "row-FG": 1e-9, "row-XiDagger": 1e-9,
+        "row-GXiDagger": 1e-9, "row-H": 1e-9, "row-Hinv": 1e-9,
+    },
+    "cayley": {"closure": 1e-9, "identified-K4": 0.0},
+    "classify": {"orbit-sizes-divide-order": 0.0},
+    "embed": {
+        "quaternion-clifford-relations": 0.0, "gl2h-homomorphism": 1e-10, "pattern-dof": 0.0,
+        "pattern-detection": 0.0, "invertibility-transport": 0.0,
+        "even-block-multiplicativity": 1e-10, "intertwined-representations": 1e-9,
+    },
+    "spinor-spaces": {
+        "complex-idempotency": 1e-12, "complex-projector-rank-1": 0.0,
+        "real-idempotency": 1e-12, "ideal-dimension-complex-left": 0.0,
+        "ideal-dimension-complex-right": 0.0, "ideal-dimension-real-left": 0.0,
+        "division-ring-complex-is-C": 0.0, "division-ring-real-is-H": 0.0,
+        "beta-in-ring": 1e-10, "involution-conditions": 0.0,
+        "beta-matches-matrix-adjoint": 1e-10,
+    },
+    "dual": {"omega-validity": 1e-10},
+}
+KFLAGS = ["--mass", "1", "--momentum", "1", "--theta", "0.7", "--phi", "0.3"]
+
+#: label: (argv, status, {check name: stated tolerance} in report order)
+REPORTS = {
+    # at each command's stated bounds; the trial counts from 255 up run more than one block
+    **{label: (argv, "pass", BOUNDS[argv[0]]) for label, argv in [
+        ("verify-theorems-trials-5", ["verify-theorems", "--trials", "5"]),
+        ("verify-theorems-seed-3", ["verify-theorems", "--seed", "3", "--trials", "12"]),
+        ("verify-theorems-seed-7", ["verify-theorems", "--seed", "7", "--trials", "15"]),
+        ("verify-theorems-seed-42", ["verify-theorems", "--seed", "42", "--trials", "40"]),
+        ("verify-theorems-trials-257", ["verify-theorems", "--trials", "257"]),
+        ("table1-trials-5", ["table1", "--trials", "5"]),
+        ("table1-seed-3", ["table1", "--seed", "3", "--trials", "12", *KFLAGS]),
+        ("table1-trials-25", ["table1", "--trials", "25", *KFLAGS]),
+        *((f"table1-trials-{n}", ["table1", "--trials", n]) for n in ("255", "256", "257", "600")),
+        ("cayley-gxidagger", ["cayley", "--group", "GXiDagger"]),
+        ("cayley-gxidagger-kinematics", ["cayley", "--group", "GXiDagger", *KFLAGS]),
+        # F from its closed form: its defining expression cancels to size p/m
+        ("cayley-momentum-1e-8", ["cayley", "--momentum", "1e-8"]),
+        ("cayley-mass-1e8", ["cayley", "--mass", "1e8"]),
+        ("cayley-mass-1e76", ["cayley", "--mass", "1e76"]),
+        ("classify-psi", ["classify", "--duals", "PSI_DUALS"]),
+        ("classify-gf-kinematics", ["classify", "--group", "GF", "--duals", "DUALS", *KFLAGS]),
+        ("classify-momentum-1e-8", ["classify", "--duals", "PSI_DUALS", "--momentum", "1e-8"]),
+        ("embed-trials-5", ["embed", "--trials", "5"]),
+        ("embed-seed-3", ["embed", "--seed", "3", "--trials", "12"]),
+        ("embed-trials-30", ["embed", "--trials", "30"]),
+        ("embed-trials-257", ["embed", "--trials", "257"]),
+        ("spinor-spaces-trials-5", ["spinor-spaces", "--trials", "5"]),
+        ("spinor-spaces-seed-3", ["spinor-spaces", "--seed", "3", "--trials", "12"]),
+        ("spinor-spaces-trials-20", ["spinor-spaces", "--trials", "20"]),
+        ("spinor-spaces-trials-257", ["spinor-spaces", "--trials", "257"]),
+        ("dual-psi", ["dual", "--psi", "PSI"]),
+        ("dual-psi-kinematics", ["dual", "--psi", "PSI", *KFLAGS])]},
+    # a tolerance that rounding alone exceeds
+    **{f"table1-tolerance-{text}": (["table1", "--trials", "5", "--tolerance", text], "fail",
+                                    dict.fromkeys(BOUNDS["table1"], float(text)))
+       for text in ("0", "1e-30")},
 }
 
 
@@ -302,13 +382,14 @@ def test_every_ledgered_reason_is_a_ledger_entry():
 
 
 def test_same_outputs_hashes_each_row_once(tmp_path):
+    placeholders = write_inputs(tmp_path)[0]
     cases = list(runpy.run_path(str(ROOT / "tools" / "same_outputs.py"))["defect_argvs"](tmp_path))
     labels = [label for label, _ in cases]
-    assert labels == [*REPRODUCERS, *REFUSALS]
+    assert labels == [*REPRODUCERS, *REFUSALS, *REPORTS]
     assert len(set(labels)) == len(labels)
-    tables = [row[0] for row in [*REPRODUCERS.values(), *REFUSALS.values()]]
+    tables = [row[0] for row in [*REPRODUCERS.values(), *REFUSALS.values(), *REPORTS.values()]]
     for (label, argv), table in zip(cases, tables, strict=True):
-        assert not [arg for arg in argv if arg.isupper()], f"{label}: a placeholder is left"
+        assert not set(argv) & set(placeholders), f"{label}: a placeholder is left"
         # every placeholder but the two that name no file became a file
         assert all(Path(arg).is_file() != (was in ("MISSING", "UNWRITABLE"))
                    for arg, was in zip(argv, table) if arg != was), label
@@ -346,6 +427,29 @@ def test_every_documented_refusal_code_has_a_row():
     named = {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
     codes = {code for _, code, _ in REFUSALS.values()}
     assert named & set(range(2, 6)) <= codes <= named
+
+
+# -- valid inputs -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", REPORTS)
+def test_a_valid_input_gives_its_report(label, tmp_path):
+    argv, status, bounds = REPORTS[label]
+    argv = with_files(argv, write_inputs(tmp_path)[0])
+    formats = [[], [], ["--format", "text"]] + [["--format", "csv"]] * (argv[0] == "cayley")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (code, out, err), again, text, *csv = [run(argv + more) for more in formats]
+    assert "Traceback" not in err, err.splitlines()[-1]
+    assert (code, err, [str(w.message) for w in caught]) == ({"pass": 0, "fail": 1}[status], "", [])
+    report = strict_json(out)
+    assert (report["suite"], report["status"]) == (argv[0], status)
+    assert [(c["name"], c["tolerance"]) for c in report["checks"]] == list(bounds.items())
+    assert again == (code, out, err)
+    assert text == (code, "\n".join([f"suite: {argv[0]}  status: {status}"] + [
+        f"  {c['status'].upper()}  {c['name']}  residual={c['residual']:.3e}"
+        f"  tolerance={c['tolerance']:.1e}" for c in report["checks"]]) + "\n", "")
+    assert [c[0] for c in csv] == [code] * len(csv)  # cayley's table, as csv
 
 
 # -- defects the ledger does not list ---------------------------------------------

@@ -6,7 +6,8 @@ that it responds linearly; that it fails, where it passed without the defect
 (table1's rows at a tolerance of delta / 10, embed's bounds at their fixed
 tolerances of 1e-10 and 1e-9); and that the other checks of the same call
 keep their bits.  The controls so far cover table1's seven rows and embed's
-three bounds: 10 of the 38 checks.
+three bounds: 10 of the 38 checks that ``REPORTS`` in
+``tests/test_known_defects.py`` names, and a test holds both counts.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ from spinorlab.duals import ELEMENT_NAMES, KinematicPoint, closed_form
 from spinorlab.multivector import _product
 from spinorlab.quaternions import QuatMatrix2
 from spinorlab.weyl import _matrices
+
+from test_known_defects import REPORTS
 
 DELTAS = (1e-8, 1e-6, 1e-4)
 K = KinematicPoint(1.3, 0.8, 0.7, 0.3)
@@ -99,3 +102,9 @@ def test_an_embed_bound_reads_a_defect_at_its_seam(name, delta, monkeypatch):
         assert before["status"] == "pass"
         assert after["status"] == "fail"
         assert delta / 2 <= after["residual"] <= 2 * delta
+
+
+def test_every_control_is_of_a_check_that_a_report_names():
+    named = {name for _, _, bounds in REPORTS.values() for name in bounds}
+    assert len(named) == 38
+    assert {f"row-{name}" for name in ELEMENT_NAMES} | set(EMBED_SEAMS) <= named

@@ -20,25 +20,22 @@ to see whether a change altered any of these cases:
   of each coefficient, so a slot that turns complex changes its line.
 * ``text``: each suites-warm argv of cycle 0, run again with
   ``--format text``.
-* ``defects``: each row of the table of reproducers in
-  ``tests/test_known_defects.py``, in its order, then each row of its table
-  of refused inputs, the first of them ``dual`` on a finite psi whose dual
-  overflows, with the input files that file writes.  The tables come from
-  this script's own checkout, so the listings of two trees run the same
-  argvs.  The reproducers are the overflow, underflow and tolerance regimes,
-  where a change of arithmetic shows first; the refusals are every exit
-  from 2 to 5, where a change of message or of code shows.
+* ``defects``: each row of the three tables of ``tests/test_known_defects.py``,
+  in their order, with the input files that file writes: the reproducers,
+  then the refused inputs, the first of them ``dual`` on a finite psi whose
+  dual overflows, then the valid reports.  The tables come from this
+  script's own checkout, so the listings of two trees run the same argvs.
+  The reproducers are the overflow, underflow and tolerance regimes, where a
+  change of arithmetic shows first; the refusals are every exit from 2 to 5,
+  where a change of message or of code shows; the reports include
+  ``table1`` at ``--trials`` 255, 256, 257 and 600, and ``verify-theorems``,
+  ``embed`` and ``spinor-spaces`` at 257, so that each seeded suite runs
+  more than one block of trials, which no argv of the sets above does (they
+  run at most 251 points).
 * ``text cli-cold``: each cli-cold argv of cycle 0 for seeds 1-10, drawn
   again with its input files and run with ``--format text``, so that every
   command, ``cayley``, ``classify`` and ``dual`` included, reaches the text
   renderer.  A cayley argv asked for csv gives its text report instead.
-* ``blocks``: ``table1`` at ``--trials`` 255, 256, 257 and 600, and
-  ``verify-theorems``, ``embed`` and ``spinor-spaces`` at 257, so that each
-  seeded suite runs more than one block of trials.  No argv of the sets
-  above does: they run at most 251 points.
-
-The ``text cli-cold`` and then the ``blocks`` lines come last, so a listing of
-a tree that predates them is a prefix of this listing.
 
 The script writes nothing under TREE: bytecode is not cached.
 """
@@ -111,12 +108,12 @@ def run_cli(main, argv, places: dict) -> str:
 
 
 def defect_argvs(tmp: Path):
-    """(label, argv) of each reproducer, then of each refusal, writing their
-    input files to ``tmp``."""
-    from test_known_defects import REFUSALS, REPRODUCERS, with_files, write_inputs
+    """(label, argv) of each reproducer, then of each refusal, then of each
+    report, writing their input files to ``tmp``."""
+    from test_known_defects import REFUSALS, REPORTS, REPRODUCERS, with_files, write_inputs
 
     files, _ = write_inputs(tmp)
-    for label, (argv, *_) in [*REPRODUCERS.items(), *REFUSALS.items()]:
+    for label, (argv, *_) in [*REPRODUCERS.items(), *REFUSALS.items(), *REPORTS.items()]:
         yield label, with_files(argv, files)
 
 
@@ -182,11 +179,6 @@ def main(argv) -> int:
             for i, req in enumerate(workload.cycle(0)):
                 argv = req.argv + ["--format", "text"]
                 print(f"text cli-cold {seed} {i} {req.kind}", run_cli(cli_main, argv, places))
-
-    blocks = [["table1", "--trials", n] for n in ("255", "256", "257", "600")]
-    blocks += [[s, "--trials", "257"] for s in ("verify-theorems", "embed", "spinor-spaces")]
-    for argv in blocks:
-        print("blocks", *argv, run_cli(cli_main, argv, {str(tree): "<tree>"}))
     return 0
 
 
