@@ -30,6 +30,7 @@ from spinorlab.cli import (
 from spinorlab.duals import ELEMENT_NAMES, KinematicPoint, named_operator, xi
 from spinorlab.serialize import dump_json, matrix_to_obj, spinor_to_obj
 from spinorlab.weyl import GAMMA0
+from test_known_defects import REPORTS, with_files, write_inputs
 
 KFLAGS = ["--mass", "1", "--momentum", "1", "--theta", "0.7", "--phi", "0.3"]
 
@@ -162,6 +163,35 @@ def test_import_does_not_load_scipy():
     code = "import spinorlab, spinorlab.cli, sys; assert 'scipy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+#: each command's row of ``REPORTS`` at a pinned seed or kinematic point
+PINNED = {
+    "verify-theorems": "verify-theorems-seed-3", "table1": "table1-seed-3",
+    "cayley": "cayley-gxidagger-kinematics", "classify": "classify-gf-kinematics",
+    "embed": "embed-seed-3", "spinor-spaces": "spinor-spaces-seed-3",
+    "dual": "dual-psi-kinematics",
+}
+
+
+@pytest.mark.parametrize("command", PINNED)
+def test_every_stated_bound_is_pinned(command, tmp_path, capsys):
+    argv, _, bounds = REPORTS[PINNED[command]]
+    code, out = run(capsys, with_files(argv, write_inputs(tmp_path)[0]))
+    assert code == EXIT_OK
+    assert {c["name"]: c["tolerance"] for c in json.loads(out)["checks"]} == bounds
+
+
+@pytest.mark.parametrize("command", PINNED)
+def test_every_command_reruns_byte_identically_with_pinned_checks(command, tmp_path, capsys):
+    argv, _, bounds = REPORTS[PINNED[command]]
+    argv = with_files(argv, write_inputs(tmp_path)[0])
+    code, out = run(capsys, argv)
+    assert run(capsys, argv) == (code, out)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["suite"] == command
+    assert [c["name"] for c in report["checks"]] == list(bounds)
 
 
 def test_the_overflow_exit_writes_one_line_to_stderr(tmp_path):
