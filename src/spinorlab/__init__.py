@@ -3,19 +3,16 @@
 Multivector arithmetic in C ⊗ Cl(1,3), the Weyl matrix representation,
 momentum-dependent dual operators with their validity laws, Abelian
 mapping groups and orbit classification, quaternionic embeddings, and
-algebraic spinor spaces.
+algebraic spinor spaces.  The package exports what the demos and the
+benchmark use; everything else is imported from its module, so
+``spinorlab.serialize.load_json`` needs ``import spinorlab.serialize`` first.
 """
 
 __version__ = "0.1.0"
 
 from .multivector import (
-    BLADE_COUNT,
-    DIMENSION,
-    GRADE,
-    METRIC,
     Multivector,
     blade,
-    blade_key,
     coefficient_distance,
     gamma,
     gamma5_chiral,
@@ -30,13 +27,11 @@ from .weyl import (
     GAMMA0,
     dirac_dagger_dual,
     from_matrix,
-    multivector_inverse,
     to_matrix,
     weyl_gamma,
 )
 from .duals import (
     ELEMENT_NAMES,
-    DeltaBlocks,
     InvalidOperatorError,
     KinematicPoint,
     KinematicsError,
@@ -46,7 +41,6 @@ from .duals import (
     delta_to_omega,
     dual_of,
     named_operator,
-    omega_residual,
     omega_to_delta,
     random_delta,
     validate_delta,
@@ -56,11 +50,6 @@ from .duals import (
 )
 from .groups import (
     CapExceeded,
-    ClosureReport,
-    FiniteMatrixGroup,
-    GroupIdentification,
-    MembershipRecord,
-    OrbitPartition,
     check_abelian_closure,
     exp_bivector,
     generate_group,
@@ -73,10 +62,7 @@ from .groups import (
 from .quaternions import (
     Q_I,
     Q_J,
-    Q_K,
     Q_ONE,
-    Q_ZERO,
-    PatternReport,
     QuatMatrix2,
     Quaternion,
     even_to_m2c,
@@ -89,10 +75,8 @@ from .quaternions import (
     quaternionic_gamma,
 )
 from .ideals import (
-    IdealBasis,
     Idempotent,
     InvolutionConditionError,
-    RingReport,
     beta_inner_product,
     canonical_idempotent,
     division_ring_identify,
@@ -101,14 +85,4 @@ from .ideals import (
     project_onto_ideal,
     ring_membership_residual,
     verify_involution_conditions,
-)
-from .serialize import (
-    MalformedInputError,
-    dump_json,
-    load_json,
-    matrix_from_obj,
-    matrix_to_obj,
-    multivector_to_obj,
-    spinor_from_obj,
-    spinor_to_obj,
 )

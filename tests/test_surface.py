@@ -182,47 +182,68 @@ def _spinorlab_code(value) -> bool:
 ROOT = Path(__file__).parents[1]
 
 
-def _reads(tops, skip=()) -> tuple:
-    """(attributes, names): the identifiers loaded as an attribute and as a
-    bare name in the Python files under ``tops``, less ``skip``.  Each part
-    of a string literal that names a dotted identifier (getattr, monkeypatch,
-    the tracer's "Class.method") counts as an attribute."""
-    attributes, names = set(), set()
+def _reads(tops) -> set:
+    """The identifiers loaded as an attribute in the Python files under
+    ``tops``.  Each part of a string literal that names a dotted identifier
+    (getattr, monkeypatch, the tracer's "Class.method") counts as one."""
+    attributes = set()
     for path in sorted(p for top in tops for p in (ROOT / top).rglob("*.py")):
-        if path in skip:
-            continue
         for n in ast.walk(ast.parse(path.read_text())):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 attributes.add(n.attr)
-            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                names.add(n.id)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str) and all(
                     part.isidentifier() for part in n.value.split(".")):
                 attributes.update(n.value.split("."))
-    return attributes, names
+    return attributes
 
 
 def test_every_member_of_an_exported_class_is_read():
     # A member is read where it is loaded as an attribute, or where a string
-    # literal names it.
-    read, _ = _reads(("src", "tests", "demos", "perfbench"))
-    classes = [(name, value) for name, value in vars(spinorlab).items()
-               if inspect.isclass(value) and not name.startswith("_")]
+    # literal names it.  The records count too, exported or not.
+    read = _reads(("src", "tests", "demos", "perfbench"))
+    classes = {value for name, value in vars(spinorlab).items()
+               if inspect.isclass(value) and not name.startswith("_")} | set(records())
     assert len(classes) > 10
-    unread = [f"{name}.{member}" for name, cls in classes
+    unread = [f"{cls.__name__}.{member}" for cls in classes
               for member in _members(cls) if member not in read]
     assert not unread
 
 
+#: exported names that no demo, benchmark or tool takes from the package, and why
+UNTAKEN_EXPORTS = {
+    "GAMMA0": "the documented gamma0 convention, which the tests compare against",
+    "even_to_m2c": "ROADMAP item 0(e) removes it once the tracer can lose it",
+}
+
+
+def _taken_from_the_package(tops) -> set:
+    """The names that the Python files under ``tops`` take from the package:
+    ``from spinorlab import X``, ``spinorlab.X``, or ``sl.X``, the benchmark's
+    name for the package."""
+    taken = set()
+    for path in sorted(p for top in tops for p in (ROOT / top).rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.ImportFrom) and n.module == "spinorlab" and not n.level:
+                taken.update(a.name for a in n.names)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id in ("spinorlab", "sl"):
+                taken.add(n.attr)
+    return taken
+
+
 def test_every_exported_name_is_read_outside_the_tests():
     # The package's __init__ only re-exports; a name that only tests read is
-    # surface that no command, demo, benchmark or tool needs.
+    # surface that no demo, benchmark or tool needs.  An exception class stays,
+    # so that a caller can catch what an exported function raises.
     init = ROOT / "src" / "spinorlab" / "__init__.py"
     exported = [a.asname or a.name for n in ast.parse(init.read_text()).body
                 if isinstance(n, ast.ImportFrom) for a in n.names]
-    assert len(exported) > 80
-    attributes, names = _reads(("src", "demos", "perfbench", "tools"), skip={init})
-    assert [name for name in exported if name not in attributes | names] == []
+    assert len(exported) > 60
+    taken = _taken_from_the_package(("demos", "perfbench", "tools"))
+    assert set(UNTAKEN_EXPORTS) <= set(exported) - taken
+    caught = {name for name in exported if inspect.isclass(getattr(spinorlab, name))
+              and issubclass(getattr(spinorlab, name), Exception)}
+    assert [name for name in exported if name not in taken | caught | set(UNTAKEN_EXPORTS)] == []
 
 
 @pytest.mark.parametrize("side, invertible", [(0.5, False), (2.0, True)])
@@ -368,7 +389,10 @@ def records() -> dict:
 
 def test_no_exported_class_is_a_dataclass():
     classes = {v for v in vars(spinorlab).values() if inspect.isclass(v)}
-    assert set(records()) - classes == {duals.OperatorValidation}  # returned, not exported
+    assert set(records()) - classes == {  # returned, not exported
+        duals.OperatorValidation, duals.DeltaBlocks, groups.ClosureReport,
+        groups.FiniteMatrixGroup, groups.GroupIdentification, groups.OrbitPartition,
+        groups.MembershipRecord, ideals.IdealBasis, ideals.RingReport, quaternions.PatternReport}
     assert not [cls.__name__ for cls in classes | set(records()) if dataclasses.is_dataclass(cls)]
 
 
@@ -378,6 +402,21 @@ def test_importing_the_cli_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "['spinorlab']"
+
+
+def test_importing_the_package_loads_no_json_layer():
+    loaded = "print(sorted({'json', 'spinorlab.serialize'} & set(sys.modules)))"
+    code = f"import sys, spinorlab; {loaded}\nimport spinorlab.cli; {loaded}"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.splitlines() == ["[]", "['json', 'spinorlab.serialize']"]
+
+
+def test_the_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == spinorlab.__version__
 
 
 def test_each_record_keeps_its_fields_in_order_and_refuses_assignment():

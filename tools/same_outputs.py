@@ -13,6 +13,9 @@ to see whether a change altered any of these cases:
   Input files go to a temporary directory.  That directory's path and
   TREE's path are replaced by placeholders.
 * ``demo``: the stdout of each script in ``TREE/demos``.
+* ``surface``: one line for what a fresh ``import spinorlab`` gives, with
+  ``TREE/src`` on ``PYTHONPATH``: the sorted public names of the package and
+  the sorted ``spinorlab`` and ``json`` modules that the import loads.
 * ``groups``: the first 100 jobs of the groups workload for seeds 1-10.
   Each value is hashed with the bits of its arrays, or the error text.
 * ``exact``: the first 100 requests of the exact-algebra workload for seeds
@@ -60,6 +63,9 @@ SEEDS = range(1, 11)
 CYCLES = 4
 GROUP_JOBS = 100
 EXACT_JOBS = 100
+SURFACE = ("import sys, spinorlab; "
+           "print(sorted(n for n in vars(spinorlab) if not n.startswith('_'))); "
+           "print(sorted(m for m in sys.modules if m.split('.')[0] in ('spinorlab', 'json')))")
 
 
 def digest(*parts) -> str:
@@ -146,6 +152,9 @@ def main(argv) -> int:
         proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                               timeout=300)
         print(f"demo {demo.name}", digest(proc.stdout, proc.returncode))
+    proc = subprocess.run([sys.executable, "-c", SURFACE], env=env, capture_output=True,
+                          timeout=60)
+    print("surface", digest(proc.stdout, proc.returncode))
 
     for seed in SEEDS:
         workload = W.WORKLOADS["groups"](seed, None, {})
