@@ -174,6 +174,8 @@ def group_from_elements(elements, labels=None, tol: float = GROUP_TOL) -> Finite
     labels = [f"g{i}" for i in range(len(mats))] if labels is None else list(labels)
     if len(labels) != len(mats):
         raise ValueError(f"{len(labels)} labels for {len(mats)} elements")
+    for i in (i for i, m in enumerate(mats) if m.shape != (4, 4)):
+        raise ValueError(f"element {i} is not a 4x4 matrix")
     group = FiniteMatrixGroup(mats, labels, _build_table(np.array(mats), tol))
     (lost,) = np.nonzero(~(group.table == group.identity_index).any(axis=1))
     if len(lost):
@@ -189,7 +191,9 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
     within max-entry distance ``10 * DEDUP_TOL`` of an element found before
     it is a duplicate.  Raises :class:`CapExceeded` once more than ``cap``
     distinct elements appear, or once the spectrum of a new element proves
-    infinite order (``_screen``; ``witness`` names it).
+    infinite order (``_screen``; ``witness`` names it).  The generators and
+    their inverses are screened this way before the walk starts, under the
+    names that the walk's first block gives them.
 
     The walk takes its queue in blocks of ``_TABLE_BLOCK // len(steps)``
     parents: one stacked product, a lookup among the stored elements and one
@@ -205,10 +209,13 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
     if len(labels) != len(gens):
         raise ValueError(f"{len(labels)} labels for {len(gens)} generators")
     for i, g in enumerate(gens):
+        if g.shape != (4, 4):
+            raise ValueError(f"generator {i} is not a 4x4 matrix")
         if not _invertible(np.linalg.det(g)):
             raise ValueError(f"generator {i} is not invertible")
     mats = np.reshape([m for g in gens for m in (g, np.linalg.inv(g))], (-1, 4, 4))
     steps = [step for name in labels for step in (name, f"{name}^-1")]
+    _screen(mats.reshape(-1, 16), steps, cap)
 
     flat, tol = np.eye(4, dtype=complex).reshape(1, 16), 10 * DEDUP_TOL
     keys, names, done = _key(flat), ["I"], 0
@@ -248,8 +255,8 @@ def generate_group(generators, cap: int = GENERATION_CAP, labels=None) -> Finite
 
 def _screen(rows: np.ndarray, labels: list, cap: int) -> None:
     """Raise :class:`CapExceeded` if the spectrum of a row of ``rows`` (n, 16),
-    named ``labels[i]``, proves it has infinite order.  The walk's first block
-    is the generators and their inverses, so they are screened first.
+    named ``labels[i]``, proves it has infinite order.  ``generate_group``
+    screens its generators and their inverses first, then each new element.
 
     Finite order puts every eigenvalue on the unit circle, so |tr g| <= 4,
     and at +-1 if g is Hermitian.  A change of up to ``10 * DEDUP_TOL`` per

@@ -377,8 +377,10 @@ def test_closure_matches_sequential_reference(gens, cap, monkeypatch):
         assert np.array_equal(np.array(group.elements), ref[0])
         assert group.labels == ref[1] == ["I"] + composed
         assert np.array_equal(group.table, ref[2])
-        # every element but I went through the live screen, which let it pass
-        assert screened == ref[1][1:]
+        # the generators and their inverses went through the live screen up
+        # front, then every element but I did in the walk; it let all pass
+        steps = [f"g{i}{inverse}" for i in range(len(gens)) for inverse in ("", "^-1")]
+        assert screened == steps + ref[1][1:]
 
 
 def test_screen_certifies_h_at_random_points():
@@ -408,6 +410,30 @@ def test_screen_skips_eigenvalues_of_nonfinite_rows():
     assert (err.value.cap, err.value.count) == (8, 9)
     assert err.value.witness == (
         "c is Hermitian with an eigenvalue modulus off 1 by 0.5: infinite order")
+
+
+def test_screen_refuses_generators_before_the_walk(monkeypatch):
+    # a generator or inverse of infinite order is refused before the walk
+    # looks up a single product, under the name the walk would give it
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(groups, "_lookup", no_walk)
+    monkeypatch.setattr(groups, "_matches", no_walk)
+    h = named_operator("H", K)
+    for cap in (64, 256, 1024):
+        with pytest.raises(CapExceeded) as err:
+            generate_group([h], cap)
+        assert (err.value.cap, err.value.witness) == (cap, "g0 has |tr| 12 > 4: infinite order")
+    g = np.eye(4)
+    g[0, :2] = 0.1, 1  # I - 0.9 E00 + E01: |tr g| = 3.1, |tr g^-1| = 13
+    for gens, witness in [([g], "g0^-1"), ([np.eye(4), g], "g1^-1")]:
+        with pytest.raises(CapExceeded) as err:
+            generate_group(gens, 64)
+        assert err.value.witness == f"{witness} has |tr| 13 > 4: infinite order"
+    # a singular generator is refused first, before any screen
+    with pytest.raises(ValueError, match="^generator 1 is not invertible$"):
+        generate_group([h, np.zeros((4, 4))], 64)
 
 
 def _row(entries, scale, i, value):
@@ -517,6 +543,18 @@ def test_group_from_elements_refuses_a_label_count_that_is_not_the_element_count
     # checked before closure: an open set with the wrong count names the count
     with pytest.raises(ValueError, match=f"^{len(labels)} labels for 4 elements$"):
         group_from_elements([np.eye(4), 2 * np.eye(4), 3 * np.eye(4), 4 * np.eye(4)], labels)
+
+
+@pytest.mark.parametrize("build, mats, message", [
+    (generate_group, [np.eye(3)], "generator 0 is not a 4x4 matrix"),
+    (generate_group, [[1, 0, 0, 0]], "generator 0 is not a 4x4 matrix"),
+    (generate_group, [np.eye(4), np.zeros((3, 3))], "generator 1 is not a 4x4 matrix"),
+    (group_from_elements, [np.eye(3)], "element 0 is not a 4x4 matrix"),
+    (group_from_elements, [np.eye(4), np.eye(4).reshape(16)], "element 1 is not a 4x4 matrix"),
+])
+def test_group_builders_refuse_a_matrix_that_is_not_4x4_by_its_index(build, mats, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(mats)
 
 
 # -- identification ------------------------------------------------------------------
