@@ -10,6 +10,11 @@ embed             quaternionic embedding suite
 spinor-spaces     idempotent / ideal / division-ring / beta suite
 dual              compute a dual spinor from psi, Omega, and kinematics
 
+Each input has one meaning: the kinematics are --mass, --momentum, --theta and --phi
+(the report echoes E = sqrt(p^2 + m^2)); --omega names a matrix file, the identity if
+left out; a part of an input file is a finite JSON number.  Each command renders json
+and text, cayley csv too, and its parser refuses any other format or flag.
+
 What embed and spinor-spaces measure without drawing is computed once per process.
 
 Exit codes
@@ -18,7 +23,7 @@ Exit codes
 1  one or more checks failed
 2  command-line usage error, or a report that cannot be written
 3  malformed input file
-4  invalid or off-shell kinematics, or a singular parameter (F at p = 0)
+4  invalid kinematics, or a singular parameter (F at p = 0)
 5  invalid operator matrix
 141  stdout or an --output pipe closed before the report was written (128 + SIGPIPE)
 """
@@ -61,9 +66,7 @@ GROUP_CHOICES = ("GF", "GXiDagger")
 
 
 def _kinematics(args) -> KinematicPoint:
-    return KinematicPoint(
-        m=args.mass, p=args.momentum, theta=args.theta, phi=args.phi, E=args.energy
-    )
+    return KinematicPoint(args.mass, args.momentum, args.theta, args.phi)
 
 
 def _report(args, k: KinematicPoint | None, checks: list, payload: dict | None = None) -> dict:
@@ -170,7 +173,7 @@ def _suite_spinor_spaces(args) -> dict:
 
 def _suite_dual(args) -> dict:
     """Dual spinor psi^dag g0 Xi Omega of a spinor file."""
-    omega_obj = None if args.omega == "identity" else load_json(args.omega)
+    omega_obj = None if args.omega is None else load_json(args.omega)
     k = _kinematics(args)
     psi = spinor_from_obj(load_json(args.psi))
     omega = np.eye(4, dtype=complex) if omega_obj is None else matrix_from_obj(omega_obj)
@@ -211,58 +214,19 @@ FLAGS = {
     "--momentum": dict(type=float, default=1.0, help="momentum |p| >= 0"),
     "--theta": dict(type=float, default=0.7, help="polar angle"),
     "--phi": dict(type=float, default=0.3, help="azimuthal angle"),
-    "--energy": dict(type=float, help="optional cross-check; must equal sqrt(p^2 + m^2)"),
     "--seed": dict(type=partial(_int_at_least, 0), default=0, help="random seed"),
     "--trials": dict(type=partial(_int_at_least, 1), default=100, help="trial count"),
     "--tolerance": dict(type=_tolerance, help="comparison tolerance (default %(default)g)"),
     "--group": dict(choices=GROUP_CHOICES, default="GF"),
     "--duals": dict(required=True, help="JSON file with a list of duals"),
     "--psi": dict(required=True, help="spinor JSON file"),
-    "--omega": dict(default="identity", help='operator matrix JSON file, or "identity"'),
-    "--format": dict(choices=("json", "csv", "text"), default="json", dest="fmt",
-                     help="report format (csv only for cayley)"),
-    "--output": dict(help="write the report to a file"),
+    "--omega": dict(help="operator matrix JSON file (default: the identity)"),
 }
 # argparse reads a token starting with "-" as an option unless it matches
 # the parser's negative-number pattern, and the default pattern has no
 # exponent form such as -1e-3.  No command has an option that looks like a
 # number, so every token this pattern matches is a value.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-KINEMATICS = ("--mass", "--momentum", "--theta", "--phi", "--energy")
-SEEDED = ("--seed", "--trials")
-
-#: name: (suite, the flags it reads besides --format and --output, and its
-#: default --tolerance, or None for a command without that flag)
-COMMANDS = {
-    "verify-theorems": (_suite_verify_theorems, KINEMATICS + SEEDED, None),
-    "table1": (_suite_table1, KINEMATICS + SEEDED, IDENTITY_TOL),
-    "cayley": (_suite_cayley, KINEMATICS + ("--group",), GROUP_TOL),
-    "classify": (_suite_classify, KINEMATICS + ("--group", "--duals"), GROUP_TOL),
-    "embed": (_suite_embed, SEEDED, None),
-    "spinor-spaces": (_suite_spinor_spaces, SEEDED, None),
-    "dual": (_suite_dual, KINEMATICS + ("--psi", "--omega"), VALIDATION_TOL),
-}
-
-
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it as is."""
-    parser = argparse.ArgumentParser(
-        prog="spinorlab",
-        description="verification suites for the spinor-dual laboratory",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (suite, flags, tolerance) in COMMANDS.items():
-        p = sub.add_parser(name, help=suite.__doc__)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.set_defaults(suite=suite, tolerance=tolerance, parser=p)
-        if tolerance is not None:
-            flags += ("--tolerance",)
-        for flag in flags + ("--format", "--output"):
-            p.add_argument(flag, **FLAGS[flag])
-    return parser
 
 
 def _as_text(report: dict) -> str:
@@ -279,13 +243,51 @@ def _as_csv(report: dict) -> str:
         ",".join([labels[i], *(labels[j] for j in row)]) for i, row in enumerate(table)])
 
 
+#: each report format, and what renders a report in it
+RENDERERS = {"json": dump_json, "csv": _as_csv, "text": _as_text}
+PLAIN = ("json", "text")  # what every command renders; cayley renders csv too
+
+KINEMATICS = ("--mass", "--momentum", "--theta", "--phi")
+SEEDED = ("--seed", "--trials")
+
+#: name: (suite, the flags it reads besides --format and --output, its default
+#: --tolerance, or None for a command without that flag, and the formats it renders)
+COMMANDS = {
+    "verify-theorems": (_suite_verify_theorems, KINEMATICS + SEEDED, None, PLAIN),
+    "table1": (_suite_table1, KINEMATICS + SEEDED, IDENTITY_TOL, PLAIN),
+    "cayley": (_suite_cayley, KINEMATICS + ("--group",), GROUP_TOL, tuple(RENDERERS)),
+    "classify": (_suite_classify, KINEMATICS + ("--group", "--duals"), GROUP_TOL, PLAIN),
+    "embed": (_suite_embed, SEEDED, None, PLAIN),
+    "spinor-spaces": (_suite_spinor_spaces, SEEDED, None, PLAIN),
+    "dual": (_suite_dual, KINEMATICS + ("--psi", "--omega"), VALIDATION_TOL, PLAIN),
+}
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as is."""
+    parser = argparse.ArgumentParser(
+        prog="spinorlab",
+        description="verification suites for the spinor-dual laboratory",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (suite, flags, tolerance, formats) in COMMANDS.items():
+        p = sub.add_parser(name, help=suite.__doc__)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p.set_defaults(suite=suite, tolerance=tolerance, parser=p)
+        if tolerance is not None:
+            flags += ("--tolerance",)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.add_argument("--format", choices=formats, default="json", dest="fmt",
+                       help="report format")
+        p.add_argument("--output", help="write the report to a file")
+    return parser
+
+
 def _emit(report: dict, args) -> int:
-    if args.fmt == "csv":
-        text = _as_csv(report)
-    elif args.fmt == "text":
-        text = _as_text(report)
-    else:
-        text = dump_json(report)
+    text = RENDERERS[args.fmt](report)
     try:
         with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
             fh.write(text.rstrip("\n") + "\n")
@@ -302,9 +304,6 @@ def main(argv=None) -> int:
     args, unread = build_parser().parse_known_args(argv)
     if unread:  # refused by the command's parser, which names the command
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
-    if args.fmt == "csv" and args.command != "cayley":
-        print("csv format is only available for cayley", file=sys.stderr)
-        return EXIT_USAGE
     try:
         report = args.suite(args)
     except KinematicsError as exc:

@@ -7,8 +7,8 @@ The two pictures are related by Delta = g0 Omega g0 Xi and constrained by
     Delta^dag g0 = g0 Delta        (Delta picture)
     Omega^dag = Xi g0 Omega g0 Xi  (Omega picture)
 
-Everything is parameterized by an on-shell kinematic point (m, p, theta, phi)
-with E = sqrt(p^2 + m^2) always recomputed, never trusted from input.
+Everything is parameterized by an on-shell kinematic point (m, p, theta, phi),
+whose energy E = sqrt(p^2 + m^2) is derived, never read.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weyl import ONSHELL_TOL, VALIDATION_TOL, _dagger, _g0_left, _g0_right, _invertible
+from .weyl import VALIDATION_TOL, _dagger, _g0_left, _g0_right, _invertible
 
 ELEMENT_NAMES = ("G", "F", "FG", "XiDagger", "GXiDagger", "H", "Hinv")
 
 
 class KinematicsError(ValueError):
-    """Invalid or off-shell kinematic data."""
+    """Invalid kinematic data."""
 
 
 class SingularParameterError(KinematicsError):
@@ -37,17 +37,14 @@ class InvalidOperatorError(ValueError):
 
 class KinematicPoint(NamedTuple("KinematicPoint", [("m", float), ("p", float), ("theta", float),
                                                    ("phi", float), ("E", float)])):
-    """On-shell kinematics (m, p, theta, phi) with derived energy E.
-
-    E is computed from m and p at construction; supplying an explicit E is
-    only a cross-check and must agree with sqrt(p^2 + m^2) to 1e-12.  All
-    parameters, the energy and m^4 must be finite.
+    """On-shell kinematics (m, p, theta, phi) with the energy E = sqrt(p^2 + m^2)
+    derived at construction.  All parameters, the energy and m^4 must be finite.
     """
 
     __slots__ = ()
 
-    def __new__(cls, m, p, theta, phi, E=None):
-        given = super().__new__(cls, m, p, theta, phi, E)
+    def __new__(cls, m, p, theta, phi):
+        given = super().__new__(cls, m, p, theta, phi, None)
         if not all(map(math.isfinite, given[:4])):
             raise KinematicsError(f"kinematics must be finite, got {given}")
         if not m > 0:
@@ -61,12 +58,10 @@ class KinematicPoint(NamedTuple("KinematicPoint", [("m", float), ("p", float), (
             math.pow(m, 4)  # raises where the m ** 4 of the operator terms does
         except OverflowError:
             raise KinematicsError(f"m^4 at m={m} is outside the representable range") from None
-        tol = ONSHELL_TOL * max(1.0, energy)
-        if E is not None and not abs(E - energy) <= tol:  # NaN E fails
-            raise KinematicsError(f"off-shell kinematics: E={E} but sqrt(p^2+m^2)={energy}")
         return super().__new__(cls, m, p, theta, phi, energy)
 
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its point too
+    _make = classmethod(lambda cls, values: cls(*list(values)[:4]))  # _replace derives E again
+    __getnewargs__ = lambda self: self[:4]  # so copy and pickle derive it too
 
     def as_dict(self) -> dict:
         return {

@@ -5,8 +5,8 @@ Multivector (written, not read): object mapping blade keys ("" scalar,
 coefficient written as an exact [num, den] integer pair.
 
 Matrix: 4x4 nested array of [re, im].  Spinor / dual spinor: flat array of
-four [re, im] pairs.  Each part read is a finite number, or an exact
-[num, den] integer pair with den != 0.
+four [re, im] pairs.  Each part read is a finite JSON number: not a pair,
+not true or false, and an integer only if it fits a float.
 """
 
 from __future__ import annotations
@@ -31,22 +31,21 @@ def _part_to_obj(x):
     return [x.numerator, x.denominator]
 
 
-def _part_from_obj(obj):
+def _part_from_obj(obj) -> float:
     # exact type tests: JSON true and false load as bool, a subclass of int
-    if isinstance(obj, list):
-        if len(obj) != 2 or not all(type(v) is int for v in obj) or obj[1] == 0:
-            raise MalformedInputError(f"bad exact value {obj!r}")
-        return Fraction(obj[0], obj[1])
-    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+    if type(obj) is int:
+        try:
+            return float(obj)
+        except OverflowError:
+            raise MalformedInputError("exact value too large for a float") from None
+    if type(obj) is float and math.isfinite(obj):
         return obj
     raise MalformedInputError(f"bad numeric value {obj!r}")
 
 
-def _as_float(x) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        raise MalformedInputError("exact value too large for a float") from None
+def _pairs(values) -> list:
+    """The [re, im] pairs of complex values, as floats."""
+    return [[float(v.real), float(v.imag)] for v in values]
 
 
 def _scalar_to_pair(c):
@@ -60,8 +59,7 @@ def _complex_from_pair(pair) -> complex:
     if not isinstance(pair, list) or len(pair) != 2:
         raise MalformedInputError(f"coefficient must be [re, im], got {pair!r}")
     re = _part_from_obj(pair[0])
-    im = _part_from_obj(pair[1])
-    return complex(_as_float(re), _as_float(im) + 0.0)  # a -0.0 imaginary part reads as 0.0
+    return complex(re, _part_from_obj(pair[1]) + 0.0)  # a -0.0 imaginary part reads as 0.0
 
 
 def multivector_to_obj(a: Multivector) -> dict:
@@ -69,8 +67,7 @@ def multivector_to_obj(a: Multivector) -> dict:
 
 
 def matrix_to_obj(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return [_pairs(row) for row in np.asarray(m, dtype=complex)]
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -86,8 +83,7 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 
 def spinor_to_obj(components) -> list:
-    v = np.asarray(components, dtype=complex).reshape(4)
-    return [[float(c.real), float(c.imag)] for c in v]
+    return _pairs(np.asarray(components, dtype=complex).reshape(4))
 
 
 def spinor_from_obj(obj) -> np.ndarray:

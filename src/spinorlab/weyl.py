@@ -57,7 +57,6 @@ _SWAP = np.array([2, 3, 0, 1])  # GAMMA0 as a permutation: it swaps the two chir
 
 # -- every threshold of the package, named once; other modules import them from here --
 DET_TOL = 1e-12  #: |det| of a 4x4 operator at or below which it is singular
-ONSHELL_TOL = 1e-12  #: |E - sqrt(p^2 + m^2)| of a given energy, per unit of max(1, E)
 VALIDATION_TOL = 1e-10  #: Delta or Omega constraint residual of a valid operator
 ROUNDING_TOL = 1e-12  #: an O(1) identity residual or coefficient that is zero but for rounding
 ZERO_TOL = 1e-10  #: pattern residual, imaginary part or off-grade content that counts as zero

@@ -93,11 +93,15 @@ def test_cayley_json_identifies_k4(capsys):
 
 @pytest.mark.parametrize("command", ["verify-theorems", "table1", "embed", "spinor-spaces", "dual"])
 def test_csv_format_is_refused_before_the_suite_runs(command, monkeypatch, capsys):
-    # No suite runs, so neither a long run nor a missing input file is reached.
+    # The command's parser refuses it, so neither a long run nor a missing input file is reached.
     monkeypatch.setattr(cli, "_report", lambda *a: pytest.fail("the suite ran"))
     argv = [command, "--format", "csv"] + (["--psi", "missing.json"] if command == "dual" else [])
-    assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err == "csv format is only available for cayley\n"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"spinorlab {command}: error: argument --format: invalid choice: 'csv'")
+    assert last.endswith(("(choose from 'json', 'text')", "(choose from json, text)"))
 
 
 def test_dual_command_identity_omega(tmp_path, capsys):
@@ -105,7 +109,7 @@ def test_dual_command_identity_omega(tmp_path, capsys):
     psi_file.write_text(dump_json(spinor_to_obj(np.array([1.0, 0, 0, 0]))))
     code, out = run(
         capsys,
-        ["dual", "--psi", str(psi_file), "--omega", "identity",
+        ["dual", "--psi", str(psi_file),
          "--mass", "1", "--momentum", "1",
          "--theta", str(math.pi / 2), "--phi", "0"],
     )
@@ -115,6 +119,16 @@ def test_dual_command_identity_omega(tmp_path, capsys):
     k = KinematicPoint(1.0, 1.0, math.pi / 2, 0.0)
     expected = np.array([1.0, 0, 0, 0]).conj() @ GAMMA0 @ xi(k)
     assert abs(got - expected).max() < 1e-12
+
+
+def test_omega_identity_names_a_file(tmp_path, monkeypatch, capsys):
+    # --omega is always a path: a file called "identity" is read, not shadowed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "psi.json").write_text(dump_json(spinor_to_obj(np.array([1.0, 0, 0, 0]))))
+    (tmp_path / "identity").write_text(dump_json(matrix_to_obj(2 * np.eye(4))))
+    duals = [json.loads(run(capsys, ["dual", "--psi", "psi.json", *more])[1])["payload"]["dual"]
+             for more in ([], ["--omega", "identity"])]
+    assert np.array(duals[1]).tolist() == (2 * np.array(duals[0])).tolist()
 
 
 def test_dual_command_with_omega_file(tmp_path, capsys):
@@ -313,7 +327,6 @@ def test_every_kinematic_flag_takes_an_exponent_form_negative(capsys):
     # Negative mass and momentum are kinematics errors, not usage errors.
     for flag in ("--mass", "--momentum"):
         assert main(["table1", flag, "-1e-3"]) == EXIT_BAD_KINEMATICS
-    assert main(["table1", "--energy", "-1e0"]) == EXIT_BAD_KINEMATICS
     with pytest.raises(SystemExit) as exc:
         main(["table1", "--phi", "-x"])
     assert exc.value.code == EXIT_USAGE

@@ -50,19 +50,6 @@ def test_energy_is_derived():
     assert k.E == 5.0
 
 
-def test_offshell_energy_rejected():
-    with pytest.raises(KinematicsError):
-        KinematicPoint(3.0, 4.0, 0.1, 0.2, E=5.1)
-    KinematicPoint(3.0, 4.0, 0.1, 0.2, E=5.0)  # exact value accepted
-
-
-def test_supplied_energy_is_only_a_cross_check():
-    assert KinematicPoint(3.0, 4.0, 0.1, 0.2, E=5.0 + 1e-12).E == 5.0
-    for bad in (math.nan, math.inf):
-        with pytest.raises(KinematicsError):
-            KinematicPoint(3.0, 4.0, 0.1, 0.2, E=bad)
-
-
 def test_bad_mass_momentum_rejected():
     with pytest.raises(KinematicsError):
         KinematicPoint(0.0, 1.0, 0.0, 0.0)
@@ -399,7 +386,7 @@ def test_terms_taken_from_the_draw_are_the_terms_of_its_points(seed, n):
     assert repr(terms) == repr([written_out_terms(k) for k in points])
     assert repr([duals._terms(k) for k in points]) == repr(terms)
     assert rng.bit_generator.state == ref.bit_generator.state
-    k = KinematicPoint(3.0, 4.0, 0.1, 0.2, E=5.0)
+    k = KinematicPoint(3.0, 4.0, 0.1, 0.2)
     assert repr(duals._terms(k)) == repr(written_out_terms(k))
 
 

@@ -123,14 +123,17 @@ REFUSALS = {
     "dual-psi-1e400": (["dual", "--psi", "INF"], 3, "input error: bad numeric value inf"),
     "dual-psi-minus-infinity": (["dual", "--psi", "MINUS_INF"], 3,
                                 "input error: bad numeric value -inf"),
+    # a part is a finite JSON number: an [num, den] pair is not one
+    "dual-psi-exact-pair": (["dual", "--psi", "EXACT_PAIR"], 3,
+                            "input error: bad numeric value [1, 3]"),
     "dual-psi-zero-denominator": (["dual", "--psi", "ZERO_DENOMINATOR"], 3,
-                                  "input error: bad exact value [1, 0]"),
+                                  "input error: bad numeric value [1, 0]"),
     "dual-psi-true": (["dual", "--psi", "TRUE"], 3, "input error: bad numeric value True"),
     "dual-psi-false": (["dual", "--psi", "FALSE"], 3, "input error: bad numeric value False"),
     "dual-psi-true-numerator": (["dual", "--psi", "TRUE_NUMERATOR"], 3,
-                                "input error: bad exact value [True, 1]"),
+                                "input error: bad numeric value [True, 1]"),
     "dual-psi-true-denominator": (["dual", "--psi", "TRUE_DENOMINATOR"], 3,
-                                  "input error: bad exact value [1, True]"),
+                                  "input error: bad numeric value [1, True]"),
     "dual-psi-big-integer": (["dual", "--psi", "BIG_INT"], 3,
                              "input error: exact value too large for a float"),
     "dual-omega-big-integer": (["dual", "--psi", "PSI", "--omega", "BIG_INT_OMEGA"], 3,
@@ -141,9 +144,8 @@ REFUSALS = {
     "dual-psi-nested-deeply": (["dual", "--psi", "DEEP"], 3, "input error: JSON in ..."),
     "classify-duals-object": (["classify", "--duals", "DUALS_OBJECT"], 3,
                               "input error: duals JSON must be a list of spinor rows"),
-    "dual-energy=9.0": (["dual", "--psi", "PSI", "--energy", "9.0"], 4,
-                        "kinematics error: off-shell kinematics: E=9.0 but "
-                        "sqrt(p^2+m^2)=1.4142135623730951"),
+    "dual-energy=9.0": (["dual", "--psi", "PSI", "--energy", "9.0"], 2,
+                        "spinorlab dual: error: unrecognized arguments: --energy 9.0"),
     "table1-mass=-2": (["table1", "--mass", "-2"], 4,
                        "kinematics error: mass must be positive, got -2.0"),
     "table1-momentum=0": (["table1", "--momentum", "0"], 4, SINGULAR),
@@ -158,16 +160,16 @@ REFUSALS = {
                                   ("mass", "inf", "m=inf, p=1.0, theta=0.7, phi=0.3")]},
     "table1-momentum=1e200": (["table1", "--trials", "2", "--momentum", "1e200"], 4,
                               "kinematics error: energy sqrt(p^2+m^2) overflows at p=1e+200"),
-    "table1-energy=nan": (["table1", "--trials", "2", "--energy", "nan"], 4,
-                          "kinematics error: off-shell kinematics: E=nan but "
-                          "sqrt(p^2+m^2)=1.4142135623730951"),
+    "table1-energy=nan": (["table1", "--trials", "2", "--energy", "nan"], 2,
+                          "spinorlab table1: error: unrecognized arguments: --energy nan"),
     "dual-omega-not-valid": (["dual", "--psi", "PSI", "--omega", "IMAGINARY_OMEGA"], 5,
                              "operator error: not a valid Omega: constraint residual 2.000e+00 "
                              "(tolerance 1.0e-10), |det| = 1.000e+00"),
     "dual-output-unwritable": (["dual", "--psi", "PSI", "--output", "UNWRITABLE"], 2,
                                "usage error: cannot write ..."),
+    # only cayley renders csv; Python versions spell the choices differently
     "embed-format=csv": (["embed", "--format", "csv", "--trials", "5"], 2,
-                         "csv format is only available for cayley"),
+                         "spinorlab embed: error: argument --format: invalid choice: 'csv' ..."),
     # argparse writes its usage, then the error line
     **{f"{command}-{flag}={value}": ([command, f"--{flag}", value, *more], 2,
                                      f"spinorlab {command}: error: argument --{flag}: {error}")
@@ -189,7 +191,9 @@ REFUSALS = {
         argv, 2, f"spinorlab {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}")
        for argv in [["cayley", "--seed", "3"], ["dual", "--psi", "psi.json", "--trials", "5"],
                     ["embed", "--tolerance", "1e-3"], ["verify-theorems", "--tolerance", "1e-3"],
-                    ["classify", "--duals", "duals.json", "--seed", "1"]]},
+                    ["classify", "--duals", "duals.json", "--seed", "1"],
+                    # the energy is derived, so even the on-shell value is refused
+                    ["table1", "--energy", "1.4142135623730951"]]},
 }
 
 
@@ -302,6 +306,7 @@ def write_inputs(tmp: Path) -> tuple:
         "NAN": write("nan.json", "[[NaN, 0], [0, 0], [0, 0], [1, 0]]"),
         "INF": write("inf.json", "[[1e400, 0], [0, 0], [0, 0], [1, 0]]"),
         "MINUS_INF": write("minus-inf.json", "[[1, 0], [0, -Infinity], [0, 0], [1, 0]]"),
+        "EXACT_PAIR": write("exact-pair.json", "[[[1, 3], 0], [0, 0], [0, 0], [1, 0]]"),
         "ZERO_DENOMINATOR": write("zero-den.json", "[[[1, 0], 0], [0, 0], [0, 0], [1, 0]]"),
         "TRUE": write("true.json", "[[true, 0], [0, 0], [0, 0], [0, 0]]"),
         "FALSE": write("false.json", "[[0, false], [0, 0], [0, 0], [1, 0]]"),

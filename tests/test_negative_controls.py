@@ -1,30 +1,54 @@
 """Negative controls: a report check shown to fail on a defect of known size.
 
-Each control adds a defect of size delta at one seam of ``checks``, by a
-monkeypatch, and asserts that the check reads delta within a factor of 2, so
-that it responds linearly; that it fails, where it passed without the defect
-(table1's rows at a tolerance of delta / 10, embed's bounds at their fixed
-tolerances of 1e-10 and 1e-9); and that the other checks of the same call
-keep their bits.  The controls so far cover table1's seven rows and embed's
-three bounds: 10 of the 38 checks that ``REPORTS`` in
-``tests/test_known_defects.py`` names, and a test holds both counts.
+Each control of a bound adds a defect of size delta at one seam of ``checks``,
+by a monkeypatch, and asserts that the check reads delta within a factor of 2,
+so that it responds linearly; that it fails, where it passed without the
+defect (table1's rows at a tolerance of delta / 10, the other bounds at their
+fixed tolerances, and at 10 times them); and that the other checks of the same
+call keep their bits.  The control of a detection removes what it detects and
+asserts that it fails.  The controls so far cover table1's seven rows, embed's
+three bounds and four checks of verify-theorems: 14 of the 38 checks that
+``REPORTS`` in ``tests/test_known_defects.py`` names.  ``VACUOUS`` lists the
+checks that no defect can make fail, each with its reason and a test that
+shows it.  A test holds both counts.
 """
 
 import numpy as np
 import pytest
 
 from spinorlab import checks, cli
-from spinorlab.duals import ELEMENT_NAMES, KinematicPoint, closed_form
+from spinorlab.duals import (
+    ELEMENT_NAMES, InvalidOperatorError, KinematicPoint, _delta_from, _split_delta, _to_delta,
+    closed_form,
+)
 from spinorlab.multivector import _product
 from spinorlab.quaternions import QuatMatrix2
-from spinorlab.weyl import _matrices
+from spinorlab.weyl import _dirac_dagger, _matrices
 
-from test_known_defects import REPORTS
+from test_known_defects import BOUNDS, REPORTS, kinematic_flags
 
 DELTAS = (1e-8, 1e-6, 1e-4)
 K = KinematicPoint(1.3, 0.8, 0.7, 0.3)
 E01 = np.zeros((4, 4))
 E01[0, 1] = 1.0
+KFLAGS = kinematic_flags(K)
+
+
+def suite_checks(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.suite(args)["checks"]
+
+
+def assert_only_it_reads(name, before_checks, after_checks, delta):
+    """Check ``name`` passed before and fails now, reading ``delta`` within a factor of 2;
+    every other check keeps its bits."""
+    for before, after in zip(before_checks, after_checks, strict=True):
+        if after["name"] != name:
+            assert after == before
+            continue
+        assert before["status"] == "pass"
+        assert after["status"] == "fail"
+        assert delta / 2 <= after["residual"] <= 2 * delta
 
 
 def shifted_closed_form(target, delta):
@@ -48,13 +72,7 @@ def test_a_table1_row_reads_a_defect_in_its_closed_form(name, delta, monkeypatch
     tolerance = delta / 10
     want = table1_rows(tolerance)
     monkeypatch.setattr(checks, "closed_form", shifted_closed_form(name, delta))
-    for before, after in zip(want, table1_rows(tolerance), strict=True):
-        if after["name"] != f"row-{name}":
-            assert after == before
-            continue
-        assert before["status"] == "pass"
-        assert after["status"] == "fail"
-        assert delta / 2 <= after["residual"] <= 2 * delta
+    assert_only_it_reads(f"row-{name}", want, table1_rows(tolerance), delta)
 
 
 def shifted_quaternion_products(delta):
@@ -84,27 +102,102 @@ EMBED_SEAMS = {
 }
 
 
-def embed_checks():
-    args = cli.build_parser().parse_args(["embed"])
-    return args.suite(args)["checks"]
-
-
 @pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("name", EMBED_SEAMS)
 def test_an_embed_bound_reads_a_defect_at_its_seam(name, delta, monkeypatch):
-    want = embed_checks()
+    want = suite_checks(["embed"])
     seam, shifted = EMBED_SEAMS[name]
     monkeypatch.setattr(checks, seam, shifted(delta))
-    for before, after in zip(want, embed_checks(), strict=True):
-        if after["name"] != name:
+    assert_only_it_reads(name, want, suite_checks(["embed"]), delta)
+
+
+def moved_at_fixed_points(delta):
+    """``_dirac_dagger`` moved by ``delta`` on the scalar blade of each multivector that it
+    leaves fixed to 1e-9: the self-adjoint draws.  The perturbed draws lie 1e-6 or more
+    from their adjoints, so their residuals keep their bits."""
+    def adjoint(c):
+        out = _dirac_dagger(c)
+        out[abs(out - c).max(axis=-1) < 1e-9, 0] += delta
+        return out
+
+    return adjoint
+
+
+def shifted_determinant(delta):
+    """``_to_delta`` with the first row of each Delta scaled so that its determinant
+    gains ``delta``.  In verify-theorems only determinant-transport converts to Delta."""
+    def to_delta(m, x):
+        d = _to_delta(m, x)
+        d[..., 0, :] *= 1 + delta / np.linalg.det(d)[..., None]
+        return d
+
+    return to_delta
+
+
+E03 = np.zeros((4, 4))
+E03[0, 3] = 1.0  # entry (0, 1) of the block B
+
+#: verify-theorems's bound: the name in ``checks`` that its seam replaces, and the seam for delta
+THEOREM_SEAMS = {
+    # B stops being Hermitian; the constraint is measured on the Delta as drawn
+    "block-hermiticity": ("_split_delta", lambda d: lambda m: _split_delta(m + d * E03)),
+    "adjoint-fixed-points": ("_dirac_dagger", moved_at_fixed_points),
+    "determinant-transport": ("_to_delta", shifted_determinant),
+}
+
+
+@pytest.mark.parametrize("scale", [*DELTAS, "10x"])
+@pytest.mark.parametrize("name", THEOREM_SEAMS)
+def test_a_verify_theorems_bound_reads_a_defect_at_its_seam(name, scale, monkeypatch):
+    seam, shifted = THEOREM_SEAMS[name]
+    delta = 10 * BOUNDS["verify-theorems"][name] if scale == "10x" else scale
+    want = suite_checks(["verify-theorems", *KFLAGS])
+    monkeypatch.setattr(checks, seam, shifted(delta))
+    assert_only_it_reads(name, want, suite_checks(["verify-theorems", *KFLAGS]), delta)
+
+
+def test_the_adjoint_detection_fails_without_its_perturbation(monkeypatch):
+    want = suite_checks(["verify-theorems", *KFLAGS])
+    monkeypatch.setattr(checks, "PERTURBATION", 0.0)
+    for before, after in zip(want, suite_checks(["verify-theorems", *KFLAGS]), strict=True):
+        if after["name"] == "adjoint-imaginary-detection":
+            assert (before["status"], after["status"]) == ("pass", "fail")
+        else:
             assert after == before
-            continue
-        assert before["status"] == "pass"
-        assert after["status"] == "fail"
-        assert delta / 2 <= after["residual"] <= 2 * delta
+
+
+#: report check that no defect can make fail: why.  Items 5 and 18 of the ROADMAP work
+#: through this list.
+VACUOUS = {
+    "closure": "cayley reports the constant 0; the closure decision is group_from_elements's "
+               "raise",
+    "block-structure-validation": "block_pattern calls require() before it builds the verdict, "
+                                  "so a Delta off the constraint raises and never reports a fail",
+}
+
+
+def test_cayley_closure_reads_0_or_raises(monkeypatch):
+    argv = ["cayley", *KFLAGS]
+    for delta, outcome in [(0.0, None), (1e-12, None), (1e-3, "not closed under products")]:
+        monkeypatch.setattr(cli, "closed_form", shifted_closed_form("F", delta))
+        if outcome:
+            with pytest.raises(ValueError, match=outcome):
+                suite_checks(argv)
+        else:
+            want = checks.verdict("closure", 0, BOUNDS["cayley"]["closure"])
+            assert suite_checks(argv)[0] == want
+
+
+def test_block_structure_validation_raises_instead_of_failing(monkeypatch):
+    monkeypatch.setattr(checks, "_delta_from", lambda u: _delta_from(u) + 1e-9j * np.eye(4))
+    with pytest.raises(InvalidOperatorError, match=r"constraint residual 2\.000e-09"):
+        checks.block_pattern(np.random.default_rng(0), 100)
 
 
 def test_every_control_is_of_a_check_that_a_report_names():
     named = {name for _, _, bounds in REPORTS.values() for name in bounds}
     assert len(named) == 38
-    assert {f"row-{name}" for name in ELEMENT_NAMES} | set(EMBED_SEAMS) <= named
+    controlled = ({f"row-{name}" for name in ELEMENT_NAMES} | set(EMBED_SEAMS)
+                  | set(THEOREM_SEAMS) | {"adjoint-imaginary-detection"})
+    assert len(controlled) == 14 and controlled <= named
+    assert set(VACUOUS) <= named - controlled

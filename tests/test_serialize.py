@@ -55,15 +55,16 @@ def test_bool_coefficients_round_trip():
 #: (pair, error) for each kind of part the matrix and spinor readers refuse
 BAD_PARTS = [
     ([1], "coefficient must be [re, im], got [1]"),
-    ([[1, 2, 3], 0], "bad exact value [1, 2, 3]"),
-    ([[1, 0], 0], "bad exact value [1, 0]"),
+    ([[1, 2, 3], 0], "bad numeric value [1, 2, 3]"),
+    ([[1, 3], 0], "bad numeric value [1, 3]"),  # a part is a number, never an exact pair
+    ([0, 10**400], "exact value too large for a float"),
     ([True, 0], "bad numeric value True"),
     ([0, False], "bad numeric value False"),
 ]
 
 
 def test_a_zero_imaginary_part_reads_as_positive_zero():
-    psi = spinor_from_obj([[-0.0, -0.0], [[1, 3], 0], [2, [0, -5]], [10**20, -1.5]])
+    psi = spinor_from_obj([[-0.0, -0.0], [1 / 3, 0], [2, 0], [10**20, -1.5]])
     assert repr(psi.tolist()) == repr([complex(-0.0, 0.0), complex(1 / 3, 0.0),
                                       complex(2.0, 0.0), complex(1e20, -1.5)])
 

@@ -2,11 +2,13 @@
 tolerances, and every name the benchmark's tracer wraps."""
 
 import ast
+import copy
 import dataclasses
 import importlib
 import inspect
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -459,17 +461,13 @@ def test_a_value_type_refuses_the_tuple_operations_it_never_had():
 @pytest.mark.parametrize("args, message", [
     ((float("nan"), 1.0, 0.7, 0.3),
      "kinematics must be finite, got KinematicPoint(m=nan, p=1.0, theta=0.7, phi=0.3, E=None)"),
-    ((1.0, 1.0, float("inf"), 0.3, 3.0),
-     "kinematics must be finite, got KinematicPoint(m=1.0, p=1.0, theta=inf, phi=0.3, E=3.0)"),
+    ((1.0, 1.0, float("inf"), 0.3),
+     "kinematics must be finite, got KinematicPoint(m=1.0, p=1.0, theta=inf, phi=0.3, E=None)"),
     ((0.0, 1.0, 0.7, 0.3), "mass must be positive, got 0.0"),
     ((1.0, -1.0, 0.7, 0.3), "momentum must be nonnegative, got -1.0"),
     ((1e200, 1.0, 0.7, 0.3), "energy sqrt(p^2+m^2) overflows at p=1.0"),
     ((1.0, 1e200, 0.7, 0.3), "energy sqrt(p^2+m^2) overflows at p=1e+200"),
     ((1e100, 1.0, 0.7, 0.3), "m^4 at m=1e+100 is outside the representable range"),
-    ((1.0, 1.0, 0.7, 0.3, 2.0),
-     "off-shell kinematics: E=2.0 but sqrt(p^2+m^2)=1.4142135623730951"),
-    ((1.0, 1.0, 0.7, 0.3, float("nan")),
-     "off-shell kinematics: E=nan but sqrt(p^2+m^2)=1.4142135623730951"),
 ])
 def test_a_kinematic_point_refuses_with_its_message(args, message):
     with pytest.raises(duals.KinematicsError) as caught:
@@ -497,9 +495,9 @@ def test_replacing_a_field_checks_the_record_again():
     k = KinematicPoint(1.0, 1.0, 0.7, 0.3)
     with pytest.raises(duals.KinematicsError, match="mass must be positive, got -1.0"):
         k._replace(m=-1.0)
-    with pytest.raises(duals.KinematicsError, match="off-shell"):  # E is kept, and checked
-        k._replace(p=2.0)
+    assert k._replace(p=2.0).E == math.sqrt(5)  # E is derived again, never carried over
     assert KinematicPoint._make([3.0, 4.0, 0.7, 0.3]) == (3.0, 4.0, 0.7, 0.3, 5.0)
+    assert copy.copy(k) == k and pickle.loads(pickle.dumps(k)) == k
     f = canonical_idempotent("real")
     with pytest.raises(ValueError, match="not idempotent"):
         f._replace(value=gamma(1))

@@ -1,4 +1,4 @@
-"""Compare two commits of this repository on one workload, in fresh copies.
+"""Compare two commits of this repository on a workload, in fresh copies.
 
     python3 tools/bench.py PARENT CHANGE --workload W [--pairs N] [--seed S]
 
@@ -15,16 +15,18 @@ on ``PATH``.
   --workload W --seed S+i --seconds T --trace 0`` in the copy, with T the
   ``run_seconds`` of ``BENCHMARK.json``; its metrics are the end-to-end
   metrics of its result object, the last line it prints.
+* W ``all``: each workload of ``BENCHMARK.json`` in turn, in the file's order,
+  on the same two copies, each with the same N pairs from seed S.
 * W ``cold-start``: a run is two fresh processes on one CPU, with
   ``PYTHONDONTWRITEBYTECODE=1`` in a temporary directory, so each compiles the
   package and writes nothing under the copy: one imports numpy, then times
   ``import spinorlab.cli`` in process with ``time.perf_counter``; the other is
   a whole ``python -m spinorlab.cli table1`` process, timed from start to exit.
 
-The script prints, per metric, the parent's median [first quartile, third
-quartile], the change's median and the number of pairs in which the change
-read better: lower, or higher where ``BENCHMARK.json`` says so.  Then it prints
-how many runs of each copy were correct.
+For each workload the script prints one block: per metric, the parent's
+median [first quartile, third quartile], the change's median and the number
+of pairs in which the change read better (lower, or higher where
+``BENCHMARK.json`` says so), then how many runs of each copy were correct.
 """
 
 from __future__ import annotations
@@ -74,32 +76,22 @@ def cold_start(copy: Path, cwd: str) -> tuple:
             table1.returncode == 0)
 
 
-def main(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("revs", nargs=2, metavar="REV", help="PARENT and CHANGE commits")
-    parser.add_argument("--workload", required=True, help="a perfbench workload, or cold-start")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 to give quartiles")
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    if args.workload == "cold-start":
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        copies = {name: archive(rev, Path(tmp) / name) for name, rev in zip(runs, args.revs)}
-        (Path(tmp) / "cwd").mkdir()
-        for pair in range(args.pairs):
-            for name in list(runs)[::-1] if pair % 2 else runs:
-                if args.workload == "cold-start":
-                    runs[name].append(cold_start(copies[name], str(Path(tmp) / "cwd")))
-                else:
-                    runs[name].append(perfbench(copies[name], args.workload,
-                                                args.seed + pair, benchmark["run_seconds"]))
+def compare(copies: dict, workload: str, args, benchmark: dict, cwd: str) -> dict:
+    """The runs of each copy on ``workload``, pair by pair, alternating which goes first."""
+    runs = {name: [] for name in copies}
+    for pair in range(args.pairs):
+        for name in list(runs)[::-1] if pair % 2 else runs:
+            if workload == "cold-start":
+                runs[name].append(cold_start(copies[name], cwd))
+            else:
+                runs[name].append(perfbench(copies[name], workload, args.seed + pair,
+                                            benchmark["run_seconds"]))
+    return runs
+
+
+def summary(workload: str, runs: dict, args, better: dict) -> None:
     parent, change = ([values for values, _ in runs[name]] for name in runs)
-    print(f"{args.workload}: {args.pairs} pairs from seed {args.seed}; parent median "
+    print(f"{workload}: {args.pairs} pairs from seed {args.seed}; parent median "
           "[Q1, Q3], change median, pairs the change read better")
     for key in parent[0]:
         a, b = [v[key] for v in parent], [v[key] for v in change]
@@ -109,7 +101,32 @@ def main(argv) -> int:
         print(f"  {key:16} {median:.4g} [{q1:.4g}, {q3:.4g}]  {statistics.median(b):.4g}"
               f"  {won}/{args.pairs}")
     print("  correct runs: " + ", ".join(f"{name} {sum(ok for _, ok in runs[name])}"
-                                         f"/{args.pairs}" for name in runs))
+                                         f"/{args.pairs}" for name in runs), flush=True)
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("revs", nargs=2, metavar="REV", help="PARENT and CHANGE commits")
+    parser.add_argument("--workload", required=True,
+                        help="a perfbench workload, all of them, or cold-start")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    workloads = ([w["name"] for w in benchmark["workloads"]] if args.workload == "all"
+                 else [args.workload])
+    if args.workload == "cold-start":
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {name: archive(rev, Path(tmp) / name)
+                  for name, rev in zip(("parent", "change"), args.revs)}
+        (Path(tmp) / "cwd").mkdir()
+        for workload in workloads:
+            summary(workload, compare(copies, workload, args, benchmark, str(Path(tmp) / "cwd")),
+                    args, better)
     return 0
 
 
