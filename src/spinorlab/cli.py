@@ -130,7 +130,11 @@ def _suite_classify(args) -> dict:
         raise MalformedInputError("duals JSON must be a list of spinor rows")
     rows = [spinor_from_obj(obj) for obj in duals_obj]
     group = _named_group(args.group, k, args.tolerance)
-    partition = orbit_partition(group, rows, tol=args.tolerance)
+    with np.errstate(over="ignore", invalid="ignore"):  # a dual with a non-finite image is refused
+        finite = np.isfinite(np.reshape(rows, (-1, 1, 1, 4)) @ group.elements).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise MalformedInputError(f"dual {finite.argmin()} is too large: an image overflows")
+        partition = orbit_partition(group, rows, tol=args.tolerance)
     divides = all(group.order % s == 0 for s in partition.orbit_sizes)
     return _report(args, k, [checks.verdict("orbit-sizes-divide-order", not divides, 0.0)], {
         "group": args.group,

@@ -101,13 +101,6 @@ class FiniteMatrixGroup:
         return n
 
 
-def _find(stored: np.ndarray, x: np.ndarray, tol: float):
-    """Index of the first row of ``stored`` within max-entry distance ``tol``
-    of the row ``x``, or -1; a stack of rows ``x`` gives one index per row."""
-    hits = (abs(stored - x[..., None, :]) <= tol).all(axis=-1)
-    return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
-
-
 #: products looked up per keyed call while building a Cayley table or
 #: closing a group; a call's temporaries hold _TABLE_BLOCK * n key gaps
 _TABLE_BLOCK = 64
@@ -134,7 +127,7 @@ def _matches(stored: np.ndarray, keys: np.ndarray, x: np.ndarray, tol: float):
 
 
 def _lookup(stored: np.ndarray, keys: np.ndarray, x: np.ndarray, tol: float):
-    """``_find(stored, x, tol)`` for a stack of rows x, through the keys."""
+    """Index of the first row of ``stored`` within ``tol`` of each row of x, or -1, by key."""
     hits = _matches(stored, keys, x, tol)
     return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
 
@@ -348,8 +341,10 @@ def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> 
                 unassigned[members] = False
                 classes.append(members.tolist())
                 opened.append(r)
-        images = images[opened]
-        sizes += (_find(images[:, None], images, tol) == np.arange(len(mats))).sum(axis=-1).tolist()
+        images = images[opened]  # near[r, i, j]: image j of row r is within tol of image i
+        near = (abs(images[:, None] - images[:, :, None]) <= tol).all(axis=-1)
+        first = np.where(near.any(axis=-1), near.argmax(axis=-1), -1)  # -1 if none, as at NaN
+        sizes += (first == np.arange(len(mats))).sum(axis=-1).tolist()
     return OrbitPartition(classes, [cls[0] for cls in classes], sizes)
 
 

@@ -2,7 +2,8 @@
 
 Also provides the quaternionic 2x2 representation of real Cl(1,3)
 multivectors (the algebra is isomorphic to M2(H)) and the upper-block
-complex image of the even subalgebra (isomorphic to M2(C)).
+complex image of the even subalgebra (isomorphic to M2(C)).  A Quaternion
+multiplies a Quaternion or a real scalar; a QuatMatrix2 only a QuatMatrix2.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class Quaternion(NamedTuple):
             return Quaternion(*_hamilton(*self.as_list(), *other.as_list()))
         if isinstance(other, Real):
             return Quaternion(self.a * other, self.b * other, self.c * other, self.d * other)
-        return NotImplemented  # QuatMatrix2.__rmul__ takes q * M
+        return NotImplemented
 
     __rmul__ = __mul__  # a real scalar times q; real products commute
 
@@ -119,18 +120,7 @@ class QuatMatrix2:
             t = np.stack(_hamilton(*np.moveaxis(self.q[..., :, :, None, :], -1, 0),
                                    *np.moveaxis(other.q[..., None, :, :, :], -1, 0)), axis=-1)
             return QuatMatrix2._of(t[..., 0, :, :] + t[..., 1, :, :])
-        if isinstance(other, Quaternion):  # each entry times other, on the right
-            return QuatMatrix2._of(np.stack(
-                _hamilton(*np.moveaxis(self.q, -1, 0), *other.as_list()), axis=-1))
-        if isinstance(other, Real):
-            return QuatMatrix2._of(self.q * other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, Quaternion):  # other times each entry, on the left
-            return QuatMatrix2._of(np.stack(
-                _hamilton(*other.as_list(), *np.moveaxis(self.q, -1, 0)), axis=-1))
-        return self.__mul__(other)  # a real scalar commutes
 
     def entries(self) -> tuple:
         return (self.q11, self.q12, self.q21, self.q22)

@@ -1,19 +1,18 @@
 """JSON formats for multivectors, 4x4 matrices, and spinors.
 
 Multivector (written, not read): object mapping blade keys ("" scalar,
-"01", "0123", ...) to [re, im] pairs, each part of an int or Fraction
-coefficient written as an exact [num, den] integer pair.
+"01", "0123", ...) to [re, im] pairs.  Matrix: 4x4 nested array of [re, im].
+Spinor / dual spinor: flat array of four [re, im] pairs.
 
-Matrix: 4x4 nested array of [re, im].  Spinor / dual spinor: flat array of
-four [re, im] pairs.  Each part read is a finite JSON number: not a pair,
-not true or false, and an integer only if it fits a float.
+Each part is written as a float, an exact coefficient too.  Each part read is a
+finite JSON number: not a pair, not true or false, and an integer only if it
+fits a float.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +22,6 @@ from .multivector import Multivector, blade_key
 
 class MalformedInputError(ValueError):
     """Input file or object does not match the documented schema."""
-
-
-def _part_to_obj(x):
-    if isinstance(x, int):
-        return [int(x), 1]  # a bool coefficient is the int 1 or 0
-    return [x.numerator, x.denominator]
 
 
 def _part_from_obj(obj) -> float:
@@ -48,13 +41,6 @@ def _pairs(values) -> list:
     return [[float(v.real), float(v.imag)] for v in values]
 
 
-def _scalar_to_pair(c):
-    if isinstance(c, (int, Fraction)):
-        return [_part_to_obj(c), [0, 1]]
-    c = complex(c)
-    return [c.real, c.imag]
-
-
 def _complex_from_pair(pair) -> complex:
     if not isinstance(pair, list) or len(pair) != 2:
         raise MalformedInputError(f"coefficient must be [re, im], got {pair!r}")
@@ -63,7 +49,7 @@ def _complex_from_pair(pair) -> complex:
 
 
 def multivector_to_obj(a: Multivector) -> dict:
-    return {blade_key(mask): _scalar_to_pair(value) for mask, value in a.items()}
+    return {blade_key(mask): _pairs([value])[0] for mask, value in a.items()}
 
 
 def matrix_to_obj(m: np.ndarray) -> list:

@@ -229,9 +229,17 @@ def test_dirac_group_orders_and_table(extra, order):
             assert abs(a @ b - group.elements[group.table[i, j]]).max() <= 1e-9
 
 
+def _find(stored: np.ndarray, x: np.ndarray, tol: float):
+    """The dense lookup that the keyed one must match: the index of the first row of
+    ``stored`` within max-entry distance ``tol`` of the row ``x``, or -1; a stack of
+    rows ``x`` gives one index per row."""
+    hits = (abs(stored - x[..., None, :]) <= tol).all(axis=-1)
+    return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
+
+
 def per_element_table(elements, tol):
     flat = np.array(elements).reshape(len(elements), 16)
-    return np.array([[groups._find(flat, (a @ b).ravel(), tol) for b in elements]
+    return np.array([[_find(flat, (a @ b).ravel(), tol) for b in elements]
                      for a in elements])
 
 
@@ -300,7 +308,7 @@ def sequential_closure(generators, cap):
     for m, name in zip(elements, names):
         for g, step in steps:
             prod = m @ g
-            if groups._find(flat, prod.ravel(), tol) >= 0:
+            if _find(flat, prod.ravel(), tol) >= 0:
                 continue
             flat = np.concatenate([flat, prod.reshape(1, 16)])
             elements.append(prod)
@@ -308,7 +316,7 @@ def sequential_closure(generators, cap):
             if len(elements) > cap:
                 return "cap", cap, len(elements), names
     stack = np.array(elements)
-    table = np.array([groups._find(flat, (a @ stack).reshape(-1, 16), tol) for a in stack])
+    table = np.array([_find(flat, (a @ stack).reshape(-1, 16), tol) for a in stack])
     return stack, names, table
 
 
@@ -486,7 +494,7 @@ def test_keyed_lookup_matches_find(data):
     keys = groups._key(stored)
     brute = (abs(stored[None] - x[:, None]) <= tol).all(axis=-1)
     assert np.array_equal(groups._matches(stored, keys, x, tol), brute)
-    assert np.array_equal(groups._lookup(stored, keys, x, tol), groups._find(stored, x, tol))
+    assert np.array_equal(groups._lookup(stored, keys, x, tol), _find(stored, x, tol))
 
 
 def test_key_window_allows_for_rounding():
@@ -748,10 +756,10 @@ def ref_orbit_partition(group, duals, tol=1e-9):
             continue
         images = rows[i] @ mats
         open_rows = i + np.flatnonzero(unassigned[i:])
-        members = open_rows[groups._find(images, rows[open_rows], tol) >= 0]
+        members = open_rows[_find(images, rows[open_rows], tol) >= 0]
         unassigned[members] = False
         classes.append([int(j) for j in members])
-        sizes.append(int((groups._find(images, images, tol) == np.arange(len(images))).sum()))
+        sizes.append(int((_find(images, images, tol) == np.arange(len(images))).sum()))
     return classes, [cls[0] for cls in classes], sizes
 
 
@@ -861,19 +869,14 @@ def test_a_dual_belongs_to_the_class_it_opens():
 
 
 def test_orbit_lookups_stay_in_blocks(monkeypatch):
-    shapes, finds = [], []
-    real_matches, real_find = groups._matches, groups._find
+    shapes = []
+    real_matches = groups._matches
 
     def recording_matches(stored, keys, x, tol):
         shapes.append(x.shape)
         return real_matches(stored, keys, x, tol)
 
-    def recording_find(stored, x, tol):
-        finds.append(x.shape)
-        return real_find(stored, x, tol)
-
     monkeypatch.setattr(groups, "_matches", recording_matches)
-    monkeypatch.setattr(groups, "_find", recording_find)
     group = group_from_elements(gf_elements(K))
     assert len(shapes) == 1  # the whole order-4 table in one keyed call
     shapes.clear()
@@ -882,7 +885,7 @@ def test_orbit_lookups_stay_in_blocks(monkeypatch):
     partition = orbit_partition(group, rows)
     assert max(shape[0] for shape in shapes) <= 64
     assert len(shapes) <= math.ceil(400 / 16)
-    assert len(finds) <= len(shapes) < len(partition.classes)
+    assert len(shapes) < len(partition.classes)
 
 
 # -- hierarchy membership --------------------------------------------------------------------

@@ -144,10 +144,16 @@ REFUSALS = {
     "dual-psi-nested-deeply": (["dual", "--psi", "DEEP"], 3, "input error: JSON in ..."),
     "classify-duals-object": (["classify", "--duals", "DUALS_OBJECT"], 3,
                               "input error: duals JSON must be a list of spinor rows"),
+    # its finite dual has an infinite image under XiDagger, which would match nothing
+    "classify-gxidagger-dual-overflow": (["classify", "--group", "GXiDagger", "--duals",
+                                          "BIG_DUALS"], 3,
+                                         "input error: dual 0 is too large: an image overflows"),
     "dual-energy=9.0": (["dual", "--psi", "PSI", "--energy", "9.0"], 2,
                         "spinorlab dual: error: unrecognized arguments: --energy 9.0"),
     "table1-mass=-2": (["table1", "--mass", "-2"], 4,
                        "kinematics error: mass must be positive, got -2.0"),
+    "table1-momentum=-1e-3": (["table1", "--momentum", "-1e-3"], 4,
+                              "kinematics error: momentum must be nonnegative, got -0.001"),
     "table1-momentum=0": (["table1", "--momentum", "0"], 4, SINGULAR),
     "cayley-momentum=0": (["cayley", "--momentum", "0"], 4, SINGULAR),
     "classify-momentum=0": (["classify", "--duals", "PSI_DUALS", "--momentum", "0"], 4, SINGULAR),
@@ -251,6 +257,8 @@ REPORTS = {
         ("classify-psi", ["classify", "--duals", "PSI_DUALS"]),
         ("classify-gf-kinematics", ["classify", "--group", "GF", "--duals", "DUALS", *KFLAGS]),
         ("classify-momentum-1e-8", ["classify", "--duals", "PSI_DUALS", "--momentum", "1e-8"]),
+        # every image of its large dual under GF is finite, and no warning is raised
+        ("classify-gf-large-dual", ["classify", "--duals", "BIG_DUALS"]),
         ("embed-trials-5", ["embed", "--trials", "5"]),
         ("embed-seed-3", ["embed", "--seed", "3", "--trials", "12"]),
         ("embed-trials-30", ["embed", "--trials", "30"]),
@@ -301,6 +309,8 @@ def write_inputs(tmp: Path) -> tuple:
         "PSI_DUALS": write("psi-duals.json", [spinor_to_obj(PSI)]),
         "UNIT": write("unit.json", [[1, 0], [0, 0], [0, 0], [0, 0]]),
         "BIG": write("big.json", "[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]"),
+        "BIG_DUALS": write("big-duals.json", "[[[1e308, 0], [1e308, 0], [1e308, 0], [1e308, 0]], "
+                                             "[[1, 0], [0, 0], [0, 0], [0, 0]]]"),
         "NOT_A_SPINOR": write("bad.json", '{"not": "a spinor"}'),
         "MISSING": str(tmp / "missing.json"),  # not written
         "NAN": write("nan.json", "[[NaN, 0], [0, 0], [0, 0], [1, 0]]"),

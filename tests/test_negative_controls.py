@@ -7,10 +7,10 @@ defect (table1's rows at a tolerance of delta / 10, the other bounds at their
 fixed tolerances, and at 10 times them); and that the other checks of the same
 call keep their bits.  The control of a detection removes what it detects and
 asserts that it fails.  The controls so far cover table1's seven rows, embed's
-three bounds and four checks of verify-theorems: 14 of the 38 checks that
-``REPORTS`` in ``tests/test_known_defects.py`` names.  ``VACUOUS`` lists the
-checks that no defect can make fail, each with its reason and a test that
-shows it.  A test holds both counts.
+three bounds, four checks of verify-theorems and spinor-spaces's two beta
+bounds: 16 of the 38 checks that ``REPORTS`` in ``tests/test_known_defects.py``
+names.  ``VACUOUS`` lists the checks that no defect can make fail, each with
+its reason and a test that shows it.  A test holds both counts.
 """
 
 import numpy as np
@@ -21,7 +21,8 @@ from spinorlab.duals import (
     ELEMENT_NAMES, InvalidOperatorError, KinematicPoint, _delta_from, _split_delta, _to_delta,
     closed_form,
 )
-from spinorlab.multivector import _product
+from spinorlab.ideals import Idempotent, _beta, canonical_idempotent
+from spinorlab.multivector import _product, scalar
 from spinorlab.quaternions import QuatMatrix2
 from spinorlab.weyl import _dirac_dagger, _matrices
 
@@ -156,6 +157,35 @@ def test_a_verify_theorems_bound_reads_a_defect_at_its_seam(name, scale, monkeyp
     assert_only_it_reads(name, want, suite_checks(["verify-theorems", *KFLAGS]), delta)
 
 
+def shifted_beta(kind, row, delta):
+    """``_beta`` moved by ``delta`` times the coefficients ``row`` for the involution ``kind``
+    only.  In spinor-spaces beta-in-ring takes the reversion and beta-matches-matrix-adjoint
+    the gamma0-adjoint ("dirac_dagger"), so each seam moves one check."""
+    def beta(psi, phi, k, h, f):
+        b = _beta(psi, phi, k, h, f)
+        return b + delta * row if k == kind else b
+
+    return beta
+
+
+#: spinor-spaces's beta bound: the involution kind that its seam moves, and the direction
+SPINOR_SEAMS = {
+    # e1 is off the ring of f = (1 + g0) / 2, as f e1 f = 0, so b - f b f gains delta e1
+    "beta-in-ring": ("reversion", np.eye(16)[0b0010]),
+    # the scalar blade's matrix is I, so the matrix difference gains delta I
+    "beta-matches-matrix-adjoint": ("dirac_dagger", SCALAR),
+}
+
+
+@pytest.mark.parametrize("scale", [*DELTAS, "10x"])
+@pytest.mark.parametrize("name", SPINOR_SEAMS)
+def test_a_spinor_spaces_bound_reads_a_defect_at_its_seam(name, scale, monkeypatch):
+    delta = 10 * BOUNDS["spinor-spaces"][name] if scale == "10x" else scale
+    want = suite_checks(["spinor-spaces"])
+    monkeypatch.setattr(checks, "_beta", shifted_beta(*SPINOR_SEAMS[name], delta))
+    assert_only_it_reads(name, want, suite_checks(["spinor-spaces"]), delta)
+
+
 def test_the_adjoint_detection_fails_without_its_perturbation(monkeypatch):
     want = suite_checks(["verify-theorems", *KFLAGS])
     monkeypatch.setattr(checks, "PERTURBATION", 0.0)
@@ -173,6 +203,9 @@ VACUOUS = {
                "raise",
     "block-structure-validation": "block_pattern calls require() before it builds the verdict, "
                                   "so a Delta off the constraint raises and never reports a fail",
+    **dict.fromkeys(("complex-idempotency", "real-idempotency"),
+                    "Idempotent refuses a residual above ROUNDING_TOL, the check's own tolerance, "
+                    "before any verdict is built"),
 }
 
 
@@ -194,10 +227,23 @@ def test_block_structure_validation_raises_instead_of_failing(monkeypatch):
         checks.block_pattern(np.random.default_rng(0), 100)
 
 
+@pytest.mark.parametrize("mode, residual", [("complex", "5.000e-10"), ("real", "1.000e-09")])
+def test_idempotency_raises_instead_of_failing(mode, residual, monkeypatch):
+    # f + 1e-9 is off its square by far more than the check's tolerance of 1e-12
+    def shifted(m):
+        f = canonical_idempotent(m)
+        return Idempotent(f.value + 1e-9 * scalar(1)) if m == mode else f
+
+    monkeypatch.setattr(checks, "canonical_idempotent", shifted)
+    checks.spinor_space_structure.cache_clear()
+    with pytest.raises(ValueError, match=rf"^not idempotent: residual {residual}$"):
+        suite_checks(["spinor-spaces"])
+
+
 def test_every_control_is_of_a_check_that_a_report_names():
     named = {name for _, _, bounds in REPORTS.values() for name in bounds}
     assert len(named) == 38
     controlled = ({f"row-{name}" for name in ELEMENT_NAMES} | set(EMBED_SEAMS)
-                  | set(THEOREM_SEAMS) | {"adjoint-imaginary-detection"})
-    assert len(controlled) == 14 and controlled <= named
-    assert set(VACUOUS) <= named - controlled
+                  | set(THEOREM_SEAMS) | set(SPINOR_SEAMS) | {"adjoint-imaginary-detection"})
+    assert len(controlled) == 16 and controlled <= named
+    assert len(VACUOUS) == 4 and set(VACUOUS) <= named - controlled

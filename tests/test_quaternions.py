@@ -108,7 +108,7 @@ def test_quaternionic_clifford_relations_exact():
         for nu in range(4):
             gm, gn = quaternionic_gamma(mu), quaternionic_gamma(nu)
             anti = gm * gn + gn * gm
-            want = QuatMatrix2.identity() * (2.0 * eta[mu] if mu == nu else 0.0)
+            want = QuatMatrix2._of(QuatMatrix2.identity().q * (2.0 * eta[mu] if mu == nu else 0.0))
             for got, expected in zip(anti.entries(), want.entries()):
                 assert quat_close(got, expected)
 

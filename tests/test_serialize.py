@@ -26,11 +26,13 @@ def test_multivector_float_roundtrip():
     assert back == {blade_key(m): [v.real, v.imag] for m, v in x.items()}
 
 
-def test_multivector_exact_roundtrip():
-    x = Multivector({0: Fraction(1, 3), 0b0011: Fraction(-2, 7), 0b1111: 4})
-    assert json.loads(dump_json(multivector_to_obj(x))) == {
-        "": [[1, 3], [0, 1]], "01": [[-2, 7], [0, 1]], "0123": [[4, 1], [0, 1]],
-    }
+def test_an_exact_multivector_is_written_as_float_pairs():
+    # One part rule for every format: a Fraction, int or bool coefficient is
+    # written as floats, never as an exact [num, den] pair or as true or false.
+    x = Multivector({0: Fraction(1, 3), 0b0011: Fraction(-2, 7), 0b0101: True, 0b1111: 4})
+    obj = json.loads(dump_json(multivector_to_obj(x)))
+    assert obj == {"": [1 / 3, 0.0], "01": [-2 / 7, 0.0], "02": [1.0, 0.0], "0123": [4.0, 0.0]}
+    assert all(type(part) is float for pair in obj.values() for part in pair)
 
 
 def test_multivector_scalar_key_is_empty_string():
@@ -41,15 +43,6 @@ def test_multivector_complex_coefficients():
     assert multivector_to_obj(scalar(1 + 2j) + 3j * gamma(0)) == {
         "": [1.0, 2.0], "0": [0.0, 3.0],
     }
-
-
-def test_bool_coefficients_round_trip():
-    # Multivector keeps a bool as an exact int; the file must hold plain ints,
-    # not true or false.
-    x = Multivector({0: True, 5: True, 6: False})
-    obj = multivector_to_obj(x)
-    assert obj == {"": [[1, 1], [0, 1]], "02": [[1, 1], [0, 1]]}
-    assert all(type(v) is int for pair in obj.values() for part in pair for v in part)
 
 
 #: (pair, error) for each kind of part the matrix and spinor readers refuse
