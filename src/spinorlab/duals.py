@@ -409,9 +409,14 @@ def dual_of(
     entries, which pairs with a column spinor phi as ``dual @ phi``.
 
     ``check`` is the caller's validation of ``omega`` when it already has
-    one; ``validate_omega(omega, k)`` is computed otherwise.
+    one; ``validate_omega(omega, k)`` is computed otherwise.  An invalid Omega
+    raises InvalidOperatorError, and a psi whose dual overflows OverflowError.
     """
     if check is None:
         check = validate_omega(omega, k)
     check.require()
-    return _g0_right(np.asarray(psi, dtype=complex).reshape(4).conj()) @ xi(k) @ omega
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite dual is refused below
+        dual = _g0_right(np.asarray(psi, dtype=complex).reshape(4).conj()) @ xi(k) @ omega
+    if not np.isfinite(dual).all():
+        raise OverflowError("psi is too large: its dual overflows")
+    return dual

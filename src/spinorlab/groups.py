@@ -308,6 +308,7 @@ class OrbitPartition(NamedTuple):
     orbit_sizes: list
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite image is refused below
 def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> OrbitPartition:
     """Group the supplied dual spinors into orbit classes.
 
@@ -316,9 +317,10 @@ def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> 
     Classes open in input order, so they are listed by smallest index and the
     representative is the first member; a dual joins the first open class with
     an image within max-entry distance ``tol`` (absolute) of it.  ``orbit_sizes``
-    counts the distinct images of each representative, which divides the group
-    order.  A non-finite dual is refused.  Open duals are taken
-    ``_TABLE_BLOCK // order`` at a time, matched by one keyed lookup.
+    counts the distinct images of each representative, which divides the group order
+    when no two images merge within ``tol``.  A non-finite dual raises ValueError, and a
+    representative with a non-finite image OverflowError (a member's are not formed).
+    Open duals are taken ``_TABLE_BLOCK // order`` at a time, matched by one keyed lookup.
     """
     rows = np.array([np.asarray(d, complex).reshape(4) for d in duals],
                     dtype=complex).reshape(-1, 4)
@@ -341,10 +343,14 @@ def orbit_partition(group: FiniteMatrixGroup, duals, tol: float = GROUP_TOL) -> 
                 unassigned[members] = False
                 classes.append(members.tolist())
                 opened.append(r)
-        images = images[opened]  # near[r, i, j]: image j of row r is within tol of image i
+        images = images[opened]
+        finite = np.isfinite(images).all(axis=(1, 2))
+        if not finite.all():
+            raise OverflowError(f"dual {block[opened][finite.argmin()]} is too large: "
+                                "an image overflows")
+        # near[r, i, j]: image j of row r is within tol of image i, so near[r, i, i] is set
         near = (abs(images[:, None] - images[:, :, None]) <= tol).all(axis=-1)
-        first = np.where(near.any(axis=-1), near.argmax(axis=-1), -1)  # -1 if none, as at NaN
-        sizes += (first == np.arange(len(mats))).sum(axis=-1).tolist()
+        sizes += (near.argmax(axis=-1) == np.arange(len(mats))).sum(axis=-1).tolist()
     return OrbitPartition(classes, [cls[0] for cls in classes], sizes)
 
 

@@ -99,17 +99,8 @@ class QuatMatrix2:
     def identity(cls) -> "QuatMatrix2":
         return cls(Q_ONE, Q_ZERO, Q_ZERO, Q_ONE)
 
-    @classmethod
-    def diagonal(cls, q1: Quaternion, q2: Quaternion) -> "QuatMatrix2":
-        return cls(q1, Q_ZERO, Q_ZERO, q2)
-
     def _entry(self, i: int, j: int) -> Quaternion:
         return Quaternion(*self.q[i, j].tolist())
-
-    q11 = property(lambda self: self._entry(0, 0))
-    q12 = property(lambda self: self._entry(0, 1))
-    q21 = property(lambda self: self._entry(1, 0))
-    q22 = property(lambda self: self._entry(1, 1))
 
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
         return QuatMatrix2._of(self.q + other.q)
@@ -123,11 +114,11 @@ class QuatMatrix2:
         return NotImplemented
 
     def entries(self) -> tuple:
-        return (self.q11, self.q12, self.q21, self.q22)
+        """The entries q11, q12, q21, q22, each a Quaternion."""
+        return tuple(self._entry(i, j) for i in (0, 1) for j in (0, 1))
 
     def __repr__(self) -> str:
-        return (f"QuatMatrix2(q11={self.q11!r}, q12={self.q12!r}, "
-                f"q21={self.q21!r}, q22={self.q22!r})")
+        return "QuatMatrix2(q11={!r}, q12={!r}, q21={!r}, q22={!r})".format(*self.entries())
 
 
 def gl2h_embed(a: QuatMatrix2) -> np.ndarray:
@@ -185,7 +176,7 @@ def pattern_dof() -> int:
 # pair by pair.
 
 _GENERATOR_IMAGES = (
-    QuatMatrix2.diagonal(Q_ONE, -Q_ONE),
+    QuatMatrix2(Q_ONE, Q_ZERO, Q_ZERO, -Q_ONE),
     QuatMatrix2(Q_ZERO, Q_I, Q_I, Q_ZERO),
     QuatMatrix2(Q_ZERO, Q_J, Q_J, Q_ZERO),
     QuatMatrix2(Q_ZERO, Q_K, Q_K, Q_ZERO),

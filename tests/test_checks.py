@@ -79,8 +79,8 @@ def beta(psi, phi, kind, h, f):
 
 def block_embed(a):
     """gl2h_embed as blocks of quat_to_m2c."""
-    return np.block([[quat_to_m2c(a.q11), quat_to_m2c(a.q12)],
-                     [quat_to_m2c(a.q21), quat_to_m2c(a.q22)]])
+    q11, q12, q21, q22 = map(quat_to_m2c, a.entries())
+    return np.block([[q11, q12], [q21, q22]])
 
 
 def ref_block_pattern(rng, trials):

@@ -317,6 +317,12 @@ def test_dual_of_rejects_invalid_omega():
         dual_of(np.ones(4), 1j * np.eye(4), K_REF)
 
 
+@pytest.mark.filterwarnings("error")
+def test_dual_of_refuses_a_psi_whose_dual_overflows():
+    with pytest.raises(OverflowError, match=r"^psi is too large: its dual overflows$"):
+        dual_of(np.full(4, 1e308), np.eye(4), K_REF)
+
+
 def test_dual_of_honours_a_passed_check():
     # A failing check is raised even for a valid Omega, and a passing one is
     # trusted: the check is not recomputed.

@@ -731,6 +731,22 @@ def test_orbit_sizes_divide_group_order():
     assert all(group.order % size == 0 for size in partition.orbit_sizes)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_representative_whose_image_overflows_is_refused():
+    group = group_from_elements(gxd_elements(K), ["I", "G", "Xd", "GXd"])
+    with pytest.raises(OverflowError, match=r"^dual 0 is too large: an image overflows$"):
+        orbit_partition(group, [[1e308] * 4, [1, 0, 0, 0]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_images_of_a_member_are_not_formed():
+    # row 1 lies within tol of row 0, so it joins its class; its images would overflow, and
+    # the four images of row 0 lie within tol of each other, so they count once
+    group = group_from_elements(gxd_elements(K), ["I", "G", "Xd", "GXd"])
+    partition = orbit_partition(group, [[1, 0, 0, 0], [1e308] * 4], tol=1e308)
+    assert (partition.classes, partition.orbit_sizes) == ([[0, 1]], [1])
+
+
 def test_partition_invariant_under_input_permutation():
     group = group_from_elements(gf_elements(K), ["I", "G", "F", "FG"])
     rng = np.random.default_rng(6)
@@ -814,7 +830,7 @@ def orbit_cases():
     yield "empty", gf, [], 1e-9
     yield "duplicates", gf, rows[:10] * 3 + rows[:4], 1e-9
     yield "mixed-types", gf, [r if i % 2 else list(r) for i, r in enumerate(rows)], 1e-9
-    huge = shuffled_orbits(rng, gf.elements, 30, scale=1e307)  # some images overflow
+    huge = shuffled_orbits(rng, gf.elements, 30, scale=1e307)  # images near the float limit
     for tol in (1e-9, 1e285):
         yield f"near-overflow-{tol:g}", gf, huge, tol
 

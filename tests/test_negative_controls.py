@@ -6,11 +6,14 @@ so that it responds linearly; that it fails, where it passed without the
 defect (table1's rows at a tolerance of delta / 10, the other bounds at their
 fixed tolerances, and at 10 times them); and that the other checks of the same
 call keep their bits.  The control of a detection removes what it detects and
-asserts that it fails.  The controls so far cover table1's seven rows, embed's
-three bounds, four checks of verify-theorems and spinor-spaces's two beta
-bounds: 16 of the 38 checks that ``REPORTS`` in ``tests/test_known_defects.py``
-names.  ``VACUOUS`` lists the checks that no defect can make fail, each with
-its reason and a test that shows it.  A test holds both counts.
+asserts that it fails.  The control of a yes/no check gives it the wrong answer
+at its seam and asserts that it fails.  The controls so far cover table1's
+seven rows, embed's three bounds and pattern-detection, five checks of
+verify-theorems, spinor-spaces's two beta bounds, classify's one check and
+cayley's identified-K4: 20 of the 38 checks that ``REPORTS`` in
+``tests/test_known_defects.py`` names.  ``VACUOUS`` lists the checks that no
+defect can make fail, each with its reason and a test that shows it.  A test
+holds both counts.
 """
 
 import numpy as np
@@ -19,14 +22,16 @@ import pytest
 from spinorlab import checks, cli
 from spinorlab.duals import (
     ELEMENT_NAMES, InvalidOperatorError, KinematicPoint, _delta_from, _split_delta, _to_delta,
-    closed_form,
+    closed_form, validate_delta,
 )
+from spinorlab.groups import GroupIdentification, orbit_partition
 from spinorlab.ideals import Idempotent, _beta, canonical_idempotent
 from spinorlab.multivector import _product, scalar
-from spinorlab.quaternions import QuatMatrix2
+from spinorlab.quaternions import QuatMatrix2, is_quaternionic_pattern
+from spinorlab.serialize import dump_json, matrix_to_obj
 from spinorlab.weyl import _dirac_dagger, _matrices
 
-from test_known_defects import BOUNDS, REPORTS, kinematic_flags
+from test_known_defects import BOUNDS, REPORTS, kinematic_flags, run, with_files, write_inputs
 
 DELTAS = (1e-8, 1e-6, 1e-4)
 K = KinematicPoint(1.3, 0.8, 0.7, 0.3)
@@ -40,16 +45,24 @@ def suite_checks(argv):
     return args.suite(args)["checks"]
 
 
-def assert_only_it_reads(name, before_checks, after_checks, delta):
-    """Check ``name`` passed before and fails now, reading ``delta`` within a factor of 2;
-    every other check keeps its bits."""
+def assert_only_it_fails(name, before_checks, after_checks):
+    """Check ``name`` passed before and fails now; every other check keeps its bits.
+    Returns the residual it fails with."""
+    failed = []
     for before, after in zip(before_checks, after_checks, strict=True):
         if after["name"] != name:
             assert after == before
             continue
-        assert before["status"] == "pass"
-        assert after["status"] == "fail"
-        assert delta / 2 <= after["residual"] <= 2 * delta
+        assert (before["status"], after["status"]) == ("pass", "fail")
+        failed.append(after["residual"])
+    [residual] = failed
+    return residual
+
+
+def assert_only_it_reads(name, before_checks, after_checks, delta):
+    """Check ``name`` passed before and fails now, reading ``delta`` within a factor of 2;
+    every other check keeps its bits."""
+    assert delta / 2 <= assert_only_it_fails(name, before_checks, after_checks) <= 2 * delta
 
 
 def shifted_closed_form(target, delta):
@@ -189,11 +202,48 @@ def test_a_spinor_spaces_bound_reads_a_defect_at_its_seam(name, scale, monkeypat
 def test_the_adjoint_detection_fails_without_its_perturbation(monkeypatch):
     want = suite_checks(["verify-theorems", *KFLAGS])
     monkeypatch.setattr(checks, "PERTURBATION", 0.0)
-    for before, after in zip(want, suite_checks(["verify-theorems", *KFLAGS]), strict=True):
-        if after["name"] == "adjoint-imaginary-detection":
-            assert (before["status"], after["status"]) == ("pass", "fail")
-        else:
-            assert after == before
+    assert_only_it_fails("adjoint-imaginary-detection", want,
+                         suite_checks(["verify-theorems", *KFLAGS]))
+
+
+def accept_every_delta(m):
+    """``validate_delta`` with every matrix of the stack passed as a Delta."""
+    check = validate_delta(m)
+    return check._replace(ok=np.ones_like(check.ok))
+
+
+def accept_every_pattern(m):
+    """``is_quaternionic_pattern`` with every matrix of the stack matching the pattern."""
+    report = is_quaternionic_pattern(m)
+    return report._replace(matches=np.ones_like(report.matches))
+
+
+def with_a_size_of_3(*args, **kwargs):
+    """``orbit_partition`` with its first orbit size 3, which divides no order of 4."""
+    partition = orbit_partition(*args, **kwargs)
+    return partition._replace(orbit_sizes=[3, *partition.orbit_sizes[1:]])
+
+
+#: a yes/no check: the argv of a report it passes in, and the module, name and value of the
+#: seam that gives it the wrong answer.  Each seam is read by that check alone.
+YES_NO_SEAMS = {
+    "generic-matrix-rejection": (["verify-theorems", *KFLAGS], checks, "validate_delta",
+                                 accept_every_delta),
+    "pattern-detection": (["embed"], checks, "is_quaternionic_pattern", accept_every_pattern),
+    "orbit-sizes-divide-order": (["classify", "--duals", "PSI_DUALS"], cli, "orbit_partition",
+                                 with_a_size_of_3),
+    "identified-K4": (["cayley", *KFLAGS], cli, "identify_group",
+                      lambda group: GroupIdentification("Z4", group.order)),
+}
+
+
+@pytest.mark.parametrize("name", YES_NO_SEAMS)
+def test_a_yes_no_check_fails_on_a_wrong_answer_at_its_seam(name, monkeypatch, tmp_path):
+    argv, module, seam, wrong = YES_NO_SEAMS[name]
+    argv = with_files(argv, write_inputs(tmp_path)[0])
+    want = suite_checks(argv)
+    monkeypatch.setattr(module, seam, wrong)
+    assert_only_it_fails(name, want, suite_checks(argv))
 
 
 #: report check that no defect can make fail: why.  Items 5 and 18 of the ROADMAP work
@@ -206,6 +256,8 @@ VACUOUS = {
     **dict.fromkeys(("complex-idempotency", "real-idempotency"),
                     "Idempotent refuses a residual above ROUNDING_TOL, the check's own tolerance, "
                     "before any verdict is built"),
+    "omega-validity": "dual calls require() on the Omega's validation before it builds the "
+                      "verdict, so an Omega off the condition exits 5 and never reports a fail",
 }
 
 
@@ -240,10 +292,22 @@ def test_idempotency_raises_instead_of_failing(mode, residual, monkeypatch):
         suite_checks(["spinor-spaces"])
 
 
+def test_omega_validity_exits_5_instead_of_failing(tmp_path):
+    # (1 + i eps) I is off the Omega condition by 2 eps: 10 times the check's tolerance
+    files = write_inputs(tmp_path)[0]
+    omega = tmp_path / "omega-off.json"
+    omega.write_text(dump_json(matrix_to_obj((1 + 5e-10j) * np.eye(4))))
+    code, out, err = run(with_files(["dual", "--psi", "PSI", "--omega", str(omega)], files))
+    assert (code, out) == (5, "")
+    assert err == ("operator error: not a valid Omega: constraint residual 1.000e-09 "
+                   f"(tolerance {BOUNDS['dual']['omega-validity']:.1e}), |det| = 1.000e+00\n")
+
+
 def test_every_control_is_of_a_check_that_a_report_names():
     named = {name for _, _, bounds in REPORTS.values() for name in bounds}
     assert len(named) == 38
     controlled = ({f"row-{name}" for name in ELEMENT_NAMES} | set(EMBED_SEAMS)
-                  | set(THEOREM_SEAMS) | set(SPINOR_SEAMS) | {"adjoint-imaginary-detection"})
-    assert len(controlled) == 16 and controlled <= named
-    assert len(VACUOUS) == 4 and set(VACUOUS) <= named - controlled
+                  | set(THEOREM_SEAMS) | set(SPINOR_SEAMS) | {"adjoint-imaginary-detection"}
+                  | set(YES_NO_SEAMS))
+    assert len(controlled) == 20 and controlled <= named
+    assert len(VACUOUS) == 5 and set(VACUOUS) <= named - controlled
