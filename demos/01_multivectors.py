@@ -6,16 +6,7 @@ handles signs and the metric automatically.  Run this file directly.
 
 from fractions import Fraction
 
-from spinorlab import (
-    Multivector,
-    blade,
-    gamma,
-    gamma5_chiral,
-    grade_projection,
-    involution,
-    pseudoscalar,
-    scalar,
-)
+from spinorlab import blade, gamma, involution, scalar
 
 # Generators square to the metric signs (+1, -1, -1, -1).
 for mu in range(4):
@@ -30,20 +21,22 @@ x = scalar(Fraction(1, 2)) + Fraction(3, 4) * blade((0, 1))
 print("\nexact element:", x)
 print("its square:   ", x * x)
 
-# Grade structure: project out each piece of a mixed element.
-mixed = scalar(2) + gamma(1) + 5 * blade((0, 3)) + pseudoscalar()
-for k in range(5):
-    part = grade_projection(mixed, k)
-    if part != Multivector():
-        print(f"grade {k} part of mixed:", part)
+# Grade structure: the grade involution splits a mixed element into its
+# even and odd parts.
+volume = blade((0, 1, 2, 3))
+mixed = scalar(2) + gamma(1) + 5 * blade((0, 3)) + volume
+flipped = involution("grade", mixed)
+print("even part of mixed:", 0.5 * (mixed + flipped))
+print("odd part of mixed: ", 0.5 * (mixed - flipped))
 
 # The three canonical involutions flip signs grade by grade.
 b = blade((0, 1))
 print("\nreversion(e01)      =", involution("reversion", b))
 print("grade_involution(e2) =", involution("grade", gamma(2)))
-print("clifford_conj(e0123) =", involution("clifford_conj", pseudoscalar()))
+print("clifford_conj(e0123) =", involution("clifford_conj", volume))
 
 # Two square roots of +-1 at the top grade: the volume element squares to
 # -1, the chiral element i*e0123 squares to +1.
-print("\npseudoscalar^2 =", pseudoscalar() * pseudoscalar())
-print("chiral^2       =", gamma5_chiral() * gamma5_chiral())
+chiral = 1j * volume
+print("\nvolume^2 =", volume * volume)
+print("chiral^2 =", chiral * chiral)

@@ -2,7 +2,9 @@
 
 Quaternions embed in M2(C), quaternionic 2x2 matrices embed in M4(C),
 and real multivectors have a faithful quaternionic image.  A single
-change of basis relates that image to the Weyl representation.
+change of basis relates that image to the Weyl representation.  The
+checks below are those of ``spinorlab embed``, drawn in its order at its
+default seed 0 and 100 trials, so their residuals are the command's own.
 """
 
 import numpy as np
@@ -13,60 +15,57 @@ from spinorlab import (
     Q_ONE,
     QuatMatrix2,
     Quaternion,
+    checks,
     gamma,
     gl2h_embed,
     intertwiner,
     is_quaternionic_pattern,
-    mv_to_m2h,
     pattern_dof,
-    quat_to_m2c,
     quaternionic_gamma,
-    random_multivector,
     scalar,
     to_matrix,
 )
 
 np.set_printoptions(precision=3, suppress=True)
 
-# The scalar embedding H -> M2(C).
-print("i ->"); print(quat_to_m2c(Q_I))
-print("j ->"); print(quat_to_m2c(Q_J))
-q1 = Quaternion(0.5, -1.0, 2.0, 0.25)
-q2 = Quaternion(1.5, 0.5, -0.5, 1.0)
-hom = abs(quat_to_m2c(q1 * q2) - quat_to_m2c(q1) @ quat_to_m2c(q2)).max()
-print("multiplicativity residual:", hom)
 
-# Blockwise, GL(2,H) lands inside GL(4,C) with a conjugate-pair pattern.
-a = QuatMatrix2(q1, q2, Q_ONE, Q_I)
-embedded = gl2h_embed(a)
-print("\nembedded quaternionic matrix:")
-print(embedded)
-print("matches the conjugate-pair pattern:", bool(is_quaternionic_pattern(embedded)))
-print("pattern degrees of freedom:", pattern_dof())
+def show(*verdicts):
+    for c in verdicts:
+        print(f"  {c['status'].upper()}  {c['name']}  residual={c['residual']:.3e}"
+              f"  tolerance={c['tolerance']:.1e}")
+
+
+rng = np.random.default_rng(0)
 
 # Real multivectors map to M2(H) through generator images
 # g0 -> diag(1,-1), gk -> offdiag(i/j/k); the relations hold exactly.
-print("\nquaternionic gamma0:", quaternionic_gamma(0).entries())
-x = random_multivector(np.random.default_rng(0), real=True)
-y = random_multivector(np.random.default_rng(1), real=True)
-lhs = mv_to_m2h(x * y)
-rhs = mv_to_m2h(x) * mv_to_m2h(y)
-worst = max(
-    max(abs(p - q) for p, q in zip(qa.as_list(), qb.as_list()))
-    for qa, qb in zip(lhs.entries(), rhs.entries())
-)
-print("quaternionic image is multiplicative, residual:", worst)
+print("quaternionic gamma0:", quaternionic_gamma(0).entries())
+show(checks.clifford_relations())
+
+# The scalar embedding H -> M2(C) sends i to diag(i, -i) and j to
+# [[0, 1], [-1, 0]]; blockwise, GL(2,H) lands inside GL(4,C), and the
+# embedding is multiplicative.
+embedded = gl2h_embed(QuatMatrix2(Q_I, Q_J, Quaternion(), Q_ONE))
+print("\nembedded [[i, j], [0, 1]]:")
+print(embedded)
+show(checks.gl2h_homomorphism(rng, 100))
+
+# The image has a conjugate-pair pattern, which a generic complex matrix
+# does not.
+print("\nmatches the conjugate-pair pattern:", bool(is_quaternionic_pattern(embedded)))
+print("pattern degrees of freedom:", pattern_dof())
+show(checks.pattern_dimension(), checks.pattern_mistakes(rng, 100))
 
 # Invertibility transports across the embedding; zero divisors stay singular.
 zero_divisor = scalar(1) + gamma(0)
-print("\ndet of (1 + gamma0) in M4(C):",
-      abs(np.linalg.det(to_matrix(zero_divisor))))
-print("det of its quaternionic image:",
-      abs(np.linalg.det(gl2h_embed(mv_to_m2h(zero_divisor)))))
+print("\ndet of (1 + gamma0) in M4(C):", abs(np.linalg.det(to_matrix(zero_divisor))))
+show(checks.invertibility_transported(rng, 100))
+
+# The even subalgebra is block diagonal in the Weyl representation, and
+# its upper 2x2 block alone is a faithful image of it in M2(C).
+show(checks.even_block_multiplicativity(rng, 100))
 
 # One fixed change of basis aligns the two 4x4 pictures.
-s = intertwiner()
-residual = abs(
-    s @ gl2h_embed(mv_to_m2h(x)) @ np.linalg.inv(s) - to_matrix(x)
-).max()
-print("\nintertwiner residual on a random real multivector:", residual)
+print("\nintertwiner S:")
+print(intertwiner())
+show(checks.intertwined_representations(rng, 100))

@@ -3,8 +3,15 @@
 Multivector arithmetic in C ⊗ Cl(1,3), the Weyl matrix representation,
 momentum-dependent dual operators with their validity laws, Abelian
 mapping groups and orbit classification, quaternionic embeddings, and
-algebraic spinor spaces.  The package exports what the demos and the
-benchmark use; everything else is imported from its module, so
+algebraic spinor spaces.
+
+The package exports the names that the demos and the benchmark take from it,
+and the exceptions that its functions raise, so that a caller can catch them.
+A few more stay exported though no demo takes them: the functions that the
+benchmark's tracer wraps and nothing in the package calls, which go once the
+tracer can lose them, ``hermitian_blade``, which the acceptance tests use, and
+``GAMMA0``, the documented gamma0 convention; ``tests/test_surface.py`` lists
+each with its reason.  Everything else is imported from its module, so
 ``spinorlab.serialize.load_json`` needs ``import spinorlab.serialize`` first.
 """
 
@@ -15,11 +22,8 @@ from .multivector import (
     blade,
     coefficient_distance,
     gamma,
-    gamma5_chiral,
-    grade_projection,
     hermitian_blade,
     involution,
-    pseudoscalar,
     random_multivector,
     scalar,
 )
@@ -31,17 +35,14 @@ from .weyl import (
     weyl_gamma,
 )
 from .duals import (
-    ELEMENT_NAMES,
     InvalidOperatorError,
     KinematicPoint,
     KinematicsError,
     SingularParameterError,
     block_decompose,
-    closed_form,
     delta_to_omega,
     dual_of,
     named_operator,
-    omega_to_delta,
     random_delta,
     validate_delta,
     validate_omega,
@@ -71,18 +72,13 @@ from .quaternions import (
     is_quaternionic_pattern,
     mv_to_m2h,
     pattern_dof,
-    quat_to_m2c,
     quaternionic_gamma,
 )
 from .ideals import (
     Idempotent,
     InvolutionConditionError,
     beta_inner_product,
-    canonical_idempotent,
     division_ring_identify,
-    find_adjoint_element,
-    ideal_basis,
-    project_onto_ideal,
     ring_membership_residual,
     verify_involution_conditions,
 )

@@ -1,4 +1,7 @@
-"""The verification checks behind the CLI suites and the acceptance gate.
+"""The verification checks behind the CLI suites, the acceptance gate and the demos.
+
+A demo narrates a command by calling the checks its suite calls, with the command's default
+seed and trial count and in its order of draws, so that it prints the command's own verdicts.
 
 Each check draws from the generator it is given, table1's seven operator rows included,
 and returns its verdicts: report check objects made by :func:`verdict`, which holds the

@@ -315,13 +315,8 @@ def validate_omega(
 # det g0 = det Xi = 1 by construction, so both conversions keep det.
 
 
-def omega_to_delta(m: np.ndarray, k: KinematicPoint) -> np.ndarray:
-    """Delta = g0 Omega g0 Xi."""
-    return _to_delta(m, xi(k))
-
-
 def delta_to_omega(m: np.ndarray, k: KinematicPoint) -> np.ndarray:
-    """Omega = g0 Delta Xi g0; inverse of :func:`omega_to_delta`."""
+    """Omega = g0 Delta Xi g0; inverse of Delta = g0 Omega g0 Xi."""
     return _to_omega(m, xi(k))
 
 
@@ -381,9 +376,6 @@ class DeltaBlocks(NamedTuple):
         """Largest entry of B - B^dag and C - C^dag; per Delta for stacked blocks."""
         return _max_entry(np.concatenate(
             [self.B - _dagger(self.B), self.C - _dagger(self.C)], axis=-1))
-
-    def degrees_of_freedom(self) -> dict:
-        return {"A": 8, "B": 4, "C": 4, "total": 16}
 
 
 def block_decompose(delta: np.ndarray) -> DeltaBlocks:

@@ -25,8 +25,8 @@ from .multivector import (
     involution,
     scalar,
 )
-from .weyl import (ANTICOMMUTATOR_TOL, INVOLUTION_TOL, NULL_SPACE_RTOL, RANK_TOL, ROUNDING_TOL,
-                   UNIT_TOL, multivector_inverse)
+from .weyl import (ANTICOMMUTATOR_TOL, INVOLUTION_TOL, RANK_TOL, ROUNDING_TOL, UNIT_TOL,
+                   multivector_inverse)
 
 
 class InvolutionConditionError(ValueError):
@@ -108,16 +108,6 @@ def ideal_basis(f: Idempotent, side: str = "left", scalars: str = "complex") -> 
     fc = f.value._c
     products = _product(_BLADES, fc) if side == "left" else _product(fc, _BLADES)
     return IdealBasis(_independent_rows(products, scalars), side, scalars)
-
-
-def project_onto_ideal(a: Multivector, basis: IdealBasis) -> float:
-    """Residual of a outside the span of the ideal basis (least squares)."""
-    vectors = np.array([g._c for g in basis.generators] + [a._c], dtype=complex)
-    if basis.scalars == "real":
-        vectors = _real_vec(vectors)
-    mat, target = vectors[:-1].T, vectors[-1]
-    coeffs, *_ = np.linalg.lstsq(mat, target, rcond=None)
-    return float(abs(mat @ coeffs - target).max())
 
 
 # -- division rings ---------------------------------------------------------------
@@ -244,37 +234,3 @@ def ring_membership_residual(b: Multivector, f: Idempotent) -> float:
 def _ring_residual(b, f):
     """|b - f b f| of coefficient arrays; one per row of a stack (..., 16)."""
     return abs(b - _product(_product(f, b), f)).max(axis=-1)
-
-
-def find_adjoint_element(kind: str, f: Idempotent) -> Multivector | None:
-    """Search the real 16-dimensional span for h with alpha(f) = h^-1 f h,
-    alpha(h) = h, and h invertible.
-
-    Both conditions are linear in h (the first in the equivalent form
-    alpha(f) h = h f), so candidates come from a null space: its basis
-    vectors, then 32 random combinations (seed 0).  The first invertible
-    candidate is returned, or None when the search fails.
-    The returned h is one solution among many, not a canonical choice.
-    """
-    fc = f.value._c
-    cond1 = _product(_involute(kind, fc), _BLADES) - _product(_BLADES, fc)
-    cond2 = _involute(kind, _BLADES) - _BLADES
-    rows = [_real_vec(c.astype(complex)) for c in (cond1, cond2)]
-    system = np.concatenate(rows, axis=-1).T  # columns indexed by blade, rows by condition
-    _, sv, vh = np.linalg.svd(system)
-    null = vh[int((sv > NULL_SPACE_RTOL * sv[0]).sum()):].T
-    if null.shape[1] == 0:
-        return None
-    rng = np.random.default_rng(0)
-    candidates = [null[:, i] for i in range(null.shape[1])]
-    candidates += [null @ rng.uniform(-1, 1, null.shape[1]) for _ in range(32)]
-    for coeffs in candidates:
-        h = Multivector({m: c for m, c in enumerate(coeffs) if abs(c) > ROUNDING_TOL})
-        if h.is_zero(UNIT_TOL):
-            continue
-        try:
-            if verify_involution_conditions(kind, h, f):
-                return h
-        except ZeroDivisionError:
-            continue
-    return None

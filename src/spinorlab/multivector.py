@@ -292,24 +292,7 @@ def blade(indices: Iterable[int]) -> Multivector:
     return out
 
 
-def pseudoscalar() -> Multivector:
-    """e0123; squares to -1 in Cl(1,3)."""
-    return Multivector({BLADE_COUNT - 1: 1})
-
-
-def gamma5_chiral() -> Multivector:
-    """i*e0123; squares to +1, the chiral grading element."""
-    return Multivector({BLADE_COUNT - 1: 1j})
-
-
 # -- operations --------------------------------------------------------------
-
-
-def grade_projection(a: Multivector, k: int) -> Multivector:
-    k = _index(k, "grade")
-    if not 0 <= k <= DIMENSION:
-        raise ValueError(f"grade {k} out of range 0..{DIMENSION}")
-    return Multivector._of(np.where(_GRADES == k, a._c, 0))
 
 
 def involution(kind: str, a: Multivector) -> Multivector:

@@ -72,11 +72,6 @@ def _m2c(q: np.ndarray) -> np.ndarray:
     return np.take(values, _M2C_SLOTS, axis=-1).view(complex)[..., 0]
 
 
-def quat_to_m2c(q: Quaternion) -> np.ndarray:
-    """Standard embedding q -> [[a+ib, c+id], [-c+id, a-ib]]."""
-    return _m2c(np.array(q, dtype=float))
-
-
 class QuatMatrix2:
     """2x2 quaternionic matrix, or a stack of them: one real array ``q`` of
     shape (..., 2, 2, 4), entry (i, j) holding its components a, b, c, d."""

@@ -17,7 +17,6 @@ from .multivector import (
     DIMENSION,
     Multivector,
     _index,
-    gamma,
 )
 
 _Z2 = np.zeros((2, 2), dtype=complex)
@@ -67,9 +66,8 @@ KEY_ROUNDING = 1e-13  #: rounding of a group lookup key, per unit of the row's 1
 CONJUGATION_TOL = 1e-8  #: how far a Pin element's twisted conjugate of e_mu leaves grade 1
 RANK_TOL = 1e-9  #: singular value at or below which a rank count drops a direction
 INVOLUTION_TOL = 1e-10  #: residual of an adjoint-involution condition that still holds
-UNIT_TOL = 1e-9  #: coefficient distance at which f·Cl·f units agree, or an adjoint candidate is 0
+UNIT_TOL = 1e-9  #: f·Cl·f coefficient size at which a pure part, a commutator or a square off f is 0
 ANTICOMMUTATOR_TOL = 1e-8  #: distance of u v + v u from the ring scalars, for f·Cl·f units u, v
-NULL_SPACE_RTOL = 1e-10  #: singular value, over the largest, below which a direction is null
 IDENTITY_TOL = 1e-9  #: worst entry of a matrix identity through products, inverses or closed forms
 PRODUCT_TOL = 1e-10  #: worst entry of a product rule or a beta residual over O(1) draws
 PERTURBATION = 1e-6  #: imaginary part adjoint_fixed_points adds to a self-adjoint multivector

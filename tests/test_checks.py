@@ -24,7 +24,7 @@ from spinorlab.multivector import (
 )
 from spinorlab.quaternions import (
     QuatMatrix2, Quaternion, even_to_m2c, gl2h_embed, intertwiner, is_quaternionic_pattern,
-    mv_to_m2h, quat_to_m2c,
+    mv_to_m2h,
 )
 from spinorlab.weyl import DET_TOL, GAMMA0, dirac_dagger_dual, to_matrix
 
@@ -77,9 +77,10 @@ def beta(psi, phi, kind, h, f):
     return h * involution(kind, psi) * phi * f.value
 
 
-def block_embed(a):
-    """gl2h_embed as blocks of quat_to_m2c."""
-    q11, q12, q21, q22 = map(quat_to_m2c, a.entries())
+def block_embed(m):
+    """gl2h_embed as blocks [[a+ib, c+id], [-c+id, a-ib]], one per entry a + bi + cj + dk."""
+    q11, q12, q21, q22 = (np.array([[complex(a, b), complex(c, d)], [complex(-c, d), complex(a, -b)]])
+                          for a, b, c, d in m.entries())
     return np.block([[q11, q12], [q21, q22]])
 
 

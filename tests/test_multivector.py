@@ -16,11 +16,8 @@ from spinorlab.multivector import (
     blade,
     coefficient_distance,
     gamma,
-    gamma5_chiral,
-    grade_projection,
     hermitian_blade,
     involution,
-    pseudoscalar,
     random_multivector,
     scalar,
 )
@@ -28,6 +25,7 @@ from spinorlab.multivector import _INVOLUTIONS, _MUL_SIGN, _exact_product, _invo
 from spinorlab.weyl import _BLADE_MATS, _coefficients, _matrices, from_matrix, to_matrix
 
 ONE = scalar(1)
+VOLUME = blade((0, 1, 2, 3))
 
 
 def hermitian_coefficients(x):
@@ -93,39 +91,10 @@ def test_associativity_float():
         assert coefficient_distance((a * b) * c, a * (b * c)) < 1e-12
 
 
-def test_grade_projection_examples():
-    x = ONE + gamma(0) + Multivector({0b0011: 1})
-    assert grade_projection(x, 1) == gamma(0)
-    assert grade_projection(pseudoscalar(), 4) == pseudoscalar()
-    assert grade_projection(pseudoscalar(), 2) == Multivector()
-
-
-def test_grade_projection_range_rejected():
-    with pytest.raises(ValueError):
-        grade_projection(ONE, 5)
-    with pytest.raises(ValueError):
-        grade_projection(ONE, -1)
-
-
-def test_grade_projections_decompose_and_are_orthogonal():
-    rng = np.random.default_rng(1)
-    x = random_multivector(rng)
-    parts = [grade_projection(x, k) for k in range(5)]
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    assert coefficient_distance(total, x) == 0
-    for k in range(5):
-        assert grade_projection(parts[k], k) == parts[k]
-        for j in range(5):
-            if j != k:
-                assert grade_projection(parts[k], j) == Multivector()
-
-
 def test_involution_examples():
     assert involution("reversion", Multivector({0b0011: 1})) == -1 * Multivector({0b0011: 1})
     assert involution("grade", gamma(2)) == -1 * gamma(2)
-    assert involution("clifford_conj", pseudoscalar()) == pseudoscalar()
+    assert involution("clifford_conj", VOLUME) == VOLUME
     assert involution("complex_conj", scalar(1j)) == scalar(-1j)
 
 
@@ -168,18 +137,19 @@ def pseudoscalar_square_sign(p, q):
 
 def test_pseudoscalar_square_matches_sign_oracle():
     want = pseudoscalar_square_sign(1, 3)
-    assert pseudoscalar() * pseudoscalar() == scalar(want)
+    assert VOLUME * VOLUME == scalar(want)
     assert want == -1
 
 
 def test_chiral_element_squares_to_plus_one():
-    assert gamma5_chiral() * gamma5_chiral() == ONE
-    assert grade_projection(gamma5_chiral(), 4) == gamma5_chiral()
+    chiral = 1j * VOLUME
+    assert chiral * chiral == ONE
+    assert chiral.items() == [(0b1111, 1j)]
 
 
 def test_blade_constructor_absorbs_reordering_sign():
     assert blade((1, 0)) == -1 * Multivector({0b0011: 1})
-    assert blade((0, 1, 2, 3)) == pseudoscalar()
+    assert VOLUME == Multivector({0b1111: 1})
     assert blade((1, 1)) == scalar(-1)
 
 
@@ -263,7 +233,7 @@ def test_exact_operands_keep_exact_types():
     b = Multivector({1: Fraction(3, 4), 6: 2, 3: 1})
     results = [a * b, b * a, a + b, a - b, -a, 3 * a, a * Fraction(1, 2),
                a.grade_involution(), a.reversion(), a.clifford_conjugation(),
-               a.complex_conjugate(), involution("dirac_dagger", a), grade_projection(a, 2)]
+               a.complex_conjugate(), involution("dirac_dagger", a)]
     for x in results:
         assert all(type(v) in (int, Fraction) for _, v in x.items())
     assert (a - a).items() == []

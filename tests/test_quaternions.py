@@ -18,9 +18,9 @@ from spinorlab.quaternions import (
     is_quaternionic_pattern,
     mv_to_m2h,
     pattern_dof,
-    quat_to_m2c,
     quaternionic_gamma,
 )
+from spinorlab.quaternions import _m2c
 from spinorlab.weyl import to_matrix
 
 # Independent oracle: the Hamilton multiplication table on {1, i, j, k}.
@@ -42,22 +42,27 @@ def test_unit_quaternion_products_match_hamilton_table():
         assert quat_close(UNITS[na] * UNITS[nb], sign * UNITS[nc])
 
 
-def test_quat_to_m2c_units():
-    assert np.array_equal(quat_to_m2c(Q_ONE), np.eye(2))
-    assert np.array_equal(quat_to_m2c(Q_I), np.diag([1j, -1j]))
-    assert np.array_equal(quat_to_m2c(Q_J), np.array([[0, 1], [-1, 0]], dtype=complex))
+def m2c(q: Quaternion) -> np.ndarray:
+    """The complex 2x2 block that gl2h_embed makes of one quaternion."""
+    return _m2c(np.array(q, dtype=float))
 
 
-def test_quat_to_m2c_is_homomorphism():
+def test_m2c_units():
+    assert np.array_equal(m2c(Q_ONE), np.eye(2))
+    assert np.array_equal(m2c(Q_I), np.diag([1j, -1j]))
+    assert np.array_equal(m2c(Q_J), np.array([[0, 1], [-1, 0]], dtype=complex))
+
+
+def test_m2c_is_homomorphism():
     rng = np.random.default_rng(0)
     for _ in range(200):
         a = Quaternion(*rng.uniform(-1, 1, 4))
         b = Quaternion(*rng.uniform(-1, 1, 4))
-        lhs = quat_to_m2c(a * b)
-        rhs = quat_to_m2c(a) @ quat_to_m2c(b)
+        lhs = m2c(a * b)
+        rhs = m2c(a) @ m2c(b)
         assert abs(lhs - rhs).max() < 1e-14
         a_plus_b = Quaternion(*(x + y for x, y in zip(a.as_list(), b.as_list())))
-        assert abs(quat_to_m2c(a_plus_b) - (quat_to_m2c(a) + quat_to_m2c(b))).max() == 0
+        assert abs(m2c(a_plus_b) - (m2c(a) + m2c(b))).max() == 0
 
 
 def rand_qmat(rng) -> QuatMatrix2:

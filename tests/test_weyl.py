@@ -6,9 +6,9 @@ import pytest
 from spinorlab.multivector import (
     BLADE_COUNT,
     Multivector,
+    blade,
     coefficient_distance,
     gamma,
-    gamma5_chiral,
     hermitian_blade,
     random_multivector,
     scalar,
@@ -71,7 +71,7 @@ def test_anticommutation_all_pairs_exact():
 def test_to_matrix_identity_and_chiral():
     assert np.array_equal(to_matrix(scalar(1)), np.eye(4))
     assert np.array_equal(
-        to_matrix(gamma5_chiral()), np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
+        to_matrix(1j * blade((0, 1, 2, 3))), np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
     )
 
 
