@@ -154,6 +154,27 @@ def test_involution_conditions_need_invertible_h():
         verify_involution_conditions("reversion", ONE + gamma(0), FR)
 
 
+def test_the_volume_element_is_adjoint_for_the_grade_involution():
+    # e0123 anticommutes with every odd blade and is even, so conjugating by it
+    # is the grade involution on both canonical idempotents; h = 1 is not.
+    volume = blade((0, 1, 2, 3))
+    for f in (FR, FC):
+        assert verify_involution_conditions("grade", volume, f)
+        assert not verify_involution_conditions("grade", ONE, f)
+
+
+def test_one_and_gamma0_are_adjoint_for_the_dagger_on_the_complex_idempotent():
+    assert verify_involution_conditions("dirac_dagger", ONE, FC)
+    assert verify_involution_conditions("dirac_dagger", gamma(0), FC)
+
+
+def test_no_blade_is_adjoint_for_the_reversion_on_the_complex_idempotent():
+    # The reversion flips the j e12 part of the complex f, which no h commuting
+    # with the rest of f can undo; the conditions must say so for every blade.
+    assert not any(verify_involution_conditions("reversion", h, FC) for h in BLADES)
+    assert verify_involution_conditions("reversion", ONE, FR)
+
+
 def test_involution_dirac_dagger_is_reversion_plus_conjugation():
     rng = np.random.default_rng(1)
     x = random_multivector(rng)
@@ -265,6 +286,47 @@ def ref_independent(vectors, scalars):
             kept.append(row)
             chosen.append(v)
     return chosen
+
+
+#: grade-by-grade sign of each involution, and whether it conjugates the coefficients
+REF_INVOLUTIONS = {
+    "grade": (lambda k: (-1) ** k, False),
+    "reversion": (lambda k: (-1) ** (k * (k - 1) // 2), False),
+    "clifford_conj": (lambda k: (-1) ** (k * (k + 1) // 2), False),
+    "complex_conj": (lambda k: 1, True),
+    "dirac_dagger": (lambda k: (-1) ** (k * (k - 1) // 2), True),
+}
+
+
+def ref_involution_conditions(kind, h, f):
+    """alpha(f) = h^-1 f h and alpha(h) = h, with alpha applied blade by blade
+    from its grade signs and h^-1 f h formed from 4x4 matrices."""
+    sign, conj = REF_INVOLUTIONS[kind]
+
+    def alpha(x):
+        c = x._c.astype(complex)
+        return np.array([sign(bin(m).count("1")) * (c[m].conjugate() if conj else c[m])
+                         for m in range(BLADE_COUNT)])
+
+    def matrix(c):
+        return sum(v * b for v, b in zip(c, _BLADE_MATS))
+
+    hm = matrix(h._c.astype(complex))
+    conjugated = np.linalg.solve(hm, matrix(f.value._c.astype(complex)) @ hm)
+    return (np.abs(matrix(alpha(f.value)) - conjugated).max() < 1e-9
+            and np.abs(alpha(h) - h._c.astype(complex)).max() < 1e-9)
+
+
+@pytest.mark.parametrize("kind", ["grade", "reversion", "clifford_conj", "complex_conj",
+                                  "dirac_dagger"])
+@pytest.mark.parametrize("f", [FC, FR, EXACT_FR], ids=["complex", "real", "exact"])
+def test_involution_conditions_match_blade_by_blade_reference(f, kind):
+    # Every blade is invertible, so each is a candidate h; so are the three sums,
+    # whose inverses are not +-h.
+    candidates = BLADES + [2 * ONE + gamma(0), 2 * ONE + blade((1, 2)),
+                           3 * ONE + blade((0, 1)) + gamma(2)]
+    got = [verify_involution_conditions(kind, h, f) for h in candidates]
+    assert got == [ref_involution_conditions(kind, h, f) for h in candidates]
 
 
 def assert_same_multivectors(got, want):

@@ -91,6 +91,37 @@ def test_associativity_float():
         assert coefficient_distance((a * b) * c, a * (b * c)) < 1e-12
 
 
+def even_and_odd(x):
+    """The parts of x that the grade involution keeps and flips."""
+    flipped = x.grade_involution()
+    return Fraction(1, 2) * (x + flipped), Fraction(1, 2) * (x - flipped)
+
+
+def test_grade_involution_splits_even_and_odd_examples():
+    mixed = scalar(2) + gamma(1) + 5 * blade((0, 3)) + VOLUME
+    even, odd = even_and_odd(mixed)
+    assert even == scalar(2) + 5 * blade((0, 3)) + VOLUME
+    assert odd == gamma(1)
+    assert all(type(v) in (int, Fraction) for _, v in even.items() + odd.items())
+
+
+def test_even_and_odd_parts_decompose_and_are_orthogonal():
+    rng = np.random.default_rng(1)
+    x = random_multivector(rng)
+    even, odd = even_and_odd(x)
+    assert coefficient_distance(even + odd, x) == 0
+    assert all(bin(m).count("1") % 2 == 0 for m, _ in even.items())
+    assert all(bin(m).count("1") % 2 == 1 for m, _ in odd.items())
+    assert even.grade_involution() == even and odd.grade_involution() == -1 * odd
+
+
+def test_even_part_is_closed_under_the_product():
+    rng = np.random.default_rng(2)
+    (a, b), (c, _) = even_and_odd(random_multivector(rng)), even_and_odd(random_multivector(rng))
+    for product, parity in ((a * c, 0), (a * b, 1), (b * b, 0)):
+        assert all(bin(m).count("1") % 2 == parity for m, v in product.items() if abs(v) > 1e-12)
+
+
 def test_involution_examples():
     assert involution("reversion", Multivector({0b0011: 1})) == -1 * Multivector({0b0011: 1})
     assert involution("grade", gamma(2)) == -1 * gamma(2)

@@ -21,7 +21,7 @@ from spinorlab import duals, groups, ideals, multivector, quaternions, serialize
 from spinorlab.duals import KinematicPoint, _delta_from, random_delta, validate_delta, validate_omega
 from spinorlab.groups import CapExceeded, generate_group
 from spinorlab.ideals import canonical_idempotent
-from spinorlab.multivector import gamma, scalar
+from spinorlab.multivector import Multivector, blade, gamma, scalar
 from spinorlab.quaternions import (
     Q_I, Q_ONE, QuatMatrix2, Quaternion, intertwiner, mv_to_m2h, quaternionic_gamma,
 )
@@ -345,8 +345,10 @@ def test_the_weyl_module_arrays_are_read_only():
     (gamma, 4, "gamma index 4 out of range"),
     (weyl.weyl_gamma, 4, "gamma index 4 out of range"),
     (quaternionic_gamma, 4, "gamma index 4 out of range"),
+    (lambda i: blade((0, i)), 4, "gamma index 4 out of range"),
+    (lambda i: Multivector({i: 1}), 16, "blade mask 16 out of range"),
     (lambda i: (gamma(0) + 2 * gamma(1)).coefficient(i), 16, None),  # no such blade: 0
-], ids=["gamma", "weyl_gamma", "quaternionic_gamma", "coefficient"])
+], ids=["gamma", "weyl_gamma", "quaternionic_gamma", "blade", "Multivector", "coefficient"])
 def test_an_index_is_read_as_an_integer(call, stop, message):
     for bad in (1.0, 1.5, np.float64(1.0), "1"):
         with pytest.raises(ValueError, match="is not an integer"):
