@@ -52,12 +52,14 @@ print("ring of fr over R:", ring_r.name, "(dimension", ring_r.dimension, ")")
 print("f = 1 over R:     ", division_ring_identify(Idempotent(scalar(1)), "real").name)
 show("division-ring-complex-is-C", "division-ring-real-is-H")
 
-# Adjoint involutions: reversion pairs with h = 1 or h = gamma0 for the
-# real idempotent; the grade involution does not pair with h = 1.
+# Adjoint involutions: for the real idempotent, reversion pairs with h = 1
+# and the gamma0-adjoint with h = gamma0, the two pairs beta is measured on
+# below; the grade involution does not pair with h = 1.
 one = scalar(1)
-print("\n(reversion, h=1) compatible:     ", verify_involution_conditions("reversion", one, fr))
-print("(grade, h=1) compatible:         ", verify_involution_conditions("grade", one, fr))
-print("(reversion, h=gamma0) compatible:", verify_involution_conditions("reversion", gamma(0), fr))
+print("\n(reversion, h=1) compatible:        ", verify_involution_conditions("reversion", one, fr))
+print("(grade, h=1) compatible:            ", verify_involution_conditions("grade", one, fr))
+print("(dirac_dagger, h=gamma0) compatible:",
+      verify_involution_conditions("dirac_dagger", gamma(0), fr))
 show("involution-conditions")
 
 # beta lands in the scalar ring, and for the gamma0-adjoint with h = gamma0

@@ -5,9 +5,11 @@ seed and trial count and in its order of draws, so that it prints the command's 
 
 Each check draws from the generator it is given, table1's seven operator rows included,
 and returns its verdicts: report check objects made by :func:`verdict`, which holds the
-check's name, its tolerance and the direction of its comparison.  What draws nothing, the
-quaternionic Clifford relations and :func:`spinor_space_structure`, is measured once per
-process and cached; each call builds new check objects from it.  A patched threshold
+check's name, its tolerance and the direction of its comparison.  A suite refuses nothing it
+draws, as its verdicts report it: a Delta off its constraint fails block-structure-validation,
+and a pair that beta takes off its conditions fails involution-conditions.  What draws
+nothing, the quaternionic Clifford relations and :func:`spinor_space_structure`, is measured
+once per process and cached; each call builds new check objects from it.  A patched threshold
 reaches the structure only once its cache is cleared, and only where it is read:
 ``weyl.DET_TOL`` in ``weyl``, whose ``_invertible`` reads it at call time; any other in the
 module that imported it, as ``checks.RANK_TOL`` (patching ``weyl.RANK_TOL`` changes nothing).
@@ -30,7 +32,7 @@ from .duals import (
     validate_delta, xi,
 )
 from .ideals import (
-    _beta, _require_adjoint, _ring_residual, canonical_idempotent, division_ring_identify,
+    _beta, _ring_residual, canonical_idempotent, division_ring_identify,
     ideal_basis, verify_involution_conditions,
 )
 from .multivector import METRIC, _product, _random_coefficients, gamma, scalar
@@ -87,13 +89,11 @@ def _draw(rng, n, layout) -> tuple:
 
 def block_pattern(rng, trials) -> list:
     """The Delta-constraint and B/C hermiticity residuals of random block-pattern Deltas;
-    a Delta that fails validation raises :class:`InvalidOperatorError`."""
+    a Delta off the constraint fails the first verdict.  ``_draw`` resamples a singular one."""
     constraint, hermiticity = [], []
     for n in _blocks(trials):
         (delta,), dets = _draw(rng, n, (None,))
-        check = _delta_validation(delta, *dets)
-        check.require()  # as block_decompose would, on the one validation
-        constraint.append(check.residual)
+        constraint.append(_delta_validation(delta, *dets).residual)
         hermiticity.append(_split_delta(delta).hermiticity_residual())
     return [verdict("block-structure-validation", constraint, VALIDATION_TOL),
             verdict("block-hermiticity", hermiticity, ROUNDING_TOL)]
@@ -244,21 +244,18 @@ def _ideal_pairs(rng, n, f, real=False) -> np.ndarray:
 def beta_in_ring(rng, trials, f, real) -> dict:
     """The distance of beta(psi, phi) (reversion, h = 1) from the scalar
     ring f Cl f, for psi, phi in the left ideal of ``f``."""
-    one, fc = scalar(1), f.value._c
-    _require_adjoint("reversion", one, f)
+    h, fc = scalar(1)._c, f.value._c
     worst = []
     for n in _blocks(trials):
         psi, phi = _ideal_pairs(rng, n, fc, real)
-        worst.append(_ring_residual(_beta(psi, phi, "reversion", one._c, fc), fc))
+        worst.append(_ring_residual(_beta(psi, phi, "reversion", h, fc), fc))
     return verdict("beta-in-ring", worst, PRODUCT_TOL)
 
 
 def beta_matches_matrix_adjoint(rng, trials, f) -> dict:
     """The largest entry of beta(psi, phi) (gamma0-adjoint, h = g0) minus
     psi^dag g0 phi f computed on matrices."""
-    g0 = gamma(0)
-    _require_adjoint("dirac_dagger", g0, f)
-    h, fc = g0._c.astype(complex), f.value._c.astype(complex)
+    h, fc = gamma(0)._c.astype(complex), f.value._c.astype(complex)
     worst = []
     for n in _blocks(trials):
         psi, phi = _ideal_pairs(rng, n, fc)
@@ -274,10 +271,9 @@ def spinor_space_structure() -> tuple:
     real canonical idempotents f, the complex one's matrix rank, the complex left, complex right
     and real left ideals, the two division rings and whether the involution conditions hold."""
     fc, fr = canonical_idempotent("complex"), canonical_idempotent("real")
-    one = scalar(1)
-    involutions = (verify_involution_conditions("reversion", one, fr)
-                   and not verify_involution_conditions("grade", one, fr)
-                   and verify_involution_conditions("reversion", gamma(0), fr))
+    involutions = (verify_involution_conditions("reversion", scalar(1), fr)
+                   and not verify_involution_conditions("grade", scalar(1), fr)
+                   and verify_involution_conditions("dirac_dagger", gamma(0), fr))
     return (fc, fr, np.linalg.matrix_rank(to_matrix(fc.value), tol=RANK_TOL),
             ideal_basis(fc, "left", "complex"), ideal_basis(fc, "right", "complex"),
             ideal_basis(fr, "left", "real"), division_ring_identify(fc, "complex"),

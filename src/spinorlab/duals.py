@@ -395,17 +395,15 @@ def _split_delta(delta: np.ndarray) -> DeltaBlocks:  # of a Delta already valida
 
 def dual_of(
     psi: np.ndarray, omega: np.ndarray, k: KinematicPoint,
-    *, check: OperatorValidation | None = None,
+    *, check: OperatorValidation,
 ) -> np.ndarray:
     """Dual spinor psi^dag g0 Xi Omega for a valid Omega: a complex row of 4
     entries, which pairs with a column spinor phi as ``dual @ phi``.
 
-    ``check`` is the caller's validation of ``omega`` when it already has
-    one; ``validate_omega(omega, k)`` is computed otherwise.  An invalid Omega
-    raises InvalidOperatorError, and a psi whose dual overflows OverflowError.
+    ``check`` is the caller's validation of ``omega`` at ``k``, as
+    :func:`validate_omega` makes it; it is trusted, not recomputed.  A failed
+    check raises InvalidOperatorError, and a psi whose dual overflows OverflowError.
     """
-    if check is None:
-        check = validate_omega(omega, k)
     check.require()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite dual is refused below
         dual = _g0_right(np.asarray(psi, dtype=complex).reshape(4).conj()) @ xi(k) @ omega

@@ -197,26 +197,20 @@ def verify_involution_conditions(kind: str, h: Multivector, f: Idempotent) -> bo
     return _violated_condition(kind, h, f) is None
 
 
-def _require_adjoint(kind: str, h: Multivector, f: Idempotent) -> None:
-    """Raise :class:`InvolutionConditionError` unless alpha(f) = h^-1 f h
-    and alpha(h) = h hold for an invertible h, naming the violated one."""
+def beta_inner_product(
+    psi: Multivector, phi: Multivector, kind: str, h: Multivector, f: Idempotent
+) -> Multivector:
+    """beta(psi, phi) = h alpha(psi) phi f, valued in the ring f·Cl·f.
+
+    Raises :class:`InvolutionConditionError` unless alpha(f) = h^-1 f h and
+    alpha(h) = h hold for an invertible h, naming the violated condition.
+    """
     try:
         violated = _violated_condition(kind, h, f)
     except ZeroDivisionError as exc:
         raise InvolutionConditionError("h is not invertible") from exc
     if violated:
         raise InvolutionConditionError(violated)
-
-
-def beta_inner_product(
-    psi: Multivector, phi: Multivector, kind: str, h: Multivector, f: Idempotent
-) -> Multivector:
-    """beta(psi, phi) = h alpha(psi) phi f, valued in the ring f·Cl·f.
-
-    Raises :class:`InvolutionConditionError` when the (alpha, h, f) triple
-    fails its compatibility conditions (see :func:`_require_adjoint`).
-    """
-    _require_adjoint(kind, h, f)
     return Multivector._of(_beta(psi._c, phi._c, kind, h._c, f.value._c))
 
 

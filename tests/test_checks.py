@@ -374,10 +374,12 @@ def test_block_pattern_validates_each_block_once(monkeypatch):
     assert dets == [BLOCK, 1]
 
 
-def test_block_pattern_refuses_a_stack_that_is_not_a_delta(monkeypatch):
+def test_block_pattern_reports_a_stack_that_is_not_a_delta(monkeypatch):
+    # (i J)^dag g0 - g0 (i J) = -2i J for the all-ones J, which g0 permutes
     monkeypatch.setattr(checks, "_draw", lambda rng, n, layout: ([np.full((n, 4, 4), 1j)], []))
-    with pytest.raises(duals.InvalidOperatorError, match="^not a valid Delta: constraint residual"):
-        checks.block_pattern(np.random.default_rng(0), 3)
+    validation, _ = checks.block_pattern(np.random.default_rng(0), 3)
+    assert validation == checks.verdict("block-structure-validation", 2.0, weyl.VALIDATION_TOL)
+    assert validation["status"] == "fail"
 
 
 class RecordedProducts(np.ndarray):

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spinorlab import checks, cli, duals, weyl
+from spinorlab import checks, cli, duals, ideals, weyl
 from spinorlab.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_KINEMATICS,
@@ -447,6 +447,24 @@ def test_a_patched_tolerance_reaches_the_structure_once_its_cache_is_cleared(
     assert rank_and_involutions(fresh_structure) == (1, True)
     fresh_structure.cache_clear()
     assert rank_and_involutions(fresh_structure) == patched
+
+
+def test_a_broken_involution_condition_is_reported_not_raised(fresh_structure, monkeypatch,
+                                                              capsys):
+    argv = ["spinor-spaces", "--trials", "20"]
+    assert main(argv) == EXIT_OK
+    want = json.loads(capsys.readouterr().out)["checks"]
+    monkeypatch.setattr(ideals, "INVOLUTION_TOL", -1.0)  # below every residual, 0 included
+    fresh_structure.cache_clear()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    got = json.loads(out)["checks"]
+    for before, after in zip(want, got, strict=True):
+        if after["name"] == "involution-conditions":
+            assert (before["status"], after["status"]) == ("pass", "fail")
+        else:  # the two beta checks measure their residuals as before
+            assert after == before
 
 
 @pytest.mark.parametrize("momentum", ["0.001", "1", "3000"])

@@ -193,11 +193,6 @@ def test_convert_carries_validity():
         assert validate_omega(delta_to_omega(delta, k), k)
 
 
-def test_convert_identity_omega_to_xi():
-    out = duals._to_delta(np.eye(4), xi(K_REF))
-    assert abs(out - xi(K_REF)).max() < 1e-12
-
-
 def test_determinant_transport():
     # The conversions keep det because det g0 = det Xi = 1.
     assert np.linalg.det(GAMMA0) == 1
@@ -286,7 +281,7 @@ def test_block_decompose_rejects_invalid():
 
 def test_dual_of_identity_omega():
     psi = np.array([1.0, 0.0, 0.0, 0.0])
-    dual = dual_of(psi, np.eye(4), K_REF)
+    dual = dual_of(psi, np.eye(4), K_REF, check=validate_omega(np.eye(4), K_REF))
     # Matrix-vector oracle: the dual row is psi^dag g0 Xi.
     expected = psi.conj() @ GAMMA0 @ xi(K_REF)
     assert dual.shape == (4,) and dual.dtype == complex
@@ -295,7 +290,7 @@ def test_dual_of_identity_omega():
 
 
 def test_dual_of_zero_spinor():
-    dual = dual_of(np.zeros(4), np.eye(4), K_REF)
+    dual = dual_of(np.zeros(4), np.eye(4), K_REF, check=validate_omega(np.eye(4), K_REF))
     assert abs(dual).max() == 0
 
 
@@ -305,20 +300,20 @@ def test_dual_pairing_associativity():
     omega = delta_to_omega(random_delta(rng), k)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     phi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    lhs = dual_of(psi, omega, k) @ phi
+    lhs = dual_of(psi, omega, k, check=validate_omega(omega, k)) @ phi
     rhs = psi.conj() @ (GAMMA0 @ xi(k) @ omega @ phi)
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_dual_of_rejects_invalid_omega():
     with pytest.raises(InvalidOperatorError):
-        dual_of(np.ones(4), 1j * np.eye(4), K_REF)
+        dual_of(np.ones(4), 1j * np.eye(4), K_REF, check=validate_omega(1j * np.eye(4), K_REF))
 
 
 @pytest.mark.filterwarnings("error")
 def test_dual_of_refuses_a_psi_whose_dual_overflows():
     with pytest.raises(OverflowError, match=r"^psi is too large: its dual overflows$"):
-        dual_of(np.full(4, 1e308), np.eye(4), K_REF)
+        dual_of(np.full(4, 1e308), np.eye(4), K_REF, check=validate_omega(np.eye(4), K_REF))
 
 
 def test_dual_of_honours_a_passed_check():

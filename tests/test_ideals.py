@@ -29,7 +29,7 @@ from spinorlab.multivector import (
     scalar,
 )
 from spinorlab import ideals
-from spinorlab.ideals import _pure_units, _require_adjoint
+from spinorlab.ideals import _pure_units
 from spinorlab.weyl import _BLADE_MATS, to_matrix
 
 FC = canonical_idempotent("complex")
@@ -484,7 +484,7 @@ def test_a_nan_residual_fails_both_adjoint_verdicts(monkeypatch, nan_call, viola
     monkeypatch.setattr(ideals, "coefficient_distance", distance)
     assert not verify_involution_conditions("reversion", ONE, FR)
     with pytest.raises(InvolutionConditionError, match=rf"^{violated} \(residual nan\)$"):
-        _require_adjoint("reversion", ONE, FR)
+        beta_inner_product(ONE, ONE, "reversion", ONE, FR)
 
 
 def test_an_exact_residual_is_named_in_both_adjoint_verdicts():

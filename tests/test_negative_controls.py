@@ -8,28 +8,30 @@ fixed tolerances, and at 10 times them); and that the other checks of the same
 call keep their bits.  The control of a detection removes what it detects and
 asserts that it fails.  The control of a yes/no check gives it the wrong answer
 at its seam and asserts that it fails.  The controls so far cover table1's
-seven rows, embed's three bounds and pattern-detection, five checks of
+seven rows, embed's three bounds and pattern-detection, six checks of
 verify-theorems, spinor-spaces's two beta bounds, classify's one check and
-cayley's identified-K4: 20 of the 38 checks that ``REPORTS`` in
+cayley's identified-K4: 21 of the 38 checks that ``REPORTS`` in
 ``tests/test_known_defects.py`` names.  ``VACUOUS`` lists the checks that no
 defect can make fail, each with its reason and a test that shows it.  A test
 holds both counts.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from spinorlab import checks, cli
 from spinorlab.duals import (
-    ELEMENT_NAMES, InvalidOperatorError, KinematicPoint, _delta_from, _split_delta, _to_delta,
-    closed_form, validate_delta,
+    ELEMENT_NAMES, KinematicPoint, _delta_validation, _split_delta, _to_delta, closed_form,
+    validate_delta,
 )
 from spinorlab.groups import GroupIdentification, orbit_partition
 from spinorlab.ideals import Idempotent, _beta, canonical_idempotent
 from spinorlab.multivector import _product, scalar
 from spinorlab.quaternions import QuatMatrix2, is_quaternionic_pattern
 from spinorlab.serialize import dump_json, matrix_to_obj
-from spinorlab.weyl import _dirac_dagger, _matrices
+from spinorlab.weyl import VALIDATION_TOL, _dirac_dagger, _matrices
 
 from test_known_defects import BOUNDS, REPORTS, kinematic_flags, run, with_files, write_inputs
 
@@ -153,6 +155,10 @@ E03[0, 3] = 1.0  # entry (0, 1) of the block B
 
 #: verify-theorems's bound: the name in ``checks`` that its seam replaces, and the seam for delta
 THEOREM_SEAMS = {
+    # A is off its mirror A^dag by delta at entry (0, 1); only block_pattern validates a
+    # Delta, and its hermiticity is measured on the Delta as drawn
+    "block-structure-validation": ("_delta_validation",
+                                   lambda d: lambda m, *det: _delta_validation(m + d * E01, *det)),
     # B stops being Hermitian; the constraint is measured on the Delta as drawn
     "block-hermiticity": ("_split_delta", lambda d: lambda m: _split_delta(m + d * E03)),
     "adjoint-fixed-points": ("_dirac_dagger", moved_at_fixed_points),
@@ -251,8 +257,6 @@ def test_a_yes_no_check_fails_on_a_wrong_answer_at_its_seam(name, monkeypatch, t
 VACUOUS = {
     "closure": "cayley reports the constant 0; the closure decision is group_from_elements's "
                "raise",
-    "block-structure-validation": "block_pattern calls require() before it builds the verdict, "
-                                  "so a Delta off the constraint raises and never reports a fail",
     **dict.fromkeys(("complex-idempotency", "real-idempotency"),
                     "Idempotent refuses a residual above ROUNDING_TOL, the check's own tolerance, "
                     "before any verdict is built"),
@@ -273,10 +277,16 @@ def test_cayley_closure_reads_0_or_raises(monkeypatch):
             assert suite_checks(argv)[0] == want
 
 
-def test_block_structure_validation_raises_instead_of_failing(monkeypatch):
-    monkeypatch.setattr(checks, "_delta_from", lambda u: _delta_from(u) + 1e-9j * np.eye(4))
-    with pytest.raises(InvalidOperatorError, match=r"constraint residual 2\.000e-09"):
-        checks.block_pattern(np.random.default_rng(0), 100)
+def test_a_delta_off_its_constraint_is_a_failed_check_not_an_error(monkeypatch):
+    argv = ["verify-theorems", *KFLAGS]
+    out, err = run(argv)[1:]
+    assert err == ""
+    seam, shifted = THEOREM_SEAMS["block-structure-validation"]
+    monkeypatch.setattr(checks, seam, shifted(10 * VALIDATION_TOL))
+    after, after_out, err = run(argv)
+    assert (after, err) == (1, "")
+    assert_only_it_fails("block-structure-validation", json.loads(out)["checks"],
+                         json.loads(after_out)["checks"])
 
 
 @pytest.mark.parametrize("mode, residual", [("complex", "5.000e-10"), ("real", "1.000e-09")])
@@ -309,5 +319,5 @@ def test_every_control_is_of_a_check_that_a_report_names():
     controlled = ({f"row-{name}" for name in ELEMENT_NAMES} | set(EMBED_SEAMS)
                   | set(THEOREM_SEAMS) | set(SPINOR_SEAMS) | {"adjoint-imaginary-detection"}
                   | set(YES_NO_SEAMS))
-    assert len(controlled) == 20 and controlled <= named
-    assert len(VACUOUS) == 5 and set(VACUOUS) <= named - controlled
+    assert len(controlled) == 21 and controlled <= named
+    assert len(VACUOUS) == 4 and set(VACUOUS) <= named - controlled
