@@ -10,11 +10,7 @@ default seed 0 and 100 trials, so their residuals are the command's own.
 import numpy as np
 
 from spinorlab import (
-    Q_I,
-    Q_J,
-    Q_ONE,
     QuatMatrix2,
-    Quaternion,
     checks,
     gamma,
     gl2h_embed,
@@ -39,13 +35,13 @@ rng = np.random.default_rng(0)
 
 # Real multivectors map to M2(H) through generator images
 # g0 -> diag(1,-1), gk -> offdiag(i/j/k); the relations hold exactly.
-print("quaternionic gamma0:", quaternionic_gamma(0).entries())
+print("quaternionic gamma0:", repr(quaternionic_gamma(0)))
 show(checks.clifford_relations())
 
 # The scalar embedding H -> M2(C) sends i to diag(i, -i) and j to
 # [[0, 1], [-1, 0]]; blockwise, GL(2,H) lands inside GL(4,C), and the
 # embedding is multiplicative.
-embedded = gl2h_embed(QuatMatrix2(Q_I, Q_J, Quaternion(), Q_ONE))
+embedded = gl2h_embed(QuatMatrix2([[(0, 1, 0, 0), (0, 0, 1, 0)], [(0, 0, 0, 0), (1, 0, 0, 0)]]))
 print("\nembedded [[i, j], [0, 1]]:")
 print(embedded)
 show(checks.gl2h_homomorphism(rng, 100))

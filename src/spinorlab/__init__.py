@@ -38,7 +38,6 @@ from .duals import (
     InvalidOperatorError,
     KinematicPoint,
     KinematicsError,
-    SingularParameterError,
     block_decompose,
     delta_to_omega,
     dual_of,
@@ -61,11 +60,7 @@ from .groups import (
     twisted_adjoint,
 )
 from .quaternions import (
-    Q_I,
-    Q_J,
-    Q_ONE,
     QuatMatrix2,
-    Quaternion,
     even_to_m2c,
     gl2h_embed,
     intertwiner,

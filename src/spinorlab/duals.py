@@ -24,11 +24,7 @@ ELEMENT_NAMES = ("G", "F", "FG", "XiDagger", "GXiDagger", "H", "Hinv")
 
 
 class KinematicsError(ValueError):
-    """Invalid kinematic data."""
-
-
-class SingularParameterError(KinematicsError):
-    """A kinematic parameter sits at a singular value for the requested element."""
+    """Invalid kinematic data, or a point where the requested element is singular."""
 
 
 class InvalidOperatorError(ValueError):
@@ -239,7 +235,7 @@ def closed_form(name: str, k: KinematicPoint) -> np.ndarray:
 
 def _require_momentum(p):
     if np.any(p == 0):
-        raise SingularParameterError("F and FG are singular at p = 0")
+        raise KinematicsError("F and FG are singular at p = 0")
 
 
 # -- validity ------------------------------------------------------------------

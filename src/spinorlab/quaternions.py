@@ -1,15 +1,16 @@
-"""Quaternions and the embeddings H -> M2(C), GL(2,H) -> GL(4,C).
+"""Quaternionic 2x2 matrices and the embeddings H -> M2(C), GL(2,H) -> GL(4,C).
 
-Also provides the quaternionic 2x2 representation of real Cl(1,3)
-multivectors (the algebra is isomorphic to M2(H)) and the upper-block
-complex image of the even subalgebra (isomorphic to M2(C)).  A Quaternion
-multiplies a Quaternion or a real scalar; a QuatMatrix2 only a QuatMatrix2.
+A quaternion a + b i + c j + d k is its components (a, b, c, d) on the last
+axis of a real array; a QuatMatrix2 holds four of them, or a stack of such
+matrices, and multiplies only a QuatMatrix2.  Also provides the quaternionic
+2x2 representation of real Cl(1,3) multivectors (the algebra is isomorphic to
+M2(H)) and the upper-block complex image of the even subalgebra (isomorphic
+to M2(C)).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -28,39 +29,6 @@ def _hamilton(a1, b1, c1, d1, a2, b2, c2, d2) -> tuple:
     )
 
 
-class Quaternion(NamedTuple):
-    """q = a + b i + c j + d k with real components.  A value: it refuses the
-    tuple's + and ordering, and numpy defers to its own product."""
-
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 0.0
-
-    __add__ = __radd__ = __lt__ = __le__ = __gt__ = __ge__ = __array_ufunc__ = None
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(*_hamilton(*self.as_list(), *other.as_list()))
-        if isinstance(other, Real):
-            return Quaternion(self.a * other, self.b * other, self.c * other, self.d * other)
-        return NotImplemented
-
-    __rmul__ = __mul__  # a real scalar times q; real products commute
-
-    def as_list(self) -> list:
-        return [self.a, self.b, self.c, self.d]
-
-
-Q_ZERO = Quaternion()
-Q_ONE = Quaternion(1.0)
-Q_I = Quaternion(0.0, 1.0)
-Q_J = Quaternion(0.0, 0.0, 1.0)
-Q_K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
 #: q = (a, b, c, d) -> [[a+ib, c+id], [-c+id, a-ib]]: the (real, imaginary)
 #: part of each entry as an index into (a, b, c, d, -a, -b, -c, -d)
 _M2C_SLOTS = np.array([[(0, 1), (2, 3)], [(6, 3), (0, 5)]])
@@ -78,9 +46,13 @@ class QuatMatrix2:
 
     __slots__ = ("q",)
 
-    def __init__(self, q11: Quaternion, q12: Quaternion, q21: Quaternion, q22: Quaternion):
-        self.q = np.array([[q11, q12], [q21, q22]], dtype=float)
-        self.q.flags.writeable = False
+    def __init__(self, q):
+        """A read-only copy of the components ``q``, of shape (..., 2, 2, 4)."""
+        q = np.array(q, dtype=float)
+        if q.shape[-3:] != (2, 2, 4):
+            raise ValueError(f"QuatMatrix2 needs components (..., 2, 2, 4), got {q.shape}")
+        q.flags.writeable = False
+        self.q = q
 
     @classmethod
     def _of(cls, q: np.ndarray) -> "QuatMatrix2":
@@ -92,10 +64,7 @@ class QuatMatrix2:
 
     @classmethod
     def identity(cls) -> "QuatMatrix2":
-        return cls(Q_ONE, Q_ZERO, Q_ZERO, Q_ONE)
-
-    def _entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion(*self.q[i, j].tolist())
+        return cls._of(_FIXED[0])
 
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
         return QuatMatrix2._of(self.q + other.q)
@@ -108,12 +77,8 @@ class QuatMatrix2:
             return QuatMatrix2._of(t[..., 0, :, :] + t[..., 1, :, :])
         return NotImplemented
 
-    def entries(self) -> tuple:
-        """The entries q11, q12, q21, q22, each a Quaternion."""
-        return tuple(self._entry(i, j) for i in (0, 1) for j in (0, 1))
-
     def __repr__(self) -> str:
-        return "QuatMatrix2(q11={!r}, q12={!r}, q21={!r}, q22={!r})".format(*self.entries())
+        return f"QuatMatrix2({self.q.tolist()!r})"
 
 
 def gl2h_embed(a: QuatMatrix2) -> np.ndarray:
@@ -166,20 +131,24 @@ def pattern_dof() -> int:
 
 # -- the quaternionic picture of real Cl(1,3) ------------------------------------
 #
-# Generator images: g0 -> diag(1, -1), g1/g2/g3 -> offdiag(i/j/k).  These
-# satisfy the Clifford relations exactly over H, which the test suite checks
-# pair by pair.
+# The identity, then the generator images g0 -> diag(1, -1), g1/g2/g3 ->
+# offdiag(i/j/k).  These satisfy the Clifford relations exactly over H, which
+# the test suite checks pair by pair.
 
-_GENERATOR_IMAGES = (
-    QuatMatrix2(Q_ONE, Q_ZERO, Q_ZERO, -Q_ONE),
-    QuatMatrix2(Q_ZERO, Q_I, Q_I, Q_ZERO),
-    QuatMatrix2(Q_ZERO, Q_J, Q_J, Q_ZERO),
-    QuatMatrix2(Q_ZERO, Q_K, Q_K, Q_ZERO),
-)
+_ONE, _I, _J, _K = np.eye(4)
+_ZERO = np.zeros(4)
+_FIXED = np.array([
+    [[_ONE, _ZERO], [_ZERO, _ONE]],
+    [[_ONE, _ZERO], [_ZERO, -_ONE]],
+    [[_ZERO, _I], [_I, _ZERO]],
+    [[_ZERO, _J], [_J, _ZERO]],
+    [[_ZERO, _K], [_K, _ZERO]],
+])
+_FIXED.flags.writeable = False
 
 
 def quaternionic_gamma(mu: int) -> QuatMatrix2:
-    return _GENERATOR_IMAGES[_index(mu, "gamma index", DIMENSION)]
+    return QuatMatrix2._of(_FIXED[1 + _index(mu, "gamma index", DIMENSION)])
 
 
 @lru_cache(maxsize=1)
@@ -188,7 +157,7 @@ def _image_components() -> np.ndarray:
     images = [QuatMatrix2.identity()]
     for mask in range(1, BLADE_COUNT):  # the blade without its last generator, times that one
         top = mask.bit_length() - 1
-        images.append(images[mask ^ 1 << top] * _GENERATOR_IMAGES[top])
+        images.append(images[mask ^ 1 << top] * quaternionic_gamma(top))
     return np.array([image.q.ravel() for image in images])
 
 

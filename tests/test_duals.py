@@ -11,7 +11,6 @@ from spinorlab.duals import (
     InvalidOperatorError,
     KinematicPoint,
     KinematicsError,
-    SingularParameterError,
     block_decompose,
     closed_form,
     delta_to_omega,
@@ -135,9 +134,9 @@ def test_hinv_is_gamma0_conjugate_of_h():
 def test_singular_momentum_raises_for_f_family():
     k = KinematicPoint(1.0, 0.0, 0.3, 0.4)
     for name in ("F", "FG"):
-        with pytest.raises(SingularParameterError):
+        with pytest.raises(KinematicsError, match="singular at p = 0"):
             named_operator(name, k)
-        with pytest.raises(SingularParameterError):
+        with pytest.raises(KinematicsError, match="singular at p = 0"):
             closed_form(name, k)
     named_operator("G", k)  # fine at p = 0
 
@@ -303,11 +302,6 @@ def test_dual_pairing_associativity():
     lhs = dual_of(psi, omega, k, check=validate_omega(omega, k)) @ phi
     rhs = psi.conj() @ (GAMMA0 @ xi(k) @ omega @ phi)
     assert abs(lhs - rhs) < 1e-12
-
-
-def test_dual_of_rejects_invalid_omega():
-    with pytest.raises(InvalidOperatorError):
-        dual_of(np.ones(4), 1j * np.eye(4), K_REF, check=validate_omega(1j * np.eye(4), K_REF))
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,9 +9,9 @@ call keep their bits.  The control of a detection removes what it detects and
 asserts that it fails.  The control of a yes/no check gives it the wrong answer
 at its seam and asserts that it fails.  The controls so far cover table1's
 seven rows, embed's three bounds and pattern-detection, six checks of
-verify-theorems, spinor-spaces's two beta bounds, classify's one check and
-cayley's identified-K4: 21 of the 38 checks that ``REPORTS`` in
-``tests/test_known_defects.py`` names.  ``VACUOUS`` lists the checks that no
+verify-theorems, spinor-spaces's two beta bounds and involution-conditions,
+classify's one check and cayley's identified-K4: 22 of the 38 checks that
+``REPORTS`` in ``tests/test_known_defects.py`` names.  ``VACUOUS`` lists the checks that no
 defect can make fail, each with its reason and a test that shows it.  A test
 holds both counts.
 """
@@ -27,12 +27,13 @@ from spinorlab.duals import (
     validate_delta,
 )
 from spinorlab.groups import GroupIdentification, orbit_partition
-from spinorlab.ideals import Idempotent, _beta, canonical_idempotent
+from spinorlab.ideals import Idempotent, _beta, canonical_idempotent, verify_involution_conditions
 from spinorlab.multivector import _product, scalar
 from spinorlab.quaternions import QuatMatrix2, is_quaternionic_pattern
 from spinorlab.serialize import dump_json, matrix_to_obj
 from spinorlab.weyl import VALIDATION_TOL, _dirac_dagger, _matrices
 
+from test_cli import fresh_structure  # noqa: F401 - a fixture
 from test_known_defects import BOUNDS, REPORTS, kinematic_flags, run, with_files, write_inputs
 
 DELTAS = (1e-8, 1e-6, 1e-4)
@@ -240,15 +241,19 @@ YES_NO_SEAMS = {
                                  with_a_size_of_3),
     "identified-K4": (["cayley", *KFLAGS], cli, "identify_group",
                       lambda group: GroupIdentification("Z4", group.order)),
+    "involution-conditions": (["spinor-spaces"], checks, "verify_involution_conditions",
+                              lambda *args: not verify_involution_conditions(*args)),
 }
 
 
 @pytest.mark.parametrize("name", YES_NO_SEAMS)
-def test_a_yes_no_check_fails_on_a_wrong_answer_at_its_seam(name, monkeypatch, tmp_path):
+def test_a_yes_no_check_fails_on_a_wrong_answer_at_its_seam(name, monkeypatch, tmp_path,
+                                                             fresh_structure):
     argv, module, seam, wrong = YES_NO_SEAMS[name]
     argv = with_files(argv, write_inputs(tmp_path)[0])
     want = suite_checks(argv)
     monkeypatch.setattr(module, seam, wrong)
+    fresh_structure.cache_clear()
     assert_only_it_fails(name, want, suite_checks(argv))
 
 
@@ -319,5 +324,5 @@ def test_every_control_is_of_a_check_that_a_report_names():
     controlled = ({f"row-{name}" for name in ELEMENT_NAMES} | set(EMBED_SEAMS)
                   | set(THEOREM_SEAMS) | set(SPINOR_SEAMS) | {"adjoint-imaginary-detection"}
                   | set(YES_NO_SEAMS))
-    assert len(controlled) == 21 and controlled <= named
+    assert len(controlled) == 22 and controlled <= named
     assert len(VACUOUS) == 4 and set(VACUOUS) <= named - controlled

@@ -1,17 +1,13 @@
-"""Quaternion arithmetic and the embedding chain H -> M2(C) -> M4(C)."""
+"""Quaternionic matrices and the embedding chain H -> M2(C) -> M4(C)."""
+
+import re
 
 import numpy as np
 import pytest
 
 from spinorlab.multivector import Multivector, gamma, random_multivector, scalar
 from spinorlab.quaternions import (
-    Q_I,
-    Q_J,
-    Q_K,
-    Q_ONE,
-    Q_ZERO,
     QuatMatrix2,
-    Quaternion,
     even_to_m2c,
     gl2h_embed,
     intertwiner,
@@ -30,49 +26,83 @@ HAMILTON = {
     ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
     ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
 }
-UNITS = {"1": Q_ONE, "i": Q_I, "j": Q_J, "k": Q_K}
+SLOT = {"1": 0, "i": 1, "j": 2, "k": 3}  # a unit's place in the components (a, b, c, d)
+UNITS = dict(zip(SLOT, np.eye(4)))
+ZERO = np.zeros(4)
 
 
-def quat_close(a: Quaternion, b: Quaternion, tol=0.0) -> bool:
-    return max(abs(x - y) for x, y in zip(a.as_list(), b.as_list())) <= tol
+def hamilton(p, q) -> np.ndarray:
+    """The Hamilton product of components (a, b, c, d), term by term from HAMILTON.  Each
+    component adds its terms in the order that ``QuatMatrix2``'s product does, so that the
+    two agree bit for bit."""
+    out = [0.0] * 4
+    for (x, y), (sign, z) in HAMILTON.items():
+        out[SLOT[z]] += sign * p[SLOT[x]] * q[SLOT[y]]
+    return np.array(out)
 
 
-def test_unit_quaternion_products_match_hamilton_table():
+def matrix(q11, q12, q21, q22) -> QuatMatrix2:
+    return QuatMatrix2([[q11, q12], [q21, q22]])
+
+
+def test_diagonal_products_follow_the_hamilton_table():
     for (na, nb), (sign, nc) in HAMILTON.items():
-        assert quat_close(UNITS[na] * UNITS[nb], sign * UNITS[nc])
+        sign_ba, nd = HAMILTON[nb, na]
+        a, b = matrix(UNITS[na], ZERO, ZERO, UNITS[nb]), matrix(UNITS[nb], ZERO, ZERO, UNITS[na])
+        want = matrix(sign * UNITS[nc], ZERO, ZERO, sign_ba * UNITS[nd])
+        assert np.array_equal((a * b).q, want.q), (na, nb)
 
 
-def m2c(q: Quaternion) -> np.ndarray:
+@pytest.mark.parametrize("shape", [(2, 4), (3, 2, 4)])
+def test_a_quat_matrix_refuses_components_of_another_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        QuatMatrix2(np.zeros(shape))
+
+
+def test_a_quat_matrix_keeps_its_own_copy_of_the_components():
+    components = np.arange(32.0).reshape(2, 2, 2, 4)
+    m = QuatMatrix2(components)
+    components[0, 0, 0, 0] = 99.0
+    assert np.array_equal(m.q, np.arange(32.0).reshape(2, 2, 2, 4))
+    with pytest.raises(ValueError):
+        m.q[0, 0, 0, 0] = 99.0
+
+
+def test_quaternionic_gamma0_keeps_its_signed_zeros():
+    # its lower-right entry is -1 as the negated unit: (-1, -0, -0, -0)
+    assert np.signbit(quaternionic_gamma(0).q[1, 1]).all()
+    assert not np.signbit(quaternionic_gamma(0).q[:, 0]).any()
+
+
+def m2c(q) -> np.ndarray:
     """The complex 2x2 block that gl2h_embed makes of one quaternion."""
-    return _m2c(np.array(q, dtype=float))
+    return _m2c(np.asarray(q, dtype=float))
 
 
 def test_m2c_units():
-    assert np.array_equal(m2c(Q_ONE), np.eye(2))
-    assert np.array_equal(m2c(Q_I), np.diag([1j, -1j]))
-    assert np.array_equal(m2c(Q_J), np.array([[0, 1], [-1, 0]], dtype=complex))
+    assert np.array_equal(m2c(UNITS["1"]), np.eye(2))
+    assert np.array_equal(m2c(UNITS["i"]), np.diag([1j, -1j]))
+    assert np.array_equal(m2c(UNITS["j"]), np.array([[0, 1], [-1, 0]], dtype=complex))
 
 
 def test_m2c_is_homomorphism():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        a = Quaternion(*rng.uniform(-1, 1, 4))
-        b = Quaternion(*rng.uniform(-1, 1, 4))
-        lhs = m2c(a * b)
+        a = rng.uniform(-1, 1, 4)
+        b = rng.uniform(-1, 1, 4)
+        lhs = m2c(hamilton(a, b))
         rhs = m2c(a) @ m2c(b)
         assert abs(lhs - rhs).max() < 1e-14
-        a_plus_b = Quaternion(*(x + y for x, y in zip(a.as_list(), b.as_list())))
-        assert abs(m2c(a_plus_b) - (m2c(a) + m2c(b))).max() == 0
+        assert abs(m2c(a + b) - (m2c(a) + m2c(b))).max() == 0
 
 
 def rand_qmat(rng) -> QuatMatrix2:
-    q = lambda: Quaternion(*rng.uniform(-1, 1, 4))
-    return QuatMatrix2(q(), q(), q(), q())
+    return QuatMatrix2(rng.uniform(-1, 1, (2, 2, 4)))
 
 
 def test_gl2h_embed_identity_and_diagonal():
     assert np.array_equal(gl2h_embed(QuatMatrix2.identity()), np.eye(4))
-    embedded = gl2h_embed(QuatMatrix2(Q_I, Q_ZERO, Q_ZERO, Q_ONE))
+    embedded = gl2h_embed(matrix(UNITS["i"], ZERO, ZERO, UNITS["1"]))
     assert np.array_equal(embedded, np.diag([1j, -1j, 1, 1]))
 
 
@@ -103,9 +133,7 @@ def test_pattern_dof_is_sixteen():
 
 
 def test_quaternionic_gamma0():
-    q11, q12, q21, q22 = quaternionic_gamma(0).entries()
-    assert quat_close(q11, Q_ONE) and quat_close(q22, -1 * Q_ONE)
-    assert quat_close(q12, Quaternion()) and quat_close(q21, Quaternion())
+    assert np.array_equal(quaternionic_gamma(0).q, [[UNITS["1"], ZERO], [ZERO, -UNITS["1"]]])
 
 
 def test_quaternionic_clifford_relations_exact():
@@ -114,14 +142,13 @@ def test_quaternionic_clifford_relations_exact():
         for nu in range(4):
             gm, gn = quaternionic_gamma(mu), quaternionic_gamma(nu)
             anti = gm * gn + gn * gm
-            want = QuatMatrix2._of(QuatMatrix2.identity().q * (2.0 * eta[mu] if mu == nu else 0.0))
-            for got, expected in zip(anti.entries(), want.entries()):
-                assert quat_close(got, expected)
+            want = QuatMatrix2.identity().q * (2.0 * eta[mu] if mu == nu else 0.0)
+            assert np.array_equal(anti.q, want)
 
 
 def test_mv_to_m2h_gamma1_squares_to_minus_identity():
-    q11, _, _, q22 = (mv_to_m2h(gamma(1)) * mv_to_m2h(gamma(1))).entries()
-    assert quat_close(q11, -1 * Q_ONE) and quat_close(q22, -1 * Q_ONE)
+    square = (mv_to_m2h(gamma(1)) * mv_to_m2h(gamma(1))).q
+    assert np.array_equal(square, -QuatMatrix2.identity().q)
 
 
 def test_mv_to_m2h_is_homomorphism():
@@ -132,8 +159,7 @@ def test_mv_to_m2h_is_homomorphism():
         y = random_multivector(rng, real=True)
         lhs = mv_to_m2h(x * y)
         rhs = mv_to_m2h(x) * mv_to_m2h(y)
-        for a, b in zip(lhs.entries(), rhs.entries()):
-            assert quat_close(a, b, 1e-10)
+        assert abs(lhs.q - rhs.q).max() <= 1e-10
 
 
 def test_mv_to_m2h_rejects_complex_input():
