@@ -20,6 +20,10 @@ over the pairs of nonzero slots on Python ints, exact at any size.  A
 nonzero slot a ``Fraction``: the operands are then written as integer
 numerators over the lcm of their denominators, and each nonzero slot is
 divided once by the two lcms' product.  Otherwise the slots are ints.
+
+An exact row's integer form is worked out by the first exact product or
+distance that reads the row and kept with the multivector, which is
+immutable, so a product reads each operand once.  Nothing else reads it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ GRADE = tuple(mask.bit_count() for mask in range(BLADE_COUNT))
 
 #: coefficient types kept exactly, in an object array
 _EXACT = (int, Fraction)
+#: those types themselves: a row whose value types all lie in this set is exact
+_EXACT_TYPES = {int, bool, Fraction}
 
 
 def _blade_sign(a: int, b: int) -> int:
@@ -109,13 +115,13 @@ def _common(a: np.ndarray, b: np.ndarray) -> tuple:
 
 
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _exact_kernel(_numerators(a.tolist()), _numerators(b.tolist()))
+
+
+def _exact_kernel(x: tuple, y: tuple) -> np.ndarray:
+    """Exact product of two rows given by their ``_numerators`` forms."""
     # no Fraction arithmetic in the pair loop (see the module notes)
-    a, b = a.tolist(), b.tolist()
-    fraction = any(issubclass(t, Fraction) for t in {*map(type, a), *map(type, b)})
-    if fraction:
-        (left, da), (right, db) = _numerators(a), _numerators(b)
-    else:
-        left, right = [(m, v) for m, v in enumerate(a) if v], [(m, v) for m, v in enumerate(b) if v]
+    (left, da, fa), (right, db, fb) = x, y
     out = [0] * BLADE_COUNT
     for ma, ca in left:
         sign_row = _MUL_SIGN[ma]
@@ -124,17 +130,21 @@ def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 out[ma ^ mb] += ca * cb
             else:
                 out[ma ^ mb] -= ca * cb
-    if fraction:
+    if fa or fb:
         den = da * db
         out = [Fraction(v, den) if v else 0 for v in out]
     return np.fromiter(out, dtype=object, count=BLADE_COUNT)
 
 
 def _numerators(row: list) -> tuple:
-    """Nonzero (mask, numerator) pairs of an exact row over its lcm denominator, and that lcm."""
+    """The integer form of an exact row: its nonzero (mask, numerator) pairs
+    over the lcm of its denominators, that lcm, and whether it holds a
+    ``Fraction`` (a ``Fraction(0)`` too).  An int row is its own numerators."""
+    if not any(issubclass(t, Fraction) for t in set(map(type, row))):
+        return [(m, v) for m, v in enumerate(row) if v], 1, False
     ratios = [(m, v.as_integer_ratio()) for m, v in enumerate(row) if v]
     den = math.lcm(*[d for _, (_, d) in ratios])
-    return [(m, n * (den // d)) for m, (n, d) in ratios], den
+    return [(m, n * (den // d)) for m, (n, d) in ratios], den, True
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,32 +165,44 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Multivector:
     """Immutable element of C ⊗ Cl(1,3): 16 coefficients, one per blade mask."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_q")
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
+        coeffs = coeffs or {}
+        types = set(map(type, coeffs.values()))
+        exact = types <= _EXACT_TYPES
+        for t in types - _EXACT_TYPES:
+            if not issubclass(t, Number):
+                mask, value = next((m, v) for m, v in coeffs.items() if type(v) is t)
+                raise ValueError(f"coefficient {value!r} of blade mask {mask!r} is not a number")
         values = [0] * BLADE_COUNT
-        if coeffs:
-            for mask, value in coeffs.items():
-                try:
-                    mask = operator.index(mask)
-                except TypeError:
-                    raise ValueError(f"blade mask {mask!r} is not an integer") from None
-                if not 0 <= mask < BLADE_COUNT:
-                    raise ValueError(f"blade mask {mask} out of range")
-                if value != 0:
-                    values[mask] = value
-        exact = all(isinstance(v, _EXACT) for v in values)
-        if not exact:  # a numpy integer is the int it equals
-            values = [int(v) if isinstance(v, np.integer) else v for v in values]
+        for mask, value in coeffs.items():
+            try:
+                mask = operator.index(mask)
+            except TypeError:
+                raise ValueError(f"blade mask {mask!r} is not an integer") from None
+            if not 0 <= mask < BLADE_COUNT:
+                raise ValueError(f"blade mask {mask} out of range")
+            if value:  # a numpy integer is the int it equals
+                values[mask] = value if exact or not isinstance(value, np.integer) else int(value)
+        if not exact:  # zeros were dropped: the kept values decide
             exact = all(isinstance(v, _EXACT) for v in values)
-        self._c = np.array(values, dtype=object if exact else complex)
+        self._c = np.fromiter(values, dtype=object if exact else complex, count=BLADE_COUNT)
+        self._q = None
 
     @classmethod
     def _of(cls, c: np.ndarray) -> "Multivector":
         """Wrap a coefficient array this module built; it is not copied."""
         out = object.__new__(cls)
         out._c = c
+        out._q = None
         return out
+
+    def _form(self) -> tuple:
+        """This exact row's integer form, kept once made: no code writes ``_c``."""
+        if self._q is None:
+            self._q = _numerators(self._c.tolist())
+        return self._q
 
     # -- access -----------------------------------------------------------
 
@@ -216,7 +238,7 @@ class Multivector:
         if isinstance(other, Multivector):
             a, b = _common(self._c, other._c)
             if a.dtype == object:
-                return Multivector._of(_exact_product(a, b))
+                return Multivector._of(_exact_kernel(self._form(), other._form()))
             return Multivector._of(a @ (_SP * b[_XOR]))
         return self._scaled(other)
 
@@ -306,15 +328,19 @@ def involution(kind: str, a: Multivector) -> Multivector:
 
 def coefficient_distance(a: Multivector, b: Multivector):
     """Max absolute difference between coefficients of two multivectors; exact
-    when both are exact: the first largest slot is found on integer numerators
-    over one lcm, and only its ``abs(x - y)`` is built, an int or a ``Fraction``."""
+    when both are exact: the first largest slot is found on the two integer
+    forms over one lcm, and only its ``abs(x - y)`` is built, an int or a ``Fraction``."""
     x, y = _common(a._c, b._c)
     if x.dtype != object:
         return float(np.abs(x - y).max())
-    x, y = x.tolist(), y.tolist()
-    den = math.lcm(*[v.denominator for v in x + y])
-    gaps = [abs(u.numerator * (den // u.denominator) - v.numerator * (den // v.denominator))
-            for u, v in zip(x, y)]
+    (left, da, _), (right, db, _) = a._form(), b._form()
+    den = math.lcm(da, db)
+    gaps = [0] * BLADE_COUNT
+    for m, n in left:
+        gaps[m] = n * (den // da)
+    for m, n in right:
+        gaps[m] -= n * (den // db)
+    gaps = list(map(abs, gaps))
     i = gaps.index(max(gaps))
     return abs(x[i] - y[i])
 

@@ -47,8 +47,11 @@ class QuatMatrix2:
     __slots__ = ("q",)
 
     def __init__(self, q):
-        """A read-only copy of the components ``q``, of shape (..., 2, 2, 4)."""
-        q = np.array(q, dtype=float)
+        """A read-only float copy of the real components ``q``, of shape (..., 2, 2, 4)."""
+        q = np.asarray(q)
+        if q.dtype.kind not in "biuf":
+            raise ValueError(f"QuatMatrix2 needs real components, got dtype {q.dtype}")
+        q = q.astype(float)
         if q.shape[-3:] != (2, 2, 4):
             raise ValueError(f"QuatMatrix2 needs components (..., 2, 2, 4), got {q.shape}")
         q.flags.writeable = False

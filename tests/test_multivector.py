@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spinorlab.multivector import (
     BLADE_COUNT,
+    DIMENSION,
     GRADE,
     METRIC,
     Multivector,
@@ -21,7 +22,14 @@ from spinorlab.multivector import (
     random_multivector,
     scalar,
 )
-from spinorlab.multivector import _INVOLUTIONS, _MUL_SIGN, _exact_product, _involute, _product
+from spinorlab.multivector import (
+    _INVOLUTIONS,
+    _MUL_SIGN,
+    _exact_product,
+    _involute,
+    _numerators,
+    _product,
+)
 from spinorlab.weyl import _BLADE_MATS, _coefficients, _matrices, from_matrix, to_matrix
 
 ONE = scalar(1)
@@ -403,6 +411,9 @@ def test_items_lists_only_nonzero_slots_in_mask_order():
     assert x.items() == [(1, -2j), (9, 1.5)]
     assert Multivector().items() == []
     assert (gamma(0) + gamma(0).grade_involution()).items() == []
+    # a zero of any type is dropped, so it leaves an exact row exact and int
+    x = Multivector({3: 2, 4: 0.0, 5: 0j, 6: Fraction(0), 7: np.float64(0), 8: np.int64(0)})
+    assert x._c.dtype == object and typed(x._c) == typed([0, 0, 0, 2] + [0] * 12)
 
 
 def test_mixed_exact_and_complex_give_complex():
@@ -632,6 +643,54 @@ def test_exact_distance_keeps_the_first_of_equal_gaps():
         got = coefficient_distance(a, b)
         assert (type(got), got) == want
         assert typed([got]) == typed([dense_distance(a._c, b._c)])
+
+
+def checked_product(x, y):
+    """``x * y`` on the operands' kept integer forms, checked slot for slot
+    against ``_exact_product`` on fresh copies of the rows and against the
+    dense kernel; after it, each operand's kept form is its fresh form."""
+    got = x * y
+    fresh = _exact_product(x._c.copy(), y._c.copy())
+    assert typed(got._c) == typed(fresh) == typed(dense_exact_product(x._c, y._c))
+    for operand in (x, y):
+        assert operand._q == _numerators(operand._c.tolist())
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_EXACT_ROW, ANY_EXACT_ROW, ANY_EXACT_ROW, st.integers(0, DIMENSION - 1))
+def test_products_on_kept_forms_match_the_fresh_and_dense_kernels(ra, rb, rc, mu):
+    a, b, c = Multivector._of(ra), Multivector._of(rb), Multivector._of(rc)
+    ab = checked_product(a, b)
+    checked_product(ab, c)
+    checked_product(a, checked_product(b, c))
+    checked_product(b.reversion(), a.reversion())
+    # gamma(mu) is one module constant, so its form is kept across calls
+    g = gamma(mu)
+    for x, y in ((g, a), (a, g), (g, g), (checked_product(g, b), g)):
+        checked_product(x, y)
+    # the distance reads the forms the products kept
+    assert typed([coefficient_distance(a, b)]) == typed([dense_distance(ra, rb)])
+    assert typed([coefficient_distance(ab, c)]) == typed([dense_distance(ab._c, rc)])
+
+
+def test_a_float_multivector_never_gets_a_form():
+    rng = np.random.default_rng(5)
+    x, y = random_multivector(rng), random_multivector(rng)
+    exact = Multivector({1: Fraction(1, 2), 6: 3})
+    for z in (x * y, x * exact, exact * x, x * gamma(2)):
+        assert z._q is None
+    coefficient_distance(x, exact)
+    # an exact operand of a complex product keeps no form either
+    assert x._q is y._q is exact._q is None
+
+
+@pytest.mark.parametrize("value", [None, "1", b"1", "", [1], {}],
+                         ids=["None", "str", "bytes", "empty-str", "list", "dict"])
+def test_a_coefficient_that_is_not_a_number_is_refused(value):
+    with pytest.raises(ValueError) as info:
+        Multivector({0: 1, 5: value})
+    assert str(info.value) == f"coefficient {value!r} of blade mask 5 is not a number"
 
 
 @pytest.mark.parametrize("mask, message", [

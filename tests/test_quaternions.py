@@ -1,6 +1,7 @@
 """Quaternionic matrices and the embedding chain H -> M2(C) -> M4(C)."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,20 @@ def test_diagonal_products_follow_the_hamilton_table():
 def test_a_quat_matrix_refuses_components_of_another_shape(shape):
     with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
         QuatMatrix2(np.zeros(shape))
+
+
+@pytest.mark.parametrize("components, dtype", [
+    (np.full((2, 2, 4), 1 + 1j), "complex128"),
+    (np.full((2, 2, 4), "1"), "<U1"),
+    (np.full((2, 2, 4), b"1"), "|S1"),
+    (np.full((2, 2, 4), None), "object"),
+])
+def test_a_quat_matrix_refuses_components_that_are_not_real_numbers(components, dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way to the refusal
+        with pytest.raises(ValueError) as info:
+            QuatMatrix2(components)
+    assert str(info.value) == f"QuatMatrix2 needs real components, got dtype {dtype}"
 
 
 def test_a_quat_matrix_keeps_its_own_copy_of_the_components():

@@ -24,9 +24,22 @@ on ``PATH``.
   a whole ``python -m spinorlab.cli table1`` process, timed from start to exit.
 
 For each workload the script prints one block: per metric, the parent's
-median [first quartile, third quartile], the change's median and the number
+median [first quartile, third quartile], the change's median, the number
 of pairs in which the change read better (lower, or higher where
-``BENCHMARK.json`` says so), then how many runs of each copy were correct.
+``BENCHMARK.json`` says so) and a verdict, then how many runs of each copy
+were correct.  The verdict is the first of these that holds:
+
+* ``gain``: the change read better in at least nine tenths of the pairs, and
+  its median is better than the parent's by more than the parent's IQR (third
+  quartile minus first).
+* ``worse``: the change's median is worse than the parent's by more than the
+  metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
+* ``unresolved``: the parent's IQR is wider than that bound, and not every
+  run of the change read better than every run of the parent; so the runs
+  cannot tell whether the change is worse by more than the bound.  A metric
+  with no bound there, as cold-start's two, reads ``unresolved`` unless it
+  reads ``gain``.
+* ``same``: otherwise.
 """
 
 from __future__ import annotations
@@ -89,17 +102,35 @@ def compare(copies: dict, workload: str, args, benchmark: dict, cwd: str) -> dic
     return runs
 
 
-def summary(workload: str, runs: dict, args, better: dict) -> None:
+def verdict(parent: list, change: list, higher: bool, bound: float | None) -> tuple:
+    """(pairs the change read better, verdict) for one metric's runs, pair by
+    pair; the verdict is ``gain``, ``worse``, ``unresolved`` or ``same``, as the
+    module notes define them."""
+    sign = -1 if higher else 1
+    a, b = [sign * x for x in parent], [sign * y for y in change]  # lower reads better
+    won = sum(y < x for x, y in zip(a, b))
+    q1, median, q3 = statistics.quantiles(a, n=4)
+    gap, iqr = statistics.median(b) - median, q3 - q1
+    if 10 * won >= 9 * len(a) and -gap > iqr:
+        return won, "gain"
+    if bound is not None and gap > bound * abs(median):
+        return won, "worse"
+    if (bound is None or iqr > bound * abs(median)) and not max(b) < min(a):
+        return won, "unresolved"
+    return won, "same"
+
+
+def summary(workload: str, runs: dict, args, metrics: dict) -> None:
     parent, change = ([values for values, _ in runs[name]] for name in runs)
     print(f"{workload}: {args.pairs} pairs from seed {args.seed}; parent median "
-          "[Q1, Q3], change median, pairs the change read better")
+          "[Q1, Q3], change median, pairs the change read better, verdict")
     for key in parent[0]:
         a, b = [v[key] for v in parent], [v[key] for v in change]
-        sign = -1 if better.get(key, "lower") == "higher" else 1
-        won = sum(sign * y < sign * x for x, y in zip(a, b))
+        metric = metrics.get(key, {})
+        won, said = verdict(a, b, metric.get("better") == "higher", metric.get("bound"))
         q1, median, q3 = statistics.quantiles(a, n=4)
         print(f"  {key:16} {median:.4g} [{q1:.4g}, {q3:.4g}]  {statistics.median(b):.4g}"
-              f"  {won}/{args.pairs}")
+              f"  {won}/{args.pairs}  {said}")
     print("  correct runs: " + ", ".join(f"{name} {sum(ok for _, ok in runs[name])}"
                                          f"/{args.pairs}" for name in runs), flush=True)
 
@@ -115,7 +146,7 @@ def main(argv) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     workloads = ([w["name"] for w in benchmark["workloads"]] if args.workload == "all"
                  else [args.workload])
     if args.workload == "cold-start":
@@ -126,7 +157,7 @@ def main(argv) -> int:
         (Path(tmp) / "cwd").mkdir()
         for workload in workloads:
             summary(workload, compare(copies, workload, args, benchmark, str(Path(tmp) / "cwd")),
-                    args, better)
+                    args, metrics)
     return 0
 
 
